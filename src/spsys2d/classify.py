@@ -11,6 +11,7 @@ import numpy as np
 
 from .tensorlinalg import (
     DEFAULT_EPS,
+    I2,
     Subspace,
     annihilator,
     as_cvec,
@@ -24,8 +25,6 @@ from .tensorlinalg import (
 )
 
 LABELS = ("C1", "C2", "C3", "C4", "C5")
-
-_I2 = np.eye(2, dtype=complex)
 
 
 class NotSubproductTripleError(ValueError):
@@ -174,13 +173,13 @@ def _normal_form_rank0(plane, eps, loose) -> PlaneNormalForm:
 
 def extend_right(plane: Subspace) -> Subspace:
     """plane (x) C^2 inside the 8-dim space."""
-    cols = [kron(plane.basis[:, i], e) for i in range(plane.dim) for e in _I2]
+    cols = [kron(plane.basis[:, i], e) for i in range(plane.dim) for e in I2]
     return Subspace(8, np.column_stack(cols))
 
 
 def extend_left(plane: Subspace) -> Subspace:
     """C^2 (x) plane inside the 8-dim space."""
-    cols = [kron(e, plane.basis[:, i]) for i in range(plane.dim) for e in _I2]
+    cols = [kron(e, plane.basis[:, i]) for i in range(plane.dim) for e in I2]
     return Subspace(8, np.column_stack(cols))
 
 
@@ -208,9 +207,9 @@ def _solve_margin(cov1, cov2, x2, on_right: bool, eps):
     rows = []
     for cov in (cov1, cov2):
         if on_right:
-            rows.append([cov @ kron(e, x2) for e in _I2])
+            rows.append([cov @ kron(e, x2) for e in I2])
         else:
-            rows.append([cov @ kron(x2, e) for e in _I2])
+            rows.append([cov @ kron(x2, e) for e in I2])
     m = np.array(rows, dtype=complex)
     _, _, vh = np.linalg.svd(m)
     return vh[-1].conj()
@@ -337,7 +336,7 @@ class TripleIso:
 
 def canonical_triple(c: TripleClass, eps: float = DEFAULT_EPS) -> Triple:
     """The canonical triple of each class, in standard coordinates."""
-    e1, e2 = _I2[:, 0], _I2[:, 1]
+    e1, e2 = I2[:, 0], I2[:, 1]
     lam = c.lam
     if c.label == "C1":
         v2 = [kron(e1, e1), kron(e2, e2)]
@@ -489,7 +488,7 @@ def chain_normal_form(L12: Subspace, L23: Subspace, L123: Subspace,
 
 
 def _chain_transform(L123: Subspace, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    big = kron(kron(g1, g2), _I2)
+    big = kron(kron(g1, g2), I2)
     return big @ L123.basis
 
 

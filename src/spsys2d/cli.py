@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,14 +61,12 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected re or re,im, got {text!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spsys2d",
         description="Classification toolkit for two-dimensional subproduct "
         "systems and their dual graded algebras.",
     )
-    env_tol = os.environ.get("SPSYS_TOLERANCE")
-    default_tol = float(env_tol) if env_tol else DEFAULT_TOLERANCE
 
     def _add_common(target, suppress: bool):
         # the same flags are accepted before and after the subcommand; the
@@ -311,10 +310,18 @@ def cmd_dualize(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.tolerance <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    env_tol = os.environ.get("SPSYS_TOLERANCE")
+    try:
+        default_tol = float(env_tol) if env_tol else DEFAULT_TOLERANCE
+    except ValueError:
+        print(f"error: SPSYS_TOLERANCE must be a number, got {env_tol!r}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    args = _build_parser(default_tol).parse_args(argv)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        print("error: tolerance must be a positive finite number", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.command == "verify-identity" and args.spot_check < 0:
+        print("error: --spot-check must not be negative", file=sys.stderr)
         return EXIT_BAD_INPUT
     handlers = {
         "verify-identity": cmd_verify_identity,

@@ -8,13 +8,27 @@ maps M[s, t] (2x4 each) up to a finite horizon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorlinalg import DEFAULT_EPS, Subspace, _null_space, as_cmat, subspace_sum
+from .tensorlinalg import (
+    DEFAULT_EPS,
+    I2,
+    Subspace,
+    _null_space,
+    as_cmat,
+    kron,
+    null_rank,
+    rank_deficient,
+    span_rank,
+)
 
-_I2 = np.eye(2, dtype=complex)
+# Per-pair and per-triple checks run as stacked LAPACK/matmul calls over at
+# most CHUNK matrices at a time: large enough to amortise the per-call cost,
+# small enough that the transient stacks stay well under 1 MiB.
+CHUNK = 48
 
 CATALOG_NAMES = ("D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
@@ -58,11 +72,11 @@ class Algebra2:
     def multiply(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        return self.mult @ np.kron(x, y)
+        return self.mult @ kron(x, y)
 
     def associativity_residual(self) -> float:
-        left = self.mult @ np.kron(self.mult, _I2)
-        right = self.mult @ np.kron(_I2, self.mult)
+        left = self.mult @ kron(self.mult, I2)
+        right = self.mult @ kron(I2, self.mult)
         return float(np.abs(left - right).max())
 
     def is_associative(self, eps: float = DEFAULT_EPS) -> bool:
@@ -90,7 +104,7 @@ def is_automorphism(d: Algebra2, m, eps: float = DEFAULT_EPS) -> bool:
     s = np.linalg.svd(m, compute_uv=False)
     if s[1] <= eps * max(s[0], 1.0):
         return False
-    residual = np.abs(d.mult @ np.kron(m, m) - m @ d.mult).max()
+    residual = np.abs(d.mult @ kron(m, m) - m @ d.mult).max()
     return bool(residual <= max(eps, 1e-9) * max(1.0, float(s[0]) ** 2))
 
 
@@ -120,21 +134,78 @@ def automorphism_description(name: str) -> AutomorphismFamily:
     if name == "D1":
         return AutomorphismFamily(
             algebra="D1",
-            maps=(_I2.copy(), _SWAP.copy()),
+            maps=(I2.copy(), _SWAP.copy()),
             description="identity and the coordinate swap",
         )
     if name == "D2":
         return AutomorphismFamily(
             algebra="D2",
-            maps=(_I2.copy(),),
+            maps=(I2.copy(),),
             one_parameter=lambda lam: np.array([[1, 0], [0, lam]], dtype=complex),
             description="(a1, a2) -> (a1, lam a2) for nonzero lam",
         )
     if name in ("D3", "D4"):
         return AutomorphismFamily(
-            algebra=name, maps=(_I2.copy(),), description="identity only"
+            algebra=name, maps=(I2.copy(),), description="identity only"
         )
     raise ValueError(f"automorphism description only covers D1..D4, not {name!r}")
+
+
+@dataclass(frozen=True)
+class DegreeIndex:
+    """The degree pairs (s, t) with s + t <= horizon and triples (r, s, t)
+    with r + s + t <= horizon, in nested-loop order.
+
+    `levels` holds the (s, t) of each pair as an array; `rs`, `rs_t`, `st`
+    and `r_st` hold, for each triple, the positions in `pairs` of (r, s),
+    (r + s, t), (s, t) and (r, s + t), to gather stacked per-pair maps.
+    """
+
+    pairs: tuple
+    triples: tuple
+    levels: np.ndarray = field(repr=False)
+    rs: np.ndarray = field(repr=False)
+    rs_t: np.ndarray = field(repr=False)
+    st: np.ndarray = field(repr=False)
+    r_st: np.ndarray = field(repr=False)
+
+
+@functools.lru_cache(maxsize=16)
+def degree_index(horizon: int) -> DegreeIndex:
+    """The DegreeIndex of a horizon (cached; its arrays are read-only)."""
+    pairs = tuple((s, t) for s in range(1, horizon) for t in range(1, horizon - s + 1))
+    triples = tuple((r, s, t) for r in range(1, horizon - 1)
+                    for s in range(1, horizon - r)
+                    for t in range(1, horizon - r - s + 1))
+    pos = {p: i for i, p in enumerate(pairs)}
+    gather = np.array([[pos[(r, s)], pos[(r + s, t)], pos[(s, t)], pos[(r, s + t)]]
+                       for r, s, t in triples], dtype=np.intp).reshape(-1, 4)
+    levels = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    for a in (gather, levels):
+        a.setflags(write=False)
+    return DegreeIndex(pairs, triples, levels, *gather.T)
+
+
+def _chunks(n: int):
+    """Slices covering range(n) in order, CHUNK at a time."""
+    return (slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
+
+
+def stack_maps(maps: dict, keys) -> np.ndarray:
+    """The maps under `keys`, in order, as one (len(keys), m, n) array."""
+    return np.stack([maps[k] for k in keys])
+
+
+def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
+    """Coassociativity defects in idx.triples order:
+    max |(b[r,s] (x) I2) b[r+s,t] - (I2 (x) b[s,t]) b[r,s+t]| per triple,
+    where `maps` stacks the 4x2 maps b in idx.pairs order."""
+    out = np.empty(len(idx.triples))
+    for sl in _chunks(len(idx.triples)):
+        left = kron(maps[idx.rs[sl]], I2) @ maps[idx.rs_t[sl]]
+        right = kron(I2, maps[idx.st[sl]]) @ maps[idx.r_st[sl]]
+        out[sl] = np.abs(left - right).max(axis=(1, 2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,35 +231,28 @@ class GradedAlgebra:
         object.__setattr__(self, "M", maps)
 
     def index_pairs(self):
-        for s in range(1, self.horizon):
-            for t in range(1, self.horizon - s + 1):
-                yield (s, t)
+        return iter(degree_index(self.horizon).pairs)
 
     def index_triples(self):
-        for r in range(1, self.horizon - 1):
-            for s in range(1, self.horizon - r):
-                for t in range(1, self.horizon - r - s + 1):
-                    yield (r, s, t)
+        return iter(degree_index(self.horizon).triples)
 
     def triple_product_map(self, r: int, s: int, t: int) -> np.ndarray:
         """M[r, s, t] as a 2x8 matrix."""
-        return self.M[(r + s, t)] @ np.kron(self.M[(r, s)], _I2)
+        return self.M[(r + s, t)] @ kron(self.M[(r, s)], I2)
 
     def associativity_residual(self) -> float:
-        worst = 0.0
-        for r, s, t in self.index_triples():
-            left = self.M[(r + s, t)] @ np.kron(self.M[(r, s)], _I2)
-            right = self.M[(r, s + t)] @ np.kron(_I2, self.M[(s, t)])
-            worst = max(worst, float(np.abs(left - right).max()))
-        return worst
+        # the defect of M is that of its transpose, the dual system's beta
+        idx = degree_index(self.horizon)
+        maps = stack_maps(self.M, idx.pairs).transpose(0, 2, 1)
+        return float(np.fmax.reduce(triple_residuals(maps, idx), initial=0.0))
 
     def iterated_product(self, n: int) -> np.ndarray:
         """The n-fold product map on degree-1 elements, a 2 x 2^n matrix."""
         if not 1 <= n <= self.horizon:
             raise ValueError("n must lie in 1..horizon")
-        out = _I2
+        out = I2
         for k in range(1, n):
-            out = self.M[(k, 1)] @ np.kron(out, _I2)
+            out = self.M[(k, 1)] @ kron(out, I2)
         return out
 
 
@@ -198,12 +262,12 @@ def build_graded(d: Algebra2, eta, horizon: int, eps: float = DEFAULT_EPS) -> Gr
     if not is_automorphism(d, eta, eps):
         raise NotAutomorphismError("eta is not an automorphism of the algebra")
     maps = {}
-    powers = {0: _I2}
+    powers = {0: I2}
     for s in range(1, horizon):
         powers[s] = powers[s - 1] @ eta
     for s in range(1, horizon):
         for t in range(1, horizon - s + 1):
-            maps[(s, t)] = d.mult @ np.kron(_I2, powers[s])
+            maps[(s, t)] = d.mult @ kron(I2, powers[s])
     g = GradedAlgebra(horizon=horizon, M=maps)
     residual = g.associativity_residual()
     if residual > max(eps, 1e-9) * 100:
@@ -221,7 +285,7 @@ def graded_automorphism_residual(g: GradedAlgebra, f: dict) -> float:
     worst = 0.0
     for s, t in g.index_pairs():
         lhs = f[s + t] @ g.M[(s, t)]
-        rhs = g.M[(s, t)] @ np.kron(f[s], f[t])
+        rhs = g.M[(s, t)] @ kron(f[s], f[t])
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -240,20 +304,30 @@ def twist(g: GradedAlgebra, f, eps: float = DEFAULT_EPS) -> GradedAlgebra:
         )
     maps = {}
     for s, t in g.index_pairs():
-        maps[(s, t)] = g.M[(s, t)] @ np.kron(_I2, np.linalg.matrix_power(levels[t], s))
+        maps[(s, t)] = g.M[(s, t)] @ kron(I2, np.linalg.matrix_power(levels[t], s))
     return GradedAlgebra(horizon=g.horizon, M=maps)
 
 
 def check_image_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
-    """All M[s, t] surjective; iterated products are checked directly too."""
-    for s, t in g.index_pairs():
-        sv = np.linalg.svd(g.M[(s, t)], compute_uv=False)
-        if sv[1] <= eps * max(sv[0], 1.0):
+    """All M[s, t] surjective, and every iterated product P_n too.
+
+    P_n = M[n-1, 1] (P_{n-1} (x) I2) is 2 x 2^n, so it is never formed.  If
+    P_{n-1} = L_{n-1} Q with Q of orthonormal rows, then P_n = A (Q (x) I2)
+    for the 2x4 matrix A = M[n-1, 1] (L_{n-1} (x) I2), and Q (x) I2 again has
+    orthonormal rows.  With A = U S V^H, L_n = U S carries exactly the
+    singular values of P_n: O(h) time and O(1) memory for all n.
+    """
+    pairs = degree_index(g.horizon).pairs
+    for sl in _chunks(len(pairs)):
+        sv = np.linalg.svd(stack_maps(g.M, pairs[sl]), compute_uv=False)
+        if rank_deficient(sv, eps).any():
             return False
+    factor = I2
     for n in range(2, g.horizon + 1):
-        sv = np.linalg.svd(g.iterated_product(n), compute_uv=False)
-        if sv[1] <= eps * max(sv[0], 1.0):
+        u, sv, _ = np.linalg.svd(g.M[(n - 1, 1)] @ kron(factor, I2), full_matrices=False)
+        if rank_deficient(sv, eps):
             return False
+        factor = u * sv
     return True
 
 
@@ -262,35 +336,69 @@ def kernel_subspace(m: np.ndarray, eps: float = DEFAULT_EPS) -> Subspace:
     return Subspace(m.shape[1], _null_space(m, eps))
 
 
-def _kernel_sum_side(g: GradedAlgebra, r: int, s: int, t: int,
-                     eps: float) -> Subspace:
-    """(Ker M[r, s]) (x) A_t + A_r (x) Ker M[s, t] inside the 8-dim space."""
-    k_rs = kernel_subspace(g.M[(r, s)], eps)
-    k_st = kernel_subspace(g.M[(s, t)], eps)
-    left = Subspace(8, np.kron(k_rs.basis, _I2)) if k_rs.dim else Subspace.zero(8)
-    right = Subspace(8, np.kron(_I2, k_st.basis)) if k_st.dim else Subspace.zero(8)
-    return subspace_sum(left, right, eps)
+def _masked_null_spaces(m: np.ndarray, eps: float):
+    """Kernels of a (T, k, n) stack as (T, n, n) bases and (T, n) column
+    masks: the columns that `_null_space` returns, in place, the rest zero."""
+    _, s, vh = np.linalg.svd(m)
+    keep = np.arange(m.shape[-1]) >= null_rank(s, eps)[:, None]
+    return vh.conj().transpose(0, 2, 1) * keep[:, None, :], keep
+
+
+def _masked_spans(m: np.ndarray, eps: float):
+    """Spans of a (T, n, k) stack, k >= n, as (T, n, n) bases and (T, n)
+    column masks: the columns that `Subspace.from_spanning` keeps, in place,
+    the rest zero."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    keep = np.arange(m.shape[-2]) < span_rank(s, eps)[:, None]
+    return u * keep[:, None, :], keep
+
+
+def _gram_defects(b: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The `Subspace` orthonormality guard on masked bases: True where
+    B^H B is more than 1e-7 from the identity on the kept columns."""
+    gram = b.conj().transpose(0, 2, 1) @ b
+    eye = np.eye(b.shape[-1]) * keep[:, None, :]
+    return np.abs(gram - eye).max(axis=(1, 2)) > 1e-7
+
+
+def _projectors(b: np.ndarray) -> np.ndarray:
+    return b @ b.conj().transpose(0, 2, 1)
 
 
 def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
     """Ker M[r, s, t] equals the sum of the two partial kernels, for all triples.
 
     The one-sided containment (partial kernels inside the triple kernel) is a
-    structural fact and is asserted unconditionally as a sanity check.
+    structural fact and is asserted unconditionally as a sanity check.  The
+    triples are checked in `index_triples` order: the first one whose kernels
+    leak or differ decides (RuntimeError for a leak, False otherwise).
     """
     tol = max(np.sqrt(eps), 1e-8)
-    for r, s, t in g.index_triples():
-        m3 = g.triple_product_map(r, s, t)
-        k3 = kernel_subspace(m3, eps)
-        side = _kernel_sum_side(g, r, s, t, eps)
-        if side.dim:
-            leak = np.abs(m3 @ side.basis).max()
-            if leak > tol * max(1.0, np.abs(m3).max()):
+    idx = degree_index(g.horizon)
+    maps = stack_maps(g.M, idx.pairs)
+    pair_kernels, pair_keep = _masked_null_spaces(maps, eps)
+    pair_defects = _gram_defects(pair_kernels, pair_keep)
+    for sl in _chunks(len(idx.triples)):
+        rs, st = idx.rs[sl], idx.st[sl]
+        m3 = maps[idx.rs_t[sl]] @ kron(maps[rs], I2)  # M[r, s, t], (T, 2, 8)
+        k3, k3_keep = _masked_null_spaces(m3, eps)
+        side, side_keep = _masked_spans(np.concatenate(
+            [kron(pair_kernels[rs], I2), kron(I2, pair_kernels[st])], axis=2), eps)
+        defects = (_gram_defects(k3, k3_keep) | _gram_defects(side, side_keep)
+                   | pair_defects[rs] | pair_defects[st])
+        leak = np.abs(m3 @ side).max(axis=(1, 2))
+        leaks = leak > tol * np.maximum(1.0, np.abs(m3).max(axis=(1, 2)))
+        distance = np.abs(_projectors(k3) - _projectors(side)).max(axis=(1, 2))
+        unequal = (k3_keep.sum(1) != side_keep.sum(1)) | (distance > max(tol, 1e-8))
+        bad = np.flatnonzero(defects | leaks | unequal)
+        if bad.size:
+            if defects[bad[0]]:
+                raise ValueError("basis columns are not orthonormal")
+            if leaks[bad[0]]:
                 raise RuntimeError(
                     "partial kernels escape the triple kernel; "
                     "the graded data is inconsistent"
                 )
-        if not k3.equals(side, tol):
             return False
     return True
 
@@ -307,7 +415,7 @@ class GradedMorphism:
         worst = 0.0
         for s, t in self.source.index_pairs():
             lhs = self.theta[s + t] @ self.source.M[(s, t)]
-            rhs = self.target.M[(s, t)] @ np.kron(self.theta[s], self.theta[t])
+            rhs = self.target.M[(s, t)] @ kron(self.theta[s], self.theta[t])
             worst = max(worst, float(np.abs(lhs - rhs).max()))
         return worst
 
@@ -315,17 +423,14 @@ class GradedMorphism:
         out = {}
         for s, t in self.source.index_pairs():
             lhs = self.theta[s + t] @ self.source.M[(s, t)]
-            rhs = self.target.M[(s, t)] @ np.kron(self.theta[s], self.theta[t])
+            rhs = self.target.M[(s, t)] @ kron(self.theta[s], self.theta[t])
             out[(s, t)] = float(np.abs(lhs - rhs).max())
         return out
 
 
 def is_isomorphism(m: GradedMorphism, eps: float = DEFAULT_EPS) -> bool:
-    for t in range(1, m.source.horizon + 1):
-        sv = np.linalg.svd(m.theta[t], compute_uv=False)
-        if sv[1] <= eps * max(sv[0], 1.0):
-            return False
-    return True
+    levels = stack_maps(m.theta, range(1, m.source.horizon + 1))
+    return not rank_deficient(np.linalg.svd(levels, compute_uv=False), eps).any()
 
 
 def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
@@ -346,7 +451,7 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     if not check_kernel_condition(gA, eps):
         raise MorphismError("source algebra fails the kernel condition")
     compat = np.abs(
-        theta2 @ gA.M[(1, 1)] - gB.M[(1, 1)] @ np.kron(theta1, theta1)
+        theta2 @ gA.M[(1, 1)] - gB.M[(1, 1)] @ kron(theta1, theta1)
     ).max()
     if compat > max(np.sqrt(eps), 1e-8):
         raise MorphismError(f"theta2 is incompatible with theta1 (residual {compat})")
@@ -357,7 +462,7 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     # through theta1^{(x) n} but avoids amplifying cond(theta1)^n
     for n in range(3, gA.horizon + 1):
         ma = gA.M[(n - 1, 1)]
-        rhs = gB.M[(n - 1, 1)] @ np.kron(theta[n - 1], theta1)
+        rhs = gB.M[(n - 1, 1)] @ kron(theta[n - 1], theta1)
         kernel = _null_space(ma, eps)
         if kernel.shape[1]:
             leak = np.abs(rhs @ kernel).max()

@@ -13,10 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Triple, TripleClass, classify_triple
-from .graded import GradedAlgebra, extend_morphism, is_isomorphism
-from .tensorlinalg import DEFAULT_EPS, Subspace, as_cmat
-
-_I2 = np.eye(2, dtype=complex)
+from .graded import (
+    GradedAlgebra,
+    degree_index,
+    extend_morphism,
+    is_isomorphism,
+    stack_maps,
+    triple_residuals,
+)
+from .tensorlinalg import DEFAULT_EPS, I2, Subspace, as_cmat, kron, rank_deficient
 
 SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
 
@@ -78,15 +83,10 @@ class SubproductSystem:
         object.__setattr__(self, "beta", maps)
 
     def index_pairs(self):
-        for s in range(1, self.horizon):
-            for t in range(1, self.horizon - s + 1):
-                yield (s, t)
+        return iter(degree_index(self.horizon).pairs)
 
     def index_triples(self):
-        for r in range(1, self.horizon - 1):
-            for s in range(1, self.horizon - r):
-                for t in range(1, self.horizon - r - s + 1):
-                    yield (r, s, t)
+        return iter(degree_index(self.horizon).triples)
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,15 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
     compared maps, since the level maps of an isomorphism carry no preferred
     normalization and their norms can grow geometrically with the level.
     """
-    out = {}
-    for s, t in src.index_pairs():
-        lhs = np.kron(iso.theta[s], iso.theta[t]) @ src.beta[(s, t)]
-        rhs = dst.beta[(s, t)] @ iso.theta[s + t]
-        scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-        out[(s, t)] = float(np.abs(lhs - rhs).max()) / scale
-    return out
+    idx = degree_index(src.horizon)
+    theta = stack_maps(iso.theta, range(1, src.horizon + 1))
+    s, t = idx.levels.T
+    lhs = kron(theta[s - 1], theta[t - 1]) @ stack_maps(src.beta, idx.pairs)
+    rhs = stack_maps(dst.beta, idx.pairs) @ theta[s + t - 1]
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
+                                       np.abs(rhs).max(axis=(1, 2))))
+    residuals = np.abs(lhs - rhs).max(axis=(1, 2)) / scale
+    return dict(zip(idx.pairs, residuals.tolist()))
 
 
 def _canonical_beta(label: SystemLabel, s: int) -> np.ndarray:
@@ -164,25 +166,18 @@ class AxiomReport:
 
 
 def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport:
-    inj_failures = []
-    min_sv = np.inf
-    for s, t in sys.index_pairs():
-        sv = np.linalg.svd(sys.beta[(s, t)], compute_uv=False)
-        min_sv = min(min_sv, float(sv[1]))
-        if sv[1] <= eps * max(sv[0], 1.0):
-            inj_failures.append((s, t))
-    worst = 0.0
-    first_fail = None
-    scale = max(np.abs(b).max() for b in sys.beta.values())
+    idx = degree_index(sys.horizon)
+    beta = stack_maps(sys.beta, idx.pairs)
+    sv = np.linalg.svd(beta, compute_uv=False)
+    inj_failures = [idx.pairs[i] for i in np.flatnonzero(rank_deficient(sv, eps))]
+    min_sv = sv[:, 1].min()
+    # the scale covers every stored map, not only those at idx.pairs
+    scale = np.abs(np.stack(list(sys.beta.values()))).max()
     tol = max(eps, 1e-12) * max(scale * scale, 1.0)
-    for r, s, t in sys.index_triples():
-        left = np.kron(sys.beta[(r, s)], _I2) @ sys.beta[(r + s, t)]
-        right = np.kron(_I2, sys.beta[(s, t)]) @ sys.beta[(r, s + t)]
-        residual = float(np.abs(left - right).max())
-        if residual > worst:
-            worst = residual
-        if residual > tol and first_fail is None:
-            first_fail = (r, s, t)
+    residuals = triple_residuals(beta, idx)
+    worst = float(np.fmax.reduce(residuals, initial=0.0))  # skips NaN residuals
+    failing = np.flatnonzero(residuals > tol)
+    first_fail = idx.triples[failing[0]] if failing.size else None
     passed = not inj_failures and first_fail is None
     return AxiomReport(
         passed=passed,
@@ -196,8 +191,8 @@ def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport
 def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Triple:
     """The degree-(1, 2, 3) data: E2 = Im beta[1,1], E3 the common composite image."""
     b11 = sys.beta[(1, 1)]
-    via_left = np.kron(b11, _I2) @ sys.beta[(2, 1)]
-    via_right = np.kron(_I2, b11) @ sys.beta[(1, 2)]
+    via_left = kron(b11, I2) @ sys.beta[(2, 1)]
+    via_right = kron(I2, b11) @ sys.beta[(1, 2)]
     scale = max(np.abs(via_left).max(), np.abs(via_right).max(), 1.0)
     if np.abs(via_left - via_right).max() > max(np.sqrt(eps), 1e-8) * scale:
         raise ClassifyStageError(
@@ -245,7 +240,7 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
     g_sys = dualize(sys)
     g_can = dualize(canonical)
     theta1 = tri_iso.theta.T  # canonical degree-1 component -> system component
-    theta2 = g_sys.M[(1, 1)] @ np.kron(theta1, theta1) @ np.linalg.pinv(g_can.M[(1, 1)])
+    theta2 = g_sys.M[(1, 1)] @ kron(theta1, theta1) @ np.linalg.pinv(g_can.M[(1, 1)])
     try:
         morphism = extend_morphism(g_can, g_sys, theta1, theta2, eps)
     except ValueError as exc:
@@ -272,9 +267,9 @@ def random_system(label: SystemLabel, seed: int, horizon: int = 6,
             if np.linalg.cond(cand) <= max_cond:
                 g[t] = cand
                 break
-    beta = {}
-    for s, t in base.index_pairs():
-        beta[(s, t)] = (
-            np.kron(g[s], g[t]) @ base.beta[(s, t)] @ np.linalg.inv(g[s + t])
-        )
+    g_inv = {t: np.linalg.inv(g[t]) for t in range(2, horizon + 1)}
+    beta = {
+        (s, t): kron(g[s], g[t]) @ base.beta[(s, t)] @ g_inv[s + t]
+        for s, t in base.index_pairs()
+    }
     return SubproductSystem(horizon=horizon, beta=beta)

@@ -20,10 +20,13 @@ VECTOR_DIMS = (2, 4, 8)
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
 
+I2 = np.eye(2, dtype=complex)
+I2.setflags(write=False)  # shared by every module
+
 
 def as_cvec(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+    if not np.isfinite(v).all():
         raise ValueError("non-finite entries are not admitted")
     return v
 
@@ -32,7 +35,7 @@ def as_cmat(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("non-finite entries are not admitted")
     return m
 
@@ -40,17 +43,26 @@ def as_cmat(m) -> np.ndarray:
 def kron(u, v) -> np.ndarray:
     """Kronecker product of vectors or matrices under the fixed convention.
 
-    For vectors the resulting dimension must stay within {2, 4, 8}.
+    For vectors the resulting dimension must stay within {2, 4, 8}.  Matrix
+    operands may carry leading stack axes, which broadcast: the product of
+    (..., a, b) and (..., c, d) stacks is the (..., ac, bd) stack of the
+    per-matrix products.  Entries are the same products np.kron forms.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    out = np.kron(u, v)
-    if u.ndim == 1 and v.ndim == 1 and out.shape[0] not in VECTOR_DIMS:
-        raise ValueError(
-            f"vector Kronecker product of dimension {out.shape[0]} overflows "
-            f"the supported dimensions {VECTOR_DIMS}"
-        )
-    return out
+    if u.ndim == 1 and v.ndim == 1:
+        n = u.shape[0] * v.shape[0]
+        if n not in VECTOR_DIMS:
+            raise ValueError(
+                f"vector Kronecker product of dimension {n} overflows "
+                f"the supported dimensions {VECTOR_DIMS}"
+            )
+        return (u[:, None] * v[None, :]).reshape(n)
+    u = np.atleast_2d(u)
+    v = np.atleast_2d(v)
+    out = u[..., :, None, :, None] * v[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (u.shape[-2] * v.shape[-2],
+                                         u.shape[-1] * v.shape[-1]))
 
 
 def normalize_projective(v: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -100,11 +112,7 @@ class Subspace:
         if m.shape[1] == 0:
             return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
         u, s, _ = np.linalg.svd(m, full_matrices=False)
-        if s.size == 0 or s[0] <= eps:
-            rank = 0
-        else:
-            rank = int(np.sum(s > eps * s[0]))
-        return cls(ambient_dim, u[:, :rank])
+        return cls(ambient_dim, u[:, :int(span_rank(s, eps))])
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -147,15 +155,35 @@ class Subspace:
         return Subspace.from_spanning(m @ self.basis, ambient_dim=m.shape[0], eps=eps)
 
 
+def span_rank(s: np.ndarray, eps: float = DEFAULT_EPS):
+    """Rank rule of `Subspace.from_spanning` on singular values (last axis,
+    descending; leading axes are a stack): none count when the largest is
+    <= eps, else those above eps times the largest."""
+    top = s[..., :1]
+    return np.where(np.all(top <= eps, axis=-1), 0, np.sum(s > eps * top, axis=-1))
+
+
+def null_rank(s: np.ndarray, eps: float = DEFAULT_EPS):
+    """Rank rule of `_null_space` on singular values (last axis, descending;
+    leading axes are a stack): those above eps times the largest, with the
+    scale taken as 1 when the largest is 0."""
+    top = s[..., :1]
+    return np.sum(s > eps * np.where(top > 0, top, 1.0), axis=-1)
+
+
+def rank_deficient(sv: np.ndarray, eps: float = DEFAULT_EPS):
+    """True where a rank-2 map with singular values sv[..., 0] >= sv[..., 1]
+    has lost rank: sv[1] <= eps * max(sv[0], 1)."""
+    return sv[..., 1] <= eps * np.maximum(sv[..., 0], 1.0)
+
+
 def _null_space(m: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Orthonormal basis (columns) of {x : m x = 0}."""
     m = as_cmat(m)
     if m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(m)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > eps * scale))
-    return vh[rank:].conj().T
+    return vh[int(null_rank(s, eps)):].conj().T
 
 
 def annihilator(s: Subspace, eps: float = DEFAULT_EPS) -> Subspace:

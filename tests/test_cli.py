@@ -170,6 +170,24 @@ class TestExitCodes:
         code, _, _ = run(capsys, "--tolerance", "-1", "verify-identity")
         assert code == 2
 
+    @pytest.mark.parametrize("env, argv", [
+        ("abc", ("verify-identity",)),
+        ("nan", ("verify-identity",)),
+        (None, ("--tolerance", "nan", "verify-identity")),
+        (None, ("--tolerance", "inf", "verify-identity")),
+        (None, ("verify-identity", "--tolerance", "inf")),
+        (None, ("verify-identity", "--spot-check", "-5")),
+    ])
+    def test_edge_input_is_2_with_one_line_error(self, monkeypatch, capsys, env, argv):
+        if env is None:
+            monkeypatch.delenv("SPSYS_TOLERANCE", raising=False)
+        else:
+            monkeypatch.setenv("SPSYS_TOLERANCE", env)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestDualize:
     def test_involution_byte_identical(self, tmp_path, capsys):
