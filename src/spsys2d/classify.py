@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .identity import quad_coeffs
 from .tensorlinalg import (
     DEFAULT_EPS,
     I2,
@@ -61,11 +62,7 @@ def restricted_form_matrix(plane: Subspace) -> np.ndarray:
 
 def rank_of_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> int:
     """Rank (0, 1, or 2) of the restricted determinant form."""
-    g = restricted_form_matrix(plane)
-    s = np.linalg.svd(g, compute_uv=False)
-    # orthonormal basis bounds the form entries by 1, so an absolute scale works
-    thr = eps * max(1.0, float(s[0]))
-    return int(np.sum(s > thr))
+    return rank_with_margin(plane, eps)[0]
 
 
 def rank_with_margin(plane: Subspace, eps: float = DEFAULT_EPS):
@@ -73,6 +70,7 @@ def rank_with_margin(plane: Subspace, eps: float = DEFAULT_EPS):
     to the decision threshold (values near 1 mean a shaky rank call)."""
     g = restricted_form_matrix(plane)
     s = np.linalg.svd(g, compute_uv=False)
+    # orthonormal basis bounds the form entries by 1, so an absolute scale works
     thr = eps * max(1.0, float(s[0]))
     rank = int(np.sum(s > thr))
     ratios = [sv / thr for sv in s if sv > 0]
@@ -190,16 +188,10 @@ def _covector_quadratic(cov1: np.ndarray, cov2: np.ndarray, middle_on_right: boo
     covectors' 4-dim space: True for the (first, middle) plane, False for the
     (middle, last) plane.
     """
-    if middle_on_right:
-        a, b, c, d = cov1
-        e, f, g, h = cov2
-    else:
-        a, c, b, d = cov1
-        e, g, f, h = cov2
-    p = a * g - c * e
-    q = (a * h - d * e) + (b * g - c * f)
-    r = b * h - d * f
-    return complex(p), complex(q), complex(r)
+    if not middle_on_right:
+        cov1, cov2 = cov1[[0, 2, 1, 3]], cov2[[0, 2, 1, 3]]
+    q = quad_coeffs(cov1, cov2)
+    return complex(q.p), complex(q.q), complex(q.r)
 
 
 def _solve_margin(cov1, cov2, x2, on_right: bool, eps):

@@ -28,15 +28,17 @@ from .identity import (
 )
 from .systems import (
     ClassifyStageError,
-    SubproductSystem,
     SystemLabel,
+    axiom_text,
     canonical_system,
     check_axioms,
     classify_system,
     dualize,
     iso_residuals,
     random_system,
+    triple_of_system,
 )
+from .tensorlinalg import DEFAULT_EPS
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -44,7 +46,6 @@ EXIT_BAD_INPUT = 2
 EXIT_AXIOM_FAIL = 3
 EXIT_UNCLASSIFIABLE = 4
 
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_HORIZON = 6
 
 
@@ -191,7 +192,6 @@ def _classify_report(args, obj):
     sys_obj = dualize(obj) if isinstance(obj, GradedAlgebra) else obj
     label, iso = classify_system(sys_obj, eps)
     residuals = iso_residuals(sys_obj, canonical_system(label, sys_obj.horizon), iso)
-    from .systems import triple_of_system
     rank, margin = rank_with_margin(triple_of_system(sys_obj, eps).E2, eps)
     report = {
         "label": label.label,
@@ -221,11 +221,6 @@ def _report_text(report: dict) -> str:
 
 def cmd_classify(args) -> int:
     obj = _load(args.input)
-    if isinstance(obj, SubproductSystem):
-        rep = check_axioms(obj, args.tolerance)
-        if not rep.passed:
-            print(f"error: axiom failure: {_axiom_text(rep)}", file=sys.stderr)
-            return EXIT_AXIOM_FAIL
     try:
         report = _classify_report(args, obj)
     except ClassifyStageError as exc:
@@ -240,15 +235,6 @@ def cmd_classify(args) -> int:
     else:
         _write(args, _report_text(report))
     return EXIT_OK
-
-
-def _axiom_text(rep) -> str:
-    parts = [f"worst associativity residual {rep.worst_associativity_residual:.3g}"]
-    if rep.first_failing_triple:
-        parts.append(f"first failing triple {rep.first_failing_triple}")
-    if rep.injectivity_failures:
-        parts.append(f"injectivity failures at {list(rep.injectivity_failures)}")
-    return "; ".join(parts)
 
 
 def cmd_check(args) -> int:
@@ -275,7 +261,7 @@ def cmd_check(args) -> int:
         _write(args, serialize.dumps_canonical(payload))
     else:
         status = "PASS" if rep.passed else "FAIL"
-        _write(args, f"check: {status} ({_axiom_text(rep)})")
+        _write(args, f"check: {status} ({axiom_text(rep)})")
     return EXIT_OK if rep.passed else EXIT_AXIOM_FAIL
 
 
@@ -312,7 +298,7 @@ def cmd_dualize(args) -> int:
 def main(argv=None) -> int:
     env_tol = os.environ.get("SPSYS_TOLERANCE")
     try:
-        default_tol = float(env_tol) if env_tol else DEFAULT_TOLERANCE
+        default_tol = float(env_tol) if env_tol else DEFAULT_EPS
     except ValueError:
         print(f"error: SPSYS_TOLERANCE must be a number, got {env_tol!r}", file=sys.stderr)
         return EXIT_BAD_INPUT

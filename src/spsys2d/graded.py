@@ -282,12 +282,7 @@ def _as_level_maps(f, horizon: int) -> dict:
 
 
 def graded_automorphism_residual(g: GradedAlgebra, f: dict) -> float:
-    worst = 0.0
-    for s, t in g.index_pairs():
-        lhs = f[s + t] @ g.M[(s, t)]
-        rhs = g.M[(s, t)] @ kron(f[s], f[t])
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    return GradedMorphism(source=g, target=g, theta=f).residual()
 
 
 def twist(g: GradedAlgebra, f, eps: float = DEFAULT_EPS) -> GradedAlgebra:
@@ -412,12 +407,7 @@ class GradedMorphism:
     theta: dict = field(repr=False)
 
     def residual(self) -> float:
-        worst = 0.0
-        for s, t in self.source.index_pairs():
-            lhs = self.theta[s + t] @ self.source.M[(s, t)]
-            rhs = self.target.M[(s, t)] @ kron(self.theta[s], self.theta[t])
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst
+        return max(self.level_residuals().values(), default=0.0)
 
     def level_residuals(self) -> dict:
         out = {}

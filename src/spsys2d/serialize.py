@@ -15,7 +15,7 @@ import numpy as np
 
 from .classify import Triple
 from .graded import GradedAlgebra
-from .systems import SubproductSystem, SystemLabel
+from .systems import SubproductSystem
 from .tensorlinalg import Subspace
 
 
@@ -188,10 +188,13 @@ def triple_from_json(data: dict) -> Triple:
         e3 = matrix_from_json(data["E3"]).T
         if e2.shape[0] != 4 or e3.shape[0] != 8:
             raise SerializationError("E2 vectors must be 4-dim, E3 vectors 8-dim")
-        return Triple(
+        triple = Triple(
             E2=Subspace.from_spanning(e2, ambient_dim=4),
             E3=Subspace.from_spanning(e3, ambient_dim=8),
         )
+        if triple.E2.dim != 2 or triple.E3.dim != 2:
+            raise SerializationError("E2 and E3 must each span a 2-dim subspace")
+        return triple
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed triple: {exc}") from exc
 
@@ -218,10 +221,3 @@ def from_json(data):
     if kind == "triple" or (kind is None and "E2" in data and "E3" in data):
         return triple_from_json(data)
     raise SerializationError(f"unknown payload kind {kind!r}")
-
-
-def label_to_json(label: SystemLabel) -> dict:
-    out: dict = {"label": label.label}
-    if label.lam is not None:
-        out["lambda"] = complex_to_json(label.lam)
-    return out

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Triple, TripleClass, classify_triple
-from .graded import (
-    GradedAlgebra,
-    degree_index,
-    extend_morphism,
-    is_isomorphism,
-    stack_maps,
-    triple_residuals,
-)
+from .graded import GradedAlgebra, degree_index, stack_maps, triple_residuals
 from .tensorlinalg import DEFAULT_EPS, I2, Subspace, as_cmat, kron, rank_deficient
 
 SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
@@ -96,9 +89,6 @@ class SystemIso:
 
     theta: dict = field(repr=False)
 
-    def level(self, t: int) -> np.ndarray:
-        return self.theta[t]
-
 
 def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
                   iso: SystemIso) -> dict:
@@ -165,6 +155,16 @@ class AxiomReport:
     min_singular_value: float
 
 
+def axiom_text(rep: AxiomReport) -> str:
+    """One-line summary of an axiom report's findings."""
+    parts = [f"worst associativity residual {rep.worst_associativity_residual:.3g}"]
+    if rep.first_failing_triple:
+        parts.append(f"first failing triple {rep.first_failing_triple}")
+    if rep.injectivity_failures:
+        parts.append(f"injectivity failures at {list(rep.injectivity_failures)}")
+    return "; ".join(parts)
+
+
 def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport:
     idx = degree_index(sys.horizon)
     beta = stack_maps(sys.beta, idx.pairs)
@@ -222,13 +222,16 @@ def dualize(obj):
 def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
     """Label + explicit per-level isomorphism onto the canonical system.
 
-    Pipeline: extract the degree-(1,2,3) triple, classify it, dualize both the
-    input and the canonical system, extend the (transposed) triple isomorphism
-    to a graded-algebra morphism, and transpose back.
+    Pipeline: check the axioms, extract the degree-(1,2,3) triple and
+    classify it, which fixes theta_1.  Every later level is then forced by
+    (theta_{n-1} (x) theta_1) beta[n-1, 1] = beta_can[n-1, 1] theta_n and is
+    solved with the left inverse of the injective beta_can[n-1, 1].  The
+    level maps must be invertible, and the result is certified once with
+    `iso_residuals` against the canonical system.
     """
     report = check_axioms(sys, eps)
     if not report.passed:
-        raise ClassifyStageError("axioms", f"input fails the axioms: {report}")
+        raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
     triple = triple_of_system(sys, eps)
     try:
         cls, tri_iso = classify_triple(triple, eps)
@@ -237,17 +240,18 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
     label = SystemLabel.from_triple_class(cls)
 
     canonical = canonical_system(label, sys.horizon)
-    g_sys = dualize(sys)
-    g_can = dualize(canonical)
-    theta1 = tri_iso.theta.T  # canonical degree-1 component -> system component
-    theta2 = g_sys.M[(1, 1)] @ kron(theta1, theta1) @ np.linalg.pinv(g_can.M[(1, 1)])
-    try:
-        morphism = extend_morphism(g_can, g_sys, theta1, theta2, eps)
-    except ValueError as exc:
-        raise ClassifyStageError("extend-morphism", str(exc)) from exc
-    if not is_isomorphism(morphism, eps):
+    theta = {1: tri_iso.theta}
+    for n in range(2, sys.horizon + 1):
+        theta[n] = (np.linalg.pinv(canonical.beta[(n - 1, 1)])
+                    @ kron(theta[n - 1], theta[1]) @ sys.beta[(n - 1, 1)])
+    levels = stack_maps(theta, range(1, sys.horizon + 1))
+    if rank_deficient(np.linalg.svd(levels, compute_uv=False), eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
-    iso = SystemIso(theta={t: m.T.copy() for t, m in morphism.theta.items()})
+    iso = SystemIso(theta=theta)
+    worst = max(iso_residuals(sys, canonical, iso).values())
+    if worst > max(np.sqrt(eps), 1e-8):
+        raise ClassifyStageError(
+            "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
     return label, iso
 
 

@@ -4,7 +4,9 @@ at-a-time loops they replaced, which are kept here as the reference.
 The stacked code forms the same products in the same order, so reports,
 residuals and verdicts must agree exactly; only the image condition, which
 now tracks a 2x2 factor instead of the 2 x 2^n iterated product, is compared
-by verdict.
+by verdict.  The parent's classify_system, which went through the dual graded
+algebras and extend_morphism, is kept as the reference for the direct
+recursion that replaced it.
 """
 
 import tracemalloc
@@ -25,7 +27,9 @@ from spsys2d.graded import (
     is_isomorphism,
     kernel_subspace,
 )
+from spsys2d.classify import classify_triple
 from spsys2d.systems import (
+    ClassifyStageError,
     SubproductSystem,
     SystemIso,
     SystemLabel,
@@ -35,6 +39,7 @@ from spsys2d.systems import (
     dualize,
     iso_residuals,
     random_system,
+    triple_of_system,
 )
 from spsys2d.tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, subspace_sum
 
@@ -149,6 +154,34 @@ def ref_random_system(label, seed, horizon):
                 break
     return {(s, t): np.kron(g[s], g[t]) @ base.beta[(s, t)] @ np.linalg.inv(g[s + t])
             for s, t in ref_pairs(horizon)}
+
+
+def ref_classify_system(sys, eps=DEFAULT_EPS):
+    """classify_system by the graded-algebra detour: dualize, extend the
+    transposed triple isomorphism with extend_morphism, transpose back."""
+    report = check_axioms(sys, eps)
+    if not report.passed:
+        raise ClassifyStageError("axioms", f"input fails the axioms: {report}")
+    triple = triple_of_system(sys, eps)
+    try:
+        cls, tri_iso = classify_triple(triple, eps)
+    except ValueError as exc:
+        raise ClassifyStageError("classify-triple", str(exc)) from exc
+    label = SystemLabel.from_triple_class(cls)
+
+    canonical = canonical_system(label, sys.horizon)
+    g_sys = dualize(sys)
+    g_can = dualize(canonical)
+    theta1 = tri_iso.theta.T
+    theta2 = g_sys.M[(1, 1)] @ kron(theta1, theta1) @ np.linalg.pinv(g_can.M[(1, 1)])
+    try:
+        morphism = extend_morphism(g_can, g_sys, theta1, theta2, eps)
+    except ValueError as exc:
+        raise ClassifyStageError("extend-morphism", str(exc)) from exc
+    if not is_isomorphism(morphism, eps):
+        raise ClassifyStageError("extend-morphism", "extended morphism is singular")
+    iso = SystemIso(theta={t: m.T.copy() for t, m in morphism.theta.items()})
+    return label, iso
 
 
 def outcome(check, *args):
@@ -343,3 +376,40 @@ def test_image_condition_memory_is_flat_in_the_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def classify_outcome(classify, sys):
+    """(stage, None, None) for a refusal, else ("ok", label, iso, worst
+    certified residual)."""
+    try:
+        label, iso = classify(sys)
+    except ClassifyStageError as exc:
+        return exc.stage, None, None, None
+    canonical = canonical_system(label, sys.horizon)
+    return "ok", label, iso, max(iso_residuals(sys, canonical, iso).values())
+
+
+def classify_inputs():
+    for horizon in (6, 12):
+        for seed in range(4):
+            for i, label in enumerate(GRID):
+                yield random_system(label, 1000 * seed + i, horizon)
+    for i, label in enumerate(GRID[::2]):
+        yield random_system(label, 77 + i, 32)
+
+
+def test_direct_recursion_matches_the_graded_detour():
+    stages = set()
+    for sys in classify_inputs():
+        stage, label, iso, worst = classify_outcome(classify_system, sys)
+        ref_stage, ref_label, ref_iso, ref_worst = classify_outcome(ref_classify_system, sys)
+        assert (stage, label) == (ref_stage, ref_label)
+        stages.add((sys.horizon, stage))
+        if stage != "ok":
+            continue
+        for t, ref_theta in ref_iso.theta.items():
+            scale = np.abs(ref_theta).max()
+            assert np.abs(iso.theta[t] - ref_theta).max() <= 1e-7 * scale, (label, t)
+        assert worst <= 1e-8 or ref_worst > 1e-8
+    # successes and refusals were both exercised, at h = 12 and at h = 32
+    assert {(12, "ok"), (12, "extend-morphism"), (32, "ok")} <= stages

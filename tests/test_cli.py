@@ -7,7 +7,7 @@ from spsys2d import serialize
 from spsys2d.classify import TripleClass, canonical_triple
 from spsys2d.cli import main
 from spsys2d.graded import build_graded, catalog
-from spsys2d.systems import SystemLabel, canonical_system, random_system
+from spsys2d.systems import SystemLabel, canonical_system, dualize, random_system
 
 
 def run(capsys, *argv):
@@ -151,6 +151,37 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", str(path))
         assert code == 3
         assert "(1, 1, 1)" in err
+
+    def test_system_and_algebra_with_one_defect_give_one_error(self, tmp_path, capsys):
+        s = canonical_system(SystemLabel("E1"), 5)
+        data = serialize.system_to_json(s)
+        data["beta"]["2,1"][0][0] = [1.001, 0.0]
+        errors = []
+        for name, payload in (("s.json", data),
+                              ("g.json", serialize.graded_to_json(
+                                  dualize(serialize.from_json(data))))):
+            path = tmp_path / name
+            path.write_text(serialize.dumps_canonical(payload))
+            code, _, err = run(capsys, "classify", str(path))
+            assert code == 3
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert len(errors[0].splitlines()) == 1
+        assert "[axioms]" in errors[0] and "AxiomReport" not in errors[0]
+
+    @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
+    @pytest.mark.parametrize("part", ["E2", "E3"])
+    def test_triple_without_a_plane_is_2(self, tmp_path, capsys, command, part):
+        t = serialize.triple_to_json(canonical_triple(TripleClass("C1")))
+        t[part] = t[part][:1]  # one spanning vector: a line, not a plane
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(t))
+        with pytest.raises(SystemExit) as err:
+            run(capsys, command, str(path))
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
     def test_unclassifiable_triple_is_4(self, tmp_path, capsys):
         # E3 not contained in the window spanned by E2 extensions
