@@ -199,19 +199,29 @@ class Polynomial:
 def evaluate_batch(poly: Polynomial, assignments: np.ndarray) -> np.ndarray:
     """Evaluate `poly` at many integer assignments at once.
 
-    `assignments` has shape (n, 16), integer dtype.  Returns an int64 array of
-    length n.  Intermediate values must fit in int64; with entries in [-9, 9]
-    and the degree-8 polynomials built here this holds with ample margin.
+    `assignments` has shape (n, 16), integer or object (Python int) dtype.
+    Every partial product and partial sum is bounded by
+    `sum |c| * max(|x|, 1)**degree`; when that bound fits in int64 the result
+    is an int64 array of length n, otherwise the evaluation runs on Python
+    ints and returns an object array, so it never wraps.  With entries in
+    [-9, 9] and the degree-8 polynomials built here the bound is ~1.2e10.
     """
-    assignments = np.asarray(assignments, dtype=np.int64)
+    assignments = np.asarray(assignments)
+    if assignments.dtype != object:
+        assignments = assignments.astype(np.int64, copy=False)
     if assignments.ndim != 2 or assignments.shape[1] != NVARS:
         raise ValueError("assignments must have shape (n, 16)")
-    if poly.is_zero():
-        return np.zeros(assignments.shape[0], dtype=np.int64)
+    n = assignments.shape[0]
+    if poly.is_zero() or n == 0:
+        return np.zeros(n, dtype=np.int64)
     items = list(poly._terms.items())
-    exps = np.array([e for e, _ in items], dtype=np.int64)  # (t, 16)
-    coeffs = np.array([c for _, c in items], dtype=np.int64)  # (t,)
-    values = np.tile(coeffs, (assignments.shape[0], 1))  # (n, t)
+    xmax = max(int(assignments.max()), -int(assignments.min()), 1)
+    bound = sum(abs(c) for _, c in items) * xmax ** poly.degree()
+    dtype = np.int64 if bound < 2**63 else object
+    assignments = assignments.astype(dtype, copy=False)
+    exps = np.array([e for e, _ in items], dtype=dtype)  # (t, 16)
+    coeffs = np.array([c for _, c in items], dtype=dtype)  # (t,)
+    values = np.tile(coeffs, (n, 1))  # (n, t)
     for j in range(NVARS):
         ej = exps[:, j]
         if not ej.any():
@@ -246,6 +256,14 @@ class SymMatrix:
 
     def evaluate(self, assignment: Sequence) -> list[list]:
         return [[e.evaluate(assignment) for e in row] for row in self.entries]
+
+    def evaluate_batch(self, assignments: np.ndarray) -> np.ndarray:
+        """Every entry at many integer assignments: shape (n, rows, cols).
+
+        One `evaluate_batch` per entry, with its overflow guard.
+        """
+        values = [evaluate_batch(e, assignments) for row in self.entries for e in row]
+        return np.stack(values, axis=-1).reshape(-1, self.rows, self.cols)
 
 
 def _submatrix_is_structurally_zero(

@@ -9,12 +9,12 @@ which is the computational heart of the Main Lemma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .exactpoly import (
     LaplaceTerm,
     Polynomial,
     SymMatrix,
-    det_laplace,
     laplace_terms,
     var_index,
 )
@@ -102,9 +102,14 @@ def resultant4(p, q, r, P, Q, R) -> Polynomial:
     return det_cofactor(m)
 
 
+@cache
 def d8_polynomial() -> Polynomial:
-    """D8, expanded via the Laplace expansion by the first four rows."""
-    d8 = det_laplace(det8_matrix(), APPENDIX_PIVOT_ROWS)
+    """D8, expanded via the Laplace expansion by the first four rows.
+
+    Sums the cached `surviving_laplace_terms`, so the expansion runs once per
+    process; Polynomials are immutable, so the cached value is safe to share.
+    """
+    d8 = sum((t.contribution() for t in surviving_laplace_terms()), Polynomial.zero())
     assert d8.degree() <= MAX_DEGREE
     return d8
 
@@ -115,8 +120,12 @@ def _coefficient_rows():
     return first, second
 
 
+@cache
 def d4_polynomial() -> Polynomial:
-    """D4, built from the two quadratic forms' coefficients and their resultant."""
+    """D4, built from the two quadratic forms' coefficients and their resultant.
+
+    Built once per process, like `d8_polynomial`.
+    """
     first, second = _coefficient_rows()
     lo = quad_coeffs(*first)
     hi = quad_coeffs(*second)
@@ -125,12 +134,14 @@ def d4_polynomial() -> Polynomial:
     return d4
 
 
-def surviving_laplace_terms() -> list[LaplaceTerm]:
+@cache
+def surviving_laplace_terms() -> tuple[LaplaceTerm, ...]:
     """The nonzero terms of the Laplace expansion of D8 by the first four rows.
 
     Exactly 18 of the 70 column selections survive the structural-zero check.
+    Computed once per process; the tuple of frozen terms cannot be mutated.
     """
-    return laplace_terms(det8_matrix(), APPENDIX_PIVOT_ROWS)
+    return tuple(laplace_terms(det8_matrix(), APPENDIX_PIVOT_ROWS))
 
 
 def main_identity_residual() -> Polynomial:

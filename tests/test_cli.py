@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import spsys2d.identity
 from spsys2d import serialize
 from spsys2d.classify import TripleClass, canonical_triple
-from spsys2d.cli import main
+from spsys2d.cli import SPOT_CHECK_CHUNK, main
+from spsys2d.exactpoly import NVARS, Polynomial, int_det_bareiss
 from spsys2d.graded import build_graded, catalog
+from spsys2d.identity import d4_polynomial, d8_polynomial, det8_matrix
 from spsys2d.systems import SystemLabel, canonical_system, dualize, random_system
 
 
@@ -74,6 +77,83 @@ class TestVerifyIdentity:
         code, out, _ = run(capsys, "verify-identity", "--spot-check", "25")
         assert code == 0
         assert "25/25 matches" in out
+
+
+def _per_point_flags(count, seed, d8, d4):
+    """The spot-check as the loop over single points it was before batching:
+    the reference the batched path must reproduce, match for match."""
+    m8 = det8_matrix()
+    rng = np.random.default_rng(seed)
+    flags = []
+    for _ in range(count):
+        point = [int(v) for v in rng.integers(-9, 10, size=NVARS)]
+        lhs = d8.evaluate(point)
+        oracle = int_det_bareiss(m8.evaluate(point))
+        flags.append(lhs == oracle and lhs == -d4.evaluate(point))
+    return flags
+
+
+def _reference_output(flags, count):
+    matches = sum(flags[:count])
+    last = ("residual: 0 (zero polynomial); OK" if matches == count
+            else "FAIL: oracle disagreement")
+    return f"spot-check: {matches}/{count} matches\n{last}\n"
+
+
+class TestBatchedSpotCheck:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_output_equals_the_per_point_loop(self, capsys, seed):
+        counts = (1, 25, 200, SPOT_CHECK_CHUNK + 1)
+        flags = _per_point_flags(max(counts), seed, d8_polynomial(), d4_polynomial())
+        for count in counts:
+            code, out, _ = run(capsys, "verify-identity", "--spot-check", str(count),
+                               "--seed", str(seed))
+            assert code == 0
+            assert out == _reference_output(flags, count)
+
+    def test_corrupted_d8_fails_against_the_oracle(self, monkeypatch, capsys):
+        terms = d8_polynomial().terms
+        exps = min(terms)
+        terms[exps] += 1
+        corrupted = Polynomial(terms)
+        # D8 + D4 = 0 still holds for the pair, so only the Bareiss oracle can tell
+        monkeypatch.setattr("spsys2d.cli.d8_polynomial", lambda: corrupted)
+        monkeypatch.setattr("spsys2d.cli.d4_polynomial", lambda: -corrupted)
+        code, out, _ = run(capsys, "verify-identity", "--spot-check", "25", "--seed", "3")
+        assert code == 1
+        assert "FAIL: oracle disagreement" in out
+        flags = _per_point_flags(25, 3, corrupted, -corrupted)
+        assert 0 < sum(flags) < 25
+        assert out == _reference_output(flags, 25)
+
+    def test_matrix_batch_equals_per_point_evaluate(self):
+        m8 = det8_matrix()
+        pts = np.random.default_rng(5).integers(-9, 10, size=(30, NVARS))
+        batch = m8.evaluate_batch(pts)
+        assert batch.shape == (30, 8, 8)
+        for i, p in enumerate(pts):
+            assert batch[i].tolist() == m8.evaluate([int(v) for v in p])
+
+    def test_no_scalar_evaluation_and_one_expansion(self, monkeypatch, capsys):
+        calls = {"evaluate": 0, "laplace_terms": 0}
+        evaluate = Polynomial.evaluate
+        laplace_terms = spsys2d.identity.laplace_terms
+
+        def counting_evaluate(self, assignment):
+            calls["evaluate"] += 1
+            return evaluate(self, assignment)
+
+        def counting_laplace_terms(*args):
+            calls["laplace_terms"] += 1
+            return laplace_terms(*args)
+
+        monkeypatch.setattr(Polynomial, "evaluate", counting_evaluate)
+        monkeypatch.setattr(spsys2d.identity, "laplace_terms", counting_laplace_terms)
+        for cached in (d8_polynomial, d4_polynomial, spsys2d.identity.surviving_laplace_terms):
+            cached.cache_clear()
+        code, out, _ = run(capsys, "verify-identity", "--spot-check", "200", "--emit-terms")
+        assert code == 0 and "200/200 matches" in out
+        assert calls == {"evaluate": 0, "laplace_terms": 1}
 
 
 class TestGenerateCheckClassify:

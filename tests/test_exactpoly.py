@@ -75,6 +75,35 @@ class TestEvaluation:
         for i in range(8):
             assert batch[i] == p.evaluate([int(v) for v in pts[i]])
 
+    def test_batch_beyond_int64_is_exact(self):
+        # D8 at entries in [-300, 300]: int64 arithmetic wraps the first point
+        # to 998115015352438896, the exact value is -17448629058357112720
+        from spsys2d.identity import d8_polynomial
+
+        d8 = d8_polynomial()
+        pts = np.random.default_rng(0).integers(-300, 301, size=(20, NVARS))
+        batch = evaluate_batch(d8, pts)
+        assert batch[0] == -17448629058357112720
+        assert [int(v) for v in batch] == [d8.evaluate([int(x) for x in p]) for p in pts]
+
+    def test_batch_int64_bound_is_sharp(self):
+        cube = Polynomial.var(0) * Polynomial.var(0) * Polynomial.var(0)
+        pts = np.zeros((2, NVARS), dtype=np.int64)
+        pts[:, 0] = (2**21 - 1, -(2**21))
+        batch = evaluate_batch(cube, pts)
+        assert batch.dtype == object  # 2 * (2**21)**3 is not below 2**63
+        assert list(batch) == [(2**21 - 1) ** 3, -(2**63)]
+        assert evaluate_batch(cube, pts[:1]).dtype == np.int64
+
+    def test_batch_takes_python_ints_beyond_int64(self):
+        p = Polynomial.var(0) * 3 + Polynomial.var(1)
+        pts = np.zeros((1, NVARS), dtype=object)
+        pts[0, 0], pts[0, 1] = 10**30, -(10**20)
+        assert evaluate_batch(p, pts)[0] == 3 * 10**30 - 10**20
+
+    def test_batch_of_no_points(self):
+        assert evaluate_batch(Polynomial.var(0), np.zeros((0, NVARS))).shape == (0,)
+
 
 class TestSerialization:
     def test_zero_prints_as_zero(self):
