@@ -11,18 +11,9 @@ import numpy as np
 
 from .identity import quad_coeffs
 from .tensorlinalg import (
-    DEFAULT_EPS,
-    I2,
-    Subspace,
-    annihilator,
-    as_cvec,
-    factor_rank_one,
-    intersect,
-    kron,
-    normalize_projective,
-    projective_cross,
-    quad_form_A_bilinear,
-    roots_binary_quadratic,
+    COLLINEAR_TOL, DEFAULT_EPS, DISTINCT_TOL, FRAME_TOL, I2, Subspace, annihilator, as_cvec,
+    factor_rank_one, intersect, kron, loose_tol, normalize_projective, projective_cross,
+    quad_form_A_bilinear, residual_tol, roots_binary_quadratic,
 )
 
 LABELS = ("C1", "C2", "C3", "C4", "C5")
@@ -98,7 +89,7 @@ def plane_normal_form(plane: Subspace, eps: float = DEFAULT_EPS) -> PlaneNormalF
     if plane.ambient_dim != 4 or plane.dim != 2:
         raise ValueError("expected a 2-dim plane in a 4-dim ambient space")
     rank = rank_of_plane(plane, eps)
-    loose = max(np.sqrt(eps), 10 * eps)
+    loose = loose_tol(eps)
     if rank == 2:
         return _normal_form_rank2(plane, eps, loose)
     if rank == 1:
@@ -239,10 +230,9 @@ def product_in_intersection(L12: Subspace, L23: Subspace, eps: float = DEFAULT_E
         candidates = list(roots_lo.roots)
     else:
         candidates = []
-        match_tol = 1e-6
         for r1 in roots_lo.roots:
             for r2 in roots_hi.roots:
-                if projective_cross(r1, r2) <= match_tol:
+                if projective_cross(r1, r2) <= COLLINEAR_TOL:
                     candidates.append((r1 + r2) / 2 if np.linalg.norm(r1 + r2) > 0.5 else r1)
         if not candidates:
             # the intersection is nonzero, so a common root exists up to
@@ -289,7 +279,7 @@ class Triple:
         if self.E3.ambient_dim != 8 or self.E3.dim != 2:
             raise ValueError("E3 must be a 2-dim subspace of the 8-dim space")
         window = intersect(extend_right(self.E2), extend_left(self.E2), eps)
-        tol = max(np.sqrt(eps), 10 * eps)
+        tol = loose_tol(eps)
         for i in range(self.E3.dim):
             if window.distance(self.E3.basis[:, i]) > tol:
                 raise NotSubproductTripleError(
@@ -358,14 +348,14 @@ def canonical_triple(c: TripleClass, eps: float = DEFAULT_EPS) -> Triple:
 
 def _theta_from_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     frame = np.column_stack([x, y])
-    if abs(np.linalg.det(frame)) < 1e-12 * np.linalg.norm(frame) ** 2:
+    if abs(np.linalg.det(frame)) < FRAME_TOL * np.linalg.norm(frame) ** 2:
         raise NotSubproductTripleError("degenerate basis while building theta")
     return np.linalg.inv(frame)
 
 
 def _verify_iso(t: Triple, cls: TripleClass, iso: TripleIso, eps: float) -> None:
     target = canonical_triple(cls, eps)
-    tol = max(np.sqrt(eps), 1e-8)
+    tol = residual_tol(eps)
     if not iso.apply2(t.E2, eps).equals(target.E2, tol):
         raise NotSubproductTripleError("E2 does not map onto the canonical plane")
     if not iso.apply3(t.E3, eps).equals(target.E3, tol):
@@ -378,7 +368,7 @@ def classify_triple(t: Triple, eps: float = DEFAULT_EPS):
     """Classify a triple into C1..C5 with lambda and an explicit isomorphism."""
     t.validate(eps)
     nf = plane_normal_form(t.E2, eps)
-    loose = max(np.sqrt(eps), 10 * eps)
+    loose = loose_tol(eps)
 
     if nf.rank == 2:
         x1, y1 = nf.basis1
@@ -454,7 +444,7 @@ class ChainNormalForm:
 
 
 def _check_chain_inclusions(L12, L23, L123, eps):
-    tol = max(np.sqrt(eps), 1e-8)
+    tol = residual_tol(eps)
     right = extend_right(L12)
     left = extend_left(L23)
     for i in range(L123.dim):
@@ -479,29 +469,29 @@ def chain_normal_form(L12: Subspace, L23: Subspace, L123: Subspace,
     return _chain_rank1(L12, L23, L123, r23, eps)
 
 
-def _chain_transform(L123: Subspace, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    big = kron(kron(g1, g2), I2)
-    return big @ L123.basis
+def _chain_frame(L12: Subspace, L123: Subspace, eps):
+    """The normal-form bases x1, y1, x2, y2 of L12, and the basis of L123 in
+    the coordinates they define on the first two factors."""
+    nf = plane_normal_form(L12, eps)
+    (x1, y1), (x2, y2) = nf.basis1, nf.basis2
+    g1 = np.linalg.inv(np.column_stack([x1, y1]))
+    g2 = np.linalg.inv(np.column_stack([x2, y2]))
+    return x1, y1, x2, y2, kron(kron(g1, g2), I2) @ L123.basis
 
 
 def _chain_rank2(L12, L23, L123, r23, eps) -> ChainNormalForm:
     if r23 != 2:
         raise NotSubproductTripleError("rank-2 chain forces rank L23 = 2")
-    nf = plane_normal_form(L12, eps)
-    x1, y1 = nf.basis1
-    x2, y2 = nf.basis2
-    g1 = np.linalg.inv(np.column_stack([x1, y1]))
-    g2 = np.linalg.inv(np.column_stack([x2, y2]))
-    moved = _chain_transform(L123, g1, g2)  # columns in transformed coordinates
+    x1, y1, x2, y2, moved = _chain_frame(L12, L123, eps)
     block_a = moved[0:2, :]  # e1 (x) e1 (x) C^2 component
     block_b = moved[6:8, :]  # e2 (x) e2 (x) C^2 component
     off = np.delete(moved, [0, 1, 6, 7], axis=0)
-    tol = max(np.sqrt(eps), 1e-8) * max(np.abs(moved).max(), 1.0)
+    tol = residual_tol(eps) * max(np.abs(moved).max(), 1.0)
     if np.abs(off).max() > tol:
         raise NotSubproductTripleError("chain does not split over the product blocks")
     x3 = _principal_direction(block_a, tol)
     y3 = _principal_direction(block_b, tol)
-    if projective_cross(x3, y3) <= 1e-8:
+    if projective_cross(x3, y3) <= DISTINCT_TOL:
         raise NotSubproductTripleError("degenerate third-factor directions")
     v1 = kron(kron(x1, x2), x3)
     v2 = kron(kron(y1, y2), y3)
@@ -525,19 +515,14 @@ def _principal_direction(block: np.ndarray, tol: float) -> np.ndarray:
 def _chain_rank1(L12, L23, L123, r23, eps) -> ChainNormalForm:
     if r23 != 1:
         raise NotSubproductTripleError("rank-1 chain forces rank L23 = 1")
-    nf = plane_normal_form(L12, eps)
-    x1, y1 = nf.basis1
-    x2, y2 = nf.basis2
-    g1 = np.linalg.inv(np.column_stack([x1, y1]))
-    g2 = np.linalg.inv(np.column_stack([x2, y2]))
-    moved = _chain_transform(L123, g1, g2)
+    x1, y1, x2, y2, moved = _chain_frame(L12, L123, eps)
     # transformed coordinates: L12 = span{e1 (x) e1, e2 (x) e1 + e1 (x) e2}
     block_a = moved[0:2, :]                      # e1 e1 (x) C^2
     block_b = (moved[2:4, :] + moved[4:6, :]) / 2  # (e1 e2 + e2 e1)/sqrt-ish (x) C^2
     mismatch = moved[2:4, :] - moved[4:6, :]
     block_d = moved[6:8, :]                      # e2 e2 (x) C^2
     scale = max(np.abs(moved).max(), 1.0)
-    tol = max(np.sqrt(eps), 1e-8) * scale
+    tol = residual_tol(eps) * scale
     if np.abs(mismatch).max() > tol or np.abs(block_d).max() > tol:
         raise NotSubproductTripleError("chain does not fit the rank-1 block pattern")
     x3 = _principal_direction(block_b, tol)
@@ -546,7 +531,7 @@ def _chain_rank1(L12, L23, L123, r23, eps) -> ChainNormalForm:
     kernel_combo = vh_[-1].conj()
     pure = moved @ kernel_combo
     pure_dir = pure[0:2]
-    if np.linalg.norm(pure_dir) <= tol or projective_cross(pure_dir, x3) > 1e-6:
+    if np.linalg.norm(pure_dir) <= tol or projective_cross(pure_dir, x3) > COLLINEAR_TOL:
         raise NotSubproductTripleError("pure product vector disagrees with x3")
     # solve for the combination whose middle block equals x3 exactly
     combo, *_ = np.linalg.lstsq(block_b, x3, rcond=None)

@@ -283,18 +283,20 @@ def cmd_generate(args) -> int:
     if args.label == "E3" and args.lam is None:
         print("error: --class E3 requires --lambda", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if args.label == "E3" and not np.isfinite(args.lam):
+        print("error: --lambda must be finite", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         label = SystemLabel(args.label, args.lam if args.label == "E3" else None)
-    except ValueError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            system = (random_system(label, args.seed, args.horizon) if args.scramble
+                      else canonical_system(label, args.horizon))
+    except ArithmeticError as exc:  # lambda^s, or a scrambled map, overflows
+        print(f"error: --lambda overflows: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except ValueError as exc:  # a zero lambda, or a horizon below 3
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.horizon < 3:
-        print("error: horizon must be at least 3", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.scramble:
-        system = random_system(label, args.seed, args.horizon)
-    else:
-        system = canonical_system(label, args.horizon)
     _write(args, serialize.dumps_canonical(serialize.system_to_json(system)))
     return EXIT_OK
 

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensorlinalg import (
-    DEFAULT_EPS,
-    I2,
-    Subspace,
-    _null_space,
-    as_cmat,
-    kron,
-    null_rank,
-    rank_deficient,
-    span_rank,
+    DEFAULT_EPS, GRAM_TOL, I2, Subspace, _null_space, as_cmat, automorphism_tol, kron,
+    null_rank, rank_deficient, residual_tol, span_rank, twist_tol,
 )
 
 # Per-pair and per-triple checks run as stacked LAPACK/matmul calls over at
@@ -92,8 +85,7 @@ def catalog(name: str) -> Algebra2:
 
 
 def check_surjective_mult(d: Algebra2, eps: float = DEFAULT_EPS) -> bool:
-    s = np.linalg.svd(d.mult, compute_uv=False)
-    return bool(s[0] > eps and s[1] > eps * s[0])
+    return bool(span_rank(np.linalg.svd(d.mult, compute_uv=False), eps) == 2)
 
 
 def is_automorphism(d: Algebra2, m, eps: float = DEFAULT_EPS) -> bool:
@@ -102,10 +94,10 @@ def is_automorphism(d: Algebra2, m, eps: float = DEFAULT_EPS) -> bool:
     if m.shape != (2, 2):
         return False
     s = np.linalg.svd(m, compute_uv=False)
-    if s[1] <= eps * max(s[0], 1.0):
+    if rank_deficient(s, eps):
         return False
     residual = np.abs(d.mult @ kron(m, m) - m @ d.mult).max()
-    return bool(residual <= max(eps, 1e-9) * max(1.0, float(s[0]) ** 2))
+    return bool(residual <= automorphism_tol(eps) * max(1.0, float(s[0]) ** 2))
 
 
 _SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -191,6 +183,25 @@ def _chunks(n: int):
     return (slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
 
 
+def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
+                 noun: str) -> dict:
+    """The per-pair maps of a system or graded algebra as complex arrays;
+    ValueError for a horizon below 3, a wrong shape, or a missing (s, t)."""
+    if horizon < 3:
+        raise ValueError("horizon must be at least 3")
+    out = {}
+    for (s, t), m in maps.items():
+        m = as_cmat(m)
+        if m.shape != shape:
+            raise ValueError(f"{name}[{s},{t}] must be {shape[0]}x{shape[1]}")
+        out[(s, t)] = m
+    for s in range(1, horizon):
+        for t in range(1, horizon - s + 1):
+            if (s, t) not in out:
+                raise ValueError(f"missing {noun} {name}[{s},{t}]")
+    return out
+
+
 def stack_maps(maps: dict, keys) -> np.ndarray:
     """The maps under `keys`, in order, as one (len(keys), m, n) array."""
     return np.stack([maps[k] for k in keys])
@@ -216,29 +227,11 @@ class GradedAlgebra:
     M: dict = field(repr=False)
 
     def __post_init__(self):
-        if self.horizon < 3:
-            raise ValueError("horizon must be at least 3")
-        maps = {}
-        for (s, t), m in self.M.items():
-            m = as_cmat(m)
-            if m.shape != (2, 4):
-                raise ValueError(f"M[{s},{t}] must be 2x4")
-            maps[(s, t)] = m
-        for s in range(1, self.horizon):
-            for t in range(1, self.horizon - s + 1):
-                if (s, t) not in maps:
-                    raise ValueError(f"missing multiplication map M[{s},{t}]")
-        object.__setattr__(self, "M", maps)
+        object.__setattr__(self, "M", checked_maps(
+            self.horizon, self.M, "M", (2, 4), "multiplication map"))
 
     def index_pairs(self):
         return iter(degree_index(self.horizon).pairs)
-
-    def index_triples(self):
-        return iter(degree_index(self.horizon).triples)
-
-    def triple_product_map(self, r: int, s: int, t: int) -> np.ndarray:
-        """M[r, s, t] as a 2x8 matrix."""
-        return self.M[(r + s, t)] @ kron(self.M[(r, s)], I2)
 
     def associativity_residual(self) -> float:
         # the defect of M is that of its transpose, the dual system's beta
@@ -270,7 +263,7 @@ def build_graded(d: Algebra2, eta, horizon: int, eps: float = DEFAULT_EPS) -> Gr
             maps[(s, t)] = d.mult @ kron(I2, powers[s])
     g = GradedAlgebra(horizon=horizon, M=maps)
     residual = g.associativity_residual()
-    if residual > max(eps, 1e-9) * 100:
+    if residual > automorphism_tol(eps) * 100:
         raise MorphismError(f"construction produced associativity residual {residual}")
     return g
 
@@ -281,19 +274,14 @@ def _as_level_maps(f, horizon: int) -> dict:
     return {t: as_cmat(f[t]) for t in range(1, horizon + 1)}
 
 
-def graded_automorphism_residual(g: GradedAlgebra, f: dict) -> float:
-    return GradedMorphism(source=g, target=g, theta=f).residual()
-
-
 def twist(g: GradedAlgebra, f, eps: float = DEFAULT_EPS) -> GradedAlgebra:
     """The twisted algebra with product (x, y) -> x f_t^s(y)."""
     levels = _as_level_maps(f, g.horizon)
     for t, m in levels.items():
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[1] <= eps * max(s[0], 1.0):
+        if rank_deficient(np.linalg.svd(m, compute_uv=False), eps):
             raise NotAutomorphismError(f"level-{t} map is not invertible")
-    residual = graded_automorphism_residual(g, levels)
-    if residual > max(np.sqrt(eps), 1e-7):
+    residual = GradedMorphism(source=g, target=g, theta=levels).residual()
+    if residual > twist_tol(eps):
         raise NotAutomorphismError(
             f"per-level family is not multiplicative (residual {residual})"
         )
@@ -350,10 +338,10 @@ def _masked_spans(m: np.ndarray, eps: float):
 
 def _gram_defects(b: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The `Subspace` orthonormality guard on masked bases: True where
-    B^H B is more than 1e-7 from the identity on the kept columns."""
+    B^H B is more than GRAM_TOL from the identity on the kept columns."""
     gram = b.conj().transpose(0, 2, 1) @ b
     eye = np.eye(b.shape[-1]) * keep[:, None, :]
-    return np.abs(gram - eye).max(axis=(1, 2)) > 1e-7
+    return np.abs(gram - eye).max(axis=(1, 2)) > GRAM_TOL
 
 
 def _projectors(b: np.ndarray) -> np.ndarray:
@@ -365,10 +353,10 @@ def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
 
     The one-sided containment (partial kernels inside the triple kernel) is a
     structural fact and is asserted unconditionally as a sanity check.  The
-    triples are checked in `index_triples` order: the first one whose kernels
+    triples are checked in `degree_index` order: the first one whose kernels
     leak or differ decides (RuntimeError for a leak, False otherwise).
     """
-    tol = max(np.sqrt(eps), 1e-8)
+    tol = residual_tol(eps)
     idx = degree_index(g.horizon)
     maps = stack_maps(g.M, idx.pairs)
     pair_kernels, pair_keep = _masked_null_spaces(maps, eps)
@@ -384,7 +372,7 @@ def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
         leak = np.abs(m3 @ side).max(axis=(1, 2))
         leaks = leak > tol * np.maximum(1.0, np.abs(m3).max(axis=(1, 2)))
         distance = np.abs(_projectors(k3) - _projectors(side)).max(axis=(1, 2))
-        unequal = (k3_keep.sum(1) != side_keep.sum(1)) | (distance > max(tol, 1e-8))
+        unequal = (k3_keep.sum(1) != side_keep.sum(1)) | (distance > tol)
         bad = np.flatnonzero(defects | leaks | unequal)
         if bad.size:
             if defects[bad[0]]:
@@ -418,9 +406,14 @@ class GradedMorphism:
         return out
 
 
+def has_singular_level(theta: dict, horizon: int, eps: float = DEFAULT_EPS) -> bool:
+    """True when some level map theta[1..horizon] has lost rank."""
+    levels = stack_maps(theta, range(1, horizon + 1))
+    return bool(rank_deficient(np.linalg.svd(levels, compute_uv=False), eps).any())
+
+
 def is_isomorphism(m: GradedMorphism, eps: float = DEFAULT_EPS) -> bool:
-    levels = stack_maps(m.theta, range(1, m.source.horizon + 1))
-    return not rank_deficient(np.linalg.svd(levels, compute_uv=False), eps).any()
+    return not has_singular_level(m.theta, m.source.horizon, eps)
 
 
 def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
@@ -443,7 +436,7 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     compat = np.abs(
         theta2 @ gA.M[(1, 1)] - gB.M[(1, 1)] @ kron(theta1, theta1)
     ).max()
-    if compat > max(np.sqrt(eps), 1e-8):
+    if compat > residual_tol(eps):
         raise MorphismError(f"theta2 is incompatible with theta1 (residual {compat})")
 
     theta = {1: theta1, 2: theta2}
@@ -456,7 +449,7 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
         kernel = _null_space(ma, eps)
         if kernel.shape[1]:
             leak = np.abs(rhs @ kernel).max()
-            if leak > max(np.sqrt(eps), 1e-8) * max(1.0, np.abs(rhs).max()):
+            if leak > residual_tol(eps) * max(1.0, np.abs(rhs).max()):
                 raise NotExtendableError(
                     f"theta_{n} is not well defined (kernel leak {leak})"
                 )

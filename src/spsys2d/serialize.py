@@ -120,34 +120,33 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
 # -- domain objects ----------------------------------------------------------
 
 
+# per dual kind: payload kind (its name in errors too), field of the maps, map shape
+_MAP_KINDS = {
+    SubproductSystem: ("subproduct_system", "beta", (4, 2)),
+    GradedAlgebra: ("graded_algebra", "M", (2, 4)),
+}
+
+
+def _maps_to_json(obj) -> dict:
+    kind, name, _ = _MAP_KINDS[type(obj)]
+    maps = getattr(obj, name).items()
+    return {"kind": kind, "horizon": obj.horizon,
+            name: {f"{s},{t}": matrix_to_json(m) for (s, t), m in maps}}
+
+
 def system_to_json(sys: SubproductSystem) -> dict:
-    return {
-        "kind": "subproduct_system",
-        "horizon": sys.horizon,
-        "beta": {f"{s},{t}": matrix_to_json(b) for (s, t), b in sys.beta.items()},
-    }
+    return _maps_to_json(sys)
 
 
 def graded_to_json(g: GradedAlgebra) -> dict:
-    return {
-        "kind": "graded_algebra",
-        "horizon": g.horizon,
-        "M": {f"{s},{t}": matrix_to_json(m) for (s, t), m in g.M.items()},
-    }
+    return _maps_to_json(g)
 
 
 def triple_to_json(t: Triple) -> dict:
-    return {
-        "kind": "triple",
-        "E2": [
-            [complex_to_json(z) for z in t.E2.basis[:, i]]
-            for i in range(t.E2.basis.shape[1])
-        ],
-        "E3": [
-            [complex_to_json(z) for z in t.E3.basis[:, i]]
-            for i in range(t.E3.basis.shape[1])
-        ],
-    }
+    # E2 and E3 each as the list of their basis vectors
+    return {"kind": "triple", **{
+        name: [[complex_to_json(z) for z in v] for v in getattr(t, name).basis.T]
+        for name in ("E2", "E3")}}
 
 
 def _parse_index_key(key: str) -> tuple:
@@ -158,28 +157,25 @@ def _parse_index_key(key: str) -> tuple:
         raise SerializationError(f"bad index key {key!r}") from exc
 
 
-def system_from_json(data: dict) -> SubproductSystem:
-    try:
-        horizon = int(data["horizon"])
-        beta = {
-            _parse_index_key(k): matrix_from_json(v, (4, 2))
-            for k, v in data["beta"].items()
-        }
-        return SubproductSystem(horizon=horizon, beta=beta)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed subproduct system: {exc}") from exc
-
-
-def graded_from_json(data: dict) -> GradedAlgebra:
+def _maps_from_json(cls, data: dict):
+    kind, name, shape = _MAP_KINDS[cls]
     try:
         horizon = int(data["horizon"])
         maps = {
-            _parse_index_key(k): matrix_from_json(v, (2, 4))
-            for k, v in data["M"].items()
+            _parse_index_key(k): matrix_from_json(v, shape)
+            for k, v in data[name].items()
         }
-        return GradedAlgebra(horizon=horizon, M=maps)
+        return cls(horizon, maps)
     except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed graded algebra: {exc}") from exc
+        raise SerializationError(f"malformed {kind.replace('_', ' ')}: {exc}") from exc
+
+
+def system_from_json(data: dict) -> SubproductSystem:
+    return _maps_from_json(SubproductSystem, data)
+
+
+def graded_from_json(data: dict) -> GradedAlgebra:
+    return _maps_from_json(GradedAlgebra, data)
 
 
 def triple_from_json(data: dict) -> Triple:
@@ -200,10 +196,8 @@ def triple_from_json(data: dict) -> Triple:
 
 
 def to_json(obj) -> dict:
-    if isinstance(obj, SubproductSystem):
-        return system_to_json(obj)
-    if isinstance(obj, GradedAlgebra):
-        return graded_to_json(obj)
+    if isinstance(obj, (SubproductSystem, GradedAlgebra)):
+        return _maps_to_json(obj)
     if isinstance(obj, Triple):
         return triple_to_json(obj)
     raise SerializationError(f"cannot serialize {type(obj).__name__}")
@@ -214,10 +208,9 @@ def from_json(data):
     if not isinstance(data, dict):
         raise SerializationError("top-level JSON payload must be an object")
     kind = data.get("kind")
-    if kind == "subproduct_system":
-        return system_from_json(data)
-    if kind == "graded_algebra":
-        return graded_from_json(data)
+    for cls, (map_kind, _, _) in _MAP_KINDS.items():
+        if kind == map_kind:
+            return _maps_from_json(cls, data)
     if kind == "triple" or (kind is None and "E2" in data and "E3" in data):
         return triple_from_json(data)
     raise SerializationError(f"unknown payload kind {kind!r}")

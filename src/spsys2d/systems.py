@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Triple, TripleClass, classify_triple
-from .graded import GradedAlgebra, degree_index, stack_maps, triple_residuals
-from .tensorlinalg import DEFAULT_EPS, I2, Subspace, as_cmat, kron, rank_deficient
+from .graded import (GradedAlgebra, checked_maps, degree_index, has_singular_level,
+                     stack_maps, triple_residuals)
+from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
+                           residual_tol)
 
 SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
 
 # the class of the degree-(1,1,1) triple determines the system family
 _TRIPLE_TO_SYSTEM = {"C1": "E1", "C2": "E2", "C3": "E3", "C4": "E4", "C5": "E5"}
-_SYSTEM_TO_TRIPLE = {v: k for k, v in _TRIPLE_TO_SYSTEM.items()}
 
 
 class ClassifyStageError(ValueError):
@@ -45,9 +46,6 @@ class SystemLabel:
         elif self.lam is not None:
             raise ValueError(f"label {self.label} carries no lambda")
 
-    def triple_class(self) -> TripleClass:
-        return TripleClass(_SYSTEM_TO_TRIPLE[self.label], self.lam)
-
     @classmethod
     def from_triple_class(cls, c: TripleClass) -> "SystemLabel":
         return cls(_TRIPLE_TO_SYSTEM[c.label], c.lam)
@@ -61,19 +59,8 @@ class SubproductSystem:
     beta: dict = field(repr=False)
 
     def __post_init__(self):
-        if self.horizon < 3:
-            raise ValueError("horizon must be at least 3")
-        maps = {}
-        for (s, t), b in self.beta.items():
-            b = as_cmat(b)
-            if b.shape != (4, 2):
-                raise ValueError(f"beta[{s},{t}] must be 4x2")
-            maps[(s, t)] = b
-        for s in range(1, self.horizon):
-            for t in range(1, self.horizon - s + 1):
-                if (s, t) not in maps:
-                    raise ValueError(f"missing map beta[{s},{t}]")
-        object.__setattr__(self, "beta", maps)
+        object.__setattr__(self, "beta", checked_maps(
+            self.horizon, self.beta, "beta", (4, 2), "map"))
 
     def index_pairs(self):
         return iter(degree_index(self.horizon).pairs)
@@ -173,7 +160,7 @@ def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport
     min_sv = sv[:, 1].min()
     # the scale covers every stored map, not only those at idx.pairs
     scale = np.abs(np.stack(list(sys.beta.values()))).max()
-    tol = max(eps, 1e-12) * max(scale * scale, 1.0)
+    tol = fine_tol(eps) * max(scale * scale, 1.0)
     residuals = triple_residuals(beta, idx)
     worst = float(np.fmax.reduce(residuals, initial=0.0))  # skips NaN residuals
     failing = np.flatnonzero(residuals > tol)
@@ -194,7 +181,7 @@ def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Triple:
     via_left = kron(b11, I2) @ sys.beta[(2, 1)]
     via_right = kron(I2, b11) @ sys.beta[(1, 2)]
     scale = max(np.abs(via_left).max(), np.abs(via_right).max(), 1.0)
-    if np.abs(via_left - via_right).max() > max(np.sqrt(eps), 1e-8) * scale:
+    if np.abs(via_left - via_right).max() > residual_tol(eps) * scale:
         raise ClassifyStageError(
             "triple", "the two degree-3 composites disagree (associativity failure)"
         )
@@ -244,12 +231,11 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
     for n in range(2, sys.horizon + 1):
         theta[n] = (np.linalg.pinv(canonical.beta[(n - 1, 1)])
                     @ kron(theta[n - 1], theta[1]) @ sys.beta[(n - 1, 1)])
-    levels = stack_maps(theta, range(1, sys.horizon + 1))
-    if rank_deficient(np.linalg.svd(levels, compute_uv=False), eps).any():
+    if has_singular_level(theta, sys.horizon, eps):
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta=theta)
     worst = max(iso_residuals(sys, canonical, iso).values())
-    if worst > max(np.sqrt(eps), 1e-8):
+    if worst > residual_tol(eps):
         raise ClassifyStageError(
             "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
     return label, iso

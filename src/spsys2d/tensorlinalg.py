@@ -15,6 +15,46 @@ import numpy as np
 
 DEFAULT_EPS = 1e-9
 
+# -- the threshold policy: each tolerance as a function of the one setting eps
+# (`--tolerance`) or a fixed guard; README "Tolerances" lists their decisions.
+
+
+def residual_tol(eps: float) -> float:
+    """Certificates, containments, kernel leaks, composite agreement."""
+    return max(np.sqrt(eps), 1e-8)
+
+
+def loose_tol(eps: float) -> float:
+    """The normal-form tests: rank-1 factors, collinear factors, fit."""
+    return max(np.sqrt(eps), 10 * eps)
+
+
+def twist_tol(eps: float) -> float:
+    """Multiplicativity of a per-level family in `graded.twist`."""
+    return max(np.sqrt(eps), 1e-7)
+
+
+def automorphism_tol(eps: float) -> float:
+    """Automorphism residuals and the `build_graded` associativity check."""
+    return max(eps, 1e-9)
+
+
+def fine_tol(eps: float) -> float:
+    """Coassociativity in `check_axioms`; distinct quadratic roots."""
+    return max(eps, 1e-12)
+
+
+def projector_tol(eps: float) -> float:
+    """Projector distance in `Subspace.equals`."""
+    return max(eps, 1e-8)
+
+
+GRAM_TOL = 1e-7  # orthonormality of a stored basis
+COLLINEAR_TOL = 1e-6  # matched roots; the pure chain vector against x3
+DISTINCT_TOL = 1e-8  # the two third-factor directions of a rank-2 chain
+FRAME_TOL = 1e-12  # relative determinant of the frame that builds theta
+ZERO_SCALE = 1e-300  # a quadratic form this small is identically zero
+
 VECTOR_DIMS = (2, 4, 8)
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -92,7 +132,7 @@ class Subspace:
             raise ValueError("subspace dimension exceeds ambient dimension")
         if b.shape[1]:
             gram = b.conj().T @ b
-            if np.abs(gram - np.eye(b.shape[1])).max() > 1e-7:
+            if np.abs(gram - np.eye(b.shape[1])).max() > GRAM_TOL:
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -147,7 +187,7 @@ class Subspace:
     def equals(self, other: "Subspace", eps: float = DEFAULT_EPS) -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        return np.abs(self.projector() - other.projector()).max() <= max(eps, 1e-8)
+        return np.abs(self.projector() - other.projector()).max() <= projector_tol(eps)
 
     def map_by(self, m, eps: float = DEFAULT_EPS) -> "Subspace":
         """Image of the subspace under a linear map (rows of m = target coords)."""
@@ -269,7 +309,7 @@ class QuadraticRoots:
 def roots_binary_quadratic(p, q, r, eps: float = DEFAULT_EPS) -> QuadraticRoots:
     p, q, r = complex(p), complex(q), complex(r)
     scale = max(abs(p), abs(q), abs(r))
-    if scale == 0 or scale < 1e-300:
+    if scale < ZERO_SCALE:
         return QuadraticRoots(identically_zero=True, roots=())
     tol = eps * scale
     raw = []
@@ -288,7 +328,7 @@ def roots_binary_quadratic(p, q, r, eps: float = DEFAULT_EPS) -> QuadraticRoots:
         if np.abs(cand).max() <= tol:
             continue
         n = normalize_projective(cand)
-        if any(projective_cross(n, seen) <= max(eps, 1e-12) for seen in roots):
+        if any(projective_cross(n, seen) <= fine_tol(eps) for seen in roots):
             continue
         roots.append(n)
     return QuadraticRoots(identically_zero=False, roots=tuple(roots))

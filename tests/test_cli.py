@@ -288,6 +288,9 @@ class TestExitCodes:
         (None, ("--tolerance", "inf", "verify-identity")),
         (None, ("verify-identity", "--tolerance", "inf")),
         (None, ("verify-identity", "--spot-check", "-5")),
+        (None, ("generate", "--class", "E3", "--lambda", "nan")),
+        (None, ("generate", "--class", "E3", "--lambda", "inf")),
+        (None, ("generate", "--class", "E3", "--lambda", "1e200")),
     ])
     def test_edge_input_is_2_with_one_line_error(self, monkeypatch, capsys, env, argv):
         if env is None:

@@ -1,0 +1,96 @@
+"""The threshold policy: every tolerance is named once in `tensorlinalg`.
+
+The pins below restate each threshold's formula literally, so a change of
+value shows up here as a test edit.  The AST scan keeps tolerance literals
+out of the modules that make the decisions.
+"""
+
+import ast
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+import spsys2d
+from spsys2d import serialize, tensorlinalg as tl
+from spsys2d.graded import GradedAlgebra, has_singular_level
+from spsys2d.systems import SubproductSystem
+
+EPSES = (1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2)
+
+FORMULAS = {
+    "residual_tol": lambda eps: max(np.sqrt(eps), 1e-8),
+    "loose_tol": lambda eps: max(np.sqrt(eps), 10 * eps),
+    "twist_tol": lambda eps: max(np.sqrt(eps), 1e-7),
+    "automorphism_tol": lambda eps: max(eps, 1e-9),
+    "fine_tol": lambda eps: max(eps, 1e-12),
+    "projector_tol": lambda eps: max(eps, 1e-8),
+}
+
+GUARDS = {
+    "GRAM_TOL": 1e-7,
+    "COLLINEAR_TOL": 1e-6,
+    "DISTINCT_TOL": 1e-8,
+    "FRAME_TOL": 1e-12,
+    "ZERO_SCALE": 1e-300,
+}
+
+
+@pytest.mark.parametrize("eps", EPSES)
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_named_threshold_pins_its_formula(name, eps):
+    assert getattr(tl, name)(eps) == FORMULAS[name](eps)
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_fixed_guard_pins_its_value(name):
+    assert getattr(tl, name) == GUARDS[name]
+
+
+@pytest.mark.parametrize("module", ["classify.py", "graded.py", "systems.py"])
+def test_decision_modules_hold_no_tolerance_literal(module):
+    path = pathlib.Path(spsys2d.__file__).parent / module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    small = [
+        (node.lineno, node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and 0 < abs(node.value) < 1e-5
+    ]
+    assert small == []
+
+
+@pytest.mark.parametrize("eps", EPSES)
+def test_rank_deficient_is_the_inline_rule(eps):
+    rng = np.random.default_rng(3)
+    sv = np.sort(np.abs(rng.standard_normal((200, 2))) * 10.0 ** rng.integers(-20, 3, (200, 1)),
+                 axis=1)[:, ::-1]
+    want = [s[1] <= eps * max(s[0], 1.0) for s in sv]
+    assert tl.rank_deficient(sv, eps).tolist() == want
+
+
+def test_has_singular_level_flags_one_singular_map():
+    theta = {t: np.eye(2, dtype=complex) * t for t in range(1, 6)}
+    assert not has_singular_level(theta, 5)
+    theta[4] = np.array([[1, 2], [2, 4]], dtype=complex)
+    assert has_singular_level(theta, 5)
+    assert not has_singular_level(theta, 3)
+
+
+@pytest.mark.parametrize("cls, maps, shape, message", [
+    (SubproductSystem, "beta", (2, 4), "beta[1,1] must be 4x2"),
+    (SubproductSystem, "beta", None, "missing map beta[1,2]"),
+    (GradedAlgebra, "M", (4, 2), "M[1,1] must be 2x4"),
+    (GradedAlgebra, "M", None, "missing multiplication map M[1,2]"),
+])
+def test_both_dual_kinds_keep_their_error_texts(cls, maps, shape, message):
+    good = (4, 2) if cls is SubproductSystem else (2, 4)
+    data = {(1, 1): np.zeros(shape or good)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(3, data)
+    payload = {"kind": "x", "horizon": 3, maps: {"1,1": [[[0, 0]] * good[1]] * good[0]}}
+    what = "subproduct system" if cls is SubproductSystem else "graded algebra"
+    parse = serialize.system_from_json if cls is SubproductSystem else serialize.graded_from_json
+    with pytest.raises(serialize.SerializationError, match=f"^malformed {what}: missing"):
+        parse(payload)
+
