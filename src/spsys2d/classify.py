@@ -316,33 +316,34 @@ class TripleIso:
         return s.map_by(t3, eps)
 
 
-def canonical_triple(c: TripleClass, eps: float = DEFAULT_EPS) -> Triple:
-    """The canonical triple of each class, in standard coordinates."""
-    e1, e2 = I2[:, 0], I2[:, 1]
-    lam = c.lam
-    if c.label == "C1":
-        v2 = [kron(e1, e1), kron(e2, e2)]
-        v3 = [kron(kron(e1, e1), e1), kron(kron(e2, e2), e2)]
-    elif c.label == "C2":
-        v2 = [kron(e1, e2), kron(e2, e1)]
-        v3 = [kron(kron(e1, e2), e1), kron(kron(e2, e1), e2)]
+def canonical_beta(c: TripleClass, s: int) -> np.ndarray:
+    """The 4x2 map beta[s, t]: E_{s+t} -> E_s (x) E_t of the canonical system
+    whose degree-(1, 2, 3) triple is of class c (independent of t)."""
+    b = np.zeros((4, 2), dtype=complex)
+    if c.label == "C2" and s % 2:
+        b[1, 0] = 1  # e1 -> e1 (x) e2
+        b[2, 1] = 1  # e2 -> e2 (x) e1
+        return b
+    b[0, 0] = 1  # e1 -> e1 (x) e1
+    if c.label in ("C1", "C2"):
+        b[3, 1] = 1  # e2 -> e2 (x) e2
     elif c.label == "C3":
-        v2 = [kron(e1, e1), kron(e2, e1) + lam * kron(e1, e2)]
-        v3 = [
-            kron(kron(e1, e1), e1),
-            kron(kron(e2, e1), e1)
-            + lam * kron(kron(e1, e2), e1)
-            + lam**2 * kron(kron(e1, e1), e2),
-        ]
+        b[2, 1] = 1             # e2 (x) e1
+        b[1, 1] = c.lam ** s    # + lam^s e1 (x) e2
     elif c.label == "C4":
-        v2 = [kron(e1, e1), kron(e2, e1)]
-        v3 = [kron(kron(e1, e1), e1), kron(kron(e2, e1), e1)]
+        b[2, 1] = 1
     else:  # C5
-        v2 = [kron(e1, e1), kron(e1, e2)]
-        v3 = [kron(kron(e1, e1), e1), kron(kron(e1, e1), e2)]
+        b[1, 1] = 1
+    return b
+
+
+def canonical_triple(c: TripleClass, eps: float = DEFAULT_EPS) -> Triple:
+    """The canonical triple of each class, in standard coordinates: the
+    degree-(1, 2, 3) data of the canonical system of `canonical_beta`."""
+    b11 = canonical_beta(c, 1)
     return Triple(
-        E2=Subspace.from_spanning(np.column_stack(v2), eps=eps),
-        E3=Subspace.from_spanning(np.column_stack(v3), eps=eps),
+        E2=Subspace.from_spanning(b11, eps=eps),
+        E3=Subspace.from_spanning(kron(b11, I2) @ canonical_beta(c, 2), eps=eps),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import Triple, TripleClass, classify_triple
+from .classify import Triple, TripleClass, canonical_beta, classify_triple
 from .graded import (GradedAlgebra, checked_maps, degree_index, has_singular_level,
                      stack_maps, triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
@@ -22,6 +22,7 @@ SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
 
 # the class of the degree-(1,1,1) triple determines the system family
 _TRIPLE_TO_SYSTEM = {"C1": "E1", "C2": "E2", "C3": "E3", "C4": "E4", "C5": "E5"}
+_SYSTEM_TO_TRIPLE = {e: c for c, e in _TRIPLE_TO_SYSTEM.items()}
 
 
 class ClassifyStageError(ValueError):
@@ -96,38 +97,12 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
     return dict(zip(idx.pairs, residuals.tolist()))
 
 
-def _canonical_beta(label: SystemLabel, s: int) -> np.ndarray:
-    """The 4x2 map beta[s, t] of the canonical family (independent of t)."""
-    b = np.zeros((4, 2), dtype=complex)
-    name = label.label
-    if name == "E1":
-        b[0, 0] = 1  # e1 -> e1 (x) e1
-        b[3, 1] = 1  # e2 -> e2 (x) e2
-    elif name == "E2":
-        if s % 2 == 0:
-            b[0, 0] = 1
-            b[3, 1] = 1
-        else:
-            b[1, 0] = 1  # e1 -> e1 (x) e2
-            b[2, 1] = 1  # e2 -> e2 (x) e1
-    elif name == "E3":
-        b[0, 0] = 1
-        b[2, 1] = 1                 # e2 (x) e1
-        b[1, 1] = label.lam ** s    # + lam^s e1 (x) e2
-    elif name == "E4":
-        b[0, 0] = 1
-        b[2, 1] = 1
-    else:  # E5
-        b[0, 0] = 1
-        b[1, 1] = 1
-    return b
-
-
 def canonical_system(label: SystemLabel, horizon: int = 6) -> SubproductSystem:
     """The canonical representative of each isomorphism class."""
+    c = TripleClass(_SYSTEM_TO_TRIPLE[label.label], label.lam)
     beta = {}
     for s in range(1, horizon):
-        bs = _canonical_beta(label, s)
+        bs = canonical_beta(c, s)
         for t in range(1, horizon - s + 1):
             beta[(s, t)] = bs
     return SubproductSystem(horizon=horizon, beta=beta)
@@ -211,10 +186,11 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
 
     Pipeline: check the axioms, extract the degree-(1,2,3) triple and
     classify it, which fixes theta_1.  Every later level is then forced by
-    (theta_{n-1} (x) theta_1) beta[n-1, 1] = beta_can[n-1, 1] theta_n and is
-    solved with the left inverse of the injective beta_can[n-1, 1].  The
-    level maps must be invertible, and the result is certified once with
-    `iso_residuals` against the canonical system.
+    (theta_1 (x) theta_{n-1}) beta[1, n-1] = beta_can[1, n-1] theta_n.  The
+    canonical beta_can[1, t] is injective and the same for every t, so one
+    left inverse L of beta_can[1, 1] solves all levels.  The level maps must
+    be invertible, and the result is certified once with `iso_residuals`
+    against the canonical system.
     """
     report = check_axioms(sys, eps)
     if not report.passed:
@@ -227,10 +203,10 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
     label = SystemLabel.from_triple_class(cls)
 
     canonical = canonical_system(label, sys.horizon)
+    left = np.linalg.pinv(canonical.beta[(1, 1)])
     theta = {1: tri_iso.theta}
     for n in range(2, sys.horizon + 1):
-        theta[n] = (np.linalg.pinv(canonical.beta[(n - 1, 1)])
-                    @ kron(theta[n - 1], theta[1]) @ sys.beta[(n - 1, 1)])
+        theta[n] = left @ kron(theta[1], theta[n - 1]) @ sys.beta[(1, n - 1)]
     if has_singular_level(theta, sys.horizon, eps):
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta=theta)

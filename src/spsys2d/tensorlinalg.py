@@ -155,10 +155,6 @@ class Subspace:
         return cls(ambient_dim, u[:, :int(span_rank(s, eps))])
 
     @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, np.eye(n, dtype=complex))
-
-    @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(n, np.zeros((n, 0), dtype=complex))
 
