@@ -40,6 +40,7 @@ from .tensorlinalg import (
 from .classify import (
     ChainNormalForm,
     ChainUnclassifiedError,
+    Classification,
     NotSubproductTripleError,
     PlaneNormalForm,
     Triple,
@@ -93,7 +94,8 @@ __all__ = [
     "DEFAULT_EPS", "Subspace", "annihilator", "factor_rank_one", "intersect",
     "kron", "normalize_projective", "quad_form_A", "quad_form_A_bilinear",
     "roots_binary_quadratic", "subspace_sum",
-    "ChainNormalForm", "ChainUnclassifiedError", "NotSubproductTripleError",
+    "ChainNormalForm", "ChainUnclassifiedError", "Classification",
+    "NotSubproductTripleError",
     "PlaneNormalForm", "Triple", "TripleClass", "TripleIso", "canonical_triple",
     "chain_normal_form", "classify_triple", "plane_normal_form",
     "product_in_intersection", "rank_of_plane",

@@ -5,7 +5,7 @@ triples into the five canonical families C1..C5 with an explicit isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,10 @@ def rank_of_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> int:
 def rank_with_margin(plane: Subspace, eps: float = DEFAULT_EPS):
     """Rank plus a confidence margin: ratio of the borderline singular value
     to the decision threshold (values near 1 mean a shaky rank call)."""
-    g = restricted_form_matrix(plane)
+    return _form_rank(restricted_form_matrix(plane), eps)
+
+
+def _form_rank(g: np.ndarray, eps: float):
     s = np.linalg.svd(g, compute_uv=False)
     # orthonormal basis bounds the form entries by 1, so an absolute scale works
     thr = eps * max(1.0, float(s[0]))
@@ -83,22 +86,23 @@ class PlaneNormalForm:
     basis1: tuple  # (x1, y1)
     basis2: tuple  # (x2, y2)
     case_tag: str | None = None
+    margin: float = field(kw_only=True)  # as in rank_with_margin
 
 
 def plane_normal_form(plane: Subspace, eps: float = DEFAULT_EPS) -> PlaneNormalForm:
-    if plane.ambient_dim != 4 or plane.dim != 2:
-        raise ValueError("expected a 2-dim plane in a 4-dim ambient space")
-    rank = rank_of_plane(plane, eps)
+    g = restricted_form_matrix(plane)
+    rank, margin = _form_rank(g, eps)
     loose = loose_tol(eps)
     if rank == 2:
-        return _normal_form_rank2(plane, eps, loose)
-    if rank == 1:
-        return _normal_form_rank1(plane, eps, loose)
-    return _normal_form_rank0(plane, eps, loose)
+        bases = _normal_form_rank2(plane, g, eps, loose)
+    elif rank == 1:
+        bases = _normal_form_rank1(plane, g, loose)
+    else:
+        bases = _normal_form_rank0(plane, loose)
+    return PlaneNormalForm(rank, *bases, margin=margin)
 
 
-def _normal_form_rank2(plane, eps, loose) -> PlaneNormalForm:
-    g = restricted_form_matrix(plane)
+def _normal_form_rank2(plane, g, eps, loose):
     roots = roots_binary_quadratic(g[0, 0], 2 * g[0, 1], g[1, 1], eps)
     if roots.identically_zero or len(roots.roots) != 2:
         raise NotSubproductTripleError("restricted form is degenerate at rank 2")
@@ -110,11 +114,10 @@ def _normal_form_rank2(plane, eps, loose) -> PlaneNormalForm:
             raise NotSubproductTripleError("isotropic direction failed the rank-1 test")
         products.append(factors)
     (x1, x2), (y1, y2) = products
-    return PlaneNormalForm(rank=2, basis1=(x1, y1), basis2=(x2, y2))
+    return (x1, y1), (x2, y2)
 
 
-def _normal_form_rank1(plane, eps, loose) -> PlaneNormalForm:
-    g = restricted_form_matrix(plane)
+def _normal_form_rank1(plane, g, loose):
     u, s, vh = np.linalg.svd(g)
     # kernel direction of the restricted form = the unique product direction
     psi = plane.basis @ vh[1].conj()
@@ -130,10 +133,10 @@ def _normal_form_rank1(plane, eps, loose) -> PlaneNormalForm:
     scale = max(abs(beta), abs(gamma))
     if scale <= loose or abs(delta) > loose * max(1.0, scale):
         raise NotSubproductTripleError("plane does not fit the rank-1 normal form")
-    return PlaneNormalForm(rank=1, basis1=(x1, gamma * y1c), basis2=(x2, beta * y2c))
+    return (x1, gamma * y1c), (x2, beta * y2c)
 
 
-def _normal_form_rank0(plane, eps, loose) -> PlaneNormalForm:
+def _normal_form_rank0(plane, loose):
     b1 = plane.basis[:, 0]
     b2 = plane.basis[:, 1]
     f1 = factor_rank_one(b1, loose)
@@ -147,13 +150,9 @@ def _normal_form_rank0(plane, eps, loose) -> PlaneNormalForm:
         raise NotSubproductTripleError("rank-0 plane is not of the left or right form")
     if left_score <= right_score:
         x2 = normalize_projective(v1)
-        return PlaneNormalForm(
-            rank=0, basis1=(u1, u2), basis2=(x2, _completion(x2)), case_tag="left"
-        )
+        return (u1, u2), (x2, _completion(x2)), "left"
     x1 = normalize_projective(u1)
-    return PlaneNormalForm(
-        rank=0, basis1=(x1, _completion(x1)), basis2=(v1, v2), case_tag="right"
-    )
+    return (x1, _completion(x1)), (v1, v2), "right"
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +315,23 @@ class TripleIso:
         return s.map_by(t3, eps)
 
 
+@dataclass(frozen=True)
+class Classification:
+    """A class, the isomorphism onto its canonical representative, the rank
+    of the plane E2 with its margin (as in `rank_with_margin`), and the
+    certificate residual per pair (s, t), empty for a triple.  Unpacks as
+    `label, iso`."""
+
+    label: TripleClass  # or systems.SystemLabel
+    iso: TripleIso  # or systems.SystemIso
+    rank: int
+    rank_margin: float
+    residuals: dict = field(default_factory=dict)
+
+    def __iter__(self):
+        return iter((self.label, self.iso))
+
+
 def canonical_beta(c: TripleClass, s: int) -> np.ndarray:
     """The 4x2 map beta[s, t]: E_{s+t} -> E_s (x) E_t of the canonical system
     whose degree-(1, 2, 3) triple is of class c (independent of t)."""
@@ -365,7 +381,7 @@ def _verify_iso(t: Triple, cls: TripleClass, iso: TripleIso, eps: float) -> None
         )
 
 
-def classify_triple(t: Triple, eps: float = DEFAULT_EPS):
+def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
     """Classify a triple into C1..C5 with lambda and an explicit isomorphism."""
     t.validate(eps)
     nf = plane_normal_form(t.E2, eps)
@@ -419,7 +435,7 @@ def classify_triple(t: Triple, eps: float = DEFAULT_EPS):
 
     iso = TripleIso(theta=theta)
     _verify_iso(t, cls, iso, eps)
-    return cls, iso
+    return Classification(cls, iso, nf.rank, nf.margin)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Exit codes: 0 success; 1 verification failure; 2 malformed input or usage;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,8 @@ import sys
 import numpy as np
 
 from . import serialize
-from .classify import ChainUnclassifiedError, NotSubproductTripleError, Triple, classify_triple, rank_with_margin
+from .classify import (ChainUnclassifiedError, NotSubproductTripleError, Triple, TripleClass,
+                       canonical_triple, classify_triple, rank_of_plane)
 from .exactpoly import NVARS, evaluate_batch, int_det_bareiss
 from .graded import GradedAlgebra
 from .identity import (
@@ -34,9 +36,7 @@ from .systems import (
     check_axioms,
     classify_system,
     dualize,
-    iso_residuals,
     random_system,
-    triple_of_system,
 )
 from .tensorlinalg import DEFAULT_EPS
 
@@ -190,32 +190,20 @@ def cmd_verify_identity(args) -> int:
 
 
 def _classify_report(args, obj):
-    eps = args.tolerance
-    if isinstance(obj, Triple):
-        cls, iso = classify_triple(obj, eps)
-        rank, margin = rank_with_margin(obj.E2, eps)
-        report = {
-            "label": cls.label,
-            "theta": serialize.matrix_to_json(iso.theta),
-            "rank": rank,
-            "rank_confidence": margin,
-        }
-        if cls.lam is not None:
-            report["lambda"] = serialize.complex_to_json(cls.lam)
-        return report
-    sys_obj = dualize(obj) if isinstance(obj, GradedAlgebra) else obj
-    label, iso = classify_system(sys_obj, eps)
-    residuals = iso_residuals(sys_obj, canonical_system(label, sys_obj.horizon), iso)
-    rank, margin = rank_with_margin(triple_of_system(sys_obj, eps).E2, eps)
+    if isinstance(obj, GradedAlgebra):
+        obj = dualize(obj)
+    result = (classify_triple if isinstance(obj, Triple) else classify_system)(obj, args.tolerance)
+    label, iso = result
     report = {
         "label": label.label,
-        "theta": {str(t): serialize.matrix_to_json(m)
-                  for t, m in iso.theta.items()},
-        "residuals": {f"{s},{t}": r for (s, t), r in residuals.items()},
-        "max_residual": max(residuals.values()),
-        "rank": rank,
-        "rank_confidence": margin,
+        "theta": ({str(t): serialize.matrix_to_json(m) for t, m in iso.theta.items()}
+                  if isinstance(iso.theta, dict) else serialize.matrix_to_json(iso.theta)),
+        "rank": result.rank,
+        "rank_confidence": result.rank_margin,
     }
+    if result.residuals:
+        report["residuals"] = {f"{s},{t}": r for (s, t), r in result.residuals.items()}
+        report["max_residual"] = max(result.residuals.values())
     if label.lam is not None:
         report["lambda"] = serialize.complex_to_json(label.lam)
     return report
@@ -264,19 +252,21 @@ def cmd_check(args) -> int:
     sys_obj = dualize(obj) if isinstance(obj, GradedAlgebra) else obj
     rep = check_axioms(sys_obj, args.tolerance)
     if args.format == "json":
-        payload = {
-            "passed": rep.passed,
-            "worst_associativity_residual": rep.worst_associativity_residual,
-            "first_failing_triple": list(rep.first_failing_triple)
-            if rep.first_failing_triple else None,
-            "injectivity_failures": [list(p) for p in rep.injectivity_failures],
-            "min_singular_value": rep.min_singular_value,
-        }
-        _write(args, serialize.dumps_canonical(payload))
+        _write(args, serialize.dumps_canonical(dataclasses.asdict(rep)))
     else:
         status = "PASS" if rep.passed else "FAIL"
         _write(args, f"check: {status} ({axiom_text(rep)})")
     return EXIT_OK if rep.passed else EXIT_AXIOM_FAIL
+
+
+def _e3_plane_is_rank1(lam: complex, eps: float) -> bool:
+    """Whether the plane of the canonical E3(lam) reads as rank 1 at eps, so
+    that `classify` can tell the system from E4; a plane that collapses to a
+    line does not."""
+    try:
+        return rank_of_plane(canonical_triple(TripleClass("C3", lam), eps).E2, eps) == 1
+    except ValueError:
+        return False
 
 
 def cmd_generate(args) -> int:
@@ -288,6 +278,10 @@ def cmd_generate(args) -> int:
         return EXIT_BAD_INPUT
     try:
         label = SystemLabel(args.label, args.lam if args.label == "E3" else None)
+        if label.lam is not None and not _e3_plane_is_rank1(label.lam, args.tolerance):
+            print(f"error: --lambda {label.lam:g} is too close to 0 or infinity for E3 "
+                  f"to classify back at tolerance {args.tolerance:g}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         with np.errstate(over="raise", invalid="raise"):
             system = (random_system(label, args.seed, args.horizon) if args.scramble
                       else canonical_system(label, args.horizon))

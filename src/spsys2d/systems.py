@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import Triple, TripleClass, canonical_beta, classify_triple
+from .classify import Classification, Triple, TripleClass, canonical_beta, classify_triple
 from .graded import (GradedAlgebra, checked_maps, degree_index, has_singular_level,
                      stack_maps, triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
@@ -181,7 +181,7 @@ def dualize(obj):
     raise TypeError("dualize expects a SubproductSystem or a GradedAlgebra")
 
 
-def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
+def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classification:
     """Label + explicit per-level isomorphism onto the canonical system.
 
     Pipeline: check the axioms, extract the degree-(1,2,3) triple and
@@ -190,31 +190,32 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
     canonical beta_can[1, t] is injective and the same for every t, so one
     left inverse L of beta_can[1, 1] solves all levels.  The level maps must
     be invertible, and the result is certified once with `iso_residuals`
-    against the canonical system.
+    against the canonical system; the result keeps them and the triple's rank.
     """
     report = check_axioms(sys, eps)
     if not report.passed:
         raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
     triple = triple_of_system(sys, eps)
     try:
-        cls, tri_iso = classify_triple(triple, eps)
+        tri = classify_triple(triple, eps)
     except ValueError as exc:
         raise ClassifyStageError("classify-triple", str(exc)) from exc
-    label = SystemLabel.from_triple_class(cls)
+    label = SystemLabel.from_triple_class(tri.label)
 
     canonical = canonical_system(label, sys.horizon)
     left = np.linalg.pinv(canonical.beta[(1, 1)])
-    theta = {1: tri_iso.theta}
+    theta = {1: tri.iso.theta}
     for n in range(2, sys.horizon + 1):
         theta[n] = left @ kron(theta[1], theta[n - 1]) @ sys.beta[(1, n - 1)]
     if has_singular_level(theta, sys.horizon, eps):
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta=theta)
-    worst = max(iso_residuals(sys, canonical, iso).values())
+    residuals = iso_residuals(sys, canonical, iso)
+    worst = max(residuals.values())
     if worst > residual_tol(eps):
         raise ClassifyStageError(
             "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
-    return label, iso
+    return Classification(label, iso, tri.rank, tri.rank_margin, residuals)
 
 
 def random_system(label: SystemLabel, seed: int, horizon: int = 6,

@@ -179,6 +179,17 @@ class TestGenerateCheckClassify:
         lam = complex(report["lambda"][0], report["lambda"][1])
         assert abs(lam - (2 + 1j)) < 1e-8
 
+    def test_small_lambda_still_round_trips_to_e3(self, tmp_path, capsys):
+        path = tmp_path / "e3.json"
+        code, _, _ = run(capsys, "generate", "--class", "E3", "--lambda", "1e-6",
+                         "--output", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, "classify", str(path), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["label"] == "E3" and report["rank"] == 1
+        assert abs(complex(*report["lambda"]) - 1e-6) < 1e-14
+
     def test_generate_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -291,6 +302,10 @@ class TestExitCodes:
         (None, ("generate", "--class", "E3", "--lambda", "nan")),
         (None, ("generate", "--class", "E3", "--lambda", "inf")),
         (None, ("generate", "--class", "E3", "--lambda", "1e200")),
+        (None, ("generate", "--class", "E3", "--lambda", "1e-200")),
+        (None, ("generate", "--class", "E3", "--lambda", "1e-12")),
+        (None, ("generate", "--class", "E3", "--lambda", "1e-10")),
+        (None, ("generate", "--class", "E3", "--lambda", "1e12")),
     ])
     def test_edge_input_is_2_with_one_line_error(self, monkeypatch, capsys, env, argv):
         if env is None:
