@@ -91,7 +91,11 @@ class PlaneNormalForm:
 
 def plane_normal_form(plane: Subspace, eps: float = DEFAULT_EPS) -> PlaneNormalForm:
     g = restricted_form_matrix(plane)
-    rank, margin = _form_rank(g, eps)
+    return _normal_form(plane, g, *_form_rank(g, eps), eps)
+
+
+def _normal_form(plane, g, rank, margin, eps) -> PlaneNormalForm:
+    """The normal form of a plane whose restricted form g has this rank."""
     loose = loose_tol(eps)
     if rank == 2:
         bases = _normal_form_rank2(plane, g, eps, loose)
@@ -381,10 +385,10 @@ def _verify_iso(t: Triple, cls: TripleClass, iso: TripleIso, eps: float) -> None
         )
 
 
-def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
-    """Classify a triple into C1..C5 with lambda and an explicit isomorphism."""
-    t.validate(eps)
-    nf = plane_normal_form(t.E2, eps)
+def classify_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> Classification:
+    """The class C1..C5, lambda and theta_1 read from the normal form of the
+    plane E2 alone, with its rank and margin; nothing about E3 is checked."""
+    nf = plane_normal_form(plane, eps)
     loose = loose_tol(eps)
 
     if nf.rank == 2:
@@ -410,7 +414,7 @@ def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
         x = x1 / np.linalg.norm(x1)
         y = _completion(x)
         frame = np.column_stack([kron(x, x), kron(x, y), kron(y, x), kron(y, y)])
-        coords = np.linalg.solve(frame, t.E2.basis)  # 4x2
+        coords = np.linalg.solve(frame, plane.basis)  # 4x2
         # direction of E2 modulo the product direction x (x) x
         sub = coords[1:, :]
         u_, s_, vh_ = np.linalg.svd(sub)
@@ -433,9 +437,16 @@ def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
         x = x / np.linalg.norm(x)
         theta = _theta_from_columns(x, _completion(x))
 
-    iso = TripleIso(theta=theta)
-    _verify_iso(t, cls, iso, eps)
-    return Classification(cls, iso, nf.rank, nf.margin)
+    return Classification(cls, TripleIso(theta=theta), nf.rank, nf.margin)
+
+
+def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
+    """Classify a triple into C1..C5 with lambda and an explicit isomorphism,
+    certified on both E2 and E3."""
+    t.validate(eps)
+    result = classify_plane(t.E2, eps)
+    _verify_iso(t, *result, eps)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -475,31 +486,30 @@ def chain_normal_form(L12: Subspace, L23: Subspace, L123: Subspace,
     if L123.ambient_dim != 8 or L123.dim != 2:
         raise ValueError("L123 must be a 2-dim subspace of the 8-dim space")
     _check_chain_inclusions(L12, L23, L123, eps)
-    r12 = rank_of_plane(L12, eps)
+    g12 = restricted_form_matrix(L12)
+    r12, margin12 = _form_rank(g12, eps)
     r23 = rank_of_plane(L23, eps)
     if r12 == 0 or r23 == 0:
         raise ChainUnclassifiedError(
             "chains with a rank-0 plane have no complete normal form"
         )
-    if r12 == 2:
-        return _chain_rank2(L12, L23, L123, r23, eps)
-    return _chain_rank1(L12, L23, L123, r23, eps)
+    if r23 != r12:
+        raise NotSubproductTripleError(f"rank-{r12} chain forces rank L23 = {r12}")
+    nf12 = _normal_form(L12, g12, r12, margin12, eps)
+    return (_chain_rank2 if r12 == 2 else _chain_rank1)(nf12, L123, eps)
 
 
-def _chain_frame(L12: Subspace, L123: Subspace, eps):
+def _chain_frame(nf: PlaneNormalForm, L123: Subspace):
     """The normal-form bases x1, y1, x2, y2 of L12, and the basis of L123 in
     the coordinates they define on the first two factors."""
-    nf = plane_normal_form(L12, eps)
     (x1, y1), (x2, y2) = nf.basis1, nf.basis2
     g1 = np.linalg.inv(np.column_stack([x1, y1]))
     g2 = np.linalg.inv(np.column_stack([x2, y2]))
     return x1, y1, x2, y2, kron(kron(g1, g2), I2) @ L123.basis
 
 
-def _chain_rank2(L12, L23, L123, r23, eps) -> ChainNormalForm:
-    if r23 != 2:
-        raise NotSubproductTripleError("rank-2 chain forces rank L23 = 2")
-    x1, y1, x2, y2, moved = _chain_frame(L12, L123, eps)
+def _chain_rank2(nf12, L123, eps) -> ChainNormalForm:
+    x1, y1, x2, y2, moved = _chain_frame(nf12, L123)
     block_a = moved[0:2, :]  # e1 (x) e1 (x) C^2 component
     block_b = moved[6:8, :]  # e2 (x) e2 (x) C^2 component
     off = np.delete(moved, [0, 1, 6, 7], axis=0)
@@ -514,7 +524,7 @@ def _chain_rank2(L12, L23, L123, r23, eps) -> ChainNormalForm:
     v2 = kron(kron(y1, y2), y3)
     residual = max(L123.distance(v1), L123.distance(v2))
     return ChainNormalForm(
-        rank12=2, rank23=r23,
+        rank12=2, rank23=2,
         basis1=(x1, y1), basis2=(x2, y2), basis3=(x3, y3),
         span_vectors=(v1, v2), residual=residual,
     )
@@ -529,10 +539,8 @@ def _principal_direction(block: np.ndarray, tol: float) -> np.ndarray:
     return normalize_projective(u[:, 0])
 
 
-def _chain_rank1(L12, L23, L123, r23, eps) -> ChainNormalForm:
-    if r23 != 1:
-        raise NotSubproductTripleError("rank-1 chain forces rank L23 = 1")
-    x1, y1, x2, y2, moved = _chain_frame(L12, L123, eps)
+def _chain_rank1(nf12, L123, eps) -> ChainNormalForm:
+    x1, y1, x2, y2, moved = _chain_frame(nf12, L123)
     # transformed coordinates: L12 = span{e1 (x) e1, e2 (x) e1 + e1 (x) e2}
     block_a = moved[0:2, :]                      # e1 e1 (x) C^2
     block_b = (moved[2:4, :] + moved[4:6, :]) / 2  # (e1 e2 + e2 e1)/sqrt-ish (x) C^2
@@ -562,7 +570,7 @@ def _chain_rank1(L12, L23, L123, r23, eps) -> ChainNormalForm:
     )
     residual = max(L123.distance(v1), L123.distance(v2))
     return ChainNormalForm(
-        rank12=1, rank23=r23,
+        rank12=1, rank23=1,
         basis1=(x1, y1), basis2=(x2, y2), basis3=(x3, y3),
         span_vectors=(v1, v2), residual=residual,
     )

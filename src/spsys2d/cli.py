@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize
 from .classify import (ChainUnclassifiedError, NotSubproductTripleError, Triple, TripleClass,
-                       canonical_triple, classify_triple, rank_of_plane)
+                       canonical_beta, classify_triple, rank_of_plane)
 from .exactpoly import NVARS, evaluate_batch, int_det_bareiss
 from .graded import GradedAlgebra
 from .identity import (
@@ -38,7 +38,7 @@ from .systems import (
     dualize,
     random_system,
 )
-from .tensorlinalg import DEFAULT_EPS
+from .tensorlinalg import DEFAULT_EPS, Subspace
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -264,7 +264,8 @@ def _e3_plane_is_rank1(lam: complex, eps: float) -> bool:
     that `classify` can tell the system from E4; a plane that collapses to a
     line does not."""
     try:
-        return rank_of_plane(canonical_triple(TripleClass("C3", lam), eps).E2, eps) == 1
+        plane = Subspace.from_spanning(canonical_beta(TripleClass("C3", lam), 1), eps=eps)
+        return rank_of_plane(plane, eps) == 1
     except ValueError:
         return False
 

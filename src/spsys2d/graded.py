@@ -186,11 +186,14 @@ def _chunks(n: int):
 def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
                  noun: str) -> dict:
     """The per-pair maps of a system or graded algebra as complex arrays;
-    ValueError for a horizon below 3, a wrong shape, or a missing (s, t)."""
+    ValueError for a horizon below 3, a wrong shape, or a missing or stray
+    (s, t): every key must have 1 <= s, t and s + t <= horizon."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
     out = {}
     for (s, t), m in maps.items():
+        if min(s, t) < 1 or s + t > horizon:
+            raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
         m = as_cmat(m)
         if m.shape != shape:
             raise ValueError(f"{name}[{s},{t}] must be {shape[0]}x{shape[1]}")

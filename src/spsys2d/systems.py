@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import Classification, Triple, TripleClass, canonical_beta, classify_triple
+from .classify import Classification, Triple, TripleClass, canonical_beta, classify_plane
 from .graded import (GradedAlgebra, checked_maps, degree_index, has_singular_level,
                      stack_maps, triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
@@ -133,8 +133,7 @@ def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport
     sv = np.linalg.svd(beta, compute_uv=False)
     inj_failures = [idx.pairs[i] for i in np.flatnonzero(rank_deficient(sv, eps))]
     min_sv = sv[:, 1].min()
-    # the scale covers every stored map, not only those at idx.pairs
-    scale = np.abs(np.stack(list(sys.beta.values()))).max()
+    scale = np.abs(beta).max()
     tol = fine_tol(eps) * max(scale * scale, 1.0)
     residuals = triple_residuals(beta, idx)
     worst = float(np.fmax.reduce(residuals, initial=0.0))  # skips NaN residuals
@@ -184,27 +183,28 @@ def dualize(obj):
 def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classification:
     """Label + explicit per-level isomorphism onto the canonical system.
 
-    Pipeline: check the axioms, extract the degree-(1,2,3) triple and
-    classify it, which fixes theta_1.  Every later level is then forced by
+    Pipeline: check the axioms, then read the class and theta_1 from the
+    normal form of the plane Im beta[1,1].  Every later level is then forced by
     (theta_1 (x) theta_{n-1}) beta[1, n-1] = beta_can[1, n-1] theta_n.  The
     canonical beta_can[1, t] is injective and the same for every t, so one
     left inverse L of beta_can[1, 1] solves all levels.  The level maps must
     be invertible, and the result is certified once with `iso_residuals`
-    against the canonical system; the result keeps them and the triple's rank.
+    against the canonical system; the result keeps them and the plane's rank.
+    That certificate covers every pair, so E3 is not checked separately.
     """
     report = check_axioms(sys, eps)
     if not report.passed:
         raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
-    triple = triple_of_system(sys, eps)
+    e2 = Subspace.from_spanning(sys.beta[(1, 1)], eps=eps)
     try:
-        tri = classify_triple(triple, eps)
+        plane = classify_plane(e2, eps)
     except ValueError as exc:
         raise ClassifyStageError("classify-triple", str(exc)) from exc
-    label = SystemLabel.from_triple_class(tri.label)
+    label = SystemLabel.from_triple_class(plane.label)
 
     canonical = canonical_system(label, sys.horizon)
     left = np.linalg.pinv(canonical.beta[(1, 1)])
-    theta = {1: tri.iso.theta}
+    theta = {1: plane.iso.theta}
     for n in range(2, sys.horizon + 1):
         theta[n] = left @ kron(theta[1], theta[n - 1]) @ sys.beta[(1, n - 1)]
     if has_singular_level(theta, sys.horizon, eps):
@@ -215,7 +215,7 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     if worst > residual_tol(eps):
         raise ClassifyStageError(
             "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
-    return Classification(label, iso, tri.rank, tri.rank_margin, residuals)
+    return Classification(label, iso, plane.rank, plane.rank_margin, residuals)
 
 
 def random_system(label: SystemLabel, seed: int, horizon: int = 6,

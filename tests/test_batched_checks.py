@@ -6,7 +6,10 @@ residuals and verdicts must agree exactly; only the image condition, which
 now tracks a 2x2 factor instead of the 2 x 2^n iterated product, is compared
 by verdict.  The parent's classify_system, which went through the dual graded
 algebras and extend_morphism, is kept as the reference for the direct
-recursion that replaced it.
+recursion that replaced it.  The composition before that, which certified
+the degree-(1,2,3) triple with `triple_of_system` and `classify_triple`
+before the recursion, is kept as the reference for the system path that
+reads the class from the plane Im beta[1,1] alone.
 """
 
 import tracemalloc
@@ -24,10 +27,11 @@ from spsys2d.graded import (
     check_kernel_condition,
     degree_index,
     extend_morphism,
+    has_singular_level,
     is_isomorphism,
     kernel_subspace,
 )
-from spsys2d.classify import classify_triple
+from spsys2d.classify import Classification, classify_triple
 from spsys2d.systems import (
     ClassifyStageError,
     SubproductSystem,
@@ -41,7 +45,7 @@ from spsys2d.systems import (
     random_system,
     triple_of_system,
 )
-from spsys2d.tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, subspace_sum
+from spsys2d.tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, residual_tol, subspace_sum
 
 # the benchmark grid: every label, and E3 over |lambda| in [1/4, 4]
 GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
@@ -182,6 +186,34 @@ def ref_classify_system(sys, eps=DEFAULT_EPS):
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta={t: m.T.copy() for t, m in morphism.theta.items()})
     return label, iso
+
+
+def ref_classify_via_triple(sys, eps=DEFAULT_EPS):
+    """classify_system through the triple: certify the degree-(1,2,3) triple
+    with triple_of_system and classify_triple, then solve the level maps
+    with the left recursion and certify them with iso_residuals."""
+    report = check_axioms(sys, eps)
+    if not report.passed:
+        raise ClassifyStageError("axioms", f"input fails the axioms: {report}")
+    triple = triple_of_system(sys, eps)
+    try:
+        tri = classify_triple(triple, eps)
+    except ValueError as exc:
+        raise ClassifyStageError("classify-triple", str(exc)) from exc
+    label = SystemLabel.from_triple_class(tri.label)
+
+    canonical = canonical_system(label, sys.horizon)
+    left = np.linalg.pinv(canonical.beta[(1, 1)])
+    theta = {1: tri.iso.theta}
+    for n in range(2, sys.horizon + 1):
+        theta[n] = left @ kron(theta[1], theta[n - 1]) @ sys.beta[(1, n - 1)]
+    if has_singular_level(theta, sys.horizon, eps):
+        raise ClassifyStageError("extend-morphism", "extended morphism is singular")
+    iso = SystemIso(theta=theta)
+    residuals = iso_residuals(sys, canonical, iso)
+    if max(residuals.values()) > residual_tol(eps):
+        raise ClassifyStageError("extend-morphism", "level maps fail to intertwine")
+    return Classification(label, iso, tri.rank, tri.rank_margin, residuals)
 
 
 def outcome(check, *args):
@@ -413,3 +445,51 @@ def test_direct_recursion_matches_the_graded_detour():
         assert worst <= 1e-8 or ref_worst > 1e-8
     # successes and refusals were both exercised, at h = 12 and at h = 32
     assert {(12, "ok"), (12, "extend-morphism"), (32, "ok")} <= stages
+
+
+def full_outcome(classify, sys, eps):
+    """The refusal stage, or everything a certified result carries: label,
+    lambda, each theta_t bit for bit, each residual, the rank and its margin."""
+    try:
+        r = classify(sys, eps)
+    except ClassifyStageError as exc:
+        return (exc.stage,)
+    theta = tuple(r.iso.theta[t].tobytes() for t in sorted(r.iso.theta))
+    return ("ok", r.label.label, r.label.lam, theta, tuple(sorted(r.residuals.items())),
+            r.rank, r.rank_margin)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+def test_plane_path_matches_the_triple_path_bit_for_bit(eps):
+    stages = set()
+    for sys in classify_inputs():
+        got = full_outcome(classify_system, sys, eps)
+        assert got == full_outcome(ref_classify_via_triple, sys, eps)
+        stages.add(got[0])
+    assert {"ok", "extend-morphism"} <= stages
+
+
+def test_perturbed_inputs_keep_their_verdicts_or_certify_within_tolerance():
+    """Inputs near a valid system: dropping the triple checks refuses nothing
+    the triple path certified and changes no axiom refusal; an input that
+    only the triple checks refused must certify within residual_tol."""
+    h = 6
+    seen = set()
+    for i, label in enumerate(GRID):
+        base = random_system(label, 0, h)
+        for key in ((1, 1), (2, 1), (1, 2), (h - 1, 1), (2, 2), None):
+            for delta in (1e-9, 1e-6, 1e-3, 1e-1):
+                beta = {k: b.copy() for k, b in base.beta.items()}
+                for k in ([key] if key else beta):
+                    beta[k][3, 1] += delta
+                sys = SubproductSystem(h, beta)
+                for eps in (1e-6, 1e-9):
+                    got = full_outcome(classify_system, sys, eps)
+                    want = full_outcome(ref_classify_via_triple, sys, eps)
+                    seen.add((want[0], got[0]))
+                    if want[0] == "ok":
+                        assert got == want
+                    assert (got[0] == "axioms") == (want[0] == "axioms")
+                    if got[0] == "ok" and want[0] != "ok":
+                        assert max(dict(got[4]).values()) <= residual_tol(eps)
+    assert {("ok", "ok"), ("axioms", "axioms")} <= seen

@@ -143,20 +143,36 @@ class TestComputedOnce:
         (classify, "restricted_form_matrix"),
     )
 
-    def _count(self, monkeypatch) -> Counter:
+    # the checks of the triple path, which classify_system no longer runs
+    TRIPLE_CHECKS = (
+        (systems, "triple_of_system"),
+        (classify, "classify_triple"),
+        (classify.Triple, "validate"),
+        (classify, "_verify_iso"),
+        (classify, "canonical_triple"),
+    )
+
+    def _count(self, monkeypatch, names=COUNTED) -> Counter:
         counts = Counter()
-        modules = (cli, systems, classify)
-        for home, name in self.COUNTED:
+        for home, name in names:
             real = getattr(home, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
-            for module in modules:  # wherever the name is imported
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counted)
+            for target in (home, cli, systems, classify):  # wherever the name is bound
+                if getattr(target, name, None) is real:
+                    monkeypatch.setattr(target, name, counted)
         return counts
+
+    def test_classify_system_runs_no_triple_check(self, monkeypatch):
+        counts = self._count(monkeypatch, self.TRIPLE_CHECKS + (
+            (classify, "restricted_form_matrix"),))
+        for i, label in enumerate(CELLS):
+            counts.clear()
+            assert classify_system(random_system(label, 70 + i, 6)).label.label == label.label
+            assert counts == Counter(restricted_form_matrix=1), (label, dict(counts))
 
     @pytest.mark.parametrize("kind", ["system", "algebra", "triple"])
     def test_classify_calls_each_stage_at_most_once(self, tmp_path, capsys, monkeypatch, kind):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spsys2d import classify
 from spsys2d.classify import (
     ChainUnclassifiedError,
     NotSubproductTripleError,
@@ -195,15 +196,32 @@ class TestClassifyConjugated:
             Triple(E2=base.E2, E3=bad).validate()
 
 
+def _rank_two_chain(seed=21):
+    rng = _rng(seed)
+    g1, g2, g3 = (_random_gl2(rng) for _ in range(3))
+    L12 = _span(kron(E1, E1), kron(E2, E2)).map_by(np.kron(g1, g2))
+    L23 = _span(kron(E1, E1), kron(E2, E2)).map_by(np.kron(g2, g3))
+    L123 = _span(
+        kron(kron(E1, E1), E1), kron(kron(E2, E2), E2)
+    ).map_by(np.kron(np.kron(g1, g2), g3))
+    return L12, L23, L123
+
+
+def _rank_one_chain(seed=22):
+    rng = _rng(seed)
+    g1, g2, g3 = (_random_gl2(rng) for _ in range(3))
+    L12 = _span(kron(E1, E1), kron(E2, E1) + kron(E1, E2)).map_by(np.kron(g1, g2))
+    L23 = _span(kron(E1, E1), kron(E2, E1) + kron(E1, E2)).map_by(np.kron(g2, g3))
+    L123 = _span(
+        kron(kron(E1, E1), E1),
+        kron(kron(E2, E1), E1) + kron(kron(E1, E2), E1) + kron(kron(E1, E1), E2),
+    ).map_by(np.kron(np.kron(g1, g2), g3))
+    return L12, L23, L123
+
+
 class TestChainNormalForm:
     def test_rank_two_chain(self):
-        rng = _rng(21)
-        g1, g2, g3 = (_random_gl2(rng) for _ in range(3))
-        L12 = _span(kron(E1, E1), kron(E2, E2)).map_by(np.kron(g1, g2))
-        L23 = _span(kron(E1, E1), kron(E2, E2)).map_by(np.kron(g2, g3))
-        L123 = _span(
-            kron(kron(E1, E1), E1), kron(kron(E2, E2), E2)
-        ).map_by(np.kron(np.kron(g1, g2), g3))
+        L12, L23, L123 = _rank_two_chain()
         nf = chain_normal_form(L12, L23, L123)
         assert nf.rank12 == 2
         assert nf.residual < 1e-8
@@ -211,17 +229,24 @@ class TestChainNormalForm:
             assert L123.distance(v) < 1e-8
 
     def test_rank_one_chain(self):
-        rng = _rng(22)
-        g1, g2, g3 = (_random_gl2(rng) for _ in range(3))
-        L12 = _span(kron(E1, E1), kron(E2, E1) + kron(E1, E2)).map_by(np.kron(g1, g2))
-        L23 = _span(kron(E1, E1), kron(E2, E1) + kron(E1, E2)).map_by(np.kron(g2, g3))
-        L123 = _span(
-            kron(kron(E1, E1), E1),
-            kron(kron(E2, E1), E1) + kron(kron(E1, E2), E1) + kron(kron(E1, E1), E2),
-        ).map_by(np.kron(np.kron(g1, g2), g3))
+        L12, L23, L123 = _rank_one_chain()
         nf = chain_normal_form(L12, L23, L123)
         assert nf.rank12 == 1
         assert nf.residual < 1e-8
+
+    def test_each_restricted_form_is_built_once(self, monkeypatch):
+        calls = []
+        real = classify.restricted_form_matrix
+
+        def counted(plane):
+            calls.append(plane)
+            return real(plane)
+
+        monkeypatch.setattr(classify, "restricted_form_matrix", counted)
+        for chain in (_rank_two_chain(), _rank_one_chain()):
+            calls.clear()
+            chain_normal_form(*chain)
+            assert calls == list(chain[:2])  # L12 once, then L23 once
 
     def test_rank_zero_chain_unclassified(self):
         L12 = _span(kron(E1, E1), kron(E1, E2))

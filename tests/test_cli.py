@@ -261,6 +261,26 @@ class TestExitCodes:
         assert "[axioms]" in errors[0] and "AxiomReport" not in errors[0]
 
     @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
+    @pytest.mark.parametrize("kind", ["system", "algebra"])
+    def test_a_stray_map_is_2_not_a_looser_axiom_check(self, tmp_path, capsys, command, kind):
+        data = serialize.system_to_json(canonical_system(SystemLabel("E1"), 5))
+        data["beta"]["2,1"][0][0] = [1.5, 0.0]  # a coassociativity defect of 0.5
+        if kind == "algebra":
+            data = serialize.graded_to_json(dualize(serialize.from_json(data)))
+        path = tmp_path / "defect.json"
+        path.write_text(serialize.dumps_canonical(data))
+        assert run(capsys, "check", str(path))[0] == 3
+        name = "beta" if kind == "system" else "M"
+        data[name]["9,9"] = [[[1e6, 0.0]] * len(data[name]["1,1"][0])] * len(data[name]["1,1"])
+        path.write_text(serialize.dumps_canonical(data))
+        with pytest.raises(SystemExit) as err:
+            run(capsys, command, str(path))
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert len(err_text.splitlines()) == 1
+        assert f"{name}[9,9] lies outside horizon 5" in err_text
+
+    @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
     @pytest.mark.parametrize("part", ["E2", "E3"])
     def test_triple_without_a_plane_is_2(self, tmp_path, capsys, command, part):
         t = serialize.triple_to_json(canonical_triple(TripleClass("C1")))

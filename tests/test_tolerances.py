@@ -94,3 +94,15 @@ def test_both_dual_kinds_keep_their_error_texts(cls, maps, shape, message):
     with pytest.raises(serialize.SerializationError, match=f"^malformed {what}: missing"):
         parse(payload)
 
+
+
+@pytest.mark.parametrize("cls, good", [(SubproductSystem, (4, 2)), (GradedAlgebra, (2, 4))])
+@pytest.mark.parametrize("key", [(9, 9), (0, 1), (1, 0), (2, 2), (-1, 3)])
+def test_a_map_outside_the_horizon_is_refused(cls, good, key):
+    # a stray map would otherwise enter the coassociativity scale of check_axioms
+    name = "beta" if cls is SubproductSystem else "M"
+    maps = {(s, t): np.ones(good) for s in (1, 2) for t in range(1, 4 - s)}
+    maps[key] = np.full(good, 1e6)
+    message = f"{name}[{key[0]},{key[1]}] lies outside horizon 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(3, maps)
