@@ -15,7 +15,7 @@ import numpy as np
 
 from .tensorlinalg import (
     DEFAULT_EPS, I2, Subspace, _null_space, as_cmat, automorphism_tol, kron,
-    null_rank, rank_deficient, residual_tol, span_rank, twist_tol,
+    null_rank, rank_deficient, require_finite, residual_tol, span_rank, twist_tol,
 )
 
 # Per-pair and per-triple checks run as stacked LAPACK/matmul calls over at
@@ -184,29 +184,37 @@ def _chunks(n: int):
 
 
 def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
-                 noun: str) -> dict:
-    """The per-pair maps of a system or graded algebra as complex arrays;
-    ValueError for a horizon below 3, a wrong shape, or a missing or stray
-    (s, t): every key must have 1 <= s, t and s + t <= horizon."""
+                 noun: str) -> tuple:
+    """The per-pair maps of a system or graded algebra, copied once into a
+    read-only complex (P, *shape) stack in `degree_index(horizon).pairs`
+    order, and a dict of per-pair views into it.  ValueError for a horizon
+    below 3, a stray (s, t) (every key must have 1 <= s, t and s + t <=
+    horizon), a map that is not 2-d or has the wrong shape, a missing map, or
+    a non-finite entry, checked in that order."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
     out = {}
     for (s, t), m in maps.items():
         if min(s, t) < 1 or s + t > horizon:
             raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
-        m = as_cmat(m)
+        m = np.asarray(m, dtype=complex)
+        if m.ndim != 2:
+            raise ValueError("expected a 2-d array")
         if m.shape != shape:
             raise ValueError(f"{name}[{s},{t}] must be {shape[0]}x{shape[1]}")
         out[(s, t)] = m
-    for s in range(1, horizon):
-        for t in range(1, horizon - s + 1):
-            if (s, t) not in out:
-                raise ValueError(f"missing {noun} {name}[{s},{t}]")
-    return out
+    pairs = degree_index(horizon).pairs
+    for s, t in pairs:
+        if (s, t) not in out:
+            raise ValueError(f"missing {noun} {name}[{s},{t}]")
+    stack = require_finite(np.stack([out[k] for k in pairs]))
+    stack.setflags(write=False)
+    return stack, dict(zip(pairs, stack))
 
 
 def stack_maps(maps: dict, keys) -> np.ndarray:
-    """The maps under `keys`, in order, as one (len(keys), m, n) array."""
+    """The maps under `keys`, in order, as one (len(keys), m, n) array; for
+    the level maps theta (a system or algebra keeps its own `stack`)."""
     return np.stack([maps[k] for k in keys])
 
 
@@ -224,14 +232,19 @@ def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradedAlgebra:
-    """Multiplication maps M[s, t]: 2x4 matrices for s + t <= horizon."""
+    """Multiplication maps M[s, t]: 2x4 matrices for s + t <= horizon.
+
+    `stack` holds every map, read-only, in `degree_index(horizon).pairs`
+    order; M[s, t] is a view into it."""
 
     horizon: int
     M: dict = field(repr=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "M", checked_maps(
-            self.horizon, self.M, "M", (2, 4), "multiplication map"))
+        stack, maps = checked_maps(self.horizon, self.M, "M", (2, 4), "multiplication map")
+        object.__setattr__(self, "M", maps)
+        object.__setattr__(self, "stack", stack)
 
     def index_pairs(self):
         return iter(degree_index(self.horizon).pairs)
@@ -239,7 +252,7 @@ class GradedAlgebra:
     def associativity_residual(self) -> float:
         # the defect of M is that of its transpose, the dual system's beta
         idx = degree_index(self.horizon)
-        maps = stack_maps(self.M, idx.pairs).transpose(0, 2, 1)
+        maps = self.stack.transpose(0, 2, 1)
         return float(np.fmax.reduce(triple_residuals(maps, idx), initial=0.0))
 
     def iterated_product(self, n: int) -> np.ndarray:
@@ -301,9 +314,8 @@ def check_image_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
     P_{n-1} is one, so the pairwise test decides the condition and the
     2 x 2^n products are never formed: O(h^2) time, O(1) memory.
     """
-    pairs = degree_index(g.horizon).pairs
-    for sl in _chunks(len(pairs)):
-        sv = np.linalg.svd(stack_maps(g.M, pairs[sl]), compute_uv=False)
+    for sl in _chunks(len(g.stack)):
+        sv = np.linalg.svd(g.stack[sl], compute_uv=False)
         if rank_deficient(sv, eps).any():
             return False
     return True
@@ -345,7 +357,7 @@ def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
     """
     tol = residual_tol(eps)
     idx = degree_index(g.horizon)
-    maps = stack_maps(g.M, idx.pairs)
+    maps = g.stack
     pair_kernels, _ = _masked_null_spaces(maps, eps)
     for sl in _chunks(len(idx.triples)):
         rs, st = idx.rs[sl], idx.st[sl]

@@ -54,14 +54,19 @@ class SystemLabel:
 
 @dataclass(frozen=True)
 class SubproductSystem:
-    """beta[s, t] is the 4x2 map E_{s+t} -> E_s (x) E_t, for s + t <= horizon."""
+    """beta[s, t] is the 4x2 map E_{s+t} -> E_s (x) E_t, for s + t <= horizon.
+
+    `stack` holds every map, read-only, in `degree_index(horizon).pairs`
+    order; beta[s, t] is a view into it."""
 
     horizon: int
     beta: dict = field(repr=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", checked_maps(
-            self.horizon, self.beta, "beta", (4, 2), "map"))
+        stack, beta = checked_maps(self.horizon, self.beta, "beta", (4, 2), "map")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "stack", stack)
 
     def index_pairs(self):
         return iter(degree_index(self.horizon).pairs)
@@ -89,8 +94,8 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
     idx = degree_index(src.horizon)
     theta = stack_maps(iso.theta, range(1, src.horizon + 1))
     s, t = idx.levels.T
-    lhs = kron(theta[s - 1], theta[t - 1]) @ stack_maps(src.beta, idx.pairs)
-    rhs = stack_maps(dst.beta, idx.pairs) @ theta[s + t - 1]
+    lhs = kron(theta[s - 1], theta[t - 1]) @ src.stack
+    rhs = dst.stack @ theta[s + t - 1]
     scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
                                        np.abs(rhs).max(axis=(1, 2))))
     residuals = np.abs(lhs - rhs).max(axis=(1, 2)) / scale
@@ -129,7 +134,7 @@ def axiom_text(rep: AxiomReport) -> str:
 
 def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport:
     idx = degree_index(sys.horizon)
-    beta = stack_maps(sys.beta, idx.pairs)
+    beta = sys.stack
     sv = np.linalg.svd(beta, compute_uv=False)
     inj_failures = [idx.pairs[i] for i in np.flatnonzero(rank_deficient(sv, eps))]
     min_sv = sv[:, 1].min()
@@ -168,15 +173,9 @@ def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Triple:
 def dualize(obj):
     """Transpose duality between systems and graded algebras (an involution)."""
     if isinstance(obj, SubproductSystem):
-        return GradedAlgebra(
-            horizon=obj.horizon,
-            M={k: b.T.copy() for k, b in obj.beta.items()},
-        )
+        return GradedAlgebra(obj.horizon, {k: b.T for k, b in obj.beta.items()})
     if isinstance(obj, GradedAlgebra):
-        return SubproductSystem(
-            horizon=obj.horizon,
-            beta={k: m.T.copy() for k, m in obj.M.items()},
-        )
+        return SubproductSystem(obj.horizon, {k: m.T for k, m in obj.M.items()})
     raise TypeError("dualize expects a SubproductSystem or a GradedAlgebra")
 
 
@@ -227,16 +226,14 @@ def random_system(label: SystemLabel, seed: int, horizon: int = 6,
     """
     rng = np.random.default_rng(seed)
     base = canonical_system(label, horizon)
-    g = {}
-    for t in range(1, horizon + 1):
+    g = np.empty((horizon, 2, 2), dtype=complex)  # g[t - 1] is g_t
+    for t in range(horizon):
         while True:
             cand = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             if np.linalg.cond(cand) <= max_cond:
                 g[t] = cand
                 break
-    g_inv = {t: np.linalg.inv(g[t]) for t in range(2, horizon + 1)}
-    beta = {
-        (s, t): kron(g[s], g[t]) @ base.beta[(s, t)] @ g_inv[s + t]
-        for s, t in base.index_pairs()
-    }
-    return SubproductSystem(horizon=horizon, beta=beta)
+    idx = degree_index(horizon)
+    s, t = idx.levels.T
+    beta = kron(g[s - 1], g[t - 1]) @ base.stack @ np.linalg.inv(g)[s + t - 1]
+    return SubproductSystem(horizon=horizon, beta=dict(zip(idx.pairs, beta)))

@@ -64,20 +64,22 @@ I2 = np.eye(2, dtype=complex)
 I2.setflags(write=False)  # shared by every module
 
 
-def as_cvec(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.isfinite(v).all():
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """`a` itself; ValueError when any entry is NaN or infinite."""
+    if not np.isfinite(a).all():
         raise ValueError("non-finite entries are not admitted")
-    return v
+    return a
+
+
+def as_cvec(v) -> np.ndarray:
+    return require_finite(np.asarray(v, dtype=complex).reshape(-1))
 
 
 def as_cmat(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    if not np.isfinite(m).all():
-        raise ValueError("non-finite entries are not admitted")
-    return m
+    return require_finite(m)
 
 
 def kron(u, v) -> np.ndarray:

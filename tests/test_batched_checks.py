@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spsys2d import graded, systems
 from spsys2d.graded import (
     CATALOG_NAMES,
     GradedAlgebra,
@@ -341,6 +342,28 @@ def test_associativity_residual_matches_the_loops():
         assert abs(g.associativity_residual() - want) <= 8 * np.finfo(float).eps * scale**2
     noise = {k: rng.standard_normal((2, 4)) for k in ref_pairs(5)}
     assert GradedAlgebra(5, noise).associativity_residual() > 0.1
+
+
+def test_checks_read_the_stored_stack_instead_of_restacking_the_maps(monkeypatch):
+    sys = random_system(SystemLabel("E3", 2.0), 7, 8)
+    g = dualize(sys)
+    found, iso = classify_system(sys)
+    can = canonical_system(found, 8)
+    stored = (sys.beta, can.beta, g.M)
+    restacked = []
+    stack_maps = graded.stack_maps
+
+    def counting(maps, keys):
+        restacked.append(any(maps is m for m in stored))
+        return stack_maps(maps, keys)
+
+    monkeypatch.setattr(graded, "stack_maps", counting)
+    monkeypatch.setattr(systems, "stack_maps", counting)
+    assert check_axioms(sys).passed
+    iso_residuals(sys, can, iso)
+    g.associativity_residual()
+    assert check_kernel_condition(g) and check_image_condition(g)
+    assert restacked == [False]  # the theta levels of iso_residuals, and nothing else
 
 
 def test_random_system_is_unchanged():

@@ -13,6 +13,19 @@ from spsys2d.identity import d4_polynomial, d8_polynomial, det8_matrix
 from spsys2d.systems import SystemLabel, canonical_system, dualize, random_system
 
 
+# one defect per payload, and the message `spsys2d` prints for it; the payload
+# parser checks each map's shape itself, before the constructor
+MALFORMED_TEXTS = {
+    "stray key": "{name}[9,9] lies outside horizon 5",
+    "wrong shape": "expected shape {shape}, got {flipped}",
+    "not 2-d": "expected shape {shape}, got (0,)",
+    "nan": "non-finite entries are not admitted",
+    "inf": "non-finite entries are not admitted",
+    "missing map": "missing {noun} {name}[1,2]",
+    "horizon 2": "horizon must be at least 3",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -262,7 +275,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
     @pytest.mark.parametrize("kind", ["system", "algebra"])
-    def test_a_stray_map_is_2_not_a_looser_axiom_check(self, tmp_path, capsys, command, kind):
+    @pytest.mark.parametrize("defect", list(MALFORMED_TEXTS))
+    def test_a_malformed_map_is_2_not_a_looser_axiom_check(self, tmp_path, capsys, command,
+                                                           kind, defect):
         data = serialize.system_to_json(canonical_system(SystemLabel("E1"), 5))
         data["beta"]["2,1"][0][0] = [1.5, 0.0]  # a coassociativity defect of 0.5
         if kind == "algebra":
@@ -270,15 +285,29 @@ class TestExitCodes:
         path = tmp_path / "defect.json"
         path.write_text(serialize.dumps_canonical(data))
         assert run(capsys, "check", str(path))[0] == 3
-        name = "beta" if kind == "system" else "M"
-        data[name]["9,9"] = [[[1e6, 0.0]] * len(data[name]["1,1"][0])] * len(data[name]["1,1"])
-        path.write_text(serialize.dumps_canonical(data))
+        name, noun = ("beta", "map") if kind == "system" else ("M", "multiplication map")
+        maps = data[name]
+        shape = (len(maps["1,1"]), len(maps["1,1"][0]))
+        if defect == "stray key":  # large, so it would dominate the axiom check's scale
+            maps["9,9"] = [[[1e6, 0.0]] * shape[1]] * shape[0]
+        elif defect == "wrong shape":
+            maps["1,1"] = [list(col) for col in zip(*maps["1,1"])]
+        elif defect == "not 2-d":
+            maps["1,1"] = []
+        elif defect in ("nan", "inf"):
+            maps["1,1"][0][0] = [float(defect), 0.0]
+        elif defect == "missing map":
+            del maps["1,2"]
+        else:
+            data["horizon"] = 2
+        path.write_text(json.dumps(data))  # NaN and Infinity as JSON extensions
         with pytest.raises(SystemExit) as err:
             run(capsys, command, str(path))
         assert err.value.code == 2
         err_text = capsys.readouterr().err
         assert len(err_text.splitlines()) == 1
-        assert f"{name}[9,9] lies outside horizon 5" in err_text
+        message = MALFORMED_TEXTS[defect]
+        assert message.format(name=name, noun=noun, shape=shape, flipped=shape[::-1]) in err_text
 
     @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
     @pytest.mark.parametrize("part", ["E2", "E3"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spsys2d.classify import TripleClass, canonical_triple
-from spsys2d.graded import GradedAlgebra, build_graded, catalog
+from spsys2d.graded import GradedAlgebra, build_graded, catalog, degree_index
 from spsys2d.systems import (
     ClassifyStageError,
     SubproductSystem,
@@ -138,6 +138,34 @@ class TestDuality:
     def test_dualize_type_guard(self):
         with pytest.raises(TypeError):
             dualize(42)
+
+
+class TestStoredMaps:
+    def test_construction_copies_the_callers_maps(self):
+        beta = {k: b.copy() for k, b in random_system(SystemLabel("E4"), 2, 6).beta.items()}
+        M = {k: b.T.copy() for k, b in beta.items()}
+        sys, g = SubproductSystem(6, beta), GradedAlgebra(6, M)
+        kept = {k: b.copy() for k, b in sys.beta.items()}
+        kept_dual = {k: m.copy() for k, m in g.M.items()}
+        beta[(2, 1)][0, 0] += 1
+        M[(2, 1)][0, 0] += 1
+        assert all(np.array_equal(sys.beta[k], kept[k]) for k in kept)
+        assert all(np.array_equal(g.M[k], kept_dual[k]) for k in kept_dual)
+        assert check_axioms(sys).passed
+
+    def test_maps_are_read_only_views_of_one_stack(self):
+        c = canonical_system(SystemLabel("E2"), 6)
+        g = dualize(c)
+        for obj, maps in ((c, c.beta), (g, g.M)):
+            assert np.array_equal(
+                obj.stack, np.stack([maps[k] for k in degree_index(6).pairs]))
+            assert all(np.shares_memory(m, obj.stack) for m in maps.values())
+            with pytest.raises(ValueError):
+                maps[(1, 1)][0, 0] = 5
+            with pytest.raises(ValueError):
+                obj.stack[0, 0, 0] = 5
+        # canonical_system passes one array for every t; each pair gets its own copy
+        assert not np.shares_memory(c.beta[(1, 1)], c.beta[(1, 2)])
 
 
 class TestClassifySystem:

@@ -77,23 +77,52 @@ def test_has_singular_level_flags_one_singular_map():
     assert not has_singular_level(theta, 3)
 
 
-@pytest.mark.parametrize("cls, maps, shape, message", [
-    (SubproductSystem, "beta", (2, 4), "beta[1,1] must be 4x2"),
-    (SubproductSystem, "beta", None, "missing map beta[1,2]"),
-    (GradedAlgebra, "M", (4, 2), "M[1,1] must be 2x4"),
-    (GradedAlgebra, "M", None, "missing multiplication map M[1,2]"),
-])
-def test_both_dual_kinds_keep_their_error_texts(cls, maps, shape, message):
-    good = (4, 2) if cls is SubproductSystem else (2, 4)
-    data = {(1, 1): np.zeros(shape or good)}
+# one defect per input, and the constructor's message for it
+DEFECT_TEXTS = {
+    "wrong shape": "{name}[1,1] must be {rows}x{cols}",
+    "missing map": "missing {noun} {name}[1,2]",
+    "stray key": "{name}[9,9] lies outside horizon 3",
+    "not 2-d": "expected a 2-d array",
+    "nan": "non-finite entries are not admitted",
+    "inf": "non-finite entries are not admitted",
+    "horizon 2": "horizon must be at least 3",
+}
+
+
+@pytest.mark.parametrize("cls", [SubproductSystem, GradedAlgebra])
+@pytest.mark.parametrize("defect", list(DEFECT_TEXTS))
+def test_both_dual_kinds_keep_their_error_texts(cls, defect):
+    if cls is SubproductSystem:
+        name, noun, good = "beta", "map", (4, 2)
+    else:
+        name, noun, good = "M", "multiplication map", (2, 4)
+    horizon = 3
+    maps = {(s, t): np.ones(good) for s in (1, 2) for t in range(1, 4 - s)}
+    if defect == "wrong shape":
+        maps[(1, 1)] = np.ones(good[::-1])
+    elif defect == "missing map":
+        del maps[(1, 2)]
+    elif defect == "stray key":
+        maps[(9, 9)] = np.ones(good)
+    elif defect == "not 2-d":
+        maps[(1, 1)] = np.ones(8)
+    elif defect in ("nan", "inf"):
+        maps[(2, 1)][0, 0] = float(defect)
+    else:
+        horizon = 2
+    message = DEFECT_TEXTS[defect].format(name=name, noun=noun, rows=good[0], cols=good[1])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cls(3, data)
-    payload = {"kind": "x", "horizon": 3, maps: {"1,1": [[[0, 0]] * good[1]] * good[0]}}
+        cls(horizon, maps)
+    payload = {"kind": "x", "horizon": horizon,
+               name: {f"{s},{t}": m.tolist() for (s, t), m in maps.items()}}
     what = "subproduct system" if cls is SubproductSystem else "graded algebra"
     parse = serialize.system_from_json if cls is SubproductSystem else serialize.graded_from_json
-    with pytest.raises(serialize.SerializationError, match=f"^malformed {what}: missing"):
+    # the payload parser checks each map's shape itself, before the constructor
+    parsed = (f"expected shape {good}, got {good[::-1]}" if defect == "wrong shape"
+              else "malformed matrix" if defect == "not 2-d" else message)
+    with pytest.raises(serialize.SerializationError,
+                       match=f"^malformed {what}: {re.escape(parsed)}"):
         parse(payload)
-
 
 
 @pytest.mark.parametrize("cls, good", [(SubproductSystem, (4, 2)), (GradedAlgebra, (2, 4))])
