@@ -11,9 +11,9 @@ import numpy as np
 
 from .identity import quad_coeffs
 from .tensorlinalg import (
-    COLLINEAR_TOL, DEFAULT_EPS, DISTINCT_TOL, FRAME_TOL, I2, Subspace, annihilator, as_cvec,
-    factor_rank_one, intersect, kron, loose_tol, normalize_projective, projective_cross,
-    quad_form_A_bilinear, residual_tol, roots_binary_quadratic,
+    COLLINEAR_TOL, DEFAULT_EPS, DET_FORM, DISTINCT_TOL, FRAME_TOL, I2, Subspace, annihilator,
+    as_cvec, factor_rank_one, intersect, kron, loose_tol, normalize_projective,
+    projective_cross, residual_tol, roots_binary_quadratic,
 )
 
 LABELS = ("C1", "C2", "C3", "C4", "C5")
@@ -43,12 +43,7 @@ def restricted_form_matrix(plane: Subspace) -> np.ndarray:
     """2x2 symmetric matrix of the determinant form restricted to the plane."""
     if plane.ambient_dim != 4 or plane.dim != 2:
         raise ValueError("expected a 2-dim plane in a 4-dim ambient space")
-    b = plane.basis
-    g = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            g[i, j] = quad_form_A_bilinear(b[:, i], b[:, j])
-    return g
+    return plane.basis.T @ DET_FORM @ plane.basis
 
 
 def rank_of_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> int:
@@ -72,7 +67,7 @@ def _form_rank(g: np.ndarray, eps: float):
     return rank, float(margin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneNormalForm:
     """Bases realizing the rank-dependent normal form of a plane.
 
@@ -269,7 +264,7 @@ def product_in_intersection(L12: Subspace, L23: Subspace, eps: float = DEFAULT_E
 # Identical-factor triples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Triple:
     """The data (E2, E3) of an identical-factor triple; E1 is implicitly C^2."""
 
@@ -296,16 +291,22 @@ class TripleClass:
     lam: complex | None = None
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
-        if self.label == "C3":
-            if self.lam is None or self.lam == 0:
-                raise ValueError("C3 requires a nonzero lambda")
-        elif self.lam is not None:
-            raise ValueError(f"label {self.label} carries no lambda")
+        check_label(self.label, self.lam, LABELS, "label")
 
 
-@dataclass(frozen=True)
+def check_label(label: str, lam, labels: tuple, noun: str) -> None:
+    """The rule of TripleClass and SystemLabel: a label among `labels`, with
+    a nonzero lambda for the third (C3, E3) and none for the others."""
+    if label not in labels:
+        raise ValueError(f"unknown {noun} {label!r}")
+    if label == labels[2]:
+        if lam is None or lam == 0:
+            raise ValueError(f"{label} requires a nonzero lambda")
+    elif lam is not None:
+        raise ValueError(f"label {label} carries no lambda")
+
+
+@dataclass(frozen=True, eq=False)
 class TripleIso:
     """theta maps the input triple onto the canonical triple of its class."""
 
@@ -319,7 +320,7 @@ class TripleIso:
         return s.map_by(t3, eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Classification:
     """A class, the isomorphism onto its canonical representative, the rank
     of the plane E2 with its margin (as in `rank_with_margin`), and the
@@ -412,28 +413,22 @@ def classify_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> Classification:
                 "rank-2 product directions pair neither straight nor crossed"
             )
     elif nf.rank == 1:
-        x1, _ = nf.basis1
-        x2, _ = nf.basis2
+        x1, y1 = nf.basis1
+        x2, y2 = nf.basis2
         if not _collinear(x1, x2, loose):
             raise NotSubproductTripleError(
                 "rank-1 product direction does not have identical factors"
             )
         x = x1 / np.linalg.norm(x1)
-        y = _completion(x)
-        frame = np.column_stack([kron(x, x), kron(x, y), kron(y, x), kron(y, y)])
-        coords = np.linalg.solve(frame, plane.basis)  # 4x2
-        # direction of E2 modulo the product direction x (x) x
-        sub = coords[1:, :]
-        u_, s_, vh_ = np.linalg.svd(sub)
-        psi = sub @ vh_[0].conj()
-        xy_coeff, yx_coeff, yy_coeff = psi
-        if abs(yy_coeff) > loose * max(abs(xy_coeff), abs(yx_coeff)):
-            raise NotSubproductTripleError("rank-1 plane has a y(x)y component")
+        theta = _theta_from_columns(x, _completion(x))
+        # x2 = c x1, so modulo x (x) x the plane's second vector y1 (x) x2 +
+        # x1 (x) y2 is c b1 y (x) x + b2 x (x) y, with b = the y-coordinates
+        c = np.vdot(x1, x2) / np.vdot(x1, x1)
+        yx_coeff = c * (theta @ y1)[1]
+        xy_coeff = (theta @ y2)[1]
         if abs(yx_coeff) <= loose * abs(xy_coeff):
             raise NotSubproductTripleError("rank-1 plane lambda is unbounded")
-        lam = complex(xy_coeff / yx_coeff)
-        cls = TripleClass("C3", lam)
-        theta = _theta_from_columns(x, y)
+        cls = TripleClass("C3", complex(xy_coeff / yx_coeff))
     else:
         if nf.case_tag == "left":
             cls = TripleClass("C4")
@@ -460,7 +455,7 @@ def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
 # Different-factor chains
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainNormalForm:
     """Bases realizing the chain normal form of (L12, L23, L123).
 
@@ -523,8 +518,8 @@ def _chain_rank2(nf12, L123, eps) -> ChainNormalForm:
     tol = residual_tol(eps) * max(np.abs(moved).max(), 1.0)
     if np.abs(off).max() > tol:
         raise NotSubproductTripleError("chain does not split over the product blocks")
-    x3 = _principal_direction(block_a, tol)
-    y3 = _principal_direction(block_b, tol)
+    x3, _ = _principal_direction(block_a, tol)
+    y3, _ = _principal_direction(block_b, tol)
     if projective_cross(x3, y3) <= DISTINCT_TOL:
         raise NotSubproductTripleError("degenerate third-factor directions")
     v1 = kron(kron(x1, x2), x3)
@@ -537,19 +532,20 @@ def _chain_rank2(nf12, L123, eps) -> ChainNormalForm:
     )
 
 
-def _principal_direction(block: np.ndarray, tol: float) -> np.ndarray:
-    u, s, _ = np.linalg.svd(block)
+def _principal_direction(block: np.ndarray, tol: float):
+    """The column direction of a one-dimensional block, and a combination of
+    its columns that the block sends to zero."""
+    u, s, vh = np.linalg.svd(block)
     if s[0] <= tol:
         raise NotSubproductTripleError("expected a nonzero component block")
     if s.size > 1 and s[1] > tol:
         raise NotSubproductTripleError("component block is not one-dimensional")
-    return normalize_projective(u[:, 0])
+    return normalize_projective(u[:, 0]), vh[-1].conj()
 
 
 def _chain_rank1(nf12, L123, eps) -> ChainNormalForm:
     x1, y1, x2, y2, moved = _chain_frame(nf12, L123)
     # transformed coordinates: L12 = span{e1 (x) e1, e2 (x) e1 + e1 (x) e2}
-    block_a = moved[0:2, :]                      # e1 e1 (x) C^2
     block_b = (moved[2:4, :] + moved[4:6, :]) / 2  # (e1 e2 + e2 e1)/sqrt-ish (x) C^2
     mismatch = moved[2:4, :] - moved[4:6, :]
     block_d = moved[6:8, :]                      # e2 e2 (x) C^2
@@ -557,10 +553,8 @@ def _chain_rank1(nf12, L123, eps) -> ChainNormalForm:
     tol = residual_tol(eps) * scale
     if np.abs(mismatch).max() > tol or np.abs(block_d).max() > tol:
         raise NotSubproductTripleError("chain does not fit the rank-1 block pattern")
-    x3 = _principal_direction(block_b, tol)
-    # the pure block-a vector of L123 must be e1 e1 (x) (multiple of x3)
-    u_, s_, vh_ = np.linalg.svd(block_b)
-    kernel_combo = vh_[-1].conj()
+    x3, kernel_combo = _principal_direction(block_b, tol)
+    # the pure e1 e1 (x) C^2 vector of L123 must be e1 e1 (x) (multiple of x3)
     pure = moved @ kernel_combo
     pure_dir = pure[0:2]
     if np.linalg.norm(pure_dir) <= tol or projective_cross(pure_dir, x3) > COLLINEAR_TOL:

@@ -49,7 +49,7 @@ class NotExtendableError(MorphismError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Algebra2:
     """A two-dimensional algebra given by its structure constants."""
 
@@ -103,7 +103,7 @@ def is_automorphism(d: Algebra2, m, eps: float = DEFAULT_EPS) -> bool:
 _SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismFamily:
     """Closed-form description of an algebra's automorphism group.
 
@@ -143,7 +143,7 @@ def automorphism_description(name: str) -> AutomorphismFamily:
     raise ValueError(f"automorphism description only covers D1..D4, not {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeIndex:
     """The degree pairs (s, t) with s + t <= horizon and triples (r, s, t)
     with r + s + t <= horizon, in nested-loop order.
@@ -230,7 +230,7 @@ def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedAlgebra:
     """Multiplication maps M[s, t]: 2x4 matrices for s + t <= horizon.
 
@@ -239,7 +239,7 @@ class GradedAlgebra:
 
     horizon: int
     M: dict = field(repr=False)
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stack, maps = checked_maps(self.horizon, self.M, "M", (2, 4), "multiplication map")
@@ -380,7 +380,7 @@ def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedMorphism:
     """Per-level maps theta[t] of a morphism between two graded algebras."""
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import Classification, Triple, TripleClass, canonical_beta, classify_plane
+from .classify import (Classification, Triple, TripleClass, canonical_beta, check_label,
+                       classify_plane)
 from .graded import (GradedAlgebra, checked_maps, degree_index, has_singular_level,
                      stack_maps, triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
@@ -39,20 +40,14 @@ class SystemLabel:
     lam: complex | None = None
 
     def __post_init__(self):
-        if self.label not in SYSTEM_LABELS:
-            raise ValueError(f"unknown system label {self.label!r}")
-        if self.label == "E3":
-            if self.lam is None or self.lam == 0:
-                raise ValueError("E3 requires a nonzero lambda")
-        elif self.lam is not None:
-            raise ValueError(f"label {self.label} carries no lambda")
+        check_label(self.label, self.lam, SYSTEM_LABELS, "system label")
 
     @classmethod
     def from_triple_class(cls, c: TripleClass) -> "SystemLabel":
         return cls(_TRIPLE_TO_SYSTEM[c.label], c.lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubproductSystem:
     """beta[s, t] is the 4x2 map E_{s+t} -> E_s (x) E_t, for s + t <= horizon.
 
@@ -61,7 +56,7 @@ class SubproductSystem:
 
     horizon: int
     beta: dict = field(repr=False)
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stack, beta = checked_maps(self.horizon, self.beta, "beta", (4, 2), "map")
@@ -75,7 +70,7 @@ class SubproductSystem:
         return iter(degree_index(self.horizon).triples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemIso:
     """Per-level invertible maps theta[t] carrying one system onto another:
     (theta_s (x) theta_t) beta[s, t] = beta'[s, t] theta_{s+t}."""

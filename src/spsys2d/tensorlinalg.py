@@ -119,7 +119,7 @@ def normalize_projective(v: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     return v / v[idx]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^n stored as a matrix with orthonormal columns."""
 
@@ -251,21 +251,23 @@ def subspace_sum(s1: Subspace, s2: Subspace, eps: float = DEFAULT_EPS) -> Subspa
     )
 
 
+# the determinant form on C^4 as a symmetric matrix: quad_form_A(v) = v0 v3 - v1 v2
+DET_FORM = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]) / 2
+DET_FORM.setflags(write=False)
+
+
 def quad_form_A(v) -> complex:
     """The determinant quadratic form on C^4; zero exactly on product vectors."""
-    v = as_cvec(v)
-    if v.shape[0] != 4:
-        raise ValueError("quad_form_A is defined on 4-dimensional vectors")
-    return complex(v[0] * v[3] - v[1] * v[2])
+    return quad_form_A_bilinear(v, v)
 
 
 def quad_form_A_bilinear(u, v) -> complex:
-    """Symmetric bilinear polarization of quad_form_A."""
+    """Symmetric bilinear polarization of quad_form_A: u @ DET_FORM @ v."""
     u = as_cvec(u)
     v = as_cvec(v)
     if u.shape[0] != 4 or v.shape[0] != 4:
-        raise ValueError("polarization is defined on 4-dimensional vectors")
-    return complex((u[0] * v[3] + u[3] * v[0] - u[1] * v[2] - u[2] * v[1]) / 2)
+        raise ValueError("the determinant form is defined on 4-dimensional vectors")
+    return complex(u @ DET_FORM @ v)
 
 
 def factor_rank_one(v, eps: float = DEFAULT_EPS):
@@ -289,7 +291,7 @@ def factor_rank_one(v, eps: float = DEFAULT_EPS):
     return x, y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticRoots:
     """Projective roots of p u^2 + q u v + r v^2.
 
