@@ -132,10 +132,21 @@ def _write(args, text: str) -> None:
         print(text)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ValueError for a repeated key, of which
+    `json.load` would silently keep the last."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         return serialize.from_json(data)
     except (OSError, json.JSONDecodeError, serialize.SerializationError,
             ValueError) as exc:
@@ -291,6 +302,11 @@ def cmd_generate(args) -> int:
         return EXIT_BAD_INPUT
     except ValueError as exc:  # a zero lambda, or a horizon below 3
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    rep = check_axioms(system, args.tolerance)
+    if not rep.passed:  # e.g. a large lambda^s that float64 cannot certify
+        print(f"error: the generated system fails the axioms at tolerance "
+              f"{args.tolerance:g}: {axiom_text(rep)}", file=sys.stderr)
         return EXIT_BAD_INPUT
     _write(args, serialize.dumps_canonical(serialize.system_to_json(system)))
     return EXIT_OK

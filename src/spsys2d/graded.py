@@ -18,9 +18,9 @@ from .tensorlinalg import (
     null_rank, rank_deficient, require_finite, residual_tol, span_rank, twist_tol,
 )
 
-# Per-pair and per-triple checks run as stacked LAPACK/matmul calls over at
-# most CHUNK matrices at a time: large enough to amortise the per-call cost,
-# small enough that the transient stacks stay well under 1 MiB.
+# Per-triple checks (O(h^3) of them; pair stacks are not chunked) run as stacked
+# LAPACK/matmul calls over at most CHUNK triples at a time: large enough to
+# amortise the per-call cost, small enough that the stacks stay under 1 MiB.
 CHUNK = 48
 
 CATALOG_NAMES = ("D1", "D2", "D3", "D4", "D5", "D6", "D7")
@@ -255,15 +255,6 @@ class GradedAlgebra:
         maps = self.stack.transpose(0, 2, 1)
         return float(np.fmax.reduce(triple_residuals(maps, idx), initial=0.0))
 
-    def iterated_product(self, n: int) -> np.ndarray:
-        """The n-fold product map on degree-1 elements, a 2 x 2^n matrix."""
-        if not 1 <= n <= self.horizon:
-            raise ValueError("n must lie in 1..horizon")
-        out = I2
-        for k in range(1, n):
-            out = self.M[(k, 1)] @ kron(out, I2)
-        return out
-
 
 def build_graded(d: Algebra2, eta, horizon: int, eps: float = DEFAULT_EPS) -> GradedAlgebra:
     """The graded algebra with product x *_B y = x *_D eta^s(y)."""
@@ -284,27 +275,21 @@ def build_graded(d: Algebra2, eta, horizon: int, eps: float = DEFAULT_EPS) -> Gr
     return g
 
 
-def _as_level_maps(f, horizon: int) -> dict:
-    if callable(f):
-        return {t: as_cmat(f(t)) for t in range(1, horizon + 1)}
-    return {t: as_cmat(f[t]) for t in range(1, horizon + 1)}
-
-
 def twist(g: GradedAlgebra, f, eps: float = DEFAULT_EPS) -> GradedAlgebra:
-    """The twisted algebra with product (x, y) -> x f_t^s(y)."""
-    levels = _as_level_maps(f, g.horizon)
-    for t, m in levels.items():
-        if rank_deficient(np.linalg.svd(m, compute_uv=False), eps):
-            raise NotAutomorphismError(f"level-{t} map is not invertible")
-    residual = GradedMorphism(source=g, target=g, theta=levels).residual()
+    """The twisted algebra with product (x, y) -> x f_t^s(y); `f` gives f_t
+    as a callable or a mapping of t."""
+    levels = {t: as_cmat(f(t) if callable(f) else f[t]) for t in range(1, g.horizon + 1)}
+    sv = np.linalg.svd(stack_maps(levels, range(1, g.horizon + 1)), compute_uv=False)
+    singular = np.flatnonzero(rank_deficient(sv, eps))
+    if singular.size:
+        raise NotAutomorphismError(f"level-{singular[0] + 1} map is not invertible")
+    residual = max(GradedMorphism(source=g, target=g, theta=levels).level_residuals().values())
     if residual > twist_tol(eps):
         raise NotAutomorphismError(
             f"per-level family is not multiplicative (residual {residual})"
         )
-    maps = {}
-    for s, t in g.index_pairs():
-        maps[(s, t)] = g.M[(s, t)] @ kron(I2, np.linalg.matrix_power(levels[t], s))
-    return GradedAlgebra(horizon=g.horizon, M=maps)
+    return GradedAlgebra(horizon=g.horizon, M={
+        (s, t): m @ kron(I2, np.linalg.matrix_power(levels[t], s)) for (s, t), m in g.M.items()})
 
 
 def check_image_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
@@ -312,13 +297,10 @@ def check_image_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
 
     P_n = M[n-1, 1] (P_{n-1} (x) I2) is a composite of surjections once
     P_{n-1} is one, so the pairwise test decides the condition and the
-    2 x 2^n products are never formed: O(h^2) time, O(1) memory.
+    2 x 2^n products are never formed: the injectivity test of `check_axioms`
+    on the dual system, one stacked SVD.
     """
-    for sl in _chunks(len(g.stack)):
-        sv = np.linalg.svd(g.stack[sl], compute_uv=False)
-        if rank_deficient(sv, eps).any():
-            return False
-    return True
+    return not rank_deficient(np.linalg.svd(g.stack, compute_uv=False), eps).any()
 
 
 def kernel_subspace(m: np.ndarray, eps: float = DEFAULT_EPS) -> Subspace:
@@ -380,6 +362,25 @@ def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
     return True
 
 
+def intertwining(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """Both sides of (theta_s (x) theta_t) src[s, t] = dst[s, t] theta_{s+t},
+    stacked in pairs order, for the (h, 2, 2) stack theta and two systems'
+    (P, 4, 2) stacks.  A graded morphism is this relation on the transposes."""
+    s, t = degree_index(len(theta)).levels.T
+    return kron(theta[s - 1], theta[t - 1]) @ src, dst @ theta[s + t - 1]
+
+
+def extend_levels(theta1, left, maps) -> np.ndarray:
+    """The (h, 2, 2) stack theta_1..theta_h, h = len(maps) + 1, with theta_n =
+    left[n-2] (theta_1 (x) theta_{n-1}) maps[n-2]: the level recursion of a
+    system iso (maps = beta[1, .], left = left inverses of the target's)."""
+    theta = np.empty((len(maps) + 1, 2, 2), dtype=complex)
+    theta[0] = theta1
+    for n in range(2, len(theta) + 1):
+        theta[n - 1] = left[n - 2] @ kron(theta1, theta[n - 2]) @ maps[n - 2]
+    return theta
+
+
 @dataclass(frozen=True, eq=False)
 class GradedMorphism:
     """Per-level maps theta[t] of a morphism between two graded algebras."""
@@ -388,16 +389,13 @@ class GradedMorphism:
     target: GradedAlgebra = field(repr=False)
     theta: dict = field(repr=False)
 
-    def residual(self) -> float:
-        return max(self.level_residuals().values(), default=0.0)
-
     def level_residuals(self) -> dict:
-        out = {}
-        for s, t in self.source.index_pairs():
-            lhs = self.theta[s + t] @ self.source.M[(s, t)]
-            rhs = self.target.M[(s, t)] @ kron(self.theta[s], self.theta[t])
-            out[(s, t)] = float(np.abs(lhs - rhs).max())
-        return out
+        """Per-pair absolute max |theta_{s+t} M_A - M_B (theta_s (x) theta_t)|."""
+        h = self.source.horizon
+        theta = stack_maps(self.theta, range(1, h + 1)).transpose(0, 2, 1)
+        lhs, rhs = intertwining(theta, self.target.stack.transpose(0, 2, 1),
+                                self.source.stack.transpose(0, 2, 1))
+        return dict(zip(degree_index(h).pairs, np.abs(lhs - rhs).max(axis=(1, 2)).tolist()))
 
 
 def has_singular_level(theta: dict, horizon: int, eps: float = DEFAULT_EPS) -> bool:
@@ -414,10 +412,11 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
                     eps: float = DEFAULT_EPS, rng=None) -> GradedMorphism:
     """Extend (theta1, theta2) to a full graded morphism gA -> gB.
 
-    Requires gA to satisfy the image and kernel conditions.  theta_n is the
-    unique map factoring the n-fold target product through the n-fold source
-    product; preimages default to the minimum-norm choice, or are randomized
-    with `rng` (the result is the same either way, which is tested).
+    Requires gA to satisfy the image and kernel conditions; theta2 is only
+    checked.  theta_n M_A[1, n-1] = M_B[1, n-1] (theta_1 (x) theta_{n-1}),
+    transposed, is `extend_levels` from the dual of gB onto that of gA.  Right
+    inverses default to the minimum-norm choice, or are randomized with `rng`
+    (the result is the same either way, which is tested).
     """
     if gA.horizon != gB.horizon:
         raise MorphismError("source and target horizons differ")
@@ -427,31 +426,24 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
         raise MorphismError("source algebra fails the image condition")
     if not check_kernel_condition(gA, eps):
         raise MorphismError("source algebra fails the kernel condition")
-    compat = np.abs(
-        theta2 @ gA.M[(1, 1)] - gB.M[(1, 1)] @ kron(theta1, theta1)
-    ).max()
+    compat = np.abs(theta2 @ gA.M[(1, 1)] - gB.M[(1, 1)] @ kron(theta1, theta1)).max()
     if compat > residual_tol(eps):
         raise MorphismError(f"theta2 is incompatible with theta1 (residual {compat})")
 
-    theta = {1: theta1, 2: theta2}
-    # theta_n is determined by factoring through M[n-1, 1]; the one-step
-    # recursion is algebraically the same as factoring the n-fold product
-    # through theta1^{(x) n} but avoids amplifying cond(theta1)^n
-    for n in range(3, gA.horizon + 1):
-        ma = gA.M[(n - 1, 1)]
-        rhs = gB.M[(n - 1, 1)] @ kron(theta[n - 1], theta1)
-        kernel = _null_space(ma, eps)
-        if kernel.shape[1]:
-            leak = np.abs(rhs @ kernel).max()
-            if leak > residual_tol(eps) * max(1.0, np.abs(rhs).max()):
-                raise NotExtendableError(
-                    f"theta_{n} is not well defined (kernel leak {leak})"
-                )
-        pre = np.linalg.pinv(ma)
-        if rng is not None and kernel.shape[1]:
-            pre = pre + kernel @ (
-                rng.standard_normal((kernel.shape[1], 2))
-                + 1j * rng.standard_normal((kernel.shape[1], 2))
-            )
-        theta[n] = rhs @ pre
-    return GradedMorphism(source=gA, target=gB, theta=theta)
+    # M[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
+    ma, mb = gA.stack[:gA.horizon - 1], gB.stack[:gA.horizon - 1]
+    pre = np.linalg.pinv(ma)
+    kernel, _ = _masked_null_spaces(ma, eps)
+    if rng is not None:
+        pre = pre + kernel @ (rng.standard_normal(pre.shape)
+                              + 1j * rng.standard_normal(pre.shape))
+    theta = extend_levels(theta1.T, pre.transpose(0, 2, 1),
+                          mb.transpose(0, 2, 1)).transpose(0, 2, 1)
+    # theta_n, n >= 3, is well defined if its rhs vanishes on Ker M_A[1, n-1]
+    rhs = mb[1:] @ kron(theta1, theta[1:-1])
+    leak = np.abs(rhs @ kernel[1:]).max(axis=(1, 2))
+    bad = np.flatnonzero(leak > residual_tol(eps) * np.maximum(1.0, np.abs(rhs).max(axis=(1, 2))))
+    if bad.size:
+        raise NotExtendableError(
+            f"theta_{bad[0] + 3} is not well defined (kernel leak {leak[bad[0]]})")
+    return GradedMorphism(source=gA, target=gB, theta=dict(enumerate(theta, 1)))

@@ -160,11 +160,16 @@ def _parse_index_key(key: str) -> tuple:
 def _maps_from_json(cls, data: dict):
     kind, name, shape = _MAP_KINDS[cls]
     try:
-        horizon = int(data["horizon"])
-        maps = {
-            _parse_index_key(k): matrix_from_json(v, shape)
-            for k, v in data[name].items()
-        }
+        horizon = data["horizon"]
+        if not isinstance(horizon, int) or isinstance(horizon, bool):
+            raise SerializationError(f"horizon must be an integer, got {horizon!r}")
+        maps, texts = {}, {}
+        for k, v in data[name].items():
+            key = _parse_index_key(k)
+            if key in maps:
+                raise SerializationError(
+                    f"keys {texts[key]!r} and {k!r} both name {name}[{key[0]},{key[1]}]")
+            maps[key], texts[key] = matrix_from_json(v, shape), k
         return cls(horizon, maps)
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed {kind.replace('_', ' ')}: {exc}") from exc

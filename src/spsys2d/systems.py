@@ -14,8 +14,8 @@ import numpy as np
 
 from .classify import (Classification, Triple, TripleClass, canonical_beta, check_label,
                        classify_plane)
-from .graded import (GradedAlgebra, checked_maps, degree_index, has_singular_level,
-                     stack_maps, triple_residuals)
+from .graded import (GradedAlgebra, checked_maps, degree_index, extend_levels,
+                     has_singular_level, intertwining, stack_maps, triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
                            residual_tol)
 
@@ -86,15 +86,12 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
     compared maps, since the level maps of an isomorphism carry no preferred
     normalization and their norms can grow geometrically with the level.
     """
-    idx = degree_index(src.horizon)
     theta = stack_maps(iso.theta, range(1, src.horizon + 1))
-    s, t = idx.levels.T
-    lhs = kron(theta[s - 1], theta[t - 1]) @ src.stack
-    rhs = dst.stack @ theta[s + t - 1]
+    lhs, rhs = intertwining(theta, src.stack, dst.stack)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
                                        np.abs(rhs).max(axis=(1, 2))))
     residuals = np.abs(lhs - rhs).max(axis=(1, 2)) / scale
-    return dict(zip(idx.pairs, residuals.tolist()))
+    return dict(zip(degree_index(src.horizon).pairs, residuals.tolist()))
 
 
 def canonical_system(label: SystemLabel, horizon: int = 6) -> SubproductSystem:
@@ -181,10 +178,11 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     normal form of the plane Im beta[1,1].  Every later level is then forced by
     (theta_1 (x) theta_{n-1}) beta[1, n-1] = beta_can[1, n-1] theta_n.  The
     canonical beta_can[1, t] is injective and the same for every t, so one
-    left inverse L of beta_can[1, 1] solves all levels.  The level maps must
-    be invertible, and the result is certified once with `iso_residuals`
-    against the canonical system; the result keeps them and the plane's rank.
-    That certificate covers every pair, so E3 is not checked separately.
+    left inverse L of beta_can[1, 1] solves all levels (`extend_levels`).  The
+    level maps must be invertible, and the result is certified once with
+    `iso_residuals` against the canonical system; the result keeps them and
+    the plane's rank.  That certificate covers every pair, so E3 is not
+    checked separately.
     """
     report = check_axioms(sys, eps)
     if not report.passed:
@@ -198,9 +196,10 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
 
     canonical = canonical_system(label, sys.horizon)
     left = np.linalg.pinv(canonical.beta[(1, 1)])
-    theta = {1: plane.iso.theta}
-    for n in range(2, sys.horizon + 1):
-        theta[n] = left @ kron(theta[1], theta[n - 1]) @ sys.beta[(1, n - 1)]
+    # beta[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
+    levels = extend_levels(plane.iso.theta, [left] * (sys.horizon - 1),
+                           sys.stack[:sys.horizon - 1])
+    theta = dict(enumerate(levels, 1))
     if has_singular_level(theta, sys.horizon, eps):
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta=theta)

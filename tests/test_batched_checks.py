@@ -6,7 +6,10 @@ residuals and verdicts must agree exactly; only the image condition, which
 now tracks a 2x2 factor instead of the 2 x 2^n iterated product, is compared
 by verdict.  The parent's classify_system, which went through the dual graded
 algebras and extend_morphism, is kept as the reference for the direct
-recursion that replaced it.  The composition before that, which certified
+recursion that replaced it; its extend_morphism loop, which took a pinv and
+a null space of M[n-1, 1] at every level, is kept as `ref_extend_morphism`
+for the stacked recursion on the transposes that replaced it.  The
+composition before that, which certified
 the degree-(1,2,3) triple with `triple_of_system` and `classify_triple`
 before the recursion, is kept as the reference for the system path that
 reads the class from the plane Im beta[1,1] alone.
@@ -21,6 +24,9 @@ from spsys2d import graded, systems
 from spsys2d.graded import (
     CATALOG_NAMES,
     GradedAlgebra,
+    GradedMorphism,
+    MorphismError,
+    NotExtendableError,
     automorphism_description,
     build_graded,
     catalog,
@@ -32,7 +38,7 @@ from spsys2d.graded import (
     is_isomorphism,
     kernel_subspace,
 )
-from spsys2d.classify import Classification, classify_triple
+from spsys2d.classify import Classification, classify_plane, classify_triple
 from spsys2d.systems import (
     ClassifyStageError,
     SubproductSystem,
@@ -46,7 +52,8 @@ from spsys2d.systems import (
     random_system,
     triple_of_system,
 )
-from spsys2d.tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, residual_tol, subspace_sum
+from spsys2d.tensorlinalg import (DEFAULT_EPS, I2, Subspace, _null_space, as_cmat, kron,
+                                  residual_tol, subspace_sum)
 
 # the benchmark grid: every label, and E3 over |lambda| in [1/4, 4]
 GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
@@ -127,13 +134,21 @@ def ref_kernel_condition(g, eps=DEFAULT_EPS):
     return True
 
 
+def ref_iterated_product(g, n):
+    """The n-fold product map on degree-1 elements, a 2 x 2^n matrix."""
+    out = I2
+    for k in range(1, n):
+        out = g.M[(k, 1)] @ np.kron(out, I2)
+    return out
+
+
 def ref_image_condition(g, eps=DEFAULT_EPS):
     for s, t in ref_pairs(g.horizon):
         sv = np.linalg.svd(g.M[(s, t)], compute_uv=False)
         if sv[1] <= eps * max(sv[0], 1.0):
             return False
     for n in range(2, g.horizon + 1):
-        sv = np.linalg.svd(g.iterated_product(n), compute_uv=False)
+        sv = np.linalg.svd(ref_iterated_product(g, n), compute_uv=False)
         if sv[1] <= eps * max(sv[0], 1.0):
             return False
     return True
@@ -161,9 +176,40 @@ def ref_random_system(label, seed, horizon):
             for s, t in ref_pairs(horizon)}
 
 
+def ref_extend_morphism(gA, gB, theta1, theta2, eps=DEFAULT_EPS, rng=None):
+    """extend_morphism as a loop over the levels: theta_2 as given, then theta_n
+    factored through M[n-1, 1] with its own pinv and null space."""
+    if gA.horizon != gB.horizon:
+        raise MorphismError("source and target horizons differ")
+    theta1 = as_cmat(theta1)
+    theta2 = as_cmat(theta2)
+    if not check_image_condition(gA, eps):
+        raise MorphismError("source algebra fails the image condition")
+    if not check_kernel_condition(gA, eps):
+        raise MorphismError("source algebra fails the kernel condition")
+    compat = np.abs(theta2 @ gA.M[(1, 1)] - gB.M[(1, 1)] @ kron(theta1, theta1)).max()
+    if compat > residual_tol(eps):
+        raise MorphismError(f"theta2 is incompatible with theta1 (residual {compat})")
+    theta = {1: theta1, 2: theta2}
+    for n in range(3, gA.horizon + 1):
+        ma = gA.M[(n - 1, 1)]
+        rhs = gB.M[(n - 1, 1)] @ kron(theta[n - 1], theta1)
+        kernel = _null_space(ma, eps)
+        if kernel.shape[1]:
+            leak = np.abs(rhs @ kernel).max()
+            if leak > residual_tol(eps) * max(1.0, np.abs(rhs).max()):
+                raise NotExtendableError(f"theta_{n} is not well defined (kernel leak {leak})")
+        pre = np.linalg.pinv(ma)
+        if rng is not None and kernel.shape[1]:
+            pre = pre + kernel @ (rng.standard_normal((kernel.shape[1], 2))
+                                  + 1j * rng.standard_normal((kernel.shape[1], 2)))
+        theta[n] = rhs @ pre
+    return GradedMorphism(source=gA, target=gB, theta=theta)
+
+
 def ref_classify_system(sys, eps=DEFAULT_EPS):
     """classify_system by the graded-algebra detour: dualize, extend the
-    transposed triple isomorphism with extend_morphism, transpose back."""
+    transposed triple isomorphism with ref_extend_morphism, transpose back."""
     report = check_axioms(sys, eps)
     if not report.passed:
         raise ClassifyStageError("axioms", f"input fails the axioms: {report}")
@@ -180,10 +226,10 @@ def ref_classify_system(sys, eps=DEFAULT_EPS):
     theta1 = tri_iso.theta.T
     theta2 = g_sys.M[(1, 1)] @ kron(theta1, theta1) @ np.linalg.pinv(g_can.M[(1, 1)])
     try:
-        morphism = extend_morphism(g_can, g_sys, theta1, theta2, eps)
+        morphism = ref_extend_morphism(g_can, g_sys, theta1, theta2, eps)
     except ValueError as exc:
         raise ClassifyStageError("extend-morphism", str(exc)) from exc
-    if not is_isomorphism(morphism, eps):
+    if not ref_is_isomorphism(morphism, eps):
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta={t: m.T.copy() for t, m in morphism.theta.items()})
     return label, iso
@@ -468,6 +514,91 @@ def test_direct_recursion_matches_the_graded_detour():
         assert worst <= 1e-8 or ref_worst > 1e-8
     # successes and refusals were both exercised, at h = 12 and at h = 32
     assert {(12, "ok"), (12, "extend-morphism"), (32, "ok")} <= stages
+
+
+def extend_inputs():
+    """(kind, (source, target, theta1, theta2)) for extend_morphism.  The duals of the
+    grid: the canonical algebra onto a scrambled one, clean, and with every
+    map but M[1, 1] perturbed by 1e-3 relative.  Then the catalog algebras
+    with a copy conjugated by per-level bases, as in criterion 9."""
+    rng = np.random.default_rng(17)
+    for horizon, seeds in ((6, 2), (12, 1), (16, 1)):
+        for seed in range(seeds):
+            for label in GRID:
+                sys = random_system(label, 1000 * seed + 7, horizon)
+                plane = classify_plane(Subspace.from_spanning(sys.beta[(1, 1)]), DEFAULT_EPS)
+                found = SystemLabel.from_triple_class(plane.label)
+                g_can, g_sys = dualize(canonical_system(found, horizon)), dualize(sys)
+                theta1 = plane.iso.theta.T
+                theta2 = g_sys.M[(1, 1)] @ kron(theta1, theta1) @ np.linalg.pinv(g_can.M[(1, 1)])
+                yield "dual", (g_can, g_sys, theta1, theta2)
+                noisy = {k: m if k == (1, 1) else m * (1 + 1e-3 * rng.standard_normal(m.shape))
+                         for k, m in g_sys.M.items()}
+                yield "dual", (g_can, GradedAlgebra(horizon, noisy), theta1, theta2)
+    for horizon in (6, 10):
+        for g in graded_inputs(horizon):
+            levels = {}
+            for t in range(1, horizon + 1):
+                while True:
+                    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                    if np.linalg.cond(m) <= 20:
+                        levels[t] = m / np.linalg.norm(m, 2)
+                        break
+            twisted = GradedAlgebra(horizon, {
+                (s, t): np.linalg.inv(levels[s + t]) @ m @ np.kron(levels[s], levels[t])
+                for (s, t), m in g.M.items()})
+            yield "conjugate", (twisted, g, levels[1], levels[2])
+
+
+def extension(extend, *args):
+    try:
+        return extend(*args)
+    except MorphismError as exc:
+        return exc
+
+
+def dual_certificate(m):
+    """The relative certificate of classify_system for the system iso
+    theta^T from the dual of m's target onto the dual of its source."""
+    iso = SystemIso({t: theta.T for t, theta in m.theta.items()})
+    return max(iso_residuals(dualize(m.target), dualize(m.source), iso).values())
+
+
+def test_stacked_extension_matches_the_level_loop():
+    verdicts = set()
+    for kind, case in extend_inputs():
+        got, want = extension(extend_morphism, *case), extension(ref_extend_morphism, *case)
+        assert type(got) is type(want)
+        verdicts.add(type(want))
+        if not isinstance(want, GradedMorphism):
+            continue
+        worst, ref_worst = dual_certificate(got), dual_certificate(want)
+        assert worst <= 1e-8 or ref_worst > 1e-8
+        if ref_worst <= 1e-8:
+            for t, ref_theta in want.theta.items():
+                scale = np.abs(ref_theta).max()
+                assert np.abs(got.theta[t] - ref_theta).max() <= 1e-7 * scale, t
+        if kind == "conjugate":  # criterion 9's inputs, and its absolute bound
+            assert max(got.level_residuals().values()) <= 1e-9
+    assert verdicts == {GradedMorphism, MorphismError, NotExtendableError}
+
+
+def test_extend_morphism_takes_one_pinv_and_no_level_null_space(monkeypatch):
+    g = dualize(canonical_system(SystemLabel("E3", 0.5), 12))
+    calls = []
+    pinv, null_space = np.linalg.pinv, graded._null_space
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "pinv", counting("pinv", pinv))
+    monkeypatch.setattr(graded, "_null_space", counting("null_space", null_space))
+    morphism = extend_morphism(g, g, I2, I2)
+    assert len(morphism.theta) == 12
+    assert calls == ["pinv"]
 
 
 def full_outcome(classify, sys, eps):

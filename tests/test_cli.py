@@ -310,6 +310,46 @@ class TestExitCodes:
         assert message.format(name=name, noun=noun, shape=shape, flipped=shape[::-1]) in err_text
 
     @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
+    @pytest.mark.parametrize("kind", ["system", "algebra"])
+    @pytest.mark.parametrize("horizon", [4.7, 5.0, "5", True])
+    def test_a_horizon_that_is_not_a_json_integer_is_2(self, tmp_path, capsys, command,
+                                                       kind, horizon):
+        system = canonical_system(SystemLabel("E1"), 5)
+        data = serialize.to_json(system if kind == "system" else dualize(system))
+        data["horizon"] = horizon
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as err:
+            run(capsys, command, str(path))
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert len(err_text.splitlines()) == 1
+        assert f"horizon must be an integer, got {horizon!r}" in err_text
+
+    @pytest.mark.parametrize("command", ["classify", "check"])
+    @pytest.mark.parametrize("kind", ["system", "algebra"])
+    @pytest.mark.parametrize("repeat", ["spelling", "literal"])
+    def test_two_keys_naming_one_map_are_2(self, tmp_path, capsys, command, kind, repeat):
+        system = canonical_system(SystemLabel("E1"), 5)
+        data = serialize.to_json(system if kind == "system" else dualize(system))
+        name = "beta" if kind == "system" else "M"
+        other = json.dumps(data[name]["1,1"]).replace("1.0", "2.0")
+        key = "01,1" if repeat == "spelling" else "1,1"
+        # the repeat comes after the original key, so a silent last-wins would read it
+        text = serialize.dumps_canonical(data).replace(
+            f'"{name}":{{"1,1":', f'"{name}":{{"1,1":{other},"{key}":', 1)
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            run(capsys, command, str(path))
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert len(err_text.splitlines()) == 1 and err_text.startswith("error: ")
+        want = ("repeated key '1,1'" if repeat == "literal"
+                else f"keys '1,1' and '01,1' both name {name}[1,1]")
+        assert want in err_text
+
+    @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
     @pytest.mark.parametrize("part", ["E2", "E3"])
     def test_triple_without_a_plane_is_2(self, tmp_path, capsys, command, part):
         t = serialize.triple_to_json(canonical_triple(TripleClass("C1")))
@@ -355,6 +395,13 @@ class TestExitCodes:
         (None, ("generate", "--class", "E3", "--lambda", "1e-12")),
         (None, ("generate", "--class", "E3", "--lambda", "1e-10")),
         (None, ("generate", "--class", "E3", "--lambda", "1e12")),
+        # outputs that `check` would refuse: float64 cannot certify lambda^s
+        (None, ("generate", "--class", "E3", "--lambda", "1e6")),
+        (None, ("generate", "--class", "E3", "--lambda", "1e8")),
+        (None, ("generate", "--class", "E3", "--lambda", "4", "--horizon", "16")),
+        (None, ("generate", "--class", "E3", "--lambda", "4", "--horizon", "16",
+                "--scramble")),
+        (None, ("generate", "--class", "E3", "--lambda", "2,1", "--horizon", "32")),
     ])
     def test_edge_input_is_2_with_one_line_error(self, monkeypatch, capsys, env, argv):
         if env is None:
