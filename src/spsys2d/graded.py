@@ -10,18 +10,22 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .tensorlinalg import (
-    DEFAULT_EPS, I2, Subspace, _null_space, as_cmat, automorphism_tol, kron,
+    DEFAULT_EPS, I2, Subspace, _null_space, as_cmat, automorphism_tol, kron, matmul2,
     null_rank, rank_deficient, require_finite, residual_tol, span_rank, twist_tol,
 )
 
-# Per-triple checks (O(h^3) of them; pair stacks are not chunked) run as stacked
-# LAPACK/matmul calls over at most CHUNK triples at a time: large enough to
-# amortise the per-call cost, small enough that the stacks stay under 1 MiB.
-CHUNK = 48
+# Per-triple checks (O(h^3) of them; pair stacks are not chunked) run over at
+# most CHUNK triples at a time: as `matmul2` contractions in the coassociativity
+# check, as stacked SVDs in the kernel check.  Sized by measurement: 256 keeps
+# the peak of `check_axioms` under 1 MiB at h = 64 (the kernel check peaks at
+# ~2.4 MiB at h = 32), while each array operation spans enough triples to
+# amortise its fixed cost.
+CHUNK = 256
 
 CATALOG_NAMES = ("D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
@@ -148,13 +152,15 @@ class DegreeIndex:
     """The degree pairs (s, t) with s + t <= horizon and triples (r, s, t)
     with r + s + t <= horizon, in nested-loop order.
 
-    `levels` holds the (s, t) of each pair as an array; `rs`, `rs_t`, `st`
-    and `r_st` hold, for each triple, the positions in `pairs` of (r, s),
-    (r + s, t), (s, t) and (r, s + t), to gather stacked per-pair maps.
+    `position` maps each pair to its position in `pairs`; `levels` holds the
+    (s, t) of each pair as an array; `rs`, `rs_t`, `st` and `r_st` hold, for
+    each triple, the positions in `pairs` of (r, s), (r + s, t), (s, t) and
+    (r, s + t), to gather stacked per-pair maps.
     """
 
     pairs: tuple
     triples: tuple
+    position: dict = field(repr=False)
     levels: np.ndarray = field(repr=False)
     rs: np.ndarray = field(repr=False)
     rs_t: np.ndarray = field(repr=False)
@@ -164,7 +170,8 @@ class DegreeIndex:
 
 @functools.lru_cache(maxsize=16)
 def degree_index(horizon: int) -> DegreeIndex:
-    """The DegreeIndex of a horizon (cached; its arrays are read-only)."""
+    """The DegreeIndex of a horizon (cached; its arrays and `position` are
+    read-only)."""
     pairs = tuple((s, t) for s in range(1, horizon) for t in range(1, horizon - s + 1))
     triples = tuple((r, s, t) for r in range(1, horizon - 1)
                     for s in range(1, horizon - r)
@@ -175,7 +182,7 @@ def degree_index(horizon: int) -> DegreeIndex:
     levels = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     for a in (gather, levels):
         a.setflags(write=False)
-    return DegreeIndex(pairs, triples, levels, *gather.T)
+    return DegreeIndex(pairs, triples, MappingProxyType(pos), levels, *gather.T)
 
 
 def _chunks(n: int):
@@ -193,39 +200,50 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
     a non-finite entry, checked in that order."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
-    out = {}
+    idx = degree_index(horizon)
+    stack = np.empty((len(idx.pairs),) + shape, dtype=complex)
+    filled = [False] * len(idx.pairs)
     for (s, t), m in maps.items():
-        if min(s, t) < 1 or s + t > horizon:
+        if s < 1 or t < 1 or s + t > horizon:
             raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
         m = np.asarray(m, dtype=complex)
         if m.ndim != 2:
             raise ValueError("expected a 2-d array")
         if m.shape != shape:
             raise ValueError(f"{name}[{s},{t}] must be {shape[0]}x{shape[1]}")
-        out[(s, t)] = m
-    pairs = degree_index(horizon).pairs
-    for s, t in pairs:
-        if (s, t) not in out:
-            raise ValueError(f"missing {noun} {name}[{s},{t}]")
-    stack = require_finite(np.stack([out[k] for k in pairs]))
-    stack.setflags(write=False)
-    return stack, dict(zip(pairs, stack))
+        i = idx.position.get((s, t))
+        if i is not None:  # a non-integral degree is no pair and is dropped
+            stack[i] = m
+            filled[i] = True
+    if not all(filled):
+        s, t = idx.pairs[filled.index(False)]
+        raise ValueError(f"missing {noun} {name}[{s},{t}]")
+    require_finite(stack).setflags(write=False)
+    return stack, dict(zip(idx.pairs, stack))
 
 
 def stack_maps(maps: dict, keys) -> np.ndarray:
     """The maps under `keys`, in order, as one (len(keys), m, n) array; for
-    the level maps theta (a system or algebra keeps its own `stack`)."""
+    the level maps theta (a system or algebra keeps its own `stack`).
+    ValueError naming the first key that has no map."""
+    missing = [k for k in keys if k not in maps]
+    if missing:
+        raise ValueError(f"missing level map {missing[0]}")
     return np.stack([maps[k] for k in keys])
 
 
 def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
     """Coassociativity defects in idx.triples order:
     max |(b[r,s] (x) I2) b[r+s,t] - (I2 (x) b[s,t]) b[r,s+t]| per triple,
-    where `maps` stacks the 4x2 maps b in idx.pairs order."""
+    where `maps` stacks the 4x2 maps b in idx.pairs order.  (B (x) I2) C
+    contracts B with the first factor of C's rows, (I2 (x) B) C with the
+    second, so neither Kronecker product is formed."""
     out = np.empty(len(idx.triples))
     for sl in _chunks(len(idx.triples)):
-        left = kron(maps[idx.rs[sl]], I2) @ maps[idx.rs_t[sl]]
-        right = kron(I2, maps[idx.st[sl]]) @ maps[idx.r_st[sl]]
+        b, c = maps[idx.rs[sl]], maps[idx.rs_t[sl]]
+        left = matmul2(b, c.reshape(-1, 2, 4)).reshape(-1, 8, 2)
+        b, c = maps[idx.st[sl]], maps[idx.r_st[sl]]
+        right = matmul2(b[:, None], c.reshape(-1, 2, 2, 2)).reshape(-1, 8, 2)
         out[sl] = np.abs(left - right).max(axis=(1, 2))
     return out
 
@@ -365,9 +383,12 @@ def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
 def intertwining(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
     """Both sides of (theta_s (x) theta_t) src[s, t] = dst[s, t] theta_{s+t},
     stacked in pairs order, for the (h, 2, 2) stack theta and two systems'
-    (P, 4, 2) stacks.  A graded morphism is this relation on the transposes."""
+    (P, 4, 2) stacks.  A graded morphism is this relation on the transposes.
+    (theta_s (x) theta_t) X is formed as (theta_s (x) I2)((I2 (x) theta_t) X)."""
     s, t = degree_index(len(theta)).levels.T
-    return kron(theta[s - 1], theta[t - 1]) @ src, dst @ theta[s + t - 1]
+    inner = matmul2(theta[t - 1, None], src.reshape(-1, 2, 2, 2))
+    lhs = matmul2(theta[s - 1], inner.reshape(-1, 2, 4)).reshape(-1, 4, 2)
+    return lhs, matmul2(dst, theta[s + t - 1])
 
 
 def extend_levels(theta1, left, maps) -> np.ndarray:

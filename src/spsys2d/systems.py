@@ -85,7 +85,11 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
     Residuals are relative: the defect is scaled by the magnitude of the
     compared maps, since the level maps of an isomorphism carry no preferred
     normalization and their norms can grow geometrically with the level.
+    ValueError when the horizons differ or a level map is missing.
     """
+    if src.horizon != dst.horizon:
+        raise ValueError(f"source horizon {src.horizon} and target horizon "
+                         f"{dst.horizon} differ")
     theta = stack_maps(iso.theta, range(1, src.horizon + 1))
     lhs, rhs = intertwining(theta, src.stack, dst.stack)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),

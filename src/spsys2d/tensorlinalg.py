@@ -107,6 +107,16 @@ def kron(u, v) -> np.ndarray:
                                          u.shape[-1] * v.shape[-1]))
 
 
+def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (..., m, 2) and (..., 2, n) stacks whose leading axes
+    broadcast: two broadcast products and one sum over the whole stack, in
+    place of one BLAS call per matrix.  ValueError unless the contracted
+    dimension is 2 on both sides."""
+    if a.shape[-1] != 2 or b.shape[-2] != 2:
+        raise ValueError(f"matmul2 contracts a dimension of 2, not {a.shape} @ {b.shape}")
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
 def normalize_projective(v: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Scale so the largest-magnitude coordinate equals 1 (ties: lower index)."""
     v = as_cvec(v)

@@ -6,6 +6,7 @@ from spsys2d.graded import GradedAlgebra, build_graded, catalog, degree_index
 from spsys2d.systems import (
     ClassifyStageError,
     SubproductSystem,
+    SystemIso,
     SystemLabel,
     canonical_system,
     check_axioms,
@@ -225,6 +226,21 @@ class TestClassifySystem:
         with pytest.raises(ClassifyStageError) as err:
             classify_system(SubproductSystem(horizon=5, beta=beta))
         assert err.value.stage == "axioms"
+
+
+class TestIsoResiduals:
+    def test_differing_horizons_are_refused_before_any_product(self):
+        sys = random_system(SystemLabel("E2"), 3, 6)
+        _, iso = classify_system(sys)
+        with pytest.raises(ValueError, match="^source horizon 6 and target horizon 7 differ$"):
+            iso_residuals(sys, canonical_system(SystemLabel("E2"), 7), iso)
+
+    def test_a_missing_level_map_is_named(self):
+        sys = random_system(SystemLabel("E2"), 3, 6)
+        _, iso = classify_system(sys)
+        theta = {t: m for t, m in iso.theta.items() if t != 5}
+        with pytest.raises(ValueError, match="^missing level map 5$"):
+            iso_residuals(sys, canonical_system(SystemLabel("E2"), 6), SystemIso(theta))
 
 
 class TestRandomSystem:

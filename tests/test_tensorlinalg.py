@@ -10,6 +10,7 @@ from spsys2d.tensorlinalg import (
     factor_rank_one,
     intersect,
     kron,
+    matmul2,
     normalize_projective,
     projective_cross,
     quad_form_A,
@@ -36,6 +37,25 @@ class TestBasics:
     def test_kron_dims_guarded(self):
         with pytest.raises(ValueError):
             kron(np.ones(4), np.ones(4))  # dim 16 unsupported
+
+    def test_matmul2_is_matmul_within_rounding(self):
+        rng = _rng()
+        shapes = [((4, 2), (2, 4)), ((7, 4, 2), (7, 2, 2)), ((7, 1, 4, 2), (7, 3, 2, 2)),
+                  ((5, 2), (6, 1, 2, 3)), ((1, 8, 2), (3, 2, 1))]
+        for sa, sb in shapes:
+            a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
+            b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
+            got, want = matmul2(a, b), np.matmul(a, b)
+            assert got.shape == want.shape
+            # componentwise rounding bound of a length-2 complex dot product
+            bound = 8 * np.finfo(float).eps * np.matmul(np.abs(a), np.abs(b))
+            assert (np.abs(got - want) <= bound).all(), (sa, sb)
+
+    def test_matmul2_contracts_only_a_dimension_of_two(self):
+        with pytest.raises(ValueError):
+            matmul2(np.ones((4, 3)), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            matmul2(np.ones((4, 2)), np.ones((3, 2)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,47 @@ def test_both_dual_kinds_keep_their_error_texts(cls, defect):
         parse(payload)
 
 
+# two defects per input: the constructor reports the one it checks first
+PRECEDENCE = {
+    ("horizon 2", "stray key"): "horizon 2",
+    ("stray key", "missing map"): "stray key",
+    ("not 2-d", "missing map"): "not 2-d",
+    ("wrong shape", "nan"): "wrong shape",
+    ("missing map", "inf"): "missing map",
+    ("stray wrong shape", ""): "stray key",  # one map: its key is checked first
+}
+
+
+@pytest.mark.parametrize("cls", [SubproductSystem, GradedAlgebra])
+@pytest.mark.parametrize("defects", list(PRECEDENCE))
+def test_the_first_checked_defect_names_the_error(cls, defects):
+    if cls is SubproductSystem:
+        name, noun, good = "beta", "map", (4, 2)
+    else:
+        name, noun, good = "M", "multiplication map", (2, 4)
+    horizon = 3
+    maps = {(s, t): np.ones(good) for s in (1, 2) for t in range(1, 4 - s)}
+    for defect in defects:
+        if defect == "wrong shape":
+            maps[(1, 1)] = np.ones(good[::-1])
+        elif defect == "missing map":
+            del maps[(1, 2)]
+        elif defect == "stray key":
+            maps[(9, 9)] = np.ones(good)
+        elif defect == "stray wrong shape":
+            maps[(9, 9)] = np.ones(good[::-1])
+        elif defect == "not 2-d":
+            maps[(1, 1)] = np.ones(8)
+        elif defect in ("nan", "inf"):
+            maps[(2, 1)][0, 0] = float(defect)
+        elif defect == "horizon 2":
+            horizon = 2
+    message = DEFECT_TEXTS[PRECEDENCE[defects]].format(
+        name=name, noun=noun, rows=good[0], cols=good[1])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(horizon, maps)
+
+
 @pytest.mark.parametrize("cls, good", [(SubproductSystem, (4, 2)), (GradedAlgebra, (2, 4))])
 @pytest.mark.parametrize("key", [(9, 9), (0, 1), (1, 0), (2, 2), (-1, 3)])
 def test_a_map_outside_the_horizon_is_refused(cls, good, key):
