@@ -13,7 +13,7 @@ from .identity import quad_coeffs
 from .tensorlinalg import (
     COLLINEAR_TOL, DEFAULT_EPS, DET_FORM, DISTINCT_TOL, FRAME_TOL, I2, Subspace, annihilator,
     as_cvec, factor_rank_one, intersect, kron, loose_tol, normalize_projective,
-    projective_cross, residual_tol, roots_binary_quadratic,
+    projective_cross, require_finite, residual_tol, roots_binary_quadratic,
 )
 
 LABELS = ("C1", "C2", "C3", "C4", "C5")
@@ -127,7 +127,8 @@ def _normal_form_rank1(plane, g, loose):
     x1, x2 = factors
     y1c = _completion(x1)
     y2c = _completion(x2)
-    frame = np.column_stack([kron(x1, x2), kron(x1, y2c), kron(y1c, x2), kron(y1c, y2c)])
+    # columns x1 (x) x2, x1 (x) y2c, y1c (x) x2, y1c (x) y2c
+    frame = kron(np.column_stack([x1, y1c]), np.column_stack([x2, y2c]))
     alpha, beta, gamma, delta = np.linalg.solve(frame, xi)
     scale = max(abs(beta), abs(gamma))
     if scale <= loose or abs(delta) > loose * max(1.0, scale):
@@ -356,6 +357,18 @@ def canonical_beta(c: TripleClass, s: int) -> np.ndarray:
     else:  # C5
         b[1, 1] = 1
     return b
+
+
+def canonical_maps(c: TripleClass, horizon: int) -> np.ndarray:
+    """The read-only (horizon - 1, 4, 2) stack of canonical_beta(c, s) for s =
+    1..horizon-1: every map of the canonical system, which repeats maps[s - 1]
+    for each t.  ValueError for a horizon below 3 or a non-finite entry;
+    OverflowError when lambda^s overflows."""
+    if horizon < 3:
+        raise ValueError("horizon must be at least 3")
+    maps = np.array([canonical_beta(c, s) for s in range(1, horizon)])
+    require_finite(maps).setflags(write=False)
+    return maps
 
 
 def canonical_triple(c: TripleClass, eps: float = DEFAULT_EPS) -> Triple:

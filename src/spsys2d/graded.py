@@ -194,10 +194,10 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
                  noun: str) -> tuple:
     """The per-pair maps of a system or graded algebra, copied once into a
     read-only complex (P, *shape) stack in `degree_index(horizon).pairs`
-    order, and a dict of per-pair views into it.  ValueError for a horizon
-    below 3, a stray (s, t) (every key must have 1 <= s, t and s + t <=
-    horizon), a map that is not 2-d or has the wrong shape, a missing map, or
-    a non-finite entry, checked in that order."""
+    order, and a read-only mapping of per-pair views into it.  ValueError
+    for a horizon below 3, a stray (s, t) (every key must have 1 <= s, t and
+    s + t <= horizon), a map that is not 2-d or has the wrong shape, a
+    missing map, or a non-finite entry, checked in that order."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
     idx = degree_index(horizon)
@@ -219,7 +219,7 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
         s, t = idx.pairs[filled.index(False)]
         raise ValueError(f"missing {noun} {name}[{s},{t}]")
     require_finite(stack).setflags(write=False)
-    return stack, dict(zip(idx.pairs, stack))
+    return stack, MappingProxyType(dict(zip(idx.pairs, stack)))
 
 
 def stack_maps(maps: dict, keys) -> np.ndarray:
@@ -253,7 +253,8 @@ class GradedAlgebra:
     """Multiplication maps M[s, t]: 2x4 matrices for s + t <= horizon.
 
     `stack` holds every map, read-only, in `degree_index(horizon).pairs`
-    order; M[s, t] is a view into it."""
+    order; `M` is a read-only mapping whose M[s, t] is a view into it.  A
+    copy or unpickled instance is rebuilt through the constructor."""
 
     horizon: int
     M: dict = field(repr=False)
@@ -263,6 +264,9 @@ class GradedAlgebra:
         stack, maps = checked_maps(self.horizon, self.M, "M", (2, 4), "multiplication map")
         object.__setattr__(self, "M", maps)
         object.__setattr__(self, "stack", stack)
+
+    def __reduce__(self):
+        return type(self), (self.horizon, dict(self.M))
 
     def index_pairs(self):
         return iter(degree_index(self.horizon).pairs)
@@ -297,8 +301,8 @@ def twist(g: GradedAlgebra, f, eps: float = DEFAULT_EPS) -> GradedAlgebra:
     """The twisted algebra with product (x, y) -> x f_t^s(y); `f` gives f_t
     as a callable or a mapping of t."""
     levels = {t: as_cmat(f(t) if callable(f) else f[t]) for t in range(1, g.horizon + 1)}
-    sv = np.linalg.svd(stack_maps(levels, range(1, g.horizon + 1)), compute_uv=False)
-    singular = np.flatnonzero(rank_deficient(sv, eps))
+    singular = np.flatnonzero(
+        singular_levels(stack_maps(levels, range(1, g.horizon + 1)), eps))
     if singular.size:
         raise NotAutomorphismError(f"level-{singular[0] + 1} map is not invertible")
     residual = max(GradedMorphism(source=g, target=g, theta=levels).level_residuals().values())
@@ -397,8 +401,10 @@ def extend_levels(theta1, left, maps) -> np.ndarray:
     system iso (maps = beta[1, .], left = left inverses of the target's)."""
     theta = np.empty((len(maps) + 1, 2, 2), dtype=complex)
     theta[0] = theta1
+    t1 = theta[0][:, None, :, None]  # theta_1 (x) theta_{n-1} as `kron` forms it
     for n in range(2, len(theta) + 1):
-        theta[n - 1] = left[n - 2] @ kron(theta1, theta[n - 2]) @ maps[n - 2]
+        t1_tn = (t1 * theta[n - 2][None, :, None, :]).reshape(4, 4)
+        theta[n - 1] = left[n - 2] @ t1_tn @ maps[n - 2]
     return theta
 
 
@@ -419,10 +425,14 @@ class GradedMorphism:
         return dict(zip(degree_index(h).pairs, np.abs(lhs - rhs).max(axis=(1, 2)).tolist()))
 
 
+def singular_levels(levels: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Per level of an (h, 2, 2) stack, True where the map has lost rank."""
+    return rank_deficient(np.linalg.svd(levels, compute_uv=False), eps)
+
+
 def has_singular_level(theta: dict, horizon: int, eps: float = DEFAULT_EPS) -> bool:
     """True when some level map theta[1..horizon] has lost rank."""
-    levels = stack_maps(theta, range(1, horizon + 1))
-    return bool(rank_deficient(np.linalg.svd(levels, compute_uv=False), eps).any())
+    return bool(singular_levels(stack_maps(theta, range(1, horizon + 1)), eps).any())
 
 
 def is_isomorphism(m: GradedMorphism, eps: float = DEFAULT_EPS) -> bool:

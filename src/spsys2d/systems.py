@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (Classification, Triple, TripleClass, canonical_beta, check_label,
+from .classify import (Classification, Triple, TripleClass, canonical_maps, check_label,
                        classify_plane)
-from .graded import (GradedAlgebra, checked_maps, degree_index, extend_levels,
-                     has_singular_level, intertwining, stack_maps, triple_residuals)
+from .graded import (GradedAlgebra, checked_maps, degree_index, extend_levels, intertwining,
+                     singular_levels, stack_maps, triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
                            residual_tol)
 
@@ -52,7 +52,8 @@ class SubproductSystem:
     """beta[s, t] is the 4x2 map E_{s+t} -> E_s (x) E_t, for s + t <= horizon.
 
     `stack` holds every map, read-only, in `degree_index(horizon).pairs`
-    order; beta[s, t] is a view into it."""
+    order; `beta` is a read-only mapping whose beta[s, t] is a view into it.
+    A copy or unpickled instance is rebuilt through the constructor."""
 
     horizon: int
     beta: dict = field(repr=False)
@@ -62,6 +63,9 @@ class SubproductSystem:
         stack, beta = checked_maps(self.horizon, self.beta, "beta", (4, 2), "map")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "stack", stack)
+
+    def __reduce__(self):
+        return type(self), (self.horizon, dict(self.beta))
 
     def index_pairs(self):
         return iter(degree_index(self.horizon).pairs)
@@ -91,22 +95,29 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
         raise ValueError(f"source horizon {src.horizon} and target horizon "
                          f"{dst.horizon} differ")
     theta = stack_maps(iso.theta, range(1, src.horizon + 1))
-    lhs, rhs = intertwining(theta, src.stack, dst.stack)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
-                                       np.abs(rhs).max(axis=(1, 2))))
-    residuals = np.abs(lhs - rhs).max(axis=(1, 2)) / scale
+    residuals = relative_residuals(theta, src.stack, dst.stack)
     return dict(zip(degree_index(src.horizon).pairs, residuals.tolist()))
 
 
+def relative_residuals(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The residuals of `iso_residuals` in pairs order, for the (h, 2, 2)
+    stack theta and the two systems' (P, 4, 2) stacks."""
+    lhs, rhs = intertwining(theta, src, dst)
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
+                                       np.abs(rhs).max(axis=(1, 2))))
+    return np.abs(lhs - rhs).max(axis=(1, 2)) / scale
+
+
+def _triple_class(label: SystemLabel) -> TripleClass:
+    return TripleClass(_SYSTEM_TO_TRIPLE[label.label], label.lam)
+
+
 def canonical_system(label: SystemLabel, horizon: int = 6) -> SubproductSystem:
-    """The canonical representative of each isomorphism class."""
-    c = TripleClass(_SYSTEM_TO_TRIPLE[label.label], label.lam)
-    beta = {}
-    for s in range(1, horizon):
-        bs = canonical_beta(c, s)
-        for t in range(1, horizon - s + 1):
-            beta[(s, t)] = bs
-    return SubproductSystem(horizon=horizon, beta=beta)
+    """The canonical representative of each isomorphism class: beta[s, t] =
+    `canonical_maps`[s - 1] for every t."""
+    maps = canonical_maps(_triple_class(label), horizon)
+    return SubproductSystem(horizon, {(s, t): bs for s, bs in enumerate(maps, 1)
+                                      for t in range(1, horizon - s + 1)})
 
 
 @dataclass(frozen=True)
@@ -183,35 +194,35 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     (theta_1 (x) theta_{n-1}) beta[1, n-1] = beta_can[1, n-1] theta_n.  The
     canonical beta_can[1, t] is injective and the same for every t, so one
     left inverse L of beta_can[1, 1] solves all levels (`extend_levels`).  The
-    level maps must be invertible, and the result is certified once with
-    `iso_residuals` against the canonical system; the result keeps them and
-    the plane's rank.  That certificate covers every pair, so E3 is not
-    checked separately.
+    level maps must be invertible, and they are certified once by the rule of
+    `iso_residuals`, against beta_can[s, t] = `canonical_maps`[s - 1] (no
+    canonical system is built); the result keeps them and the plane's rank.
+    That certificate covers every pair, so E3 is not checked separately.
     """
     report = check_axioms(sys, eps)
     if not report.passed:
         raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
-    e2 = Subspace.from_spanning(sys.beta[(1, 1)], eps=eps)
+    e2 = Subspace.from_spanning(sys.stack[0], eps=eps)  # beta[1, 1]
     try:
         plane = classify_plane(e2, eps)
     except ValueError as exc:
         raise ClassifyStageError("classify-triple", str(exc)) from exc
     label = SystemLabel.from_triple_class(plane.label)
 
-    canonical = canonical_system(label, sys.horizon)
-    left = np.linalg.pinv(canonical.beta[(1, 1)])
+    h, idx = sys.horizon, degree_index(sys.horizon)
+    maps = canonical_maps(plane.label, h)
+    left = np.linalg.pinv(maps[0])
     # beta[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
-    levels = extend_levels(plane.iso.theta, [left] * (sys.horizon - 1),
-                           sys.stack[:sys.horizon - 1])
-    theta = dict(enumerate(levels, 1))
-    if has_singular_level(theta, sys.horizon, eps):
+    theta = extend_levels(plane.iso.theta, [left] * (h - 1), sys.stack[:h - 1])
+    if singular_levels(theta, eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
-    iso = SystemIso(theta=theta)
-    residuals = iso_residuals(sys, canonical, iso)
+    target = maps[idx.levels[:, 0] - 1]  # beta_can[s, t] = maps[s - 1]
+    residuals = dict(zip(idx.pairs, relative_residuals(theta, sys.stack, target).tolist()))
     worst = max(residuals.values())
     if worst > residual_tol(eps):
         raise ClassifyStageError(
             "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
+    iso = SystemIso(theta=dict(enumerate(theta, 1)))
     return Classification(label, iso, plane.rank, plane.rank_margin, residuals)
 
 
@@ -223,7 +234,7 @@ def random_system(label: SystemLabel, seed: int, horizon: int = 6,
     fixed seed, and classifies back to `label`.
     """
     rng = np.random.default_rng(seed)
-    base = canonical_system(label, horizon)
+    maps = canonical_maps(_triple_class(label), horizon)
     g = np.empty((horizon, 2, 2), dtype=complex)  # g[t - 1] is g_t
     for t in range(horizon):
         while True:
@@ -233,5 +244,5 @@ def random_system(label: SystemLabel, seed: int, horizon: int = 6,
                 break
     idx = degree_index(horizon)
     s, t = idx.levels.T
-    beta = kron(g[s - 1], g[t - 1]) @ base.stack @ np.linalg.inv(g)[s + t - 1]
+    beta = kron(g[s - 1], g[t - 1]) @ maps[s - 1] @ np.linalg.inv(g)[s + t - 1]
     return SubproductSystem(horizon=horizon, beta=dict(zip(idx.pairs, beta)))
