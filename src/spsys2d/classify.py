@@ -5,15 +5,17 @@ triples into the five canonical families C1..C5 with an explicit isomorphism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .identity import quad_coeffs
 from .tensorlinalg import (
-    COLLINEAR_TOL, DEFAULT_EPS, DET_FORM, DISTINCT_TOL, FRAME_TOL, I2, Subspace, annihilator,
-    as_cvec, factor_rank_one, intersect, kron, loose_tol, normalize_projective,
-    projective_cross, require_finite, residual_tol, roots_binary_quadratic,
+    COLLINEAR_TOL, DEFAULT_EPS, DISTINCT_TOL, FRAME_TOL, I2, Subspace, _binary_roots, _cross,
+    _factor, _norm, _projective, _real_peak, _unit, annihilator, det_bilinear, intersect, kron,
+    loose_tol, normalize_projective, projective_cross, require_finite, residual_tol,
+    roots_binary_quadratic, singular_values2,
 )
 
 LABELS = ("C1", "C2", "C3", "C4", "C5")
@@ -28,22 +30,28 @@ class ChainUnclassifiedError(ValueError):
 
 
 def _collinear(u, v, tol: float) -> bool:
-    return projective_cross(u, v) <= tol
+    return _cross(u, v) <= tol
 
 
-def _completion(x: np.ndarray) -> np.ndarray:
+def _completion(x) -> tuple:
     """A unit vector spanning the orthogonal complement of x in C^2."""
-    x = as_cvec(x)
-    x = x / np.linalg.norm(x)
-    y = np.array([-np.conj(x[1]), np.conj(x[0])], dtype=complex)
-    return y
+    x0, x1 = _unit(x)
+    return (-x1.conjugate(), x0.conjugate())
+
+
+def _plane_form(plane: Subspace) -> tuple:
+    """The basis columns u, v of a plane in C^4, as lists of Python complex,
+    and the determinant form restricted to it, (g00, g01, g11)."""
+    if plane.ambient_dim != 4 or plane.dim != 2:
+        raise ValueError("expected a 2-dim plane in a 4-dim ambient space")
+    u, v = plane.basis.T.tolist()
+    return u, v, (det_bilinear(u, u), det_bilinear(u, v), det_bilinear(v, v))
 
 
 def restricted_form_matrix(plane: Subspace) -> np.ndarray:
     """2x2 symmetric matrix of the determinant form restricted to the plane."""
-    if plane.ambient_dim != 4 or plane.dim != 2:
-        raise ValueError("expected a 2-dim plane in a 4-dim ambient space")
-    return plane.basis.T @ DET_FORM @ plane.basis
+    _, _, (g00, g01, g11) = _plane_form(plane)
+    return np.array([[g00, g01], [g01, g11]])
 
 
 def rank_of_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> int:
@@ -54,16 +62,16 @@ def rank_of_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> int:
 def rank_with_margin(plane: Subspace, eps: float = DEFAULT_EPS):
     """Rank plus a confidence margin: ratio of the borderline singular value
     to the decision threshold (values near 1 mean a shaky rank call)."""
-    return _form_rank(restricted_form_matrix(plane), eps)
+    return _form_rank(_plane_form(plane)[2], eps)
 
 
-def _form_rank(g: np.ndarray, eps: float):
-    s = np.linalg.svd(g, compute_uv=False)
+def _form_rank(g: tuple, eps: float):
+    s = singular_values2(g[0], g[1], g[1], g[2])
     # orthonormal basis bounds the form entries by 1, so an absolute scale works
-    thr = eps * max(1.0, float(s[0]))
-    rank = int(np.sum(s > thr))
-    ratios = [sv / thr for sv in s if sv > 0]
-    margin = min((max(r, 1 / r) for r in ratios), default=np.inf)
+    thr = eps * max(1.0, s[0])
+    rank = sum(sv > thr for sv in s)
+    ratios = [sv / thr if thr else math.inf for sv in s if sv > 0]
+    margin = min((max(r, 1 / r) if r else math.inf for r in ratios), default=math.inf)
     return rank, float(margin)
 
 
@@ -85,30 +93,53 @@ class PlaneNormalForm:
 
 
 def plane_normal_form(plane: Subspace, eps: float = DEFAULT_EPS) -> PlaneNormalForm:
-    g = restricted_form_matrix(plane)
-    return _normal_form(plane, g, *_form_rank(g, eps), eps)
+    u, v, g = _plane_form(plane)
+    rank, margin = _form_rank(g, eps)
+    return _as_normal_form(rank, margin, _normal_form(u, v, g, rank, eps))
 
 
-def _normal_form(plane, g, rank, margin, eps) -> PlaneNormalForm:
-    """The normal form of a plane whose restricted form g has this rank."""
+def _as_normal_form(rank, margin, bases) -> PlaneNormalForm:
+    """The PlaneNormalForm of `_normal_form`'s scalar bases."""
+    (x1, y1), (x2, y2), tag = bases
+    arrays = [np.array(z, dtype=complex) for z in (x1, y1, x2, y2)]
+    return PlaneNormalForm(rank, tuple(arrays[:2]), tuple(arrays[2:]), tag, margin=margin)
+
+
+def _normal_form(u, v, g, rank, eps) -> tuple:
+    """((x1, y1), (x2, y2), case_tag) of the normal form of span{u, v}, whose
+    restricted form g has this rank, as tuples of Python complex."""
     loose = loose_tol(eps)
     if rank == 2:
-        bases = _normal_form_rank2(plane, g, eps, loose)
-    elif rank == 1:
-        bases = _normal_form_rank1(plane, g, loose)
-    else:
-        bases = _normal_form_rank0(plane, loose)
-    return PlaneNormalForm(rank, *bases, margin=margin)
+        return (*_normal_form_rank2(u, v, g, eps, loose), None)
+    if rank == 1:
+        return (*_normal_form_rank1(u, v, g, loose), None)
+    return _normal_form_rank0(u, v, loose)
 
 
-def _normal_form_rank2(plane, g, eps, loose):
-    roots = roots_binary_quadratic(g[0, 0], 2 * g[0, 1], g[1, 1], eps)
-    if roots.identically_zero or len(roots.roots) != 2:
+def _combine(u, v, ab) -> tuple:
+    """a u + b v for the coordinates ab = (a, b) in the basis (u, v)."""
+    a, b = ab
+    return tuple(a * ui + b * vi for ui, vi in zip(u, v))
+
+
+def _vdot(a, b) -> complex:
+    """np.vdot of two 2-vectors: conj(a0) b0 + conj(a1) b1."""
+    return a[0].conjugate() * b[0] + a[1].conjugate() * b[1]
+
+
+def _inner(a, b, w) -> complex:
+    """<a (x) b, w> = conj(a)^T W conj(b), W the 2x2 reshape of w."""
+    a0, a1, b0, b1 = a[0].conjugate(), a[1].conjugate(), b[0].conjugate(), b[1].conjugate()
+    return a0 * (b0 * w[0] + b1 * w[1]) + a1 * (b0 * w[2] + b1 * w[3])
+
+
+def _normal_form_rank2(u, v, g, eps, loose):
+    roots = _binary_roots(g[0], 2 * g[1], g[2], eps)
+    if roots is None or len(roots) != 2:
         raise NotSubproductTripleError("restricted form is degenerate at rank 2")
     products = []
-    for ab in roots.roots:
-        w = plane.basis @ ab
-        factors = factor_rank_one(w, loose)
+    for ab in roots:
+        factors = _factor(_combine(u, v, ab), loose)
         if factors is None:
             raise NotSubproductTripleError("isotropic direction failed the rank-1 test")
         products.append(factors)
@@ -116,42 +147,45 @@ def _normal_form_rank2(plane, g, eps, loose):
     return (x1, y1), (x2, y2)
 
 
-def _normal_form_rank1(plane, g, loose):
-    u, s, vh = np.linalg.svd(g)
-    # kernel direction of the restricted form = the unique product direction
-    psi = plane.basis @ vh[1].conj()
-    xi = plane.basis @ vh[0].conj()
-    factors = factor_rank_one(psi, loose)
+def _normal_form_rank1(u, v, g, loose):
+    # kernel direction of the restricted form = the unique product direction;
+    # for a rank-1 symmetric g both candidates span it, the larger is kept
+    k = _unit(max((g[2], -g[1]), (-g[1], g[0]), key=_norm))
+    psi = _combine(u, v, k)
+    xi = _combine(u, v, (-k[1].conjugate(), k[0].conjugate()))  # orthogonal to psi
+    factors = _factor(psi, loose)
     if factors is None:
         raise NotSubproductTripleError("rank-1 product direction failed the rank-1 test")
     x1, x2 = factors
     y1c = _completion(x1)
     y2c = _completion(x2)
-    # columns x1 (x) x2, x1 (x) y2c, y1c (x) x2, y1c (x) y2c
-    frame = kron(np.column_stack([x1, y1c]), np.column_stack([x2, y2c]))
-    alpha, beta, gamma, delta = np.linalg.solve(frame, xi)
+    # the frame x1 (x) x2, x1 (x) y2c, y1c (x) x2, y1c (x) y2c is orthogonal,
+    # since y_i is orthogonal to x_i, so xi's coordinates in it are
+    # projections; x2 (the y of `_factor`) and both completions are unit
+    n1 = _norm(x1)
+    beta = _inner(x1, y2c, xi) / (n1 * n1)
+    gamma = _inner(y1c, x2, xi)
+    delta = _inner(y1c, y2c, xi)
     scale = max(abs(beta), abs(gamma))
     if scale <= loose or abs(delta) > loose * max(1.0, scale):
         raise NotSubproductTripleError("plane does not fit the rank-1 normal form")
-    return (x1, gamma * y1c), (x2, beta * y2c)
+    return (x1, tuple(gamma * z for z in y1c)), (x2, tuple(beta * z for z in y2c))
 
 
-def _normal_form_rank0(plane, loose):
-    b1 = plane.basis[:, 0]
-    b2 = plane.basis[:, 1]
-    f1 = factor_rank_one(b1, loose)
-    f2 = factor_rank_one(b2, loose)
+def _normal_form_rank0(u, v, loose):
+    f1 = _factor(u, loose)
+    f2 = _factor(v, loose)
     if f1 is None or f2 is None:
         raise NotSubproductTripleError("rank-0 plane contains a non-product vector")
     (u1, v1), (u2, v2) = f1, f2
-    left_score = projective_cross(v1, v2)  # second factors collinear
-    right_score = projective_cross(u1, u2)  # first factors collinear
+    left_score = _cross(v1, v2)  # second factors collinear
+    right_score = _cross(u1, u2)  # first factors collinear
     if min(left_score, right_score) > loose:
         raise NotSubproductTripleError("rank-0 plane is not of the left or right form")
     if left_score <= right_score:
-        x2 = normalize_projective(v1)
+        x2 = _projective(v1, DEFAULT_EPS)
         return (u1, u2), (x2, _completion(x2)), "left"
-    x1 = normalize_projective(u1)
+    x1 = _projective(u1, DEFAULT_EPS)
     return (x1, _completion(x1)), (v1, v2), "right"
 
 
@@ -381,11 +415,17 @@ def canonical_triple(c: TripleClass, eps: float = DEFAULT_EPS) -> Triple:
     )
 
 
-def _theta_from_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    frame = np.column_stack([x, y])
-    if abs(np.linalg.det(frame)) < FRAME_TOL * np.linalg.norm(frame) ** 2:
+def _theta_from_columns(x, y) -> tuple:
+    """The inverse of the frame with columns x, y, as rows of Python complex;
+    refused when |det| < FRAME_TOL times the frame's squared Frobenius norm.
+    Each column is first fixed by `_real_peak`, so theta_1 does not depend on
+    the phases of the plane's basis (LAPACK's choice)."""
+    x, y = _real_peak(x), _real_peak(y)
+    det = x[0] * y[1] - y[0] * x[1]
+    n = _norm((x[0], x[1], y[0], y[1]))
+    if det == 0 or abs(det) < FRAME_TOL * n * n:
         raise NotSubproductTripleError("degenerate basis while building theta")
-    return np.linalg.inv(frame)
+    return (y[1] / det, -y[0] / det), (-x[1] / det, x[0] / det)
 
 
 def _verify_iso(t: Triple, cls: TripleClass, iso: TripleIso, eps: float) -> None:
@@ -408,13 +448,15 @@ def _verify_iso(t: Triple, cls: TripleClass, iso: TripleIso, eps: float) -> None
 
 def classify_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> Classification:
     """The class C1..C5, lambda and theta_1 read from the normal form of the
-    plane E2 alone, with its rank and margin; nothing about E3 is checked."""
-    nf = plane_normal_form(plane, eps)
+    plane E2 alone, with its rank and margin; nothing about E3 is checked.
+    The read is closed-form arithmetic on Python complex scalars, and
+    theta_1 follows the phase rule of `_theta_from_columns`."""
+    u, v, g = _plane_form(plane)
+    rank, margin = _form_rank(g, eps)
+    (x1, y1), (x2, y2), case_tag = _normal_form(u, v, g, rank, eps)
     loose = loose_tol(eps)
 
-    if nf.rank == 2:
-        x1, y1 = nf.basis1
-        x2, y2 = nf.basis2
+    if rank == 2:
         if _collinear(x1, x2, loose) and _collinear(y1, y2, loose):
             cls = TripleClass("C1")
             theta = _theta_from_columns(x1, y1)
@@ -425,34 +467,33 @@ def classify_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> Classification:
             raise NotSubproductTripleError(
                 "rank-2 product directions pair neither straight nor crossed"
             )
-    elif nf.rank == 1:
-        x1, y1 = nf.basis1
-        x2, y2 = nf.basis2
+    elif rank == 1:
         if not _collinear(x1, x2, loose):
             raise NotSubproductTripleError(
                 "rank-1 product direction does not have identical factors"
             )
-        x = x1 / np.linalg.norm(x1)
+        x = _unit(x1)
         theta = _theta_from_columns(x, _completion(x))
         # x2 = c x1, so modulo x (x) x the plane's second vector y1 (x) x2 +
         # x1 (x) y2 is c b1 y (x) x + b2 x (x) y, with b = the y-coordinates
-        c = np.vdot(x1, x2) / np.vdot(x1, x1)
-        yx_coeff = c * (theta @ y1)[1]
-        xy_coeff = (theta @ y2)[1]
+        c = _vdot(x1, x2) / _vdot(x1, x1)
+        row = theta[1]  # (theta @ y)[1], the y-coordinate
+        yx_coeff = c * (row[0] * y1[0] + row[1] * y1[1])
+        xy_coeff = row[0] * y2[0] + row[1] * y2[1]
         if abs(yx_coeff) <= loose * abs(xy_coeff):
             raise NotSubproductTripleError("rank-1 plane lambda is unbounded")
         cls = TripleClass("C3", complex(xy_coeff / yx_coeff))
     else:
-        if nf.case_tag == "left":
+        if case_tag == "left":
             cls = TripleClass("C4")
-            x = nf.basis2[0]
+            x = x2
         else:
             cls = TripleClass("C5")
-            x = nf.basis1[0]
-        x = x / np.linalg.norm(x)
+            x = x1
+        x = _unit(x)
         theta = _theta_from_columns(x, _completion(x))
 
-    return Classification(cls, TripleIso(theta=theta), nf.rank, nf.margin)
+    return Classification(cls, TripleIso(theta=np.array(theta, dtype=complex)), rank, margin)
 
 
 def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
@@ -501,7 +542,7 @@ def chain_normal_form(L12: Subspace, L23: Subspace, L123: Subspace,
     if L123.ambient_dim != 8 or L123.dim != 2:
         raise ValueError("L123 must be a 2-dim subspace of the 8-dim space")
     _check_chain_inclusions(L12, L23, L123, eps)
-    g12 = restricted_form_matrix(L12)
+    u, v, g12 = _plane_form(L12)
     r12, margin12 = _form_rank(g12, eps)
     r23 = rank_of_plane(L23, eps)
     if r12 == 0 or r23 == 0:
@@ -510,7 +551,7 @@ def chain_normal_form(L12: Subspace, L23: Subspace, L123: Subspace,
         )
     if r23 != r12:
         raise NotSubproductTripleError(f"rank-{r12} chain forces rank L23 = {r12}")
-    nf12 = _normal_form(L12, g12, r12, margin12, eps)
+    nf12 = _as_normal_form(r12, margin12, _normal_form(u, v, g12, r12, eps))
     return (_chain_rank2 if r12 == 2 else _chain_rank1)(nf12, L123, eps)
 
 

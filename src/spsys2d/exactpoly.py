@@ -8,6 +8,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -214,13 +215,11 @@ def evaluate_batch(poly: Polynomial, assignments: np.ndarray) -> np.ndarray:
     n = assignments.shape[0]
     if poly.is_zero() or n == 0:
         return np.zeros(n, dtype=np.int64)
-    items = list(poly._terms.items())
+    weight, degree = _weight_and_degree(poly)
     xmax = max(int(assignments.max()), -int(assignments.min()), 1)
-    bound = sum(abs(c) for _, c in items) * xmax ** poly.degree()
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = np.int64 if weight * xmax ** degree < 2**63 else object
     assignments = assignments.astype(dtype, copy=False)
-    exps = np.array([e for e, _ in items], dtype=dtype)  # (t, 16)
-    coeffs = np.array([c for _, c in items], dtype=dtype)  # (t,)
+    exps, coeffs = _compiled(poly, dtype)  # (t, 16) and (t,)
     values = np.tile(coeffs, (n, 1))  # (n, t)
     for j in range(NVARS):
         ej = exps[:, j]
@@ -228,6 +227,27 @@ def evaluate_batch(poly: Polynomial, assignments: np.ndarray) -> np.ndarray:
             continue
         values *= assignments[:, j][:, None] ** ej[None, :]
     return values.sum(axis=1)
+
+
+# a Polynomial is hashable and never mutated, so what evaluate_batch derives
+# from it is cached; the dtype follows the overflow bound, so it is in the key
+
+
+@functools.lru_cache(maxsize=256)
+def _weight_and_degree(poly: Polynomial) -> tuple:
+    """sum |c| over the terms, and the total degree."""
+    return sum(abs(c) for c in poly._terms.values()), poly.degree()
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(poly: Polynomial, dtype) -> tuple:
+    """The read-only exponent (t, 16) and coefficient (t,) arrays of the
+    terms, in `dtype`."""
+    exps = np.array(list(poly._terms), dtype=dtype).reshape(-1, NVARS)
+    coeffs = np.array(list(poly._terms.values()), dtype=dtype)
+    for a in (exps, coeffs):
+        a.setflags(write=False)
+    return exps, coeffs
 
 
 class SymMatrix:

@@ -168,11 +168,16 @@ class DegreeIndex:
     r_st: np.ndarray = field(repr=False)
 
 
+def _pairs(horizon: int):
+    """The degree pairs (s, t), s + t <= horizon, in nested-loop order."""
+    return ((s, t) for s in range(1, horizon) for t in range(1, horizon - s + 1))
+
+
 @functools.lru_cache(maxsize=16)
 def degree_index(horizon: int) -> DegreeIndex:
     """The DegreeIndex of a horizon (cached; its arrays and `position` are
     read-only)."""
-    pairs = tuple((s, t) for s in range(1, horizon) for t in range(1, horizon - s + 1))
+    pairs = tuple(_pairs(horizon))
     triples = tuple((r, s, t) for r in range(1, horizon - 1)
                     for s in range(1, horizon - r)
                     for t in range(1, horizon - r - s + 1))
@@ -200,10 +205,9 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
     missing map, or a non-finite entry, checked in that order."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
-    idx = degree_index(horizon)
-    stack = np.empty((len(idx.pairs),) + shape, dtype=complex)
-    filled = [False] * len(idx.pairs)
-    for (s, t), m in maps.items():
+    arrays = {}
+    for key, m in maps.items():
+        s, t = key
         if s < 1 or t < 1 or s + t > horizon:
             raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
         m = np.asarray(m, dtype=complex)
@@ -211,13 +215,15 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
             raise ValueError("expected a 2-d array")
         if m.shape != shape:
             raise ValueError(f"{name}[{s},{t}] must be {shape[0]}x{shape[1]}")
-        i = idx.position.get((s, t))
-        if i is not None:  # a non-integral degree is no pair and is dropped
-            stack[i] = m
-            filled[i] = True
-    if not all(filled):
-        s, t = idx.pairs[filled.index(False)]
-        raise ValueError(f"missing {noun} {name}[{s},{t}]")
+        arrays[key] = m  # a non-integral degree is no pair and is never read
+    try:  # stops at the first missing pair, among the first len(maps) + 1,
+        # before `degree_index` enumerates the O(horizon^3) triples
+        ordered = [arrays[p] for p in _pairs(horizon)]
+    except KeyError as exc:
+        s, t = exc.args[0]
+        raise ValueError(f"missing {noun} {name}[{s},{t}]") from None
+    idx = degree_index(horizon)
+    stack = np.array(ordered)
     require_finite(stack).setflags(write=False)
     return stack, MappingProxyType(dict(zip(idx.pairs, stack)))
 
@@ -395,6 +401,18 @@ def intertwining(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
     return lhs, matmul2(dst, theta[s + t - 1])
 
 
+def relative_residuals(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The relative residual of each pair, in pairs order, for the (h, 2, 2)
+    stack theta and two systems' (P, 4, 2) stacks: the max defect of
+    `intertwining` scaled by max(1, the largest |entry| of either side).
+    The one residual rule of `systems.iso_residuals`, `classify_system` and
+    `extend_morphism`."""
+    lhs, rhs = intertwining(theta, src, dst)
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
+                                       np.abs(rhs).max(axis=(1, 2))))
+    return np.abs(lhs - rhs).max(axis=(1, 2)) / scale
+
+
 def extend_levels(theta1, left, maps) -> np.ndarray:
     """The (h, 2, 2) stack theta_1..theta_h, h = len(maps) + 1, with theta_n =
     left[n-2] (theta_1 (x) theta_{n-1}) maps[n-2]: the level recursion of a
@@ -447,7 +465,8 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     checked.  theta_n M_A[1, n-1] = M_B[1, n-1] (theta_1 (x) theta_{n-1}),
     transposed, is `extend_levels` from the dual of gB onto that of gA.  Right
     inverses default to the minimum-norm choice, or are randomized with `rng`
-    (the result is the same either way, which is tested).
+    (the result is the same either way, which is tested).  The result is
+    certified on every pair by the rule of `relative_residuals`.
     """
     if gA.horizon != gB.horizon:
         raise MorphismError("source and target horizons differ")
@@ -477,4 +496,10 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     if bad.size:
         raise NotExtendableError(
             f"theta_{bad[0] + 3} is not well defined (kernel leak {leak[bad[0]]})")
+    # the recursion reads only the pairs (1, t); certify every pair, as the
+    # system iso theta^T from the dual of gB onto the dual of gA
+    worst = relative_residuals(theta.transpose(0, 2, 1), gB.stack.transpose(0, 2, 1),
+                               gA.stack.transpose(0, 2, 1)).max()
+    if worst > residual_tol(eps):
+        raise MorphismError(f"level maps fail to intertwine (residual {worst:.3g})")
     return GradedMorphism(source=gA, target=gB, theta=dict(enumerate(theta, 1)))

@@ -14,8 +14,8 @@ import numpy as np
 
 from .classify import (Classification, Triple, TripleClass, canonical_maps, check_label,
                        classify_plane)
-from .graded import (GradedAlgebra, checked_maps, degree_index, extend_levels, intertwining,
-                     singular_levels, stack_maps, triple_residuals)
+from .graded import (GradedAlgebra, checked_maps, degree_index, extend_levels,
+                     relative_residuals, singular_levels, stack_maps, triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
                            residual_tol)
 
@@ -97,15 +97,6 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
     theta = stack_maps(iso.theta, range(1, src.horizon + 1))
     residuals = relative_residuals(theta, src.stack, dst.stack)
     return dict(zip(degree_index(src.horizon).pairs, residuals.tolist()))
-
-
-def relative_residuals(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The residuals of `iso_residuals` in pairs order, for the (h, 2, 2)
-    stack theta and the two systems' (P, 4, 2) stacks."""
-    lhs, rhs = intertwining(theta, src, dst)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
-                                       np.abs(rhs).max(axis=(1, 2))))
-    return np.abs(lhs - rhs).max(axis=(1, 2)) / scale
 
 
 def _triple_class(label: SystemLabel) -> TripleClass:

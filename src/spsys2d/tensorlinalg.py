@@ -9,6 +9,8 @@ all functions are pure.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,14 +121,7 @@ def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def normalize_projective(v: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Scale so the largest-magnitude coordinate equals 1 (ties: lower index)."""
-    v = as_cvec(v)
-    mags = np.abs(v)
-    peak = mags.max()
-    if peak == 0:
-        raise ValueError("cannot normalize the zero vector")
-    # lowest index among coordinates within eps of the peak magnitude
-    idx = int(np.nonzero(mags >= peak * (1 - eps))[0][0])
-    return v / v[idx]
+    return np.array(_projective(as_cvec(v).tolist(), eps), dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +256,15 @@ def subspace_sum(s1: Subspace, s2: Subspace, eps: float = DEFAULT_EPS) -> Subspa
     )
 
 
-# the determinant form on C^4 as a symmetric matrix: quad_form_A(v) = v0 v3 - v1 v2
+# the determinant form on C^4 as a symmetric matrix: quad_form_A(v) = v0 v3 - v1 v2;
+# `det_bilinear` evaluates u @ DET_FORM @ v
 DET_FORM = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]) / 2
 DET_FORM.setflags(write=False)
+
+
+def det_bilinear(u, v) -> complex:
+    """u @ DET_FORM @ v for 4-vectors of Python complex, in closed form."""
+    return (u[0] * v[3] + u[3] * v[0] - u[1] * v[2] - u[2] * v[1]) / 2
 
 
 def quad_form_A(v) -> complex:
@@ -277,28 +278,20 @@ def quad_form_A_bilinear(u, v) -> complex:
     v = as_cvec(v)
     if u.shape[0] != 4 or v.shape[0] != 4:
         raise ValueError("the determinant form is defined on 4-dimensional vectors")
-    return complex(u @ DET_FORM @ v)
+    return complex(det_bilinear(u.tolist(), v.tolist()))
 
 
 def factor_rank_one(v, eps: float = DEFAULT_EPS):
     """Factor a 4-dim vector as kron(x, y) when its 2x2 reshape has rank 1.
 
-    Returns (x, y) or None.  The zero vector returns None by convention.
+    Returns (x, y) or None, as `_factor` decides.  The zero vector returns
+    None by convention.
     """
     v = as_cvec(v)
     if v.shape[0] != 4:
         raise ValueError("factor_rank_one expects a 4-dimensional vector")
-    m = v.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
-    if s[0] == 0:
-        return None
-    if s[1] > eps * s[0]:
-        return None
-    x = u[:, 0] * s[0]
-    # for m = outer(x, y) the first row of vh is y itself (no conjugation):
-    # m = s0 u0 v0^H and outer(x, y)_{ij} = s0 u0_i vh0_j agree entrywise
-    y = vh[0]
-    return x, y
+    factors = _factor(v.tolist(), eps)
+    return None if factors is None else tuple(np.array(f, dtype=complex) for f in factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,39 +310,126 @@ class QuadraticRoots:
 
 
 def roots_binary_quadratic(p, q, r, eps: float = DEFAULT_EPS) -> QuadraticRoots:
-    p, q, r = complex(p), complex(q), complex(r)
-    scale = max(abs(p), abs(q), abs(r))
-    if scale < ZERO_SCALE:
+    roots = _binary_roots(complex(p), complex(q), complex(r), eps)
+    if roots is None:
         return QuadraticRoots(identically_zero=True, roots=())
-    tol = eps * scale
-    raw = []
-    if abs(p) <= tol:
-        raw.append(np.array([1.0, 0.0], dtype=complex))  # v = 0
-        if abs(q) > tol:
-            raw.append(np.array([-r, q], dtype=complex))  # q u + r v = 0
-        # else r v^2 only: (1:0) is a double root
-    else:
-        disc = q * q - 4 * p * r
-        sq = np.sqrt(complex(disc))  # principal branch
-        raw.append(np.array([-q + sq, 2 * p], dtype=complex))
-        raw.append(np.array([-q - sq, 2 * p], dtype=complex))
-    roots = []
-    for cand in raw:
-        if np.abs(cand).max() <= tol:
-            continue
-        n = normalize_projective(cand)
-        if any(projective_cross(n, seen) <= fine_tol(eps) for seen in roots):
-            continue
-        roots.append(n)
-    return QuadraticRoots(identically_zero=False, roots=tuple(roots))
+    return QuadraticRoots(identically_zero=False,
+                          roots=tuple(np.array(n, dtype=complex) for n in roots))
 
 
 def projective_cross(u, v) -> float:
     """|u0 v1 - u1 v0| scaled by the norms: 0 iff projectively equal."""
-    u = as_cvec(u)
-    v = as_cvec(v)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    return _cross(as_cvec(u).tolist(), as_cvec(v).tolist())
+
+
+# -- closed forms on Python complex scalars, behind the public functions above
+# and the plane read (`classify.classify_plane`), which makes no np.linalg
+# call.  A vector is a sequence of complex; a 4-vector w is the 2x2 matrix
+# [[w0, w1], [w2, w3]], as `kron` lays out x (x) y.
+
+
+def _norm(v) -> float:
+    """Euclidean norm, as hypot of the moduli: no square over- or underflows."""
+    return math.hypot(*map(abs, v))
+
+
+def _unit(v) -> tuple:
+    """v scaled to unit norm; v must be nonzero."""
+    n = _norm(v)
+    return tuple([z / n for z in v])
+
+
+def singular_values2(a, b, c, d) -> tuple:
+    """Singular values (s0, s1), s0 >= s1, of the 2x2 [[a, b], [c, d]] of
+    Python complex (each of modulus below the float range), in closed form.
+    The matrix is first scaled by its
+    largest |entry|, so nothing over- or underflows.  With p = |det| and
+    F^2 = ||M||_F^2, s0 = sqrt((F^2 + sqrt((F^2 - 2p)(F^2 + 2p))) / 2) and
+    s1 = p / s0.  Both values are within a few u*s0 of the exact ones (u the
+    unit roundoff), as LAPACK's are."""
+    m = max(abs(a), abs(b), abs(c), abs(d))
+    if m == 0:
+        return 0.0, 0.0
+    a, b, c, d = a / m, b / m, c / m, d / m
+    # the inner root, evaluated as hypot(h00 - h11, 2|h01|) for H = M M^H: the
+    # difference F^2 - 2p would cost half the digits of s0 when s0 ~ s1
+    h00 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+    h11 = c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag
+    h01 = a * c.conjugate() + b * d.conjugate()
+    s0 = math.sqrt((h00 + h11 + math.hypot(h00 - h11, 2 * abs(h01))) / 2)  # >= 1/sqrt(2)
+    s1 = min(abs(a * d - b * c) / s0, s0)  # rounding may not reorder them
+    return s0 * m, s1 * m
+
+
+def _real_peak(v) -> tuple:
+    """The phase rule, for v in C^2: v times the unit scalar that makes its
+    larger entry (the first on a tie) real and positive, that entry set to
+    its modulus exactly; v must be nonzero."""
+    a, b = v
+    ma, mb = abs(a), abs(b)
+    if ma >= mb:
+        return complex(ma), b * (a.conjugate() / ma)
+    return a * (b.conjugate() / mb), complex(mb)
+
+
+def _factor(w, eps: float):
+    """(x, y) with kron(x, y) the rank-1 part of w's 2x2 reshape M, or None
+    when M is zero or s1 > eps * s0.  y is the larger row of M (ties: the
+    first) scaled to unit norm and fixed by `_real_peak`, and x = M conj(y)."""
+    s0, s1 = singular_values2(*w)
+    if s0 == 0 or s1 > eps * s0:
+        return None
+    w0, w1, w2, w3 = w
+    n0, n1 = _norm((w0, w1)), _norm((w2, w3))
+    r0, r1, n = (w0, w1, n0) if n0 >= n1 else (w2, w3, n1)
+    y0, y1 = _real_peak((r0 / n, r1 / n))
+    x = (w0 * y0.conjugate() + w1 * y1.conjugate(), w2 * y0.conjugate() + w3 * y1.conjugate())
+    return x, (y0, y1)
+
+
+def _cross(u, v) -> float:
+    """|u0 v1 - u1 v0| / (|u| |v|), 0 when either vector is zero."""
+    nu, nv = _norm(u), _norm(v)
     if nu == 0 or nv == 0:
         return 0.0
-    return float(abs(u[0] * v[1] - u[1] * v[0]) / (nu * nv))
+    return abs(u[0] / nu * (v[1] / nv) - u[1] / nu * (v[0] / nv))
+
+
+def _projective(v, eps: float) -> tuple:
+    """v divided by its lowest-index nonzero coordinate whose modulus is
+    within eps of the largest; ValueError for the zero vector."""
+    mags = [abs(z) for z in v]
+    peak = max(mags)
+    if peak == 0:
+        raise ValueError("cannot normalize the zero vector")
+    floor = peak * (1 - eps)
+    pivot = v[next(i for i, a in enumerate(mags) if a >= floor and a > 0)]
+    return tuple(z / pivot for z in v)
+
+
+def _binary_roots(p: complex, q: complex, r: complex, eps: float):
+    """The projective roots of p u^2 + q u v + r v^2 as `roots_binary_quadratic`
+    returns them, as tuples, or None for the identically zero form."""
+    scale = max(abs(p), abs(q), abs(r))
+    if scale < ZERO_SCALE:
+        return None
+    tol = eps * scale
+    raw = []
+    if abs(p) <= tol:
+        raw.append((1 + 0j, 0j))  # v = 0
+        if abs(q) > tol:
+            raw.append((-r, q))  # q u + r v = 0
+        # else r v^2 only: (1:0) is a double root
+    else:
+        sq = cmath.sqrt(q * q - 4 * p * r)  # principal branch
+        raw.append((-q + sq, 2 * p))
+        raw.append((-q - sq, 2 * p))
+    roots = []
+    for cand in raw:
+        if max(abs(cand[0]), abs(cand[1])) <= tol:
+            continue
+        n = _projective(cand, DEFAULT_EPS)
+        if any(_cross(n, seen) <= fine_tol(eps) for seen in roots):
+            continue
+        roots.append(n)
+    return tuple(roots)

@@ -140,7 +140,7 @@ class TestComputedOnce:
         (systems, "triple_of_system"),
         (systems, "canonical_system"),
         (systems, "iso_residuals"),
-        (classify, "restricted_form_matrix"),
+        (classify, "_plane_form"),
     )
 
     # the checks of the triple path, which classify_system no longer runs
@@ -168,11 +168,11 @@ class TestComputedOnce:
 
     def test_classify_system_runs_no_triple_check(self, monkeypatch):
         counts = self._count(monkeypatch, self.TRIPLE_CHECKS + (
-            (classify, "restricted_form_matrix"),))
+            (classify, "_plane_form"),))
         for i, label in enumerate(CELLS):
             counts.clear()
             assert classify_system(random_system(label, 70 + i, 6)).label.label == label.label
-            assert counts == Counter(restricted_form_matrix=1), (label, dict(counts))
+            assert counts == Counter(_plane_form=1), (label, dict(counts))
 
     @pytest.mark.parametrize("kind", ["system", "algebra", "triple"])
     def test_classify_calls_each_stage_at_most_once(self, tmp_path, capsys, monkeypatch, kind):
@@ -182,7 +182,7 @@ class TestComputedOnce:
         counts = self._count(monkeypatch)
         code, out, _ = _run(capsys, "classify", path)
         assert code == 0 and out.startswith("label: C3" if kind == "triple" else "label: E3")
-        assert counts["restricted_form_matrix"] == 1
+        assert counts["_plane_form"] == 1
         for _, name in self.COUNTED:
             assert counts[name] <= 1, (name, dict(counts))
 

@@ -236,13 +236,13 @@ class TestChainNormalForm:
 
     def test_each_restricted_form_is_built_once(self, monkeypatch):
         calls = []
-        real = classify.restricted_form_matrix
+        real = classify._plane_form
 
         def counted(plane):
             calls.append(plane)
             return real(plane)
 
-        monkeypatch.setattr(classify, "restricted_form_matrix", counted)
+        monkeypatch.setattr(classify, "_plane_form", counted)
         for chain in (_rank_two_chain(), _rank_one_chain()):
             calls.clear()
             chain_normal_form(*chain)

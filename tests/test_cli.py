@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spsys2d.identity
-from spsys2d import serialize
+from spsys2d import graded, serialize
 from spsys2d.classify import TripleClass, canonical_triple
 from spsys2d.cli import SPOT_CHECK_CHUNK, main
 from spsys2d.exactpoly import NVARS, Polynomial, int_det_bareiss
@@ -308,6 +308,36 @@ class TestExitCodes:
         assert len(err_text.splitlines()) == 1
         message = MALFORMED_TEXTS[defect]
         assert message.format(name=name, noun=noun, shape=shape, flipped=shape[::-1]) in err_text
+
+    @pytest.mark.parametrize("kind", ["system", "algebra"])
+    def test_a_missing_map_is_named_before_the_degree_index(self, tmp_path, capsys,
+                                                            monkeypatch, kind):
+        """The 15 maps of an h = 6 system under horizon 10^6: the first
+        missing map is named without enumerating the horizon's triples."""
+        horizon = 10 ** 6
+        system = random_system(SystemLabel("E2"), 3, 6)
+        data = serialize.to_json(system if kind == "system" else dualize(system))
+        data["horizon"] = horizon
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        built = []
+        real = graded.degree_index
+
+        def recorded(h):
+            built.append(h)
+            if h == horizon:
+                raise AssertionError("degree_index built for the huge horizon")
+            return real(h)
+
+        monkeypatch.setattr(graded, "degree_index", recorded)
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "check", str(path))
+        assert err.value.code == 2
+        assert horizon not in built
+        name, noun = ("beta", "map") if kind == "system" else ("M", "multiplication map")
+        err_text = capsys.readouterr().err
+        assert len(err_text.splitlines()) == 1
+        assert f"missing {noun} {name}[1,6]" in err_text
 
     @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
     @pytest.mark.parametrize("kind", ["system", "algebra"])

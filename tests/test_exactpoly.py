@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spsys2d import exactpoly
 from spsys2d.exactpoly import (
     NVARS,
     Polynomial,
@@ -25,6 +26,27 @@ def _poly():
     return st.dictionaries(_monomial(), st.integers(-20, 20), max_size=4).map(
         Polynomial
     )
+
+
+def ref_evaluate_batch(poly, assignments):
+    """evaluate_batch as it was: every array built on every call."""
+    assignments = np.asarray(assignments)
+    if assignments.dtype != object:
+        assignments = assignments.astype(np.int64, copy=False)
+    n = assignments.shape[0]
+    if poly.is_zero() or n == 0:
+        return np.zeros(n, dtype=np.int64)
+    items = list(poly.terms.items())
+    xmax = max(int(assignments.max()), -int(assignments.min()), 1)
+    bound = sum(abs(c) for _, c in items) * xmax ** poly.degree()
+    dtype = np.int64 if bound < 2**63 else object
+    assignments = assignments.astype(dtype, copy=False)
+    exps = np.array([e for e, _ in items], dtype=dtype)
+    values = np.tile(np.array([c for _, c in items], dtype=dtype), (n, 1))
+    for j in range(NVARS):
+        if exps[:, j].any():
+            values *= assignments[:, j][:, None] ** exps[:, j][None, :]
+    return values.sum(axis=1)
 
 
 class TestRingAxioms:
@@ -103,6 +125,31 @@ class TestEvaluation:
 
     def test_batch_of_no_points(self):
         assert evaluate_batch(Polynomial.var(0), np.zeros((0, NVARS))).shape == (0,)
+
+    def test_a_second_call_compiles_nothing(self):
+        from spsys2d.identity import d8_polynomial
+
+        d8 = d8_polynomial()
+        pts = np.random.default_rng(1).integers(-9, 10, size=(20, NVARS))
+        big = np.random.default_rng(1).integers(-300, 301, size=(3, NVARS))
+        caches = (exactpoly._compiled, exactpoly._weight_and_degree)
+        first = evaluate_batch(d8, pts), evaluate_batch(d8, big)
+        before = [c.cache_info() for c in caches]
+        second = evaluate_batch(d8, pts), evaluate_batch(d8, big)
+        after = [c.cache_info() for c in caches]
+        # both dtypes, and the bound, came from the caches
+        assert [a.misses for a in after] == [b.misses for b in before]
+        assert [a.hits - b.hits for a, b in zip(after, before)] == [2, 2]
+        for a, b, want in zip(first, second, (np.int64, object)):
+            assert a.dtype == b.dtype == want and np.array_equal(a, b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_poly())
+    def test_batch_is_bit_identical_to_the_uncached_evaluation(self, p):
+        pts = np.random.default_rng(2).integers(-9, 10, size=(6, NVARS))
+        for a in (pts, pts * 10**5):
+            got, want = evaluate_batch(p, a), ref_evaluate_batch(p, a)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 class TestSerialization:

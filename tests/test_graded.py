@@ -232,3 +232,28 @@ class TestExtendMorphism:
         with pytest.raises(MorphismError):
             extend_morphism(self._b3(horizon=5), self._b3(horizon=6),
                             np.eye(2), np.eye(2))
+
+    @staticmethod
+    def _perturbed_e2_dual(key):
+        """The dual of canonical E2 at h = 6, and a copy with 1e-3 added to
+        every entry of M[key]."""
+        from spsys2d.graded import GradedAlgebra
+        from spsys2d.systems import SystemLabel, canonical_system, dualize
+        g = dualize(canonical_system(SystemLabel("E2"), 6))
+        maps = dict(g.M)
+        maps[key] = maps[key] + 1e-3
+        return g, GradedAlgebra(6, maps)
+
+    def test_a_pair_off_the_recursion_is_certified(self):
+        # M[2, 1] is not read by the recursion over M[1, t]: the certificate
+        # over every pair refuses it
+        g, target = self._perturbed_e2_dual((2, 1))
+        with pytest.raises(MorphismError) as err:
+            extend_morphism(g, target, np.eye(2), np.eye(2))
+        assert type(err.value) is MorphismError
+        assert str(err.value).startswith("level maps fail to intertwine (residual ")
+
+    def test_a_pair_on_the_recursion_keeps_its_kernel_leak_refusal(self):
+        g, target = self._perturbed_e2_dual((1, 2))
+        with pytest.raises(NotExtendableError, match="kernel leak"):
+            extend_morphism(g, target, np.eye(2), np.eye(2))
