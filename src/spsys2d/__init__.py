@@ -35,11 +35,8 @@ from .tensorlinalg import (
     quad_form_A,
     quad_form_A_bilinear,
     roots_binary_quadratic,
-    subspace_sum,
 )
 from .classify import (
-    ChainNormalForm,
-    ChainUnclassifiedError,
     Classification,
     NotSubproductTripleError,
     PlaneNormalForm,
@@ -47,7 +44,6 @@ from .classify import (
     TripleClass,
     TripleIso,
     canonical_triple,
-    chain_normal_form,
     classify_triple,
     plane_normal_form,
     product_in_intersection,
@@ -93,11 +89,10 @@ __all__ = [
     "surviving_laplace_terms",
     "DEFAULT_EPS", "Subspace", "annihilator", "factor_rank_one", "intersect",
     "kron", "normalize_projective", "quad_form_A", "quad_form_A_bilinear",
-    "roots_binary_quadratic", "subspace_sum",
-    "ChainNormalForm", "ChainUnclassifiedError", "Classification",
-    "NotSubproductTripleError",
+    "roots_binary_quadratic",
+    "Classification", "NotSubproductTripleError",
     "PlaneNormalForm", "Triple", "TripleClass", "TripleIso", "canonical_triple",
-    "chain_normal_form", "classify_triple", "plane_normal_form",
+    "classify_triple", "plane_normal_form",
     "product_in_intersection", "rank_of_plane",
     "Algebra2", "AutomorphismFamily", "GradedAlgebra", "GradedMorphism",
     "automorphism_description", "build_graded", "catalog",

@@ -12,7 +12,7 @@ import numpy as np
 
 from .identity import quad_coeffs
 from .tensorlinalg import (
-    COLLINEAR_TOL, DEFAULT_EPS, DISTINCT_TOL, FRAME_TOL, I2, Subspace, _binary_roots, _cross,
+    COLLINEAR_TOL, DEFAULT_EPS, FRAME_TOL, I2, Subspace, _binary_roots, _cross,
     _factor, _norm, _projective, _real_peak, _unit, annihilator, det_bilinear, intersect, kron,
     loose_tol, normalize_projective, projective_cross, require_finite, residual_tol,
     roots_binary_quadratic, singular_values2,
@@ -23,10 +23,6 @@ LABELS = ("C1", "C2", "C3", "C4", "C5")
 
 class NotSubproductTripleError(ValueError):
     """The input triple is inconsistent with every canonical normal form."""
-
-
-class ChainUnclassifiedError(ValueError):
-    """Chains with a rank-0 plane have no complete normal-form theory."""
 
 
 def _collinear(u, v, tol: float) -> bool:
@@ -46,12 +42,6 @@ def _plane_form(plane: Subspace) -> tuple:
         raise ValueError("expected a 2-dim plane in a 4-dim ambient space")
     u, v = plane.basis.T.tolist()
     return u, v, (det_bilinear(u, u), det_bilinear(u, v), det_bilinear(v, v))
-
-
-def restricted_form_matrix(plane: Subspace) -> np.ndarray:
-    """2x2 symmetric matrix of the determinant form restricted to the plane."""
-    _, _, (g00, g01, g11) = _plane_form(plane)
-    return np.array([[g00, g01], [g01, g11]])
 
 
 def rank_of_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> int:
@@ -95,12 +85,7 @@ class PlaneNormalForm:
 def plane_normal_form(plane: Subspace, eps: float = DEFAULT_EPS) -> PlaneNormalForm:
     u, v, g = _plane_form(plane)
     rank, margin = _form_rank(g, eps)
-    return _as_normal_form(rank, margin, _normal_form(u, v, g, rank, eps))
-
-
-def _as_normal_form(rank, margin, bases) -> PlaneNormalForm:
-    """The PlaneNormalForm of `_normal_form`'s scalar bases."""
-    (x1, y1), (x2, y2), tag = bases
+    (x1, y1), (x2, y2), tag = _normal_form(u, v, g, rank, eps)
     arrays = [np.array(z, dtype=complex) for z in (x1, y1, x2, y2)]
     return PlaneNormalForm(rank, tuple(arrays[:2]), tuple(arrays[2:]), tag, margin=margin)
 
@@ -503,129 +488,3 @@ def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
     result = classify_plane(t.E2, eps)
     _verify_iso(t, *result, eps)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Different-factor chains
-
-
-@dataclass(frozen=True, eq=False)
-class ChainNormalForm:
-    """Bases realizing the chain normal form of (L12, L23, L123).
-
-    rank12 = 2: L123 = span{x1 (x) x2 (x) x3, y1 (x) y2 (x) y3}
-    rank12 = 1: L123 = span{x1 (x) x2 (x) x3,
-                            y1 (x) x2 (x) x3 + x1 (x) y2 (x) x3 + x1 (x) x2 (x) y3}
-    """
-
-    rank12: int
-    rank23: int
-    basis1: tuple
-    basis2: tuple
-    basis3: tuple
-    span_vectors: tuple
-    residual: float
-
-
-def _check_chain_inclusions(L12, L23, L123, eps):
-    tol = residual_tol(eps)
-    right = extend_right(L12)
-    left = extend_left(L23)
-    for i in range(L123.dim):
-        v = L123.basis[:, i]
-        if right.distance(v) > tol or left.distance(v) > tol:
-            raise ValueError("L123 is not contained in both extended subspaces")
-
-
-def chain_normal_form(L12: Subspace, L23: Subspace, L123: Subspace,
-                      eps: float = DEFAULT_EPS) -> ChainNormalForm:
-    if L123.ambient_dim != 8 or L123.dim != 2:
-        raise ValueError("L123 must be a 2-dim subspace of the 8-dim space")
-    _check_chain_inclusions(L12, L23, L123, eps)
-    u, v, g12 = _plane_form(L12)
-    r12, margin12 = _form_rank(g12, eps)
-    r23 = rank_of_plane(L23, eps)
-    if r12 == 0 or r23 == 0:
-        raise ChainUnclassifiedError(
-            "chains with a rank-0 plane have no complete normal form"
-        )
-    if r23 != r12:
-        raise NotSubproductTripleError(f"rank-{r12} chain forces rank L23 = {r12}")
-    nf12 = _as_normal_form(r12, margin12, _normal_form(u, v, g12, r12, eps))
-    return (_chain_rank2 if r12 == 2 else _chain_rank1)(nf12, L123, eps)
-
-
-def _chain_frame(nf: PlaneNormalForm, L123: Subspace):
-    """The normal-form bases x1, y1, x2, y2 of L12, and the basis of L123 in
-    the coordinates they define on the first two factors."""
-    (x1, y1), (x2, y2) = nf.basis1, nf.basis2
-    g1 = np.linalg.inv(np.column_stack([x1, y1]))
-    g2 = np.linalg.inv(np.column_stack([x2, y2]))
-    return x1, y1, x2, y2, kron(kron(g1, g2), I2) @ L123.basis
-
-
-def _chain_rank2(nf12, L123, eps) -> ChainNormalForm:
-    x1, y1, x2, y2, moved = _chain_frame(nf12, L123)
-    block_a = moved[0:2, :]  # e1 (x) e1 (x) C^2 component
-    block_b = moved[6:8, :]  # e2 (x) e2 (x) C^2 component
-    off = np.delete(moved, [0, 1, 6, 7], axis=0)
-    tol = residual_tol(eps) * max(np.abs(moved).max(), 1.0)
-    if np.abs(off).max() > tol:
-        raise NotSubproductTripleError("chain does not split over the product blocks")
-    x3, _ = _principal_direction(block_a, tol)
-    y3, _ = _principal_direction(block_b, tol)
-    if projective_cross(x3, y3) <= DISTINCT_TOL:
-        raise NotSubproductTripleError("degenerate third-factor directions")
-    v1 = kron(kron(x1, x2), x3)
-    v2 = kron(kron(y1, y2), y3)
-    residual = max(L123.distance(v1), L123.distance(v2))
-    return ChainNormalForm(
-        rank12=2, rank23=2,
-        basis1=(x1, y1), basis2=(x2, y2), basis3=(x3, y3),
-        span_vectors=(v1, v2), residual=residual,
-    )
-
-
-def _principal_direction(block: np.ndarray, tol: float):
-    """The column direction of a one-dimensional block, and a combination of
-    its columns that the block sends to zero."""
-    u, s, vh = np.linalg.svd(block)
-    if s[0] <= tol:
-        raise NotSubproductTripleError("expected a nonzero component block")
-    if s.size > 1 and s[1] > tol:
-        raise NotSubproductTripleError("component block is not one-dimensional")
-    return normalize_projective(u[:, 0]), vh[-1].conj()
-
-
-def _chain_rank1(nf12, L123, eps) -> ChainNormalForm:
-    x1, y1, x2, y2, moved = _chain_frame(nf12, L123)
-    # transformed coordinates: L12 = span{e1 (x) e1, e2 (x) e1 + e1 (x) e2}
-    block_b = (moved[2:4, :] + moved[4:6, :]) / 2  # (e1 e2 + e2 e1)/sqrt-ish (x) C^2
-    mismatch = moved[2:4, :] - moved[4:6, :]
-    block_d = moved[6:8, :]                      # e2 e2 (x) C^2
-    scale = max(np.abs(moved).max(), 1.0)
-    tol = residual_tol(eps) * scale
-    if np.abs(mismatch).max() > tol or np.abs(block_d).max() > tol:
-        raise NotSubproductTripleError("chain does not fit the rank-1 block pattern")
-    x3, kernel_combo = _principal_direction(block_b, tol)
-    # the pure e1 e1 (x) C^2 vector of L123 must be e1 e1 (x) (multiple of x3)
-    pure = moved @ kernel_combo
-    pure_dir = pure[0:2]
-    if np.linalg.norm(pure_dir) <= tol or projective_cross(pure_dir, x3) > COLLINEAR_TOL:
-        raise NotSubproductTripleError("pure product vector disagrees with x3")
-    # solve for the combination whose middle block equals x3 exactly
-    combo, *_ = np.linalg.lstsq(block_b, x3, rcond=None)
-    vec = moved @ combo
-    y3 = vec[0:2]
-    v1 = kron(kron(x1, x2), x3)
-    v2 = (
-        kron(kron(y1, x2), x3)
-        + kron(kron(x1, y2), x3)
-        + kron(kron(x1, x2), y3)
-    )
-    residual = max(L123.distance(v1), L123.distance(v2))
-    return ChainNormalForm(
-        rank12=1, rank23=1,
-        basis1=(x1, y1), basis2=(x2, y2), basis3=(x3, y3),
-        span_vectors=(v1, v2), residual=residual,
-    )

@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import serialize
-from .classify import (ChainUnclassifiedError, NotSubproductTripleError, Triple, TripleClass,
-                       canonical_beta, classify_triple, rank_of_plane)
+from .classify import (NotSubproductTripleError, Triple, TripleClass, canonical_beta,
+                       classify_triple, rank_of_plane)
 from .exactpoly import NVARS, evaluate_batch, int_det_bareiss
 from .graded import GradedAlgebra
 from .identity import (
@@ -240,7 +240,7 @@ def cmd_classify(args) -> int:
         code = EXIT_AXIOM_FAIL if exc.stage == "axioms" else EXIT_UNCLASSIFIABLE
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except (NotSubproductTripleError, ChainUnclassifiedError) as exc:
+    except NotSubproductTripleError as exc:
         print(f"error: unclassifiable input: {exc}", file=sys.stderr)
         return EXIT_UNCLASSIFIABLE
     if args.format == "json":

@@ -24,12 +24,6 @@ Exponents = tuple  # length-16 tuple of non-negative ints
 _ZERO_EXP: Exponents = (0,) * NVARS
 
 
-def var_name(index: int) -> str:
-    if not 0 <= index < NVARS:
-        raise ValueError(f"variable index {index} out of range 0..15")
-    return VAR_NAMES[index]
-
-
 def var_index(name: str) -> int:
     try:
         return _NAME_TO_INDEX[name]

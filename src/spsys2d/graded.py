@@ -66,19 +66,10 @@ class Algebra2:
             raise ValueError("structure constants must form a 2x4 matrix")
         object.__setattr__(self, "mult", m)
 
-    def multiply(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        return self.mult @ kron(x, y)
-
     def associativity_residual(self) -> float:
         left = self.mult @ kron(self.mult, I2)
         right = self.mult @ kron(I2, self.mult)
         return float(np.abs(left - right).max())
-
-    def is_associative(self, eps: float = DEFAULT_EPS) -> bool:
-        return self.associativity_residual() <= eps
-
 
 def catalog(name: str) -> Algebra2:
     """The seven two-dimensional algebras; D1..D4 have surjective
@@ -274,9 +265,6 @@ class GradedAlgebra:
     def __reduce__(self):
         return type(self), (self.horizon, dict(self.M))
 
-    def index_pairs(self):
-        return iter(degree_index(self.horizon).pairs)
-
     def associativity_residual(self) -> float:
         # the defect of M is that of its transpose, the dual system's beta
         idx = degree_index(self.horizon)
@@ -448,13 +436,10 @@ def singular_levels(levels: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     return rank_deficient(np.linalg.svd(levels, compute_uv=False), eps)
 
 
-def has_singular_level(theta: dict, horizon: int, eps: float = DEFAULT_EPS) -> bool:
-    """True when some level map theta[1..horizon] has lost rank."""
-    return bool(singular_levels(stack_maps(theta, range(1, horizon + 1)), eps).any())
-
-
 def is_isomorphism(m: GradedMorphism, eps: float = DEFAULT_EPS) -> bool:
-    return not has_singular_level(m.theta, m.source.horizon, eps)
+    """True unless some level map theta[1..horizon] has lost rank."""
+    theta = stack_maps(m.theta, range(1, m.source.horizon + 1))
+    return not singular_levels(theta, eps).any()
 
 
 def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,

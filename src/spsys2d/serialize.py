@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -98,10 +99,16 @@ def matrix_to_json(m) -> list:
             for i in range(m.shape[0])]
 
 
+def _is_number(x) -> bool:
+    """An int or float, but not a bool (which Python counts as an int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
+    """A number, or a pair [re, im] of numbers; strings and booleans are refused."""
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
         return complex(float(v[0]), float(v[1]))
     raise SerializationError(f"not a complex scalar: {v!r}")
 
@@ -110,7 +117,7 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
     try:
         m = np.array([[complex_from_json(x) for x in row] for row in rows],
                      dtype=complex)
-    except (TypeError, SerializationError) as exc:
+    except (TypeError, OverflowError, SerializationError) as exc:  # an int past float
         raise SerializationError(f"malformed matrix: {exc}") from exc
     if shape is not None and m.shape != shape:
         raise SerializationError(f"expected shape {shape}, got {m.shape}")
@@ -138,10 +145,6 @@ def system_to_json(sys: SubproductSystem) -> dict:
     return _maps_to_json(sys)
 
 
-def graded_to_json(g: GradedAlgebra) -> dict:
-    return _maps_to_json(g)
-
-
 def triple_to_json(t: Triple) -> dict:
     # E2 and E3 each as the list of their basis vectors
     return {"kind": "triple", **{
@@ -149,12 +152,16 @@ def triple_to_json(t: Triple) -> dict:
         for name in ("E2", "E3")}}
 
 
+_INDEX_KEY = re.compile("([0-9]+),([0-9]+)")
+
+
 def _parse_index_key(key: str) -> tuple:
-    try:
-        s, t = key.split(",")
-        return int(s), int(t)
-    except ValueError as exc:
-        raise SerializationError(f"bad index key {key!r}") from exc
+    """(s, t) of the key "s,t", each of ASCII digits only: no sign, space or
+    other script's digits, which `int` would accept."""
+    match = _INDEX_KEY.fullmatch(key)
+    if match is None:
+        raise SerializationError(f"bad index key {key!r}")
+    return int(match[1]), int(match[2])
 
 
 def _maps_from_json(cls, data: dict):
@@ -173,14 +180,6 @@ def _maps_from_json(cls, data: dict):
         return cls(horizon, maps)
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed {kind.replace('_', ' ')}: {exc}") from exc
-
-
-def system_from_json(data: dict) -> SubproductSystem:
-    return _maps_from_json(SubproductSystem, data)
-
-
-def graded_from_json(data: dict) -> GradedAlgebra:
-    return _maps_from_json(GradedAlgebra, data)
 
 
 def triple_from_json(data: dict) -> Triple:

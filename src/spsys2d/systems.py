@@ -67,9 +67,6 @@ class SubproductSystem:
     def __reduce__(self):
         return type(self), (self.horizon, dict(self.beta))
 
-    def index_pairs(self):
-        return iter(degree_index(self.horizon).pairs)
-
     def index_triples(self):
         return iter(degree_index(self.horizon).triples)
 

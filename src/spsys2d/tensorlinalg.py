@@ -22,7 +22,7 @@ DEFAULT_EPS = 1e-9
 
 
 def residual_tol(eps: float) -> float:
-    """Certificates, containments, kernel leaks, composite agreement."""
+    """Certificates, canonical-triple projectors, kernel leaks, composite agreement."""
     return max(np.sqrt(eps), 1e-8)
 
 
@@ -52,8 +52,7 @@ def projector_tol(eps: float) -> float:
 
 
 GRAM_TOL = 1e-7  # orthonormality of a stored basis
-COLLINEAR_TOL = 1e-6  # matched roots; the pure chain vector against x3
-DISTINCT_TOL = 1e-8  # the two third-factor directions of a rank-2 chain
+COLLINEAR_TOL = 1e-6  # matched roots of the two quadratic forms in the shared factor
 FRAME_TOL = 1e-12  # relative determinant of the frame that builds theta
 ZERO_SCALE = 1e-300  # a quadratic form this small is identically zero
 
@@ -246,14 +245,6 @@ def intersect(s1: Subspace, s2: Subspace, eps: float = DEFAULT_EPS) -> Subspace:
     eye = np.eye(n, dtype=complex)
     stacked = np.vstack([eye - s1.projector(), eye - s2.projector()])
     return Subspace(n, _null_space(stacked, eps))
-
-
-def subspace_sum(s1: Subspace, s2: Subspace, eps: float = DEFAULT_EPS) -> Subspace:
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("subspaces live in different ambient dimensions")
-    return Subspace.from_spanning(
-        np.hstack([s1.basis, s2.basis]), ambient_dim=s1.ambient_dim, eps=eps
-    )
 
 
 # the determinant form on C^4 as a symmetric matrix: quad_form_A(v) = v0 v3 - v1 v2;

@@ -4,8 +4,8 @@ system or algebra.
 `classify_system` reads the h - 1 distinct canonical maps beta_can[s, .]
 from `canonical_maps` by degree and keeps theta as one stack; it builds no
 canonical `SubproductSystem`.  The path it replaced (`canonical_system`,
-the pinv of its beta[1, 1], the `kron` recursion, `has_singular_level` and
-`iso_residuals`) is kept here as the reference, and must agree bit for bit:
+the pinv of its beta[1, 1], the `kron` recursion, the singular-level test
+on the stacked dict and `iso_residuals`) is kept here as the reference, and must agree bit for bit:
 the same products are formed in the same order.
 """
 
@@ -18,7 +18,8 @@ import pytest
 
 from spsys2d import systems
 from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, classify_plane
-from spsys2d.graded import degree_index, extend_levels, has_singular_level, singular_levels
+from spsys2d.graded import (GradedMorphism, degree_index, extend_levels, is_isomorphism,
+                            singular_levels, stack_maps)
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              axiom_text, canonical_system, check_axioms, classify_system,
                              dualize, iso_residuals, random_system)
@@ -35,7 +36,7 @@ GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
 def ref_classify_system(sys, eps=DEFAULT_EPS):
     """classify_system as it was: the canonical system built per call, theta
     solved level by level with `kron` and kept as a dict, checked with
-    has_singular_level and certified with iso_residuals."""
+    singular_levels on its stack and certified with iso_residuals."""
     report = check_axioms(sys, eps)
     if not report.passed:
         raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
@@ -51,7 +52,7 @@ def ref_classify_system(sys, eps=DEFAULT_EPS):
     theta = {1: plane.iso.theta}
     for n in range(2, sys.horizon + 1):
         theta[n] = left @ kron(theta[1], theta[n - 1]) @ sys.beta[(1, n - 1)]
-    if has_singular_level(theta, sys.horizon, eps):
+    if singular_levels(stack_maps(theta, range(1, sys.horizon + 1)), eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta=theta)
     residuals = iso_residuals(sys, canonical, iso)
@@ -194,14 +195,15 @@ def test_extend_levels_equals_the_kron_loop_bitwise(n):
         assert extend_levels(*args).tobytes() == np.stack(want).tobytes()
 
 
-def test_has_singular_level_is_the_stack_test():
+def test_is_isomorphism_is_the_stack_test():
     rng = np.random.default_rng(4)
     theta = _complex(rng, (6, 2, 2))
     theta[3] = np.outer(theta[3][:, 0], [1.0, 1e-12])
     mask = singular_levels(theta)
     assert mask.tolist() == [False, False, False, True, False, False]
-    assert has_singular_level(dict(enumerate(theta, 1)), 6)
-    assert not has_singular_level(dict(enumerate(theta, 1)), 3)
+    for h, iso in ((6, False), (3, True)):
+        g = dualize(canonical_system(SystemLabel("E1"), h))
+        assert is_isomorphism(GradedMorphism(g, g, dict(enumerate(theta, 1)))) is iso
 
 
 # --- read-only maps, for both dual kinds -------------------------------------

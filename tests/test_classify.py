@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from spsys2d import classify
 from spsys2d.classify import (
-    ChainUnclassifiedError,
     NotSubproductTripleError,
     Triple,
     TripleClass,
     canonical_triple,
-    chain_normal_form,
     classify_triple,
     plane_normal_form,
     product_in_intersection,
     rank_of_plane,
 )
-from spsys2d.tensorlinalg import E1, E2, Subspace, kron, projective_cross
+from spsys2d.tensorlinalg import E1, E2, Subspace, kron
 
 
 def _rng(seed=0):
@@ -195,61 +192,3 @@ class TestClassifyConjugated:
         with pytest.raises(NotSubproductTripleError):
             Triple(E2=base.E2, E3=bad).validate()
 
-
-def _rank_two_chain(seed=21):
-    rng = _rng(seed)
-    g1, g2, g3 = (_random_gl2(rng) for _ in range(3))
-    L12 = _span(kron(E1, E1), kron(E2, E2)).map_by(np.kron(g1, g2))
-    L23 = _span(kron(E1, E1), kron(E2, E2)).map_by(np.kron(g2, g3))
-    L123 = _span(
-        kron(kron(E1, E1), E1), kron(kron(E2, E2), E2)
-    ).map_by(np.kron(np.kron(g1, g2), g3))
-    return L12, L23, L123
-
-
-def _rank_one_chain(seed=22):
-    rng = _rng(seed)
-    g1, g2, g3 = (_random_gl2(rng) for _ in range(3))
-    L12 = _span(kron(E1, E1), kron(E2, E1) + kron(E1, E2)).map_by(np.kron(g1, g2))
-    L23 = _span(kron(E1, E1), kron(E2, E1) + kron(E1, E2)).map_by(np.kron(g2, g3))
-    L123 = _span(
-        kron(kron(E1, E1), E1),
-        kron(kron(E2, E1), E1) + kron(kron(E1, E2), E1) + kron(kron(E1, E1), E2),
-    ).map_by(np.kron(np.kron(g1, g2), g3))
-    return L12, L23, L123
-
-
-class TestChainNormalForm:
-    def test_rank_two_chain(self):
-        L12, L23, L123 = _rank_two_chain()
-        nf = chain_normal_form(L12, L23, L123)
-        assert nf.rank12 == 2
-        assert nf.residual < 1e-8
-        for v in nf.span_vectors:
-            assert L123.distance(v) < 1e-8
-
-    def test_rank_one_chain(self):
-        L12, L23, L123 = _rank_one_chain()
-        nf = chain_normal_form(L12, L23, L123)
-        assert nf.rank12 == 1
-        assert nf.residual < 1e-8
-
-    def test_each_restricted_form_is_built_once(self, monkeypatch):
-        calls = []
-        real = classify._plane_form
-
-        def counted(plane):
-            calls.append(plane)
-            return real(plane)
-
-        monkeypatch.setattr(classify, "_plane_form", counted)
-        for chain in (_rank_two_chain(), _rank_one_chain()):
-            calls.clear()
-            chain_normal_form(*chain)
-            assert calls == list(chain[:2])  # L12 once, then L23 once
-
-    def test_rank_zero_chain_unclassified(self):
-        L12 = _span(kron(E1, E1), kron(E1, E2))
-        L123 = _span(kron(kron(E1, E1), E1), kron(kron(E1, E1), E2))
-        with pytest.raises(ChainUnclassifiedError):
-            chain_normal_form(L12, L12, L123)

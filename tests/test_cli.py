@@ -26,6 +26,16 @@ MALFORMED_TEXTS = {
 }
 
 
+# stand-ins for the entry 1.0 + 0j that are no JSON number, and an int past
+# the float range
+NOT_NUMBERS = {
+    "true": True,
+    "string": "1",
+    "string pair": ["1", "0"],
+    "boolean pair": [True, False],
+    "huge int": [10 ** 400, 0],
+}
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -42,7 +52,7 @@ class TestSerialize:
 
     def test_graded_round_trip(self):
         g = build_graded(catalog("D2"), np.diag([1, 2.0]), 5)
-        data = json.loads(serialize.dumps_canonical(serialize.graded_to_json(g)))
+        data = json.loads(serialize.dumps_canonical(serialize.to_json(g)))
         back = serialize.from_json(data)
         for k in g.M:
             assert np.allclose(g.M[k], back.M[k])
@@ -228,7 +238,7 @@ class TestGenerateCheckClassify:
     def test_graded_payload_classifies_via_duality(self, tmp_path, capsys):
         g = build_graded(catalog("D1"), np.array([[0.0, 1.0], [1.0, 0.0]]), 6)
         path = tmp_path / "g.json"
-        path.write_text(serialize.dumps_canonical(serialize.graded_to_json(g)))
+        path.write_text(serialize.dumps_canonical(serialize.to_json(g)))
         code, out, _ = run(capsys, "classify", str(path))
         assert code == 0 and "label: E2" in out
 
@@ -262,7 +272,7 @@ class TestExitCodes:
         data["beta"]["2,1"][0][0] = [1.001, 0.0]
         errors = []
         for name, payload in (("s.json", data),
-                              ("g.json", serialize.graded_to_json(
+                              ("g.json", serialize.to_json(
                                   dualize(serialize.from_json(data))))):
             path = tmp_path / name
             path.write_text(serialize.dumps_canonical(payload))
@@ -281,7 +291,7 @@ class TestExitCodes:
         data = serialize.system_to_json(canonical_system(SystemLabel("E1"), 5))
         data["beta"]["2,1"][0][0] = [1.5, 0.0]  # a coassociativity defect of 0.5
         if kind == "algebra":
-            data = serialize.graded_to_json(dualize(serialize.from_json(data)))
+            data = serialize.to_json(dualize(serialize.from_json(data)))
         path = tmp_path / "defect.json"
         path.write_text(serialize.dumps_canonical(data))
         assert run(capsys, "check", str(path))[0] == 3
@@ -392,6 +402,58 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    def _refused(self, capsys, command, path) -> str:
+        """The one `error:` line of a payload refused with exit 2."""
+        with pytest.raises(SystemExit) as err:
+            run(capsys, command, str(path))
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert len(err_text.splitlines()) == 1 and err_text.startswith("error: ")
+        return err_text
+
+    @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
+    @pytest.mark.parametrize("entry", list(NOT_NUMBERS))
+    def test_an_entry_that_is_no_number_is_2(self, tmp_path, capsys, command, entry):
+        data = serialize.system_to_json(canonical_system(SystemLabel("E1"), 5))
+        assert data["beta"]["1,1"][0][0] == [1.0, 0.0]  # each stand-in reads as 1 or 0
+        data["beta"]["1,1"][0][0] = NOT_NUMBERS[entry]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert "malformed subproduct system: malformed matrix" in self._refused(
+            capsys, command, path)
+
+    @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
+    @pytest.mark.parametrize("key", [" 1,1", "+1,1", "\u0661,1", "1,1 ", "1_0,1"])
+    def test_an_index_key_of_other_than_ascii_digits_is_2(self, tmp_path, capsys, command,
+                                                           key):
+        data = serialize.system_to_json(canonical_system(SystemLabel("E1"), 5))
+        data["beta"][key] = data["beta"].pop("1,1")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert f"bad index key {key!r}" in self._refused(capsys, command, path)
+
+    @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
+    def test_a_triple_with_a_boolean_entry_is_2(self, tmp_path, capsys, command):
+        t = serialize.triple_to_json(canonical_triple(TripleClass("C1")))
+        t["E2"][0][0] = True
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(t))
+        assert "malformed triple: malformed matrix" in self._refused(capsys, command, path)
+
+    def test_integer_entries_still_load(self, tmp_path, capsys):
+        data = serialize.system_to_json(canonical_system(SystemLabel("E3", 2.0), 5))
+        floats = tmp_path / "floats.json"
+        floats.write_text(serialize.dumps_canonical(data))
+        for maps in data["beta"].values():  # a real entry as a bare int, others [int, int]
+            maps[:] = [[int(re) if im == 0 and re else [int(re), int(im)] for re, im in row]
+                       for row in maps]
+        ints = tmp_path / "ints.json"
+        ints.write_text(json.dumps(data))
+        assert '"1,1": [[1, [0, 0]], [[0, 0], 2]' in ints.read_text()
+        for command in ("check", "classify", "dualize"):
+            assert run(capsys, command, str(ints)) == run(capsys, command, str(floats))
+            assert run(capsys, command, str(ints))[0] == 0
 
     def test_unclassifiable_triple_is_4(self, tmp_path, capsys):
         # E3 not contained in the window spanned by E2 extensions

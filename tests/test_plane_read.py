@@ -15,12 +15,10 @@ from spsys2d.classify import (
     TripleClass,
     TripleIso,
     canonical_triple,
-    chain_normal_form,
     classify_plane,
     classify_triple,
     plane_normal_form,
     rank_with_margin,
-    restricted_form_matrix,
 )
 from spsys2d.graded import (
     GradedMorphism,
@@ -505,7 +503,8 @@ class TestDeterminantForm:
             b = plane.basis
             want = np.array([[(u[0] * v[3] + u[3] * v[0] - u[1] * v[2] - u[2] * v[1]) / 2
                               for v in b.T] for u in b.T])
-            assert np.abs(restricted_form_matrix(plane) - want).max() <= 1e-15
+            g = classify._plane_form(plane)[2]  # (g00, g01, g11), as classify_plane reads it
+            assert np.abs(np.array(g) - want[[0, 0, 1], [0, 1, 1]]).max() <= 1e-15
 
     def test_quadratic_form_is_exact_on_small_integers(self):
         rng = np.random.default_rng(4)
@@ -523,13 +522,6 @@ class TestDeterminantForm:
             quad_form_A_bilinear(np.ones(4), np.ones(8))
 
 
-def _chain():
-    plane = Subspace.from_spanning(np.column_stack([kron(E1, E1), kron(E2, E2)]))
-    l123 = Subspace.from_spanning(np.column_stack([kron(kron(E1, E1), E1),
-                                                   kron(kron(E2, E2), E2)]))
-    return chain_normal_form(plane, plane, l123)
-
-
 _SYSTEM = canonical_system(SystemLabel("E3", 2.0), 4)
 _TRIPLE = canonical_triple(TripleClass("C1"))
 _ALGEBRA = dualize(_SYSTEM)
@@ -545,7 +537,6 @@ IDENTITY_TYPES = {
     "SystemIso": lambda: classify_system(_SYSTEM).iso,
     "Classification": lambda: classify_triple(_TRIPLE),
     "PlaneNormalForm": lambda: plane_normal_form(_TRIPLE.E2),
-    "ChainNormalForm": _chain,
     "GradedMorphism": lambda: GradedMorphism(_ALGEBRA, _ALGEBRA,
                                              {t: I2 for t in range(1, 5)}),
     "AutomorphismFamily": lambda: automorphism_description("D2"),

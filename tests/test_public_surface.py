@@ -1,0 +1,56 @@
+"""Every public top-level function and class of the package has a caller.
+
+A name counts as used when the package itself, the benchmark (`perfbench/`)
+or the acceptance tests refer to it in code (docstrings and comments do not
+count), or when `spsys2d.__all__` exports it.  Other tests do not count: a
+helper that only its own tests call is dead weight.
+"""
+
+import ast
+from pathlib import Path
+
+import spsys2d
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spsys2d"
+CALLERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced_names() -> set:
+    """Every identifier read, imported or looked up as an attribute."""
+    names = set()
+    for path in CALLERS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield f"{path.name}:{node.name}", node.name
+
+
+def test_every_public_definition_has_a_caller():
+    used = _referenced_names() | set(spsys2d.__all__)
+    unused = [where for where, name in _public_definitions() if name not in used]
+    assert not unused, f"public names with no caller: {unused}"
+
+
+def test_all_names_resolve_once():
+    names = spsys2d.__all__
+    assert len(names) == len(set(names)), "a name is listed twice in __all__"
+    missing = [n for n in names if not hasattr(spsys2d, n)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"

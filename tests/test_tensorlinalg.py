@@ -16,7 +16,6 @@ from spsys2d.tensorlinalg import (
     quad_form_A,
     quad_form_A_bilinear,
     roots_binary_quadratic,
-    subspace_sum,
 )
 
 
@@ -103,7 +102,7 @@ class TestSubspace:
             # bilinear pairing vanishes
             assert np.abs(ann.basis.T @ s.basis).max() < 1e-10
 
-    def test_intersection_and_sum(self):
+    def test_intersection(self):
         rng = _rng()
         a, b, c = (_cvec(rng, 4) for _ in range(3))
         s1 = Subspace.from_spanning(np.column_stack([a, b]))
@@ -111,8 +110,6 @@ class TestSubspace:
         inter = intersect(s1, s2)
         assert inter.dim == 1
         assert inter.contains(a, 1e-8)
-        total = subspace_sum(s1, s2)
-        assert total.dim == 3
 
 
 class TestQuadraticForm:

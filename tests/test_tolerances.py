@@ -14,7 +14,7 @@ import pytest
 
 import spsys2d
 from spsys2d import serialize, tensorlinalg as tl
-from spsys2d.graded import GradedAlgebra, has_singular_level
+from spsys2d.graded import GradedAlgebra, singular_levels, stack_maps
 from spsys2d.systems import SubproductSystem
 
 EPSES = (1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2)
@@ -31,7 +31,6 @@ FORMULAS = {
 GUARDS = {
     "GRAM_TOL": 1e-7,
     "COLLINEAR_TOL": 1e-6,
-    "DISTINCT_TOL": 1e-8,
     "FRAME_TOL": 1e-12,
     "ZERO_SCALE": 1e-300,
 }
@@ -69,12 +68,15 @@ def test_rank_deficient_is_the_inline_rule(eps):
     assert tl.rank_deficient(sv, eps).tolist() == want
 
 
-def test_has_singular_level_flags_one_singular_map():
+def test_singular_levels_flags_one_singular_map():
+    def singular(theta, horizon):
+        return singular_levels(stack_maps(theta, range(1, horizon + 1))).any()
+
     theta = {t: np.eye(2, dtype=complex) * t for t in range(1, 6)}
-    assert not has_singular_level(theta, 5)
+    assert not singular(theta, 5)
     theta[4] = np.array([[1, 2], [2, 4]], dtype=complex)
-    assert has_singular_level(theta, 5)
-    assert not has_singular_level(theta, 3)
+    assert singular(theta, 5)
+    assert not singular(theta, 3)
 
 
 # one defect per input, and the constructor's message for it
@@ -113,16 +115,16 @@ def test_both_dual_kinds_keep_their_error_texts(cls, defect):
     message = DEFECT_TEXTS[defect].format(name=name, noun=noun, rows=good[0], cols=good[1])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(horizon, maps)
-    payload = {"kind": "x", "horizon": horizon,
+    kind = "subproduct_system" if cls is SubproductSystem else "graded_algebra"
+    payload = {"kind": kind, "horizon": horizon,
                name: {f"{s},{t}": m.tolist() for (s, t), m in maps.items()}}
-    what = "subproduct system" if cls is SubproductSystem else "graded algebra"
-    parse = serialize.system_from_json if cls is SubproductSystem else serialize.graded_from_json
+    what = kind.replace("_", " ")
     # the payload parser checks each map's shape itself, before the constructor
     parsed = (f"expected shape {good}, got {good[::-1]}" if defect == "wrong shape"
               else "malformed matrix" if defect == "not 2-d" else message)
     with pytest.raises(serialize.SerializationError,
                        match=f"^malformed {what}: {re.escape(parsed)}"):
-        parse(payload)
+        serialize.from_json(payload)
 
 
 # two defects per input: the constructor reports the one it checks first
