@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -132,24 +131,11 @@ def _write(args, text: str) -> None:
         print(text)
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; ValueError for a repeated key, of which
-    `json.load` would silently keep the last."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"repeated key {key!r}")
-        out[key] = value
-    return out
-
-
 def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
-        return serialize.from_json(data)
-    except (OSError, json.JSONDecodeError, serialize.SerializationError,
-            ValueError) as exc:
+            return serialize.loads(fh.read())
+    except (OSError, ValueError) as exc:  # a SerializationError, or text that is not UTF-8
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT) from exc
 
@@ -207,10 +193,11 @@ def _classify_report(args, obj):
     label, iso = result
     report = {
         "label": label.label,
-        "theta": ({str(t): serialize.matrix_to_json(m) for t, m in iso.theta.items()}
-                  if isinstance(iso.theta, dict) else serialize.matrix_to_json(iso.theta)),
+        "theta": iso.theta,
         "rank": result.rank,
-        "rank_confidence": result.rank_margin,
+        # inf, for an exactly zero form (no singular value can flip the rank),
+        # has no JSON number
+        "rank_confidence": result.rank_margin if math.isfinite(result.rank_margin) else None,
     }
     if result.residuals:
         report["residuals"] = {f"{s},{t}": r for (s, t), r in result.residuals.items()}
@@ -225,8 +212,9 @@ def _report_text(report: dict) -> str:
     if "lambda" in report:
         re_, im_ = report["lambda"]
         lines.append(f"lambda: {re_:+g}{im_:+g}i")
+    confidence = report["rank_confidence"]
     lines.append(f"rank: {report['rank']} "
-                 f"(confidence {report['rank_confidence']:.3g})")
+                 f"(confidence {math.inf if confidence is None else confidence:.3g})")
     if "max_residual" in report:
         lines.append(f"max residual: {report['max_residual']:.3g}")
     return "\n".join(lines)

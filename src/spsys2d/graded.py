@@ -111,11 +111,6 @@ class AutomorphismFamily:
     one_parameter: object | None = None
     description: str = ""
 
-    def sample(self, lam: complex | None = None) -> np.ndarray:
-        if self.one_parameter is not None and lam is not None:
-            return self.one_parameter(lam)
-        return self.maps[0]
-
 
 def automorphism_description(name: str) -> AutomorphismFamily:
     if name == "D1":
@@ -143,15 +138,13 @@ class DegreeIndex:
     """The degree pairs (s, t) with s + t <= horizon and triples (r, s, t)
     with r + s + t <= horizon, in nested-loop order.
 
-    `position` maps each pair to its position in `pairs`; `levels` holds the
-    (s, t) of each pair as an array; `rs`, `rs_t`, `st` and `r_st` hold, for
-    each triple, the positions in `pairs` of (r, s), (r + s, t), (s, t) and
-    (r, s + t), to gather stacked per-pair maps.
+    `levels` holds the (s, t) of each pair as an array; `rs`, `rs_t`, `st`
+    and `r_st` hold, for each triple, the positions in `pairs` of (r, s),
+    (r + s, t), (s, t) and (r, s + t), to gather stacked per-pair maps.
     """
 
     pairs: tuple
     triples: tuple
-    position: dict = field(repr=False)
     levels: np.ndarray = field(repr=False)
     rs: np.ndarray = field(repr=False)
     rs_t: np.ndarray = field(repr=False)
@@ -166,8 +159,7 @@ def _pairs(horizon: int):
 
 @functools.lru_cache(maxsize=16)
 def degree_index(horizon: int) -> DegreeIndex:
-    """The DegreeIndex of a horizon (cached; its arrays and `position` are
-    read-only)."""
+    """The DegreeIndex of a horizon (cached; its arrays are read-only)."""
     pairs = tuple(_pairs(horizon))
     triples = tuple((r, s, t) for r in range(1, horizon - 1)
                     for s in range(1, horizon - r)
@@ -178,7 +170,7 @@ def degree_index(horizon: int) -> DegreeIndex:
     levels = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     for a in (gather, levels):
         a.setflags(write=False)
-    return DegreeIndex(pairs, triples, MappingProxyType(pos), levels, *gather.T)
+    return DegreeIndex(pairs, triples, levels, *gather.T)
 
 
 def _chunks(n: int):

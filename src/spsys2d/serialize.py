@@ -1,15 +1,16 @@
 """Canonical JSON for systems, graded algebras, triples, and reports.
 
-Conventions: complex scalars as two-element arrays [re, im]; matrices
-row-major; object keys sorted; floats rendered with 17 significant digits
-(round-trip exact); NaN/Inf rejected.  Identical values always serialize to
-byte-identical text.
+The writer is `json.dumps` with sorted keys, no spaces and NaN/Inf refused, over
+plain JSON types: complex scalars as [re, im], arrays as nested (row-major)
+lists, numpy scalars as Python numbers, keys as strings, -0.0 as 0.0.  Floats
+print as `repr`, which reads back exactly; identical values give identical text.
+The reader `loads` refuses an object that repeats a key.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
-import math
 import re
 
 import numpy as np
@@ -24,107 +25,79 @@ class SerializationError(ValueError):
     pass
 
 
-# -- canonical text emission -------------------------------------------------
-
-
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise SerializationError("NaN/Inf are not admitted in canonical JSON")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return repr(float(f"{x:.17g}"))
+def _plain(obj):
+    """`obj` in the types `json.dumps` writes, by the rules above."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _plain([obj.real, obj.imag])
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) + 0.0  # -0.0 + 0.0 is 0.0
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj  # a str, int, bool or None, or a type the dump refuses
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
+    """Canonical JSON text; SerializationError for NaN, Inf or a non-JSON type."""
+    try:
+        return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(str(exc)) from exc
 
 
-def _emit(obj, parts: list) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _emit([float(obj.real), float(obj.imag)], parts)
-    elif isinstance(obj, dict):
-        keys = sorted(str(k) for k in obj)
-        lookup = {str(k): v for k, v in obj.items()}
-        parts.append("{")
-        for i, k in enumerate(keys):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(k))
-            parts.append(":")
-            _emit(lookup[k], parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(item, parts)
-        parts.append("]")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts)
-    else:
-        raise SerializationError(f"cannot serialize {type(obj).__name__}")
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ValueError for a repeated key, of which
+    `json.loads` would silently keep the last."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
 
 
-# -- complex matrices --------------------------------------------------------
+def loads(text: str):
+    """The object of a JSON payload (see `from_json`); SerializationError for
+    text that is not JSON or repeats a key in one object."""
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # bad JSON, a repeated key, an int past the digit limit
+        raise SerializationError(str(exc)) from exc
+    return from_json(data)
 
 
 def complex_to_json(z) -> list:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise SerializationError("NaN/Inf are not admitted")
     return [z.real, z.imag]
 
 
 def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(m[i, j]) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
-
-
-def _is_number(x) -> bool:
-    """An int or float, but not a bool (which Python counts as an int)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return [[complex_to_json(z) for z in row] for row in np.asarray(m, dtype=complex).tolist()]
 
 
 def complex_from_json(v) -> complex:
-    """A number, or a pair [re, im] of numbers; strings and booleans are refused."""
-    if _is_number(v):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
-        return complex(float(v[0]), float(v[1]))
-    raise SerializationError(f"not a complex scalar: {v!r}")
+    """A number, or a pair [re, im] of numbers; strings and bools are refused."""
+    re_im = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in re_im):
+        raise SerializationError(f"not a complex scalar: {v!r}")
+    return complex(float(re_im[0]), float(re_im[1]))
 
 
 def matrix_from_json(rows, shape=None) -> np.ndarray:
     try:
-        m = np.array([[complex_from_json(x) for x in row] for row in rows],
-                     dtype=complex)
+        m = np.array([[complex_from_json(x) for x in row] for row in rows], dtype=complex)
     except (TypeError, OverflowError, SerializationError) as exc:  # an int past float
         raise SerializationError(f"malformed matrix: {exc}") from exc
     if shape is not None and m.shape != shape:
         raise SerializationError(f"expected shape {shape}, got {m.shape}")
     return m
-
-
-# -- domain objects ----------------------------------------------------------
 
 
 # per dual kind: payload kind (its name in errors too), field of the maps, map shape
@@ -147,9 +120,8 @@ def system_to_json(sys: SubproductSystem) -> dict:
 
 def triple_to_json(t: Triple) -> dict:
     # E2 and E3 each as the list of their basis vectors
-    return {"kind": "triple", **{
-        name: [[complex_to_json(z) for z in v] for v in getattr(t, name).basis.T]
-        for name in ("E2", "E3")}}
+    return {"kind": "triple",
+            **{name: matrix_to_json(getattr(t, name).basis.T) for name in ("E2", "E3")}}
 
 
 _INDEX_KEY = re.compile("([0-9]+),([0-9]+)")
@@ -188,10 +160,8 @@ def triple_from_json(data: dict) -> Triple:
         e3 = matrix_from_json(data["E3"]).T
         if e2.shape[0] != 4 or e3.shape[0] != 8:
             raise SerializationError("E2 vectors must be 4-dim, E3 vectors 8-dim")
-        triple = Triple(
-            E2=Subspace.from_spanning(e2, ambient_dim=4),
-            E3=Subspace.from_spanning(e3, ambient_dim=8),
-        )
+        triple = Triple(E2=Subspace.from_spanning(e2, ambient_dim=4),
+                        E3=Subspace.from_spanning(e3, ambient_dim=8))
         if triple.E2.dim != 2 or triple.E3.dim != 2:
             raise SerializationError("E2 and E3 must each span a 2-dim subspace")
         return triple

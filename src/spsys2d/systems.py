@@ -20,6 +20,7 @@ from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_defic
                            residual_tol)
 
 SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
+MAX_COND = 50.0  # largest condition number of a level map drawn by `random_system`
 
 # the class of the degree-(1,1,1) triple determines the system family
 _TRIPLE_TO_SYSTEM = {"C1": "E1", "C2": "E2", "C3": "E3", "C4": "E4", "C5": "E5"}
@@ -214,8 +215,7 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     return Classification(label, iso, plane.rank, plane.rank_margin, residuals)
 
 
-def random_system(label: SystemLabel, seed: int, horizon: int = 6,
-                  max_cond: float = 50.0) -> SubproductSystem:
+def random_system(label: SystemLabel, seed: int, horizon: int = 6) -> SubproductSystem:
     """Canonical system conjugated by seeded random invertible level maps.
 
     beta'[s, t] = (g_s (x) g_t) beta[s, t] g_{s+t}^{-1}; deterministic for a
@@ -227,7 +227,7 @@ def random_system(label: SystemLabel, seed: int, horizon: int = 6,
     for t in range(horizon):
         while True:
             cand = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            if np.linalg.cond(cand) <= max_cond:
+            if np.linalg.cond(cand) <= MAX_COND:
                 g[t] = cand
                 break
     idx = degree_index(horizon)

@@ -46,11 +46,6 @@ def fine_tol(eps: float) -> float:
     return max(eps, 1e-12)
 
 
-def projector_tol(eps: float) -> float:
-    """Projector distance in `Subspace.equals`."""
-    return max(eps, 1e-8)
-
-
 GRAM_TOL = 1e-7  # orthonormality of a stored basis
 COLLINEAR_TOL = 1e-6  # matched roots of the two quadratic forms in the shared factor
 FRAME_TOL = 1e-12  # relative determinant of the frame that builds theta
@@ -171,13 +166,6 @@ class Subspace:
         v = as_cvec(v)
         return self.basis @ (self.basis.conj().T @ v)
 
-    def contains(self, v, eps: float = DEFAULT_EPS) -> bool:
-        v = as_cvec(v)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            return True
-        return np.linalg.norm(v - self.project(v)) <= eps * norm
-
     def distance(self, v) -> float:
         """Relative distance of v from the subspace."""
         v = as_cvec(v)
@@ -185,11 +173,6 @@ class Subspace:
         if norm == 0:
             return 0.0
         return float(np.linalg.norm(v - self.project(v)) / norm)
-
-    def equals(self, other: "Subspace", eps: float = DEFAULT_EPS) -> bool:
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        return np.abs(self.projector() - other.projector()).max() <= projector_tol(eps)
 
     def map_by(self, m, eps: float = DEFAULT_EPS) -> "Subspace":
         """Image of the subspace under a linear map (rows of m = target coords)."""

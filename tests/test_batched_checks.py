@@ -139,7 +139,7 @@ def ref_triple_kernels(g, r, s, t, eps=DEFAULT_EPS):
     if side.dim:
         leak = np.abs(m3 @ side.basis).max()
         leaks = bool(leak > tol * max(1.0, np.abs(m3).max()))
-    return leaks, k3.equals(side, tol)
+    return leaks, k3.dim == side.dim and np.abs(k3.projector() - side.projector()).max() <= tol
 
 
 def ref_kernel_condition(g, eps=DEFAULT_EPS):
@@ -319,7 +319,7 @@ def graded_inputs(horizon):
     for name in CATALOG_NAMES:
         if name in ("D1", "D2", "D3", "D4"):
             fam = automorphism_description(name)
-            etas = list(fam.maps) + ([fam.sample(0.5), fam.sample(3.0)]
+            etas = list(fam.maps) + ([fam.one_parameter(0.5), fam.one_parameter(3.0)]
                                      if fam.one_parameter else [])
         else:
             etas = [I2]

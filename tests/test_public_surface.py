@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package, and every public
+method of its classes, has a caller.
 
 A name counts as used when the package itself, the benchmark (`perfbench/`)
 or the acceptance tests refer to it in code (docstrings and comments do not
@@ -21,15 +22,19 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _referenced_names() -> set:
-    """Every identifier read, imported or looked up as an attribute."""
+def _referenced_names(attributes_only: bool = False) -> set:
+    """Every identifier read, imported or looked up as an attribute; or, for
+    methods, only the attribute lookups (a local variable `sample` does not
+    call a method `sample`)."""
     names = set()
     for path in CALLERS:
         for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 names.add(node.attr)
+            elif attributes_only:
+                continue
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
     return names
@@ -43,10 +48,32 @@ def _public_definitions():
                 yield f"{path.name}:{node.name}", node.name
 
 
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
+def _public_methods():
+    """Public methods of the package's classes; a property reads the value's
+    data (e.g. `Polynomial.terms`) and is not counted as a method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in _parse(path).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                            and not _is_property(node)):
+                        yield f"{path.name}:{cls.name}.{node.name}", node.name
+
+
 def test_every_public_definition_has_a_caller():
     used = _referenced_names() | set(spsys2d.__all__)
     unused = [where for where, name in _public_definitions() if name not in used]
     assert not unused, f"public names with no caller: {unused}"
+
+
+def test_every_public_method_has_a_caller():
+    used = _referenced_names(attributes_only=True)
+    unused = [where for where, name in _public_methods() if name not in used]
+    assert not unused, f"public methods with no caller: {unused}"
 
 
 def test_all_names_resolve_once():

@@ -25,7 +25,6 @@ FORMULAS = {
     "twist_tol": lambda eps: max(np.sqrt(eps), 1e-7),
     "automorphism_tol": lambda eps: max(eps, 1e-9),
     "fine_tol": lambda eps: max(eps, 1e-12),
-    "projector_tol": lambda eps: max(eps, 1e-8),
 }
 
 GUARDS = {
