@@ -14,7 +14,7 @@ from .identity import quad_coeffs
 from .tensorlinalg import (
     COLLINEAR_TOL, DEFAULT_EPS, FRAME_TOL, I2, Subspace, _binary_roots, _cross,
     _factor, _norm, _projective, _real_peak, _unit, annihilator, det_bilinear, intersect, kron,
-    loose_tol, normalize_projective, projective_cross, require_finite, residual_tol,
+    normalize_projective, projective_cross, require_finite, residual_tol,
     roots_binary_quadratic, singular_values2,
 )
 
@@ -61,7 +61,7 @@ def _form_rank(g: tuple, eps: float):
     thr = eps * max(1.0, s[0])
     rank = sum(sv > thr for sv in s)
     ratios = [sv / thr if thr else math.inf for sv in s if sv > 0]
-    margin = min((max(r, 1 / r) if r else math.inf for r in ratios), default=math.inf)
+    margin = min((max(r, 1 / r) for r in ratios), default=math.inf)
     return rank, float(margin)
 
 
@@ -93,7 +93,7 @@ def plane_normal_form(plane: Subspace, eps: float = DEFAULT_EPS) -> PlaneNormalF
 def _normal_form(u, v, g, rank, eps) -> tuple:
     """((x1, y1), (x2, y2), case_tag) of the normal form of span{u, v}, whose
     restricted form g has this rank, as tuples of Python complex."""
-    loose = loose_tol(eps)
+    loose = residual_tol(eps)
     if rank == 2:
         return (*_normal_form_rank2(u, v, g, eps, loose), None)
     if rank == 1:
@@ -297,7 +297,7 @@ class Triple:
         if self.E3.ambient_dim != 8 or self.E3.dim != 2:
             raise ValueError("E3 must be a 2-dim subspace of the 8-dim space")
         window = intersect(extend_right(self.E2), extend_left(self.E2), eps)
-        tol = loose_tol(eps)
+        tol = residual_tol(eps)
         for i in range(self.E3.dim):
             if window.distance(self.E3.basis[:, i]) > tol:
                 raise NotSubproductTripleError(
@@ -439,7 +439,7 @@ def classify_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> Classification:
     u, v, g = _plane_form(plane)
     rank, margin = _form_rank(g, eps)
     (x1, y1), (x2, y2), case_tag = _normal_form(u, v, g, rank, eps)
-    loose = loose_tol(eps)
+    loose = residual_tol(eps)
 
     if rank == 2:
         if _collinear(x1, x2, loose) and _collinear(y1, y2, loose):

@@ -244,9 +244,13 @@ def cmd_check(args) -> int:
         try:
             obj.validate(args.tolerance)
         except ValueError as exc:
-            print(f"check: FAIL ({exc})", file=sys.stderr)
+            if args.format == "json":
+                _write(args, serialize.dumps_canonical({"failure": str(exc), "passed": False}))
+            else:
+                print(f"check: FAIL ({exc})", file=sys.stderr)
             return EXIT_AXIOM_FAIL
-        _write(args, "check: PASS (triple invariants hold)")
+        _write(args, serialize.dumps_canonical({"passed": True}) if args.format == "json"
+               else "check: PASS (triple invariants hold)")
         return EXIT_OK
     sys_obj = dualize(obj) if isinstance(obj, GradedAlgebra) else obj
     rep = check_axioms(sys_obj, args.tolerance)

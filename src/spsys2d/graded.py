@@ -15,8 +15,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .tensorlinalg import (
-    DEFAULT_EPS, I2, Subspace, _null_space, as_cmat, automorphism_tol, kron, matmul2,
-    null_rank, rank_deficient, require_finite, residual_tol, span_rank, twist_tol,
+    DEFAULT_EPS, I2, Subspace, _null_space, as_cmat, kron, matmul2, rank_deficient,
+    require_finite, residual_tol, span_rank,
 )
 
 # Per-triple checks (O(h^3) of them; pair stacks are not chunked) run over at
@@ -92,7 +92,7 @@ def is_automorphism(d: Algebra2, m, eps: float = DEFAULT_EPS) -> bool:
     if rank_deficient(s, eps):
         return False
     residual = np.abs(d.mult @ kron(m, m) - m @ d.mult).max()
-    return bool(residual <= automorphism_tol(eps) * max(1.0, float(s[0]) ** 2))
+    return bool(residual <= eps * max(1.0, float(s[0]) ** 2))
 
 
 _SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -278,7 +278,7 @@ def build_graded(d: Algebra2, eta, horizon: int, eps: float = DEFAULT_EPS) -> Gr
             maps[(s, t)] = d.mult @ kron(I2, powers[s])
     g = GradedAlgebra(horizon=horizon, M=maps)
     residual = g.associativity_residual()
-    if residual > automorphism_tol(eps) * 100:
+    if residual > eps * 100:
         raise MorphismError(f"construction produced associativity residual {residual}")
     return g
 
@@ -292,7 +292,7 @@ def twist(g: GradedAlgebra, f, eps: float = DEFAULT_EPS) -> GradedAlgebra:
     if singular.size:
         raise NotAutomorphismError(f"level-{singular[0] + 1} map is not invertible")
     residual = max(GradedMorphism(source=g, target=g, theta=levels).level_residuals().values())
-    if residual > twist_tol(eps):
+    if residual > residual_tol(eps):
         raise NotAutomorphismError(
             f"per-level family is not multiplicative (residual {residual})"
         )
@@ -320,7 +320,7 @@ def _masked_null_spaces(m: np.ndarray, eps: float):
     """Kernels of a (T, k, n) stack as (T, n, n) bases and (T, n) column
     masks: the columns that `_null_space` returns, in place, the rest zero."""
     _, s, vh = np.linalg.svd(m)
-    keep = np.arange(m.shape[-1]) >= null_rank(s, eps)[:, None]
+    keep = np.arange(m.shape[-1]) >= span_rank(s, eps)[:, None]
     return vh.conj().transpose(0, 2, 1) * keep[:, None, :], keep
 
 

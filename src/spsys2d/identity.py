@@ -15,21 +15,13 @@ from .exactpoly import (
     LaplaceTerm,
     Polynomial,
     SymMatrix,
+    det_cofactor,
     laplace_terms,
-    var_index,
 )
 
 MAX_DEGREE = 8  # an 8x8 determinant of degree-<=1 entries
 
 APPENDIX_PIVOT_ROWS = (0, 1, 2, 3)
-
-
-def _v(name: str) -> Polynomial:
-    return Polynomial.var(var_index(name))
-
-
-def _z() -> Polynomial:
-    return Polynomial.zero()
 
 
 def det8_matrix() -> SymMatrix:
@@ -39,11 +31,9 @@ def det8_matrix() -> SymMatrix:
     factor, then the four extensions of the second plane's covectors by the
     first factor; columns in the fixed big-endian tensor basis.
     """
-    a, b, c, d = _v("a"), _v("b"), _v("c"), _v("d")
-    e, f, g, h = _v("e"), _v("f"), _v("g"), _v("h")
-    A, B, C, D = _v("A"), _v("B"), _v("C"), _v("D")
-    E, F, G, H = _v("E"), _v("F"), _v("G"), _v("H")
-    z = _z()
+    a, b, c, d, e, f, g, h = map(Polynomial.from_name, "abcdefgh")
+    A, B, C, D, E, F, G, H = map(Polynomial.from_name, "ABCDEFGH")
+    z = Polynomial.zero()
     return SymMatrix(
         [
             [a, b, c, d, z, z, z, z],
@@ -97,8 +87,6 @@ def resultant4(p, q, r, P, Q, R) -> Polynomial:
             [z, P, Q, R],
         ]
     )
-    from .exactpoly import det_cofactor
-
     return det_cofactor(m)
 
 
@@ -115,9 +103,8 @@ def d8_polynomial() -> Polynomial:
 
 
 def _coefficient_rows():
-    first = [[_v(n) for n in "abcd"], [_v(n) for n in "efgh"]]
-    second = [[_v(n) for n in "ABCD"], [_v(n) for n in "EFGH"]]
-    return first, second
+    rows = [list(map(Polynomial.from_name, names)) for names in ("abcd", "efgh", "ABCD", "EFGH")]
+    return rows[:2], rows[2:]
 
 
 @cache

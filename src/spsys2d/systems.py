@@ -16,8 +16,7 @@ from .classify import (Classification, Triple, TripleClass, canonical_maps, chec
                        classify_plane)
 from .graded import (GradedAlgebra, checked_maps, degree_index, extend_levels,
                      relative_residuals, singular_levels, stack_maps, triple_residuals)
-from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, fine_tol, kron, rank_deficient,
-                           residual_tol)
+from .tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, rank_deficient, residual_tol
 
 SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
 MAX_COND = 50.0  # largest condition number of a level map drawn by `random_system`
@@ -135,7 +134,7 @@ def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport
     inj_failures = [idx.pairs[i] for i in np.flatnonzero(rank_deficient(sv, eps))]
     min_sv = sv[:, 1].min()
     scale = np.abs(beta).max()
-    tol = fine_tol(eps) * max(scale * scale, 1.0)
+    tol = eps * max(scale * scale, 1.0)
     residuals = triple_residuals(beta, idx)
     worst = float(np.fmax.reduce(residuals, initial=0.0))  # skips NaN residuals
     failing = np.flatnonzero(residuals > tol)

@@ -17,33 +17,18 @@ import numpy as np
 
 DEFAULT_EPS = 1e-9
 
-# -- the threshold policy: each tolerance as a function of the one setting eps
-# (`--tolerance`) or a fixed guard; README "Tolerances" lists their decisions.
+# -- the threshold policy: two rules on the one setting eps (`--tolerance`),
+# with no floor, so a smaller eps tightens every decision they govern: exact
+# tests (coassociativity, automorphisms, distinct roots, rank loss) compare
+# against eps, and the tests of a fitted or computed object (certificates,
+# normal forms, kernel leaks, twists) against residual_tol(eps) = sqrt(eps).
+# The fixed guards below do not move with eps; README "Tolerances" lists the
+# decisions of each.
 
 
 def residual_tol(eps: float) -> float:
-    """Certificates, canonical-triple projectors, kernel leaks, composite agreement."""
-    return max(np.sqrt(eps), 1e-8)
-
-
-def loose_tol(eps: float) -> float:
-    """The normal-form tests: rank-1 factors, collinear factors, fit."""
-    return max(np.sqrt(eps), 10 * eps)
-
-
-def twist_tol(eps: float) -> float:
-    """Multiplicativity of a per-level family in `graded.twist`."""
-    return max(np.sqrt(eps), 1e-7)
-
-
-def automorphism_tol(eps: float) -> float:
-    """Automorphism residuals and the `build_graded` associativity check."""
-    return max(eps, 1e-9)
-
-
-def fine_tol(eps: float) -> float:
-    """Coassociativity in `check_axioms`; distinct quadratic roots."""
-    return max(eps, 1e-12)
+    """Certificates, normal forms, kernel leaks and composite agreement, twists."""
+    return np.sqrt(eps)
 
 
 GRAM_TOL = 1e-7  # orthonormality of a stored basis
@@ -181,19 +166,11 @@ class Subspace:
 
 
 def span_rank(s: np.ndarray, eps: float = DEFAULT_EPS):
-    """Rank rule of `Subspace.from_spanning` on singular values (last axis,
+    """The one rank rule of spans and kernels, on singular values (last axis,
     descending; leading axes are a stack): none count when the largest is
     <= eps, else those above eps times the largest."""
     top = s[..., :1]
     return np.where(np.all(top <= eps, axis=-1), 0, np.sum(s > eps * top, axis=-1))
-
-
-def null_rank(s: np.ndarray, eps: float = DEFAULT_EPS):
-    """Rank rule of `_null_space` on singular values (last axis, descending;
-    leading axes are a stack): those above eps times the largest, with the
-    scale taken as 1 when the largest is 0."""
-    top = s[..., :1]
-    return np.sum(s > eps * np.where(top > 0, top, 1.0), axis=-1)
 
 
 def rank_deficient(sv: np.ndarray, eps: float = DEFAULT_EPS):
@@ -208,7 +185,7 @@ def _null_space(m: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     if m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(m)
-    return vh[int(null_rank(s, eps)):].conj().T
+    return vh[int(span_rank(s, eps)):].conj().T
 
 
 def annihilator(s: Subspace, eps: float = DEFAULT_EPS) -> Subspace:
@@ -403,7 +380,7 @@ def _binary_roots(p: complex, q: complex, r: complex, eps: float):
         if max(abs(cand[0]), abs(cand[1])) <= tol:
             continue
         n = _projective(cand, DEFAULT_EPS)
-        if any(_cross(n, seen) <= fine_tol(eps) for seen in roots):
+        if any(_cross(n, seen) <= eps for seen in roots):
             continue
         roots.append(n)
     return tuple(roots)

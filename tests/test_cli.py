@@ -469,7 +469,8 @@ class TestExitCodes:
             assert run(capsys, command, str(ints)) == run(capsys, command, str(floats))
             assert run(capsys, command, str(ints))[0] == 0
 
-    def test_unclassifiable_triple_is_4(self, tmp_path, capsys):
+    @staticmethod
+    def _uncontained_triple(tmp_path):
         # E3 not contained in the window spanned by E2 extensions
         payload = {
             "kind": "triple",
@@ -480,8 +481,27 @@ class TestExitCodes:
         }
         path = tmp_path / "t.json"
         path.write_text(json.dumps(payload))
-        code, _, err = run(capsys, "classify", str(path))
+        return path
+
+    def test_unclassifiable_triple_is_4(self, tmp_path, capsys):
+        code, _, err = run(capsys, "classify", str(self._uncontained_triple(tmp_path)))
         assert code == 4
+
+    def test_check_of_a_refused_triple_honours_the_format(self, tmp_path, capsys):
+        path = str(self._uncontained_triple(tmp_path))
+        failure = "E3 is not contained in the intersection of the E2 extensions"
+        code, out, err = run(capsys, "check", path, "--format", "json")
+        assert (code, err) == (3, "")
+        assert out == serialize.dumps_canonical({"failure": failure, "passed": False}) + "\n"
+        assert run(capsys, "check", path) == (3, "", f"check: FAIL ({failure})\n")
+
+    def test_check_of_a_triple_honours_the_format(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(serialize.dumps_canonical(
+            serialize.to_json(canonical_triple(TripleClass("C1")))))
+        assert run(capsys, "check", str(path), "--format", "json") == (0, '{"passed":true}\n', "")
+        assert run(capsys, "check", str(path)) == (
+            0, "check: PASS (triple invariants hold)\n", "")
 
     def test_bad_tolerance_is_2(self, capsys):
         code, _, _ = run(capsys, "--tolerance", "-1", "verify-identity")

@@ -43,18 +43,17 @@ from spsys2d.tensorlinalg import (
     ZERO_SCALE,
     Subspace,
     factor_rank_one,
-    fine_tol,
     kron,
-    loose_tol,
     quad_form_A,
     quad_form_A_bilinear,
+    residual_tol,
     roots_binary_quadratic,
     singular_values2,
 )
 
 # the benchmark's E3 lambda grid, and |lambda| at 1e-2 and 1e2
 LAMBDAS = (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0, 1e-2, -1e-2j, 1e2, 1e2j)
-BANDS = (0.0, 0.3, 1.0, 3.0, 5.0)  # y (x) y component, in units of loose_tol
+BANDS = (0.0, 0.3, 1.0, 3.0, 5.0)  # y (x) y component, in units of residual_tol
 EPS = (1e-6, 1e-9, 1e-12)
 U = 2.0 ** -53  # unit roundoff
 
@@ -106,7 +105,7 @@ def ref_roots_binary_quadratic(p, q, r, eps):
         if np.abs(cand).max() <= tol:
             continue
         n = ref_normalize_projective(cand)
-        if any(ref_projective_cross(n, seen) <= fine_tol(eps) for seen in roots):
+        if any(ref_projective_cross(n, seen) <= eps for seen in roots):
             continue
         roots.append(n)
     return tuple(roots)
@@ -129,7 +128,7 @@ def ref_plane_normal_form(plane, eps):
     """(rank, margin, (x1, y1), (x2, y2), case_tag) by SVDs and a 4x4 solve."""
     g = plane.basis.T @ DET_FORM @ plane.basis
     rank, margin = ref_form_rank(g, eps)
-    loose = loose_tol(eps)
+    loose = residual_tol(eps)
     if rank == 2:
         roots = ref_roots_binary_quadratic(g[0, 0], 2 * g[0, 1], g[1, 1], eps)
         if roots is None or len(roots) != 2:
@@ -182,7 +181,7 @@ def ref_theta_from_columns(x, y):
 def ref_classify_plane(plane, eps):
     """classify_plane as it was: three SVDs, a 4x4 solve, det and inv."""
     rank, margin, (x1, y1), (x2, y2), tag = ref_plane_normal_form(plane, eps)
-    loose = loose_tol(eps)
+    loose = residual_tol(eps)
     if rank == 2:
         if ref_projective_cross(x1, x2) <= loose and ref_projective_cross(y1, y2) <= loose:
             cls, theta = TripleClass("C1"), ref_theta_from_columns(x1, y1)
@@ -218,7 +217,7 @@ def ref_frame_solve_read(plane, eps):
     rank, margin, (x1, _), (x2, _), _ = ref_plane_normal_form(plane, eps)
     if rank != 1:
         return ref_classify_plane(plane, eps)
-    loose = loose_tol(eps)
+    loose = residual_tol(eps)
     if not ref_projective_cross(x1, x2) <= loose:
         raise NotSubproductTripleError(
             "rank-1 product direction does not have identical factors"
@@ -256,11 +255,11 @@ def diagonal_unitary_defect(theta, ref_theta):
 
 def e3_planes():
     """(lambda, eps, band, plane): the canonical E3 plane, with a y (x) y
-    component of band * loose_tol(eps), as is and scrambled by g (x) g."""
+    component of band * residual_tol(eps), as is and scrambled by g (x) g."""
     rng = np.random.default_rng(2024)
     for lam, eps, band in itertools.product(LAMBDAS, EPS, BANDS):
         phase = np.exp(2j * np.pi * rng.random())
-        second = kron(E2, E1) + lam * kron(E1, E2) + band * loose_tol(eps) * phase * kron(E2, E2)
+        second = kron(E2, E1) + lam * kron(E1, E2) + band * residual_tol(eps) * phase * kron(E2, E2)
         basis = np.column_stack([kron(E1, E1), second])
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         for m in (I2, g):
@@ -281,7 +280,7 @@ class TestRankOneRead:
             assert got.label.label == want.label.label, (lam, eps, band)
             assert got.rank == want.rank
             # on a plane off the normal form the two reads project differently
-            bound = max(1e-12, 0.1 * band * loose_tol(eps))
+            bound = max(1e-12, 0.1 * band * residual_tol(eps))
             # theta_1 follows the phase rule, the SVD's phases did not; the two
             # reads round differently, and cond(theta_1) amplifies that
             defect = diagonal_unitary_defect(got.iso.theta, want.iso.theta)
@@ -396,7 +395,7 @@ class TestClosedFormRead:
     def test_e3_planes_read_as_before(self):
         verdicts = set()
         for _, eps, band, plane in e3_planes():
-            bound = max(1e-12, 0.1 * band * loose_tol(eps))
+            bound = max(1e-12, 0.1 * band * residual_tol(eps))
             verdicts.add(assert_same_read(plane, eps, bound, max(bound, 1e-10)))
         assert "C3" in verdicts and len(verdicts) >= 3, verdicts
 

@@ -1,8 +1,9 @@
 """The threshold policy: every tolerance is named once in `tensorlinalg`.
 
-The pins below restate each threshold's formula literally, so a change of
-value shows up here as a test edit.  The AST scan keeps tolerance literals
-out of the modules that make the decisions.
+The pins below restate the threshold formula and the fixed guards literally,
+so a change of value shows up here as a test edit.  The AST scan keeps
+tolerance literals out of the modules that make the decisions, and the
+floor tests show that a small eps tightens the tests it names.
 """
 
 import ast
@@ -14,18 +15,13 @@ import pytest
 
 import spsys2d
 from spsys2d import serialize, tensorlinalg as tl
-from spsys2d.graded import GradedAlgebra, singular_levels, stack_maps
-from spsys2d.systems import SubproductSystem
+from spsys2d.graded import (GradedAlgebra, NotAutomorphismError, build_graded, catalog,
+                            is_automorphism, kernel_subspace, singular_levels, stack_maps,
+                            twist)
+from spsys2d.systems import SubproductSystem, SystemLabel, canonical_system, check_axioms
 
 EPSES = (1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2)
 
-FORMULAS = {
-    "residual_tol": lambda eps: max(np.sqrt(eps), 1e-8),
-    "loose_tol": lambda eps: max(np.sqrt(eps), 10 * eps),
-    "twist_tol": lambda eps: max(np.sqrt(eps), 1e-7),
-    "automorphism_tol": lambda eps: max(eps, 1e-9),
-    "fine_tol": lambda eps: max(eps, 1e-12),
-}
 
 GUARDS = {
     "GRAM_TOL": 1e-7,
@@ -36,9 +32,41 @@ GUARDS = {
 
 
 @pytest.mark.parametrize("eps", EPSES)
-@pytest.mark.parametrize("name", sorted(FORMULAS))
-def test_named_threshold_pins_its_formula(name, eps):
-    assert getattr(tl, name)(eps) == FORMULAS[name](eps)
+def test_residual_tol_is_the_square_root_of_eps(eps):
+    assert tl.residual_tol(eps) == np.sqrt(eps)
+
+
+def test_coassociativity_is_tested_at_eps_with_no_floor():
+    beta = {k: m.copy() for k, m in canonical_system(SystemLabel("E2"), 6).beta.items()}
+    beta[(2, 1)][0, 0] += 5e-13
+    sys_ = SubproductSystem(6, beta)
+    assert check_axioms(sys_, 1e-12).passed
+    rep = check_axioms(sys_, 1e-13)
+    assert not rep.passed and rep.worst_associativity_residual > 1e-13
+
+
+def test_automorphism_is_tested_at_eps_with_no_floor():
+    m = [[1, 1e-10], [0, 2]]
+    assert is_automorphism(catalog("D2"), m, 1e-9)
+    assert not is_automorphism(catalog("D2"), m, 1e-11)
+
+
+def test_twist_is_tested_at_sqrt_eps_with_no_floor():
+    g = build_graded(catalog("D2"), np.diag([1, 2.0]), 5)
+    f = np.array([[1, 1e-9], [0, 1.5]])  # level residual 2.55e-8
+    assert twist(g, lambda t: f, 1e-12).horizon == 5
+    with pytest.raises(NotAutomorphismError, match="not multiplicative"):
+        twist(g, lambda t: f, 1e-16)
+
+
+@pytest.mark.parametrize("eps", EPSES)
+@pytest.mark.parametrize("scale", [1e-20, 1e-12, 1e-3, 1.0, 1e6])
+def test_spans_and_kernels_keep_rank_nullity(scale, eps):
+    # one rank rule truncates both, also for a nonzero map below eps
+    rng = np.random.default_rng(0)
+    for rows in (1, 2, 3):
+        m = scale * (rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4)))
+        assert tl.Subspace.from_spanning(m, eps=eps).dim + kernel_subspace(m, eps).dim == 4
 
 
 @pytest.mark.parametrize("name", sorted(GUARDS))
