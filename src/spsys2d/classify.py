@@ -357,25 +357,32 @@ class Classification:
         return iter((self.label, self.iso))
 
 
+def _canonical_stack(c: TripleClass, degrees: range) -> np.ndarray:
+    """canonical_beta(c, s) for each s in `degrees` (consecutive), as one
+    (len(degrees), 4, 2) stack filled by slices."""
+    b = np.zeros((len(degrees), 4, 2), dtype=complex)
+    if c.label == "C2":
+        odd, even = b[1 - degrees.start % 2::2], b[degrees.start % 2::2]
+        odd[:, 1, 0] = odd[:, 2, 1] = 1  # e1 -> e1 (x) e2, e2 -> e2 (x) e1
+        even[:, 0, 0] = even[:, 3, 1] = 1  # as C1
+        return b
+    b[:, 0, 0] = 1  # e1 -> e1 (x) e1
+    if c.label == "C1":
+        b[:, 3, 1] = 1  # e2 -> e2 (x) e2
+    elif c.label == "C3":
+        b[:, 2, 1] = 1  # e2 (x) e1
+        b[:, 1, 1] = [c.lam ** s for s in degrees]  # + lam^s e1 (x) e2
+    elif c.label == "C4":
+        b[:, 2, 1] = 1
+    else:  # C5
+        b[:, 1, 1] = 1
+    return b
+
+
 def canonical_beta(c: TripleClass, s: int) -> np.ndarray:
     """The 4x2 map beta[s, t]: E_{s+t} -> E_s (x) E_t of the canonical system
     whose degree-(1, 2, 3) triple is of class c (independent of t)."""
-    b = np.zeros((4, 2), dtype=complex)
-    if c.label == "C2" and s % 2:
-        b[1, 0] = 1  # e1 -> e1 (x) e2
-        b[2, 1] = 1  # e2 -> e2 (x) e1
-        return b
-    b[0, 0] = 1  # e1 -> e1 (x) e1
-    if c.label in ("C1", "C2"):
-        b[3, 1] = 1  # e2 -> e2 (x) e2
-    elif c.label == "C3":
-        b[2, 1] = 1             # e2 (x) e1
-        b[1, 1] = c.lam ** s    # + lam^s e1 (x) e2
-    elif c.label == "C4":
-        b[2, 1] = 1
-    else:  # C5
-        b[1, 1] = 1
-    return b
+    return _canonical_stack(c, range(s, s + 1))[0]
 
 
 def canonical_maps(c: TripleClass, horizon: int) -> np.ndarray:
@@ -385,7 +392,7 @@ def canonical_maps(c: TripleClass, horizon: int) -> np.ndarray:
     OverflowError when lambda^s overflows."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
-    maps = np.array([canonical_beta(c, s) for s in range(1, horizon)])
+    maps = _canonical_stack(c, range(1, horizon))
     require_finite(maps).setflags(write=False)
     return maps
 

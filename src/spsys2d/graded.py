@@ -188,9 +188,23 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
     missing map, or a non-finite entry, checked in that order."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
-    arrays = {}
-    for key, m in maps.items():
-        s, t = key
+    try:  # stops at the first missing pair, among the first len(maps) + 1,
+        # before `degree_index` enumerates the O(horizon^3) triples
+        stack = np.array([maps[p] for p in _pairs(horizon)], dtype=complex)
+    except (KeyError, TypeError, ValueError):
+        stack = None
+    if stack is None or len(stack) != len(maps) or stack.shape[1:] != shape:
+        _refuse_maps(horizon, maps, name, shape, noun)
+    require_finite(stack).setflags(write=False)
+    return stack, MappingProxyType(dict(zip(degree_index(horizon).pairs, stack)))
+
+
+def _refuse_maps(horizon: int, maps: dict, name: str, shape: tuple, noun: str) -> None:
+    """Raise the first fault of `maps` in the order of `checked_maps`, key by
+    key: stray, not 2-d, wrong shape; then the first missing pair.  Returns
+    only when there is none, that is when the extra keys are non-integral
+    degrees inside the horizon: they name no pair and are never read."""
+    for (s, t), m in maps.items():
         if s < 1 or t < 1 or s + t > horizon:
             raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
         m = np.asarray(m, dtype=complex)
@@ -198,17 +212,9 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
             raise ValueError("expected a 2-d array")
         if m.shape != shape:
             raise ValueError(f"{name}[{s},{t}] must be {shape[0]}x{shape[1]}")
-        arrays[key] = m  # a non-integral degree is no pair and is never read
-    try:  # stops at the first missing pair, among the first len(maps) + 1,
-        # before `degree_index` enumerates the O(horizon^3) triples
-        ordered = [arrays[p] for p in _pairs(horizon)]
-    except KeyError as exc:
-        s, t = exc.args[0]
-        raise ValueError(f"missing {noun} {name}[{s},{t}]") from None
-    idx = degree_index(horizon)
-    stack = np.array(ordered)
-    require_finite(stack).setflags(write=False)
-    return stack, MappingProxyType(dict(zip(idx.pairs, stack)))
+    for s, t in _pairs(horizon):
+        if (s, t) not in maps:
+            raise ValueError(f"missing {noun} {name}[{s},{t}]")
 
 
 def stack_maps(maps: dict, keys) -> np.ndarray:

@@ -8,6 +8,7 @@ E_s (x) E_t as 4x2 matrices for s + t <= horizon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,7 +200,7 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
 
     h, idx = sys.horizon, degree_index(sys.horizon)
     maps = canonical_maps(plane.label, h)
-    left = np.linalg.pinv(maps[0])
+    left = _left_inverse(maps[0].tobytes())
     # beta[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
     theta = extend_levels(plane.iso.theta, [left] * (h - 1), sys.stack[:h - 1])
     if singular_levels(theta, eps).any():
@@ -214,6 +215,16 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     return Classification(label, iso, plane.rank, plane.rank_margin, residuals)
 
 
+@functools.lru_cache(maxsize=16)
+def _left_inverse(b11: bytes) -> np.ndarray:
+    """The read-only pinv of a canonical beta_can[1, 1], keyed by its bytes:
+    by the class and, for E3, by the bits of lambda (cached, as it is the
+    same for every system of a class)."""
+    left = np.linalg.pinv(np.frombuffer(b11, dtype=complex).reshape(4, 2))
+    left.setflags(write=False)
+    return left
+
+
 def random_system(label: SystemLabel, seed: int, horizon: int = 6) -> SubproductSystem:
     """Canonical system conjugated by seeded random invertible level maps.
 
@@ -222,13 +233,14 @@ def random_system(label: SystemLabel, seed: int, horizon: int = 6) -> Subproduct
     """
     rng = np.random.default_rng(seed)
     maps = canonical_maps(_triple_class(label), horizon)
-    g = np.empty((horizon, 2, 2), dtype=complex)  # g[t - 1] is g_t
-    for t in range(horizon):
-        while True:
-            cand = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            if np.linalg.cond(cand) <= MAX_COND:
-                g[t] = cand
-                break
+    # candidates for g_1..g_h (g[t - 1] is g_t), `horizon` per draw: the
+    # normal stream of one (2, 2) real and one imaginary draw per candidate
+    g = np.empty((0, 2, 2), dtype=complex)
+    while len(g) < horizon:
+        z = rng.standard_normal((horizon, 2, 2, 2))
+        cand = z[:, 0] + 1j * z[:, 1]
+        g = np.concatenate([g, cand[np.linalg.cond(cand) <= MAX_COND]])
+    g = g[:horizon]
     idx = degree_index(horizon)
     s, t = idx.levels.T
     beta = kron(g[s - 1], g[t - 1]) @ maps[s - 1] @ np.linalg.inv(g)[s + t - 1]

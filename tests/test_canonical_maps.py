@@ -11,12 +11,14 @@ the same products are formed in the same order.
 
 import copy
 import pickle
+import re
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from spsys2d import systems
+from spsys2d.cli import main as cli_main
 from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, classify_plane
 from spsys2d.graded import (GradedMorphism, degree_index, extend_levels, is_isomorphism,
                             singular_levels, stack_maps)
@@ -93,6 +95,37 @@ def ref_random_system_stack(label, seed, horizon, max_cond=50.0):
                 break
     s, t = degree_index(horizon).levels.T
     return kron(g[s - 1], g[t - 1]) @ base.stack @ np.linalg.inv(g)[s + t - 1]
+
+
+def ref_canonical_beta(c, s):
+    """canonical_beta as it was: one 4x2 map filled entry by entry."""
+    b = np.zeros((4, 2), dtype=complex)
+    if c.label == "C2" and s % 2:
+        b[1, 0] = 1
+        b[2, 1] = 1
+        return b
+    b[0, 0] = 1
+    if c.label in ("C1", "C2"):
+        b[3, 1] = 1
+    elif c.label == "C3":
+        b[2, 1] = 1
+        b[1, 1] = c.lam ** s
+    elif c.label == "C4":
+        b[2, 1] = 1
+    else:
+        b[1, 1] = 1
+    return b
+
+
+def drawn(seed, horizon, max_cond):
+    """How many candidates the one-per-draw loop takes to accept `horizon`."""
+    rng = np.random.default_rng(seed)
+    count = passed = 0
+    while passed < horizon:
+        cand = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        count += 1
+        passed += bool(np.linalg.cond(cand) <= max_cond)
+    return count
 
 
 def _complex(rng, shape):
@@ -177,6 +210,98 @@ def test_random_system_stacks_equal_the_canonical_system_construction(h):
         for seed in range(5):
             got = random_system(label, seed, h).stack
             assert got.tobytes() == ref_random_system_stack(label, seed, h).tobytes()
+
+
+# --- the batched draw of the level maps --------------------------------------
+
+@pytest.mark.parametrize("max_cond", [2.0, 5.0])
+@pytest.mark.parametrize("h", [3, 6, 12])
+def test_the_batched_draw_equals_the_one_per_draw_loop_when_candidates_are_refused(
+        monkeypatch, h, max_cond):
+    monkeypatch.setattr(systems, "MAX_COND", max_cond)
+    seeds = range(3)
+    assert max(drawn(seed, h, max_cond) for seed in seeds) > h  # a second batch
+    for label in GRID:
+        for seed in seeds:
+            got = random_system(label, seed, h).stack
+            want = ref_random_system_stack(label, seed, h, max_cond=max_cond)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_seed_12_at_horizon_12_refuses_one_candidate():
+    assert drawn(12, 12, systems.MAX_COND) == 13
+    for label in GRID:
+        got = random_system(label, 12, 12).stack
+        assert got.tobytes() == ref_random_system_stack(label, 12, 12).tobytes()
+
+
+@pytest.mark.parametrize("max_cond, seed, h", [(50.0, 0, 12), (50.0, 12, 12),
+                                               (2.0, 1, 6), (5.0, 2, 12)])
+def test_cond_is_called_once_per_batch(monkeypatch, max_cond, seed, h):
+    batches = -(-drawn(seed, h, max_cond) // h)
+    monkeypatch.setattr(systems, "MAX_COND", max_cond)
+    shapes = []
+    cond = np.linalg.cond
+
+    def counting(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    random_system(SystemLabel("E2"), seed, h)
+    assert shapes == [(h, 2, 2)] * batches
+
+
+# --- the canonical filler and the cached left inverse -------------------------
+
+CLASSES = [TripleClass(systems._SYSTEM_TO_TRIPLE[x.label], x.lam) for x in GRID] + [
+    TripleClass("C3", 3), TripleClass("C3", -0.5)]
+
+
+@pytest.mark.parametrize("h", [3, 12, 64])
+def test_the_canonical_filler_equals_the_per_degree_table(h):
+    for c in CLASSES:
+        maps = canonical_maps(c, h)
+        for s in range(1, h):
+            want = ref_canonical_beta(c, s).tobytes()
+            assert maps[s - 1].tobytes() == want, (c, s)
+            assert canonical_beta(c, s).tobytes() == want, (c, s)
+
+
+@pytest.mark.parametrize("lam", [4, 4.0, 4 + 0j])
+def test_the_canonical_filler_keeps_the_overflow(lam):
+    c = TripleClass("C3", lam)
+    with pytest.raises(OverflowError) as want:
+        [ref_canonical_beta(c, s) for s in range(1, 600)]
+    with pytest.raises(OverflowError, match=f"^{re.escape(str(want.value))}$"):
+        canonical_maps(c, 600)
+
+
+def test_generate_keeps_the_overflow_exit(capsys):
+    argv = ["generate", "--class", "E3", "--lambda", "4", "--horizon", "600"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --lambda overflows: complex exponentiation\n"
+
+
+def test_one_left_inverse_per_class(monkeypatch):
+    systems._left_inverse.cache_clear()
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(*args, **kwargs):
+        calls.append(1)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    for seed in (1, 2):
+        assert classify_system(random_system(SystemLabel("E2"), seed, 8)).label.label == "E2"
+    assert len(calls) == 1
+    b11 = canonical_beta(TripleClass("C2"), 1)
+    left = systems._left_inverse(b11.tobytes())
+    assert len(calls) == 1 and not left.flags.writeable
+    assert left.tobytes() == pinv(b11).tobytes()
 
 
 # --- the level recursion and the rank test -----------------------------------

@@ -8,6 +8,7 @@ reference: the canonical systems and triples must be bit-identical to them.
 import numpy as np
 import pytest
 
+from spsys2d import systems
 from spsys2d.classify import TripleClass, canonical_triple
 from spsys2d.graded import check_image_condition
 from spsys2d.systems import SystemLabel, canonical_system, classify_system, dualize, random_system
@@ -89,6 +90,7 @@ def test_canonical_tables_are_bit_identical_to_the_separate_tables(label):
 
 
 def test_classify_system_takes_one_left_inverse(monkeypatch):
+    systems._left_inverse.cache_clear()  # a class seen before takes none
     sys = random_system(SystemLabel("E3", 0.5), 3, 12)
     calls = []
     pinv = np.linalg.pinv

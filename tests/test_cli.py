@@ -338,7 +338,15 @@ class TestExitCodes:
                                                             monkeypatch, kind):
         """The 15 maps of an h = 6 system under horizon 10^6: the first
         missing map is named without enumerating the horizon's triples."""
-        horizon = 10 ** 6
+        self.named_before_the_degree_index(tmp_path, capsys, monkeypatch, kind, 10 ** 6)
+
+    @pytest.mark.parametrize("kind", ["system", "algebra"])
+    def test_a_sparse_file_under_horizon_300_exits_2_at_once(self, tmp_path, capsys,
+                                                             monkeypatch, kind):
+        self.named_before_the_degree_index(tmp_path, capsys, monkeypatch, kind, 300)
+
+    @staticmethod
+    def named_before_the_degree_index(tmp_path, capsys, monkeypatch, kind, horizon):
         system = random_system(SystemLabel("E2"), 3, 6)
         data = serialize.to_json(system if kind == "system" else dualize(system))
         data["horizon"] = horizon
