@@ -3,41 +3,20 @@
 Commands: verify-identity, classify, check, generate, dualize.
 Exit codes: 0 success; 1 verification failure; 2 malformed input or usage;
 3 axiom failure; 4 unclassifiable input.
+
+Each command imports only what it runs, so `verify-identity` loads the exact
+half of the package (`exactpoly`, `identity`) and the file commands the
+numeric half.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
 
-import numpy as np
-
-from . import serialize
-from .classify import (NotSubproductTripleError, Triple, TripleClass, canonical_beta,
-                       classify_triple, rank_of_plane)
-from .exactpoly import NVARS, evaluate_batch, int_det_bareiss
-from .graded import GradedAlgebra
-from .identity import (
-    d4_polynomial,
-    d8_polynomial,
-    det8_matrix,
-    main_identity_residual,
-    surviving_laplace_terms,
-)
-from .systems import (
-    ClassifyStageError,
-    SystemLabel,
-    axiom_text,
-    canonical_system,
-    check_axioms,
-    classify_system,
-    dualize,
-    random_system,
-)
-from .tensorlinalg import DEFAULT_EPS, Subspace
+from .tensorlinalg import DEFAULT_EPS
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -132,6 +111,8 @@ def _write(args, text: str) -> None:
 
 
 def _load(path: str):
+    from . import serialize
+
     try:
         with open(path, encoding="utf-8") as fh:
             return serialize.loads(fh.read())
@@ -146,6 +127,11 @@ def _spot_check_matches(count: int, seed: int) -> int:
     D8, D4 and the matrix entries are evaluated in batches of
     SPOT_CHECK_CHUNK points; the oracle runs per point on Python ints.
     """
+    import numpy as np
+
+    from .exactpoly import NVARS, evaluate_batch, int_det_bareiss
+    from .identity import d4_polynomial, d8_polynomial, det8_matrix
+
     d8 = d8_polynomial()
     d4 = d4_polynomial()
     m8 = det8_matrix()
@@ -162,6 +148,8 @@ def _spot_check_matches(count: int, seed: int) -> int:
 
 
 def cmd_verify_identity(args) -> int:
+    from .identity import main_identity_residual, surviving_laplace_terms
+
     residual = main_identity_residual()
     lines = []
     if args.emit_terms:
@@ -187,6 +175,11 @@ def cmd_verify_identity(args) -> int:
 
 
 def _classify_report(args, obj):
+    from . import serialize
+    from .classify import Triple, classify_triple
+    from .graded import GradedAlgebra
+    from .systems import classify_system, dualize
+
     if isinstance(obj, GradedAlgebra):
         obj = dualize(obj)
     result = (classify_triple if isinstance(obj, Triple) else classify_system)(obj, args.tolerance)
@@ -221,6 +214,10 @@ def _report_text(report: dict) -> str:
 
 
 def cmd_classify(args) -> int:
+    from . import serialize
+    from .classify import NotSubproductTripleError
+    from .systems import ClassifyStageError
+
     obj = _load(args.input)
     try:
         report = _classify_report(args, obj)
@@ -239,6 +236,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
+    import dataclasses
+
+    from . import serialize
+    from .classify import Triple
+    from .graded import GradedAlgebra
+    from .systems import axiom_text, check_axioms, dualize
+
     obj = _load(args.input)
     if isinstance(obj, Triple):
         try:
@@ -266,6 +270,9 @@ def _e3_plane_is_rank1(lam: complex, eps: float) -> bool:
     """Whether the plane of the canonical E3(lam) reads as rank 1 at eps, so
     that `classify` can tell the system from E4; a plane that collapses to a
     line does not."""
+    from .classify import TripleClass, canonical_beta, rank_of_plane
+    from .tensorlinalg import Subspace
+
     try:
         plane = Subspace.from_spanning(canonical_beta(TripleClass("C3", lam), 1), eps=eps)
         return rank_of_plane(plane, eps) == 1
@@ -274,6 +281,11 @@ def _e3_plane_is_rank1(lam: complex, eps: float) -> bool:
 
 
 def cmd_generate(args) -> int:
+    import numpy as np
+
+    from . import serialize
+    from .systems import SystemLabel, axiom_text, canonical_system, check_axioms, random_system
+
     if args.label == "E3" and args.lam is None:
         print("error: --class E3 requires --lambda", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -305,6 +317,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_dualize(args) -> int:
+    from . import serialize
+    from .classify import Triple
+    from .systems import dualize
+
     obj = _load(args.input)
     if isinstance(obj, Triple):
         print("error: triples have no dual representation here", file=sys.stderr)

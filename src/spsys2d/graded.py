@@ -183,9 +183,9 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
     """The per-pair maps of a system or graded algebra, copied once into a
     read-only complex (P, *shape) stack in `degree_index(horizon).pairs`
     order, and a read-only mapping of per-pair views into it.  ValueError
-    for a horizon below 3, a stray (s, t) (every key must have 1 <= s, t and
-    s + t <= horizon), a map that is not 2-d or has the wrong shape, a
-    missing map, or a non-finite entry, checked in that order."""
+    for a horizon below 3, a stray (s, t) (every key must be integral with
+    1 <= s, t and s + t <= horizon), a map that is not 2-d or has the wrong
+    shape, a missing map, or a non-finite entry, checked in that order."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
     try:  # stops at the first missing pair, among the first len(maps) + 1,
@@ -201,12 +201,12 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
 
 def _refuse_maps(horizon: int, maps: dict, name: str, shape: tuple, noun: str) -> None:
     """Raise the first fault of `maps` in the order of `checked_maps`, key by
-    key: stray, not 2-d, wrong shape; then the first missing pair.  Returns
-    only when there is none, that is when the extra keys are non-integral
-    degrees inside the horizon: they name no pair and are never read."""
+    key: stray, not 2-d, wrong shape; then the first missing pair."""
     for (s, t), m in maps.items():
         if s < 1 or t < 1 or s + t > horizon:
             raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
+        if s % 1 or t % 1:
+            raise ValueError(f"{name}[{s},{t}] names no degree pair")
         m = np.asarray(m, dtype=complex)
         if m.ndim != 2:
             raise ValueError("expected a 2-d array")

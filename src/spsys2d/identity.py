@@ -8,7 +8,6 @@ which is the computational heart of the Main Lemma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .exactpoly import (
@@ -18,6 +17,7 @@ from .exactpoly import (
     det_cofactor,
     laplace_terms,
 )
+from .tensorlinalg import quad_coeffs
 
 MAX_DEGREE = 8  # an 8x8 determinant of degree-<=1 entries
 
@@ -46,34 +46,6 @@ def det8_matrix() -> SymMatrix:
             [z, z, E, F, z, z, G, H],
         ]
     )
-
-
-@dataclass(frozen=True)
-class QuadCoeffs:
-    """Coefficients p, q, r of a binary quadratic form, with the split q = q1 + q2."""
-
-    p: Polynomial
-    q: Polynomial
-    r: Polynomial
-    q1: Polynomial
-    q2: Polynomial
-
-
-def quad_coeffs(u_row, v_row) -> QuadCoeffs:
-    """Quadratic-form coefficients from two covector coefficient rows.
-
-    For rows (a,b,c,d) and (e,f,g,h): p = ag - ce, q1 = ah - de, q2 = bg - cf,
-    q = q1 + q2, r = bh - df, each a 2x2 minor of the stacked rows.
-    """
-    if len(u_row) != 4 or len(v_row) != 4:
-        raise ValueError("coefficient rows must have length 4")
-    a, b, c, d = u_row
-    e, f, g, h = v_row
-    p = a * g - c * e
-    q1 = a * h - d * e
-    q2 = b * g - c * f
-    r = b * h - d * f
-    return QuadCoeffs(p=p, q=q1 + q2, r=r, q1=q1, q2=q2)
 
 
 def resultant4(p, q, r, P, Q, R) -> Polynomial:

@@ -29,6 +29,8 @@ def ref_checked_maps(horizon, maps, name, shape, noun):
         s, t = key
         if s < 1 or t < 1 or s + t > horizon:
             raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
+        if s != int(s) or t != int(t):
+            raise ValueError(f"{name}[{s},{t}] names no degree pair")
         m = np.asarray(m, dtype=complex)
         if m.ndim != 2:
             raise ValueError("expected a 2-d array")
@@ -127,6 +129,18 @@ def test_the_bulk_constructor_names_the_fault_of_the_walk(kind, fault):
         cls = SubproductSystem if kind == "system" else GradedAlgebra
         with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
             cls(H, maps)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("fault", [f for f in FAULTS if "non-integral key" in f])
+def test_a_non_integral_key_is_refused(kind, fault):
+    name, shape, _ = KINDS[kind]
+    maps = FAULTS[fault](good_maps(shape), shape)
+    key = next(k for k in maps if k[0] % 1)
+    kind_of = "lies outside horizon" if sum(key) > H else "names no degree pair"
+    cls = SubproductSystem if kind == "system" else GradedAlgebra
+    with pytest.raises(ValueError, match=re.escape(f"{name}[{key[0]},{key[1]}] {kind_of}")):
+        cls(H, maps)
 
 
 @pytest.mark.parametrize("kind", list(KINDS))

@@ -140,8 +140,8 @@ class TestBatchedSpotCheck:
         terms[exps] += 1
         corrupted = Polynomial(terms)
         # D8 + D4 = 0 still holds for the pair, so only the Bareiss oracle can tell
-        monkeypatch.setattr("spsys2d.cli.d8_polynomial", lambda: corrupted)
-        monkeypatch.setattr("spsys2d.cli.d4_polynomial", lambda: -corrupted)
+        monkeypatch.setattr("spsys2d.identity.d8_polynomial", lambda: corrupted)
+        monkeypatch.setattr("spsys2d.identity.d4_polynomial", lambda: -corrupted)
         code, out, _ = run(capsys, "verify-identity", "--spot-check", "25", "--seed", "3")
         assert code == 1
         assert "FAIL: oracle disagreement" in out

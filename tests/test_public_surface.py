@@ -8,7 +8,10 @@ helper that only its own tests call is dead weight.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import spsys2d
 
@@ -81,3 +84,17 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names)), "a name is listed twice in __all__"
     missing = [n for n in names if not hasattr(spsys2d, n)]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def test_the_lazy_package_resolves_each_name_to_its_submodule():
+    for name in spsys2d.__all__:
+        module = importlib.import_module(f"spsys2d.{spsys2d._EXPORTS[name]}")
+        value = getattr(spsys2d, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+        assert name in dir(spsys2d), name
+    star = {}
+    exec("from spsys2d import *", star)
+    assert set(spsys2d.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        spsys2d.no_such_name
