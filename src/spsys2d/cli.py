@@ -4,8 +4,8 @@ Commands: verify-identity, classify, check, generate, dualize.
 Exit codes: 0 success; 1 verification failure; 2 malformed input or usage;
 3 axiom failure; 4 unclassifiable input.
 
-Each command imports only what it runs, so `verify-identity` loads the exact
-half of the package (`exactpoly`, `identity`) and the file commands the
+Each command imports only what it runs: `verify-identity` loads the exact
+half (`common`, `exactpoly`, `identity`) and no numpy, the file commands the
 numeric half.
 """
 
@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .tensorlinalg import DEFAULT_EPS
+from .common import DEFAULT_EPS
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -25,9 +25,6 @@ EXIT_AXIOM_FAIL = 3
 EXIT_UNCLASSIFIABLE = 4
 
 DEFAULT_HORIZON = 6
-
-# points per batched spot-check evaluation: memory stays O(chunk x 218 terms)
-SPOT_CHECK_CHUNK = 512
 
 
 def _parse_complex(text: str) -> complex:
@@ -122,28 +119,22 @@ def _load(path: str):
 
 
 def _spot_check_matches(count: int, seed: int) -> int:
-    """Points in [-9, 9]^16 where D8 equals the Bareiss determinant and -D4.
+    """Points in [-9, 9]^16, drawn by `random.Random(seed)`, where D8 equals
+    the Bareiss determinant and -D4: per point on Python ints, with D8 and D4
+    compiled once and the 8x8 matrix gathered from the point."""
+    import random
 
-    D8, D4 and the matrix entries are evaluated in batches of
-    SPOT_CHECK_CHUNK points; the oracle runs per point on Python ints.
-    """
-    import numpy as np
-
-    from .exactpoly import NVARS, evaluate_batch, int_det_bareiss
+    from .exactpoly import NVARS, int_det_bareiss, point_evaluator
     from .identity import d4_polynomial, d8_polynomial, det8_matrix
 
-    d8 = d8_polynomial()
-    d4 = d4_polynomial()
-    m8 = det8_matrix()
-    rng = np.random.default_rng(seed)
+    values = point_evaluator((d8_polynomial(), d4_polynomial()))
+    matrix_at = det8_matrix().gather()
+    rng = random.Random(seed)
     matches = 0
-    for start in range(0, count, SPOT_CHECK_CHUNK):
-        points = rng.integers(-9, 10, size=(min(SPOT_CHECK_CHUNK, count - start), NVARS))
-        lhs = evaluate_batch(d8, points).tolist()
-        rhs = evaluate_batch(d4, points).tolist()
-        mats = m8.evaluate_batch(points).tolist()
-        matches += sum(v8 == int_det_bareiss(m) and v8 == -v4
-                       for v8, v4, m in zip(lhs, rhs, mats))
+    for _ in range(count):
+        point = [rng.randint(-9, 9) for _ in range(NVARS)]
+        v8, v4 = values(point)
+        matches += v8 == int_det_bareiss(matrix_at(point)) and v8 == -v4
     return matches
 
 
@@ -341,8 +332,8 @@ def main(argv=None) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         print("error: tolerance must be a positive finite number", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.command == "verify-identity" and args.spot_check < 0:
-        print("error: --spot-check must not be negative", file=sys.stderr)
+    if args.command == "verify-identity" and min(args.spot_check, args.seed) < 0:
+        print("error: --spot-check and --seed must not be negative", file=sys.stderr)
         return EXIT_BAD_INPUT
     handlers = {
         "verify-identity": cmd_verify_identity,

@@ -8,12 +8,11 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+import math
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
+from operator import itemgetter, mul
 
 NVARS = 16
 VAR_NAMES = tuple("abcdefgh") + tuple("ABCDEFGH")
@@ -191,8 +190,28 @@ class Polynomial:
         return f"Polynomial({str(self)})"
 
 
-def evaluate_batch(poly: Polynomial, assignments: np.ndarray) -> np.ndarray:
-    """Evaluate `poly` at many integer assignments at once.
+def point_evaluator(polys: Sequence[Polynomial]):
+    """`polys` compiled once for exact evaluation at many integer points: a
+    function from a point (16 Python ints) to the list of their values.  Each
+    monomial of the joint support is one product of the factors (a variable
+    repeated by its exponent) that an `itemgetter` picks from `[*point, 1]`,
+    padded with the 1 to two so that a tuple comes back; each polynomial is
+    one dot product of its coefficients with those products."""
+    monomials = sorted({exps for p in polys for exps in p._terms})
+    slots = [[j for j, e in enumerate(exps) for _ in range(e)] for exps in monomials]
+    getters = [itemgetter(*js, *[NVARS] * (2 - len(js))) for js in slots]
+    coeffs = [[p._terms.get(exps, 0) for exps in monomials] for p in polys]
+
+    def values(point: Sequence[int]) -> list:
+        x = [*point, 1]
+        products = [math.prod(get(x)) for get in getters]
+        return [sum(map(mul, c, products)) for c in coeffs]
+
+    return values
+
+
+def evaluate_batch(poly: Polynomial, assignments):
+    """Evaluate `poly` at many integer assignments at once, with numpy.
 
     `assignments` has shape (n, 16), integer or object (Python int) dtype.
     Every partial product and partial sum is bounded by
@@ -201,6 +220,8 @@ def evaluate_batch(poly: Polynomial, assignments: np.ndarray) -> np.ndarray:
     ints and returns an object array, so it never wraps.  With entries in
     [-9, 9] and the degree-8 polynomials built here the bound is ~1.2e10.
     """
+    import numpy as np
+
     assignments = np.asarray(assignments)
     if assignments.dtype != object:
         assignments = assignments.astype(np.int64, copy=False)
@@ -209,39 +230,16 @@ def evaluate_batch(poly: Polynomial, assignments: np.ndarray) -> np.ndarray:
     n = assignments.shape[0]
     if poly.is_zero() or n == 0:
         return np.zeros(n, dtype=np.int64)
-    weight, degree = _weight_and_degree(poly)
     xmax = max(int(assignments.max()), -int(assignments.min()), 1)
-    dtype = np.int64 if weight * xmax ** degree < 2**63 else object
+    bound = sum(abs(c) for c in poly._terms.values()) * xmax ** poly.degree()
+    dtype = np.int64 if bound < 2**63 else object
     assignments = assignments.astype(dtype, copy=False)
-    exps, coeffs = _compiled(poly, dtype)  # (t, 16) and (t,)
-    values = np.tile(coeffs, (n, 1))  # (n, t)
+    exps = np.array(list(poly._terms), dtype=dtype)  # (t, 16)
+    values = np.tile(np.array(list(poly._terms.values()), dtype=dtype), (n, 1))  # (n, t)
     for j in range(NVARS):
-        ej = exps[:, j]
-        if not ej.any():
-            continue
-        values *= assignments[:, j][:, None] ** ej[None, :]
+        if exps[:, j].any():
+            values *= assignments[:, j][:, None] ** exps[:, j][None, :]
     return values.sum(axis=1)
-
-
-# a Polynomial is hashable and never mutated, so what evaluate_batch derives
-# from it is cached; the dtype follows the overflow bound, so it is in the key
-
-
-@functools.lru_cache(maxsize=256)
-def _weight_and_degree(poly: Polynomial) -> tuple:
-    """sum |c| over the terms, and the total degree."""
-    return sum(abs(c) for c in poly._terms.values()), poly.degree()
-
-
-@functools.lru_cache(maxsize=256)
-def _compiled(poly: Polynomial, dtype) -> tuple:
-    """The read-only exponent (t, 16) and coefficient (t,) arrays of the
-    terms, in `dtype`."""
-    exps = np.array(list(poly._terms), dtype=dtype).reshape(-1, NVARS)
-    coeffs = np.array(list(poly._terms.values()), dtype=dtype)
-    for a in (exps, coeffs):
-        a.setflags(write=False)
-    return exps, coeffs
 
 
 class SymMatrix:
@@ -271,13 +269,20 @@ class SymMatrix:
     def evaluate(self, assignment: Sequence) -> list[list]:
         return [[e.evaluate(assignment) for e in row] for row in self.entries]
 
-    def evaluate_batch(self, assignments: np.ndarray) -> np.ndarray:
-        """Every entry at many integer assignments: shape (n, rows, cols).
+    def gather(self):
+        """For a matrix of single variables and zeros, such as
+        `identity.det8_matrix`: a function from a point (16 ints) to the
+        matrix there, gathered from the point with no polynomial evaluated."""
+        slots = {Polynomial.var(j): j for j in range(NVARS)} | {Polynomial.zero(): NVARS}
+        if not all(e in slots for row in self.entries for e in row):
+            raise ValueError("every entry must be a single variable or 0")
+        rows = [[slots[e] for e in row] for row in self.entries]
 
-        One `evaluate_batch` per entry, with its overflow guard.
-        """
-        values = [evaluate_batch(e, assignments) for row in self.entries for e in row]
-        return np.stack(values, axis=-1).reshape(-1, self.rows, self.cols)
+        def at(point: Sequence[int]) -> list:
+            x = [*point, 0]
+            return [[x[j] for j in row] for row in rows]
+
+        return at
 
 
 def _submatrix_is_structurally_zero(
@@ -331,17 +336,13 @@ def det_cofactor(m: SymMatrix) -> Polynomial:
     return _det_cofactor(m, idx, idx, {})
 
 
-@dataclass(frozen=True)
-class LaplaceTerm:
+class LaplaceTerm(namedtuple("LaplaceTerm", "cols sign minor complementary")):
     """One surviving term of a Laplace expansion by a fixed set of rows.
 
     `cols` is 1-based to match the usual determinant bookkeeping.
     """
 
-    cols: tuple
-    sign: int
-    minor: Polynomial
-    complementary: Polynomial
+    __slots__ = ()
 
     def contribution(self) -> Polynomial:
         return (self.minor * self.complementary) * self.sign

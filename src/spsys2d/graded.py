@@ -9,6 +9,7 @@ maps M[s, t] (2x4 each) up to a finite horizon.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -201,8 +202,12 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
 
 def _refuse_maps(horizon: int, maps: dict, name: str, shape: tuple, noun: str) -> None:
     """Raise the first fault of `maps` in the order of `checked_maps`, key by
-    key: stray, not 2-d, wrong shape; then the first missing pair."""
-    for (s, t), m in maps.items():
+    key: not a pair, stray, not 2-d, wrong shape; then the first missing pair."""
+    for key, m in maps.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(x, numbers.Real) for x in key)):
+            raise ValueError(f"{name} key {key!r} is not a pair (s, t) of degrees")
+        s, t = key
         if s < 1 or t < 1 or s + t > horizon:
             raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
         if s % 1 or t % 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 
+from .common import quad_coeffs
 from .exactpoly import (
     LaplaceTerm,
     Polynomial,
@@ -17,7 +18,6 @@ from .exactpoly import (
     det_cofactor,
     laplace_terms,
 )
-from .tensorlinalg import quad_coeffs
 
 MAX_DEGREE = 8  # an 8x8 determinant of degree-<=1 entries
 

@@ -142,8 +142,11 @@ def _maps_from_json(cls, data: dict):
         horizon = data["horizon"]
         if not isinstance(horizon, int) or isinstance(horizon, bool):
             raise SerializationError(f"horizon must be an integer, got {horizon!r}")
+        fields = data[name]
+        if not isinstance(fields, dict):
+            raise SerializationError(f"{name} must be an object of maps, got {fields!r}")
         maps, texts = {}, {}
-        for k, v in data[name].items():
+        for k, v in fields.items():
             key = _parse_index_key(k)
             if key in maps:
                 raise SerializationError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_EPS = 1e-9
+from .common import DEFAULT_EPS, QuadCoeffs, quad_coeffs  # re-exported: shared with the exact half
 
 # -- the threshold policy: two rules on the one setting eps (`--tolerance`),
 # with no floor, so a smaller eps tightens every decision they govern: exact
@@ -216,35 +216,6 @@ DET_FORM.setflags(write=False)
 def det_bilinear(u, v) -> complex:
     """u @ DET_FORM @ v for 4-vectors of Python complex, in closed form."""
     return (u[0] * v[3] + u[3] * v[0] - u[1] * v[2] - u[2] * v[1]) / 2
-
-
-@dataclass(frozen=True)
-class QuadCoeffs:
-    """Coefficients p, q, r of a binary quadratic form, with the split q = q1 + q2."""
-
-    p: object
-    q: object
-    r: object
-    q1: object
-    q2: object
-
-
-def quad_coeffs(u_row, v_row) -> QuadCoeffs:
-    """Quadratic-form coefficients from two covector coefficient rows, of
-    numbers or of `exactpoly.Polynomial`s.
-
-    For rows (a,b,c,d) and (e,f,g,h): p = ag - ce, q1 = ah - de, q2 = bg - cf,
-    q = q1 + q2, r = bh - df, each a 2x2 minor of the stacked rows.
-    """
-    if len(u_row) != 4 or len(v_row) != 4:
-        raise ValueError("coefficient rows must have length 4")
-    a, b, c, d = u_row
-    e, f, g, h = v_row
-    p = a * g - c * e
-    q1 = a * h - d * e
-    q2 = b * g - c * f
-    r = b * h - d * f
-    return QuadCoeffs(p=p, q=q1 + q2, r=r, q1=q1, q2=q2)
 
 
 def quad_form_A(v) -> complex:

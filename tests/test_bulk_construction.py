@@ -6,6 +6,7 @@ two must raise the same exception type with the same message, or build
 bit-identical stacks.
 """
 
+import numbers
 import re
 
 import numpy as np
@@ -26,6 +27,9 @@ def ref_checked_maps(horizon, maps, name, shape, noun):
         raise ValueError("horizon must be at least 3")
     arrays = {}
     for key, m in maps.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(x, numbers.Real) for x in key)):
+            raise ValueError(f"{name} key {key!r} is not a pair (s, t) of degrees")
         s, t = key
         if s < 1 or t < 1 or s + t > horizon:
             raise ValueError(f"{name}[{s},{t}] lies outside horizon {horizon}")
@@ -140,6 +144,19 @@ def test_a_non_integral_key_is_refused(kind, fault):
     kind_of = "lies outside horizon" if sum(key) > H else "names no degree pair"
     cls = SubproductSystem if kind == "system" else GradedAlgebra
     with pytest.raises(ValueError, match=re.escape(f"{name}[{key[0]},{key[1]}] {kind_of}")):
+        cls(H, maps)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("fault, key", [("a key of three", "(1, 1, 1)"),
+                                        ("a string key", "'ab'"),
+                                        ("a key that is no pair", "7")])
+def test_a_key_that_is_not_a_pair_is_named(kind, fault, key):
+    name, shape, _ = KINDS[kind]
+    maps = FAULTS[fault](good_maps(shape), shape)
+    cls = SubproductSystem if kind == "system" else GradedAlgebra
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} key {re.escape(key)} is not a "
+                                         r"pair \(s, t\) of degrees$"):
         cls(H, maps)
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import spsys2d.identity
 from spsys2d import graded, serialize
 from spsys2d.classify import TripleClass, canonical_triple
-from spsys2d.cli import SPOT_CHECK_CHUNK, main
+from spsys2d.cli import main
 from spsys2d.exactpoly import NVARS, Polynomial, int_det_bareiss
 from spsys2d.graded import build_graded, catalog
 from spsys2d.identity import d4_polynomial, d8_polynomial, det8_matrix
@@ -103,13 +104,14 @@ class TestVerifyIdentity:
 
 
 def _per_point_flags(count, seed, d8, d4):
-    """The spot-check as the loop over single points it was before batching:
-    the reference the batched path must reproduce, match for match."""
+    """The spot-check as a loop of scalar `Polynomial.evaluate` calls on the
+    same `random.Random` stream: the reference the compiled path must
+    reproduce, match for match."""
     m8 = det8_matrix()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     flags = []
     for _ in range(count):
-        point = [int(v) for v in rng.integers(-9, 10, size=NVARS)]
+        point = [rng.randint(-9, 9) for _ in range(NVARS)]
         lhs = d8.evaluate(point)
         oracle = int_det_bareiss(m8.evaluate(point))
         flags.append(lhs == oracle and lhs == -d4.evaluate(point))
@@ -123,10 +125,10 @@ def _reference_output(flags, count):
     return f"spot-check: {matches}/{count} matches\n{last}\n"
 
 
-class TestBatchedSpotCheck:
+class TestCompiledSpotCheck:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_output_equals_the_per_point_loop(self, capsys, seed):
-        counts = (1, 25, 200, SPOT_CHECK_CHUNK + 1)
+        counts = (1, 25, 200, 513)
         flags = _per_point_flags(max(counts), seed, d8_polynomial(), d4_polynomial())
         for count in counts:
             code, out, _ = run(capsys, "verify-identity", "--spot-check", str(count),
@@ -149,13 +151,13 @@ class TestBatchedSpotCheck:
         assert 0 < sum(flags) < 25
         assert out == _reference_output(flags, 25)
 
-    def test_matrix_batch_equals_per_point_evaluate(self):
+    def test_matrix_gather_equals_per_point_evaluate(self):
         m8 = det8_matrix()
-        pts = np.random.default_rng(5).integers(-9, 10, size=(30, NVARS))
-        batch = m8.evaluate_batch(pts)
-        assert batch.shape == (30, 8, 8)
-        for i, p in enumerate(pts):
-            assert batch[i].tolist() == m8.evaluate([int(v) for v in p])
+        at = m8.gather()
+        rng = random.Random(5)
+        for _ in range(30):
+            point = [rng.randint(-9, 9) for _ in range(NVARS)]
+            assert at(point) == m8.evaluate(point)
 
     def test_no_scalar_evaluation_and_one_expansion(self, monkeypatch, capsys):
         calls = {"evaluate": 0, "laplace_terms": 0}
@@ -388,6 +390,23 @@ class TestExitCodes:
         assert len(err_text.splitlines()) == 1
         assert f"horizon must be an integer, got {horizon!r}" in err_text
 
+    @pytest.mark.parametrize("command", ["classify", "check", "dualize"])
+    @pytest.mark.parametrize("kind", ["system", "algebra"])
+    @pytest.mark.parametrize("field", [[], 7, None])
+    def test_a_map_field_that_is_not_an_object_is_2(self, tmp_path, capsys, command, kind,
+                                                     field):
+        name = "beta" if kind == "system" else "M"
+        data = {"kind": "subproduct_system" if kind == "system" else "graded_algebra",
+                "horizon": 4, name: field}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as err:
+            run(capsys, command, str(path))
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert len(err_text.splitlines()) == 1
+        assert f"{name} must be an object of maps, got {field!r}" in err_text
+
     @pytest.mark.parametrize("command", ["classify", "check"])
     @pytest.mark.parametrize("kind", ["system", "algebra"])
     @pytest.mark.parametrize("repeat", ["spelling", "literal"])
@@ -522,6 +541,8 @@ class TestExitCodes:
         (None, ("--tolerance", "inf", "verify-identity")),
         (None, ("verify-identity", "--tolerance", "inf")),
         (None, ("verify-identity", "--spot-check", "-5")),
+        # random.Random(-1) would draw the points of seed 1
+        (None, ("verify-identity", "--spot-check", "5", "--seed", "-1")),
         (None, ("generate", "--class", "E3", "--lambda", "nan")),
         (None, ("generate", "--class", "E3", "--lambda", "inf")),
         (None, ("generate", "--class", "E3", "--lambda", "1e200")),

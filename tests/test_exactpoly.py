@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spsys2d import exactpoly
 from spsys2d.exactpoly import (
     NVARS,
     VAR_NAMES,
@@ -14,6 +13,7 @@ from spsys2d.exactpoly import (
     evaluate_batch,
     int_det_bareiss,
     laplace_terms,
+    point_evaluator,
     var_index,
 )
 
@@ -126,23 +126,6 @@ class TestEvaluation:
     def test_batch_of_no_points(self):
         assert evaluate_batch(Polynomial.var(0), np.zeros((0, NVARS))).shape == (0,)
 
-    def test_a_second_call_compiles_nothing(self):
-        from spsys2d.identity import d8_polynomial
-
-        d8 = d8_polynomial()
-        pts = np.random.default_rng(1).integers(-9, 10, size=(20, NVARS))
-        big = np.random.default_rng(1).integers(-300, 301, size=(3, NVARS))
-        caches = (exactpoly._compiled, exactpoly._weight_and_degree)
-        first = evaluate_batch(d8, pts), evaluate_batch(d8, big)
-        before = [c.cache_info() for c in caches]
-        second = evaluate_batch(d8, pts), evaluate_batch(d8, big)
-        after = [c.cache_info() for c in caches]
-        # both dtypes, and the bound, came from the caches
-        assert [a.misses for a in after] == [b.misses for b in before]
-        assert [a.hits - b.hits for a, b in zip(after, before)] == [2, 2]
-        for a, b, want in zip(first, second, (np.int64, object)):
-            assert a.dtype == b.dtype == want and np.array_equal(a, b)
-
     @settings(max_examples=20, deadline=None)
     @given(_poly())
     def test_batch_is_bit_identical_to_the_uncached_evaluation(self, p):
@@ -150,6 +133,39 @@ class TestEvaluation:
         for a in (pts, pts * 10**5):
             got, want = evaluate_batch(p, a), ref_evaluate_batch(p, a)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+class TestPointEvaluator:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_poly(), max_size=3),
+           st.lists(st.integers(-9, 9), min_size=NVARS, max_size=NVARS))
+    def test_matches_scalar_evaluation(self, polys, point):
+        assert point_evaluator(polys)(point) == [p.evaluate(point) for p in polys]
+
+    def test_low_degree_terms_and_the_zero_polynomial(self):
+        x0, x3 = Polynomial.var(0), Polynomial.var(3)
+        polys = [Polynomial.const(7), x3 * -2, Polynomial.zero(), x0 * x0 + Polynomial.const(1),
+                 x0 * x3]
+        assert point_evaluator(polys)(list(range(1, 17))) == [7, -8, 0, 2, 4]
+
+    def test_exact_beyond_int64(self):
+        from spsys2d.identity import d8_polynomial
+
+        d8 = d8_polynomial()
+        points = np.random.default_rng(0).integers(-300, 301, size=(20, NVARS)).tolist()
+        values = point_evaluator([d8])
+        assert values(points[0]) == [-17448629058357112720]
+        assert [values(p)[0] for p in points] == [d8.evaluate(p) for p in points]
+
+    def test_gather_reads_variables_and_zeros(self):
+        m = SymMatrix([[Polynomial.var(2), Polynomial.zero()], [Polynomial.var(15)] * 2])
+        assert m.gather()(list(range(10, 26))) == [[12, 0], [25, 25]]
+
+    @pytest.mark.parametrize("entry", [Polynomial.var(0) * 2, Polynomial.const(1),
+                                       Polynomial.var(0) * Polynomial.var(1)])
+    def test_gather_refuses_any_other_entry(self, entry):
+        with pytest.raises(ValueError, match="must be a single variable or 0"):
+            SymMatrix([[Polynomial.var(0), entry]]).gather()
 
 
 class TestSerialization:

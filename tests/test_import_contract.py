@@ -1,6 +1,7 @@
 """Each CLI command, run cold as `python -m spsys2d.cli` in its own
 interpreter, loads only the half of the package it runs, and a bare
-`import spsys2d` loads no submodule.
+`import spsys2d` loads no submodule.  `--help` and `verify-identity` load
+neither numpy nor `dataclasses`.
 
 The modules are read from `python -X importtime`, which lists every import
 as it happens, function-level ones included.  Earlier tests in this process
@@ -21,11 +22,12 @@ import spsys2d
 SRC = Path(spsys2d.__file__).resolve().parents[1]
 EXACT = {"spsys2d.exactpoly", "spsys2d.identity"}
 NUMERIC = {"spsys2d.classify", "spsys2d.graded", "spsys2d.systems", "spsys2d.serialize"}
-IMPORTED = re.compile(r"^import time:[^|]*\|[^|]*\|\s*(spsys2d\.\w+)\s*$", re.M)
+HEAVY = {"numpy", "dataclasses"}
+IMPORTED = re.compile(r"^import time:[^|]*\|[^|]*\|\s*([\w.]+)\s*$", re.M)
 
 
 def cold(*args, cwd=None):
-    """The completed process and the set of spsys2d submodules it imported."""
+    """The completed process and the set of modules it imported."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""),
                PYTHONDONTWRITEBYTECODE="1")
@@ -47,21 +49,35 @@ def generated(tmp_path_factory):
 def test_a_bare_import_loads_no_submodule():
     proc, modules = cold("-c", "import spsys2d")
     assert proc.returncode == 0, proc.stderr
-    assert modules == set()
+    assert not {m for m in modules if m.startswith("spsys2d.")}
 
 
-def test_help_loads_neither_half():
+def test_help_loads_neither_half_nor_numpy():
     proc, modules = cold("-m", "spsys2d.cli", "--help")
     assert proc.returncode == 0 and "verify-identity" in proc.stdout
-    assert not modules & (EXACT | NUMERIC)
+    assert not modules & (EXACT | NUMERIC | HEAVY)
 
 
-def test_verify_identity_loads_only_the_exact_half():
-    proc, modules = cold("-m", "spsys2d.cli", "verify-identity", "--spot-check", "5")
+@pytest.mark.parametrize("flags, out", [
+    ((), "residual: 0"),
+    (("--spot-check", "5"), "spot-check: 5/5 matches"),
+    (("--emit-terms",), "columns (1,2,7,8) sign +1"),
+])
+def test_verify_identity_loads_only_the_exact_half_and_no_numpy(flags, out):
+    proc, modules = cold("-m", "spsys2d.cli", "verify-identity", *flags)
     assert proc.returncode == 0, proc.stderr
-    assert "spot-check: 5/5 matches" in proc.stdout
+    assert out in proc.stdout
     assert EXACT <= modules
-    assert not modules & NUMERIC
+    assert not modules & (NUMERIC | HEAVY)
+
+
+def test_the_spot_check_runs_where_numpy_cannot_be_imported():
+    # a None entry in sys.modules makes every `import numpy` raise ImportError
+    code = ("import sys; sys.modules['numpy'] = None; from spsys2d.cli import main; "
+            "sys.exit(main(['verify-identity', '--spot-check', '25']))")
+    proc, _ = cold("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "spot-check: 25/25 matches\nresidual: 0 (zero polynomial); OK\n"
 
 
 def test_generate_loads_only_the_numeric_half(generated):
