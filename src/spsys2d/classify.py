@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .common import quad_coeffs
 from .tensorlinalg import (
     COLLINEAR_TOL, DEFAULT_EPS, FRAME_TOL, I2, Subspace, _binary_roots, _cross,
     _factor, _norm, _projective, _real_peak, _unit, annihilator, det_bilinear, intersect, kron,
-    normalize_projective, projective_cross, quad_coeffs, require_finite, residual_tol,
+    normalize_projective, projective_cross, require_finite, residual_tol,
     roots_binary_quadratic, singular_values2,
 )
 

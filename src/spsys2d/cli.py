@@ -332,16 +332,14 @@ def main(argv=None) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         print("error: tolerance must be a positive finite number", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.command == "verify-identity" and min(args.spot_check, args.seed) < 0:
-        print("error: --spot-check and --seed must not be negative", file=sys.stderr)
+    if args.command == "verify-identity" and args.spot_check < 0:
+        print("error: --spot-check must not be negative", file=sys.stderr)
         return EXIT_BAD_INPUT
-    handlers = {
-        "verify-identity": cmd_verify_identity,
-        "classify": cmd_classify,
-        "check": cmd_check,
-        "generate": cmd_generate,
-        "dualize": cmd_dualize,
-    }
+    if args.command == "verify-identity" and args.spot_check and args.seed < 0:
+        print("error: --seed must not be negative", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    handlers = {"verify-identity": cmd_verify_identity, "classify": cmd_classify,
+                "check": cmd_check, "generate": cmd_generate, "dualize": cmd_dualize}
     return handlers[args.command](args)
 
 

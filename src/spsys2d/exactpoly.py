@@ -8,6 +8,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -41,12 +42,7 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff != 0:
-                    clean[exps] = coeff
-        self._terms = clean
+        self._terms = {exps: coeff for exps, coeff in (terms or {}).items() if coeff != 0}
 
     # -- constructors ------------------------------------------------------
 
@@ -80,9 +76,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max((sum(e) for e in self._terms), default=-1)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -192,19 +186,28 @@ class Polynomial:
 
 def point_evaluator(polys: Sequence[Polynomial]):
     """`polys` compiled once for exact evaluation at many integer points: a
-    function from a point (16 Python ints) to the list of their values.  Each
-    monomial of the joint support is one product of the factors (a variable
-    repeated by its exponent) that an `itemgetter` picks from `[*point, 1]`,
-    padded with the 1 to two so that a tuple comes back; each polynomial is
-    one dot product of its coefficients with those products."""
+    function from a point (16 Python ints) to the list of their values.
+
+    Per point, each distinct a..h or A..H part of a monomial of the joint
+    support is one product of its factors, picked from `[*point, 1]` (the 1
+    pads a part to two factors); each monomial is the product of its two
+    parts, each polynomial one dot product.  D8 and D4 share 218 monomials
+    but only 34 + 34 parts.
+    """
+    half = NVARS // 2
     monomials = sorted({exps for p in polys for exps in p._terms})
-    slots = [[j for j, e in enumerate(exps) for _ in range(e)] for exps in monomials]
-    getters = [itemgetter(*js, *[NVARS] * (2 - len(js))) for js in slots]
+    halves = [tuple(tuple(j for j in range(lo, lo + half) for _ in range(exps[j]))
+                    for lo in (0, half)) for exps in monomials]
+    parts = sorted({f for pair in halves for f in pair})
+    getters = [itemgetter(*f, *[NVARS] * (2 - len(f))) for f in parts]
+    index = {f: i for i, f in enumerate(parts)}
+    pairs = [(index[lo], index[hi]) for lo, hi in halves]
     coeffs = [[p._terms.get(exps, 0) for exps in monomials] for p in polys]
 
     def values(point: Sequence[int]) -> list:
         x = [*point, 1]
-        products = [math.prod(get(x)) for get in getters]
+        v = [math.prod(get(x)) for get in getters]
+        products = [v[i] * v[j] for i, j in pairs]
         return [sum(map(mul, c, products)) for c in coeffs]
 
     return values
@@ -230,16 +233,41 @@ def evaluate_batch(poly: Polynomial, assignments):
     n = assignments.shape[0]
     if poly.is_zero() or n == 0:
         return np.zeros(n, dtype=np.int64)
+    weight, degree = _weight_and_degree(poly)
     xmax = max(int(assignments.max()), -int(assignments.min()), 1)
-    bound = sum(abs(c) for c in poly._terms.values()) * xmax ** poly.degree()
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = np.int64 if weight * xmax ** degree < 2**63 else object
     assignments = assignments.astype(dtype, copy=False)
-    exps = np.array(list(poly._terms), dtype=dtype)  # (t, 16)
-    values = np.tile(np.array(list(poly._terms.values()), dtype=dtype), (n, 1))  # (n, t)
+    exps, coeffs = _compiled(poly, dtype)  # (t, 16) and (t,)
+    values = np.tile(coeffs, (n, 1))  # (n, t)
     for j in range(NVARS):
-        if exps[:, j].any():
-            values *= assignments[:, j][:, None] ** exps[:, j][None, :]
+        ej = exps[:, j]
+        if not ej.any():
+            continue
+        values *= assignments[:, j][:, None] ** ej[None, :]
     return values.sum(axis=1)
+
+
+# a Polynomial is hashable and never mutated, so what evaluate_batch derives
+# from it is cached; the dtype follows the overflow bound, so it is in the key
+
+
+@functools.lru_cache(maxsize=256)
+def _weight_and_degree(poly: Polynomial) -> tuple:
+    """sum |c| over the terms, and the total degree."""
+    return sum(abs(c) for c in poly._terms.values()), poly.degree()
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(poly: Polynomial, dtype) -> tuple:
+    """The read-only exponent (t, 16) and coefficient (t,) arrays of the
+    terms, in `dtype`."""
+    import numpy as np
+
+    exps = np.array(list(poly._terms), dtype=dtype).reshape(-1, NVARS)
+    coeffs = np.array(list(poly._terms.values()), dtype=dtype)
+    for a in (exps, coeffs):
+        a.setflags(write=False)
+    return exps, coeffs
 
 
 class SymMatrix:
@@ -248,15 +276,11 @@ class SymMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Polynomial]]):
-        rows = len(entries)
-        if rows == 0:
+        if len(entries) == 0:
             raise ValueError("matrix must have at least one row")
-        cols = len(entries[0])
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("matrix rows must have equal length")
-        self.rows = rows
-        self.cols = cols
+        if any(len(row) != len(entries[0]) for row in entries):
+            raise ValueError("matrix rows must have equal length")
+        self.rows, self.cols = len(entries), len(entries[0])
         self.entries = tuple(tuple(row) for row in entries)
 
     def __getitem__(self, key):
@@ -289,13 +313,8 @@ def _submatrix_is_structurally_zero(
     m: SymMatrix, rows: Sequence[int], cols: Sequence[int]
 ) -> bool:
     """True when the selected minor has an all-zero row or column."""
-    for i in rows:
-        if all(m[i, j].is_zero() for j in cols):
-            return True
-    for j in cols:
-        if all(m[i, j].is_zero() for i in rows):
-            return True
-    return False
+    return (any(all(m[i, j].is_zero() for j in cols) for i in rows)
+            or any(all(m[i, j].is_zero() for i in rows) for j in cols))
 
 
 def _det_cofactor(m: SymMatrix, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
@@ -380,23 +399,14 @@ def laplace_terms(m: SymMatrix, pivot_rows: Iterable[int]) -> list[LaplaceTerm]:
         comp = _det_cofactor(m, other_rows, other_cols, memo)
         if comp.is_zero():
             continue
-        terms.append(
-            LaplaceTerm(
-                cols=tuple(j + 1 for j in col_sel),
-                sign=sign,
-                minor=minor,
-                complementary=comp,
-            )
-        )
+        terms.append(LaplaceTerm(cols=tuple(j + 1 for j in col_sel), sign=sign,
+                                 minor=minor, complementary=comp))
     return terms
 
 
 def det_laplace(m: SymMatrix, pivot_rows: Iterable[int]) -> Polynomial:
     """Determinant via Laplace expansion by the given set of rows (0-based)."""
-    total = Polynomial.zero()
-    for term in laplace_terms(m, pivot_rows):
-        total = total + term.contribution()
-    return total
+    return sum((t.contribution() for t in laplace_terms(m, pivot_rows)), Polynomial.zero())
 
 
 def int_det_bareiss(matrix) -> int:

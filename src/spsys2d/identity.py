@@ -51,15 +51,7 @@ def det8_matrix() -> SymMatrix:
 def resultant4(p, q, r, P, Q, R) -> Polynomial:
     """Resultant of two binary quadratic forms as the 4x4 Sylvester determinant."""
     z = Polynomial.zero()
-    m = SymMatrix(
-        [
-            [p, q, r, z],
-            [z, p, q, r],
-            [P, Q, R, z],
-            [z, P, Q, R],
-        ]
-    )
-    return det_cofactor(m)
+    return det_cofactor(SymMatrix([[p, q, r, z], [z, p, q, r], [P, Q, R, z], [z, P, Q, R]]))
 
 
 @cache

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import DEFAULT_EPS, QuadCoeffs, quad_coeffs  # re-exported: shared with the exact half
+from .common import DEFAULT_EPS  # re-exported: shared with the exact half
 
 # -- the threshold policy: two rules on the one setting eps (`--tolerance`),
 # with no floor, so a smaller eps tightens every decision they govern: exact

@@ -568,6 +568,22 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, err", [
+        (("verify-identity", "--spot-check", "-5"), "error: --spot-check must not be negative\n"),
+        (("verify-identity", "--spot-check", "5", "--seed", "-1"),
+         "error: --seed must not be negative\n"),
+        (("--seed", "-1", "verify-identity", "--spot-check", "1"),
+         "error: --seed must not be negative\n"),
+    ])
+    def test_a_negative_count_or_seed_names_its_flag(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("argv", [("verify-identity", "--seed", "-1"),
+                                      ("--seed", "-1", "verify-identity")])
+    def test_a_negative_seed_is_unused_without_a_spot_check(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out == run(capsys, "verify-identity")[1]
+
 
 class TestDualize:
     def test_involution_byte_identical(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spsys2d import exactpoly
 from spsys2d.exactpoly import (
     NVARS,
     VAR_NAMES,
@@ -125,6 +126,23 @@ class TestEvaluation:
 
     def test_batch_of_no_points(self):
         assert evaluate_batch(Polynomial.var(0), np.zeros((0, NVARS))).shape == (0,)
+
+    def test_a_second_call_compiles_nothing(self):
+        from spsys2d.identity import d8_polynomial
+
+        d8 = d8_polynomial()
+        pts = np.random.default_rng(1).integers(-9, 10, size=(20, NVARS))
+        big = np.random.default_rng(1).integers(-300, 301, size=(3, NVARS))
+        caches = (exactpoly._compiled, exactpoly._weight_and_degree)
+        first = evaluate_batch(d8, pts), evaluate_batch(d8, big)
+        before = [c.cache_info() for c in caches]
+        second = evaluate_batch(d8, pts), evaluate_batch(d8, big)
+        after = [c.cache_info() for c in caches]
+        # both dtypes, and the bound, came from the caches
+        assert [a.misses for a in after] == [b.misses for b in before]
+        assert [a.hits - b.hits for a, b in zip(after, before)] == [2, 2]
+        for a, b, want in zip(first, second, (np.int64, object)):
+            assert a.dtype == b.dtype == want and np.array_equal(a, b)
 
     @settings(max_examples=20, deadline=None)
     @given(_poly())
