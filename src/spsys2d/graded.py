@@ -435,8 +435,20 @@ class GradedMorphism:
 
 
 def singular_levels(levels: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Per level of an (h, 2, 2) stack, True where the map has lost rank."""
-    return rank_deficient(np.linalg.svd(levels, compute_uv=False), eps)
+    """Per level of an (h, 2, 2) stack, True where the map has lost rank once
+    each row is scaled to unit norm (row equilibration, van der Sluis 1969):
+    s1 <= eps * s0, so scaling a row of a level does not move its decision
+    (by a power of two, not by one bit).  Unit rows give s0^2 + s1^2 = 2 and
+    s0 * s1 = q, the |det| of the scaled map, so the test is
+    q <= eps * (1 + sqrt(1 - q^2)).  A zero or non-finite row is singular."""
+    levels = np.ascontiguousarray(levels, dtype=complex)
+    rows = np.abs(levels)
+    norms = np.hypot(rows[..., 0], rows[..., 1])[..., None, None]
+    with np.errstate(invalid="ignore"):  # a zero row: 0 / 0, then NaN is singular
+        # real and imaginary parts divided apart, which no subnormal norm overflows
+        u = (levels.view(float).reshape(-1, 2, 2, 2) / norms).view(complex)[..., 0]
+        q = np.abs(u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0])
+        return ~(q > eps * (1 + np.sqrt(np.maximum(1 - q * q, 0))))  # q may round past 1
 
 
 def is_isomorphism(m: GradedMorphism, eps: float = DEFAULT_EPS) -> bool:

@@ -8,7 +8,6 @@ E_s (x) E_t as 4x2 matrices for s + t <= horizon.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,7 +199,7 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
 
     h, idx = sys.horizon, degree_index(sys.horizon)
     maps = canonical_maps(plane.label, h)
-    left = _left_inverse(maps[0].tobytes())
+    left = _column_scaled_adjoint(maps[0])
     # beta[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
     theta = extend_levels(plane.iso.theta, [left] * (h - 1), sys.stack[:h - 1])
     if singular_levels(theta, eps).any():
@@ -215,14 +214,11 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     return Classification(label, iso, plane.rank, plane.rank_margin, residuals)
 
 
-@functools.lru_cache(maxsize=16)
-def _left_inverse(b11: bytes) -> np.ndarray:
-    """The read-only pinv of a canonical beta_can[1, 1], keyed by its bytes:
-    by the class and, for E3, by the bits of lambda (cached, as it is the
-    same for every system of a class)."""
-    left = np.linalg.pinv(np.frombuffer(b11, dtype=complex).reshape(4, 2))
-    left.setflags(write=False)
-    return left
+def _column_scaled_adjoint(b: np.ndarray) -> np.ndarray:
+    """diag(1 / |c_j|^2) b^H for a map b with columns c_j: its Moore-Penrose
+    inverse when the columns are orthogonal, as those of every canonical
+    beta_can are."""
+    return b.conj().T / (b.real * b.real + b.imag * b.imag).sum(axis=0)[:, None]
 
 
 def random_system(label: SystemLabel, seed: int, horizon: int = 6) -> SubproductSystem:

@@ -4,14 +4,17 @@ system or algebra.
 `classify_system` reads the h - 1 distinct canonical maps beta_can[s, .]
 from `canonical_maps` by degree and keeps theta as one stack; it builds no
 canonical `SubproductSystem`.  The path it replaced (`canonical_system`,
-the pinv of its beta[1, 1], the `kron` recursion, the singular-level test
-on the stacked dict and `iso_residuals`) is kept here as the reference, and must agree bit for bit:
-the same products are formed in the same order.
+the left inverse of its beta[1, 1], the `kron` recursion, the singular-level
+test on the stacked dict and `iso_residuals`) is kept here as the reference,
+and must agree bit for bit: the same products are formed in the same order.
+The left inverse is the Moore-Penrose inverse of a map with orthogonal
+columns, written out row by row in `ref_left_inverse`.
 """
 
 import copy
 import pickle
 import re
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -50,7 +53,7 @@ def ref_classify_system(sys, eps=DEFAULT_EPS):
     label = SystemLabel.from_triple_class(plane.label)
 
     canonical = canonical_system(label, sys.horizon)
-    left = np.linalg.pinv(canonical.beta[(1, 1)])
+    left = ref_left_inverse(canonical.beta[(1, 1)])
     theta = {1: plane.iso.theta}
     for n in range(2, sys.horizon + 1):
         theta[n] = left @ kron(theta[1], theta[n - 1]) @ sys.beta[(1, n - 1)]
@@ -63,6 +66,12 @@ def ref_classify_system(sys, eps=DEFAULT_EPS):
         raise ClassifyStageError(
             "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
     return plane, label, iso, residuals
+
+
+def ref_left_inverse(b):
+    """The Moore-Penrose inverse of a map b whose columns c_j are orthogonal:
+    row j is c_j^H / |c_j|^2."""
+    return np.array([c.conj() / sum(x.real * x.real + x.imag * x.imag for x in c) for c in b.T])
 
 
 def outcome(sys, eps, reference):
@@ -164,7 +173,13 @@ def test_classify_system_builds_no_subproduct_system(monkeypatch):
 
 
 def test_classify_system_refusals_match_the_canonical_system_path():
-    singular = random_system(SystemLabel("E3", 3.0), 7, 12)
+    # theta grows with the level here, which a rank test that is not
+    # scale-free calls singular: it certifies, with the label and lambda drawn
+    growing = random_system(SystemLabel("E3", 3.0), 7, 12)
+    got = outcome(growing, 1e-9, False)
+    assert got[:2] == ("ok", "E3") and abs(got[2] - 3.0) <= 1e-12
+    assert got == outcome(growing, 1e-9, True)
+    singular = top_heavy_singular(random_system(SystemLabel("E2"), 3, 12))
     got = outcome(singular, 1e-9, False)
     assert got == ("extend-morphism", "[extend-morphism] extended morphism is singular")
     assert got == outcome(singular, 1e-9, True)
@@ -174,6 +189,23 @@ def test_classify_system_refusals_match_the_canonical_system_path():
     got = outcome(unfit, 1e-6, False)
     assert got[1].startswith("[extend-morphism] level maps fail to intertwine (residual")
     assert got == outcome(unfit, 1e-6, True)
+
+
+def top_heavy_singular(sys):
+    """A broken copy of `sys` that passes `check_axioms`.  The maps into the
+    top level h are first scaled by 1e14, an isomorphic system; coassociativity
+    is tested against eps * max|beta|^2, which then cannot see a break of the
+    size of the other maps.  The second column of beta[1, h-1] is moved into
+    the kernel of L (theta_1 (x) theta_{h-1}), so theta_h has rank one."""
+    h = sys.horizon
+    beta = {k: b * 1e14 if sum(k) == h else b.copy() for k, b in sys.beta.items()}
+    label, iso = classify_system(sys)
+    b11 = canonical_system(label, 3).beta[(1, 1)]
+    solve = ref_left_inverse(b11) @ kron(iso.theta[1], iso.theta[h - 1])
+    kernel = np.linalg.svd(solve)[2][-1].conj()
+    b = beta[(1, h - 1)]
+    beta[(1, h - 1)] = np.column_stack([b[:, 0], kernel * np.abs(b).max()])
+    return SubproductSystem(h, beta)
 
 
 # --- the canonical maps ------------------------------------------------------
@@ -285,23 +317,60 @@ def test_generate_keeps_the_overflow_exit(capsys):
     assert captured.err == "error: --lambda overflows: complex exponentiation\n"
 
 
-def test_one_left_inverse_per_class(monkeypatch):
-    systems._left_inverse.cache_clear()
+@pytest.mark.parametrize("h", [6, 12])
+def test_a_certified_call_makes_two_linalg_calls_and_no_pinv(monkeypatch, h):
+    """The SVD of the stack in `check_axioms` and that of beta[1, 1] in
+    `Subspace.from_spanning`: the left inverse of beta_can[1, 1] and the
+    theta rank test are closed forms."""
+    inputs = [random_system(label, 40 + i, h) for i, label in enumerate(GRID)]
     calls = []
-    pinv = np.linalg.pinv
+    for name in dir(np.linalg):
+        real = getattr(np.linalg, name)
+        if name.startswith("_") or isinstance(real, type) or not callable(real):
+            continue
 
-    def counting_pinv(*args, **kwargs):
-        calls.append(1)
-        return pinv(*args, **kwargs)
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
-    for seed in (1, 2):
-        assert classify_system(random_system(SystemLabel("E2"), seed, 8)).label.label == "E2"
-    assert len(calls) == 1
-    b11 = canonical_beta(TripleClass("C2"), 1)
-    left = systems._left_inverse(b11.tobytes())
-    assert len(calls) == 1 and not left.flags.writeable
-    assert left.tobytes() == pinv(b11).tobytes()
+        monkeypatch.setattr(np.linalg, name, counted)
+    for sys in inputs:
+        calls.clear()
+        assert max(classify_system(sys).residuals.values()) <= 1e-8
+        assert calls == ["svd", "svd"]
+
+
+# --- the left inverse of beta_can[1, 1] --------------------------------------
+
+U = np.finfo(float).eps / 2  # the unit roundoff
+LAMBDAS = (0.25, 0.5, 1, -1, 1j, 2 + 1j, 3, 4, 1.25, 1.5, -2, -4, 0.5j, 4j)
+
+
+def _c3_lambdas():
+    rng = np.random.default_rng(8)
+    radii = 10.0 ** rng.uniform(-3, 3, 200)
+    return [complex(x) for x in LAMBDAS] + list(radii * np.exp(2j * np.pi * rng.random(200)))
+
+
+def test_the_left_inverse_equals_pinv_for_c1_c2_c4_c5():
+    for label in ("C1", "C2", "C4", "C5"):
+        for s in (1, 2):  # C2 alternates by the parity of the degree
+            b = canonical_beta(TripleClass(label), s)
+            assert np.array_equal(systems._column_scaled_adjoint(b), np.linalg.pinv(b))
+
+
+def test_the_c3_left_inverse_is_pinv_within_rounding():
+    for lam in _c3_lambdas():
+        b = canonical_beta(TripleClass("C3", lam), 1)
+        left = systems._column_scaled_adjoint(b)
+        assert np.linalg.norm(left - np.linalg.pinv(b)) <= 4 * U * np.linalg.norm(left), lam
+        assert np.abs(left @ b - np.eye(2)).max() <= 4 * U, lam
+        # the exact inverse, of norm 1: rows e1 and (0, conj(lam), 1, 0) / (1 + |lam|^2)
+        re, im = Fraction(lam.real), Fraction(lam.imag)
+        n = 1 + re * re + im * im
+        got = (left[1, 1].real, left[1, 1].imag, left[1, 2].real)
+        assert max(abs(Fraction(g) - e) for g, e in zip(got, (re / n, -im / n, 1 / n))) <= 2 * U
+        assert left[1, 2].imag == 0 and left[0].tolist() == [1, 0, 0, 0]
 
 
 # --- the level recursion and the rank test -----------------------------------
@@ -329,6 +398,26 @@ def test_is_isomorphism_is_the_stack_test():
     for h, iso in ((6, False), (3, True)):
         g = dualize(canonical_system(SystemLabel("E1"), h))
         assert is_isomorphism(GradedMorphism(g, g, dict(enumerate(theta, 1)))) is iso
+
+
+def bounded_e3(lam, horizon):
+    """E3(lam) with bounded maps: beta[s, t] sends e1 to e1 (x) e1 and e2 to
+    lam^-t e2 (x) e1 + e1 (x) e2, isomorphic to the canonical E3(lam)
+    through diag(1, lam^t)."""
+    pairs = degree_index(horizon).pairs
+    beta = np.zeros((len(pairs), 4, 2), dtype=complex)
+    beta[:, 0, 0] = beta[:, 1, 1] = 1
+    beta[:, 2, 1] = [lam ** -t for _, t in pairs]
+    return SubproductSystem(horizon, dict(zip(pairs, beta)))
+
+
+@pytest.mark.parametrize("h", [16, 32, 64])
+@pytest.mark.parametrize("lam", [4, 3, 2 + 1j, 1.25])
+def test_the_bounded_e3_presentation_classifies(lam, h):
+    # a rank test that is not scale-free calls 7 of these 12 singular
+    r = classify_system(bounded_e3(lam, h))
+    assert r.label.label == "E3" and abs(r.label.lam - lam) <= 1e-12 * abs(lam)
+    assert max(r.residuals.values()) <= 1e-12
 
 
 # --- read-only maps, for both dual kinds -------------------------------------

@@ -1,5 +1,4 @@
-"""The one table of canonical maps, the one left inverse of the level-map
-recursion, and the pairwise image check.
+"""The one table of canonical maps and the pairwise image check.
 
 The hand-written tables that `canonical_beta` replaced are kept here as the
 reference: the canonical systems and triples must be bit-identical to them.
@@ -8,10 +7,9 @@ reference: the canonical systems and triples must be bit-identical to them.
 import numpy as np
 import pytest
 
-from spsys2d import systems
 from spsys2d.classify import TripleClass, canonical_triple
 from spsys2d.graded import check_image_condition
-from spsys2d.systems import SystemLabel, canonical_system, classify_system, dualize, random_system
+from spsys2d.systems import SystemLabel, canonical_system, dualize, random_system
 from spsys2d.tensorlinalg import I2, Subspace, kron
 
 LAMBDAS = (0.25, -1, 1j, 2 + 1j, 4, 1 - 1j, 1e-3, 1e3)
@@ -87,22 +85,6 @@ def test_canonical_tables_are_bit_identical_to_the_separate_tables(label):
     want_e2, want_e3 = ref_canonical_triple(c)
     assert np.array_equal(t.E2.basis, want_e2)
     assert np.array_equal(t.E3.basis, want_e3)
-
-
-def test_classify_system_takes_one_left_inverse(monkeypatch):
-    systems._left_inverse.cache_clear()  # a class seen before takes none
-    sys = random_system(SystemLabel("E3", 0.5), 3, 12)
-    calls = []
-    pinv = np.linalg.pinv
-
-    def counting_pinv(*args, **kwargs):
-        calls.append(1)
-        return pinv(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
-    label, iso = classify_system(sys)
-    assert label.label == "E3" and len(iso.theta) == 12
-    assert len(calls) == 1
 
 
 def test_image_condition_holds_where_the_iterated_carry_lost_rank():

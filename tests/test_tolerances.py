@@ -9,6 +9,7 @@ floor tests show that a small eps tightens the tests it names.
 import ast
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,83 @@ def test_singular_levels_flags_one_singular_map():
     theta[4] = np.array([[1, 2], [2, 4]], dtype=complex)
     assert singular(theta, 5)
     assert not singular(theta, 3)
+
+
+U = np.finfo(float).eps / 2  # the unit roundoff
+
+
+def _levels_with_ratios(ratio, rng):
+    """Complex 2x2 maps with unit rows whose s1 / s0 is `ratio`: the second
+    row leans on the first by the sine that gives that ratio."""
+    sine = 2 * ratio / (1 + ratio * ratio)  # |det| of unit rows with that s1 / s0
+    z = rng.standard_normal((len(ratio), 2)) + 1j * rng.standard_normal((len(ratio), 2))
+    first = z / np.linalg.norm(z, axis=1, keepdims=True)
+    normal = np.stack([-first[:, 1].conj(), first[:, 0].conj()], axis=1)
+    second = np.sqrt(1 - sine * sine)[:, None] * first + sine[:, None] * normal
+    phase = np.exp(2j * np.pi * rng.random((len(ratio), 2, 1)))
+    return np.stack([first, second], axis=1) * phase
+
+
+def _levels_around(eps, rng, n=400):
+    """n maps with s1 / s0 spread around eps, a quarter of them within a
+    relative 1e-15 to 1e-1 of it, and n more spread over [1e-17, 1]."""
+    near = eps * np.concatenate([
+        10.0 ** rng.uniform(-2, 2, n - n // 4),
+        1 + rng.choice([-1, 1], n // 4) * 10.0 ** rng.uniform(-15, -1, n // 4)])
+    spread = 10.0 ** rng.uniform(-17, 0, n)
+    return _levels_with_ratios(np.minimum(np.concatenate([near, spread]), 1.0), rng)
+
+
+def _lapack_ratio(levels):
+    """s1 / s0 of each level with its rows scaled to unit norm, by LAPACK."""
+    sv = np.linalg.svd(levels / np.linalg.norm(levels, axis=2, keepdims=True),
+                       compute_uv=False)
+    return sv[:, 1] / sv[:, 0]
+
+
+@pytest.mark.parametrize("eps", EPSES)
+def test_singular_levels_is_the_row_equilibrated_svd_rule(eps):
+    rng = np.random.default_rng(21)
+    levels = _levels_around(eps, rng)
+    levels *= 10.0 ** rng.uniform(-30, 30, (len(levels), 2, 1))  # rows of any size
+    ratio = _lapack_ratio(levels)
+    far = np.abs(ratio - eps) > 8 * U
+    want = ratio <= eps
+    # both decisions are met away from the threshold, where eps leaves room
+    assert not want[far].all() and (want[far].any() or eps <= 8 * U)
+    assert (singular_levels(levels, eps)[far] == want[far]).all()
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+def test_singular_levels_ignore_the_scale_of_each_row(eps):
+    rng = np.random.default_rng(5)
+    levels = _levels_around(eps, rng)
+    want = singular_levels(levels, eps)
+    assert want.any() and not want.all()
+    for k in range(-150, 151):
+        for row in (0, 1):
+            scaled = levels.copy()
+            scaled[:, row] *= 2.0 ** k
+            assert (singular_levels(scaled, eps) == want).all(), (k, row)
+
+
+def test_zero_and_non_finite_rows_are_singular_without_a_warning():
+    levels = np.ones((6, 2, 2), dtype=complex) + np.eye(2)
+    levels[1] = 0
+    levels[2, 0] = 0
+    levels[3, 1] = 1e-320  # subnormal, still a rank-2 map after scaling
+    levels[4, 1, 0] = np.inf
+    levels[5, 0, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = singular_levels(levels)
+    assert got.tolist() == [False, True, True, False, True, True]
+
+
+def test_twist_refuses_a_zero_level_map():
+    g = build_graded(catalog("D2"), np.eye(2), 5)
+    with pytest.raises(NotAutomorphismError, match="^level-1 map is not invertible$"):
+        twist(g, lambda t: np.zeros((2, 2)))
 
 
 # one defect per input, and the constructor's message for it
