@@ -346,12 +346,6 @@ U = np.finfo(float).eps / 2  # the unit roundoff
 LAMBDAS = (0.25, 0.5, 1, -1, 1j, 2 + 1j, 3, 4, 1.25, 1.5, -2, -4, 0.5j, 4j)
 
 
-def _c3_lambdas():
-    rng = np.random.default_rng(8)
-    radii = 10.0 ** rng.uniform(-3, 3, 200)
-    return [complex(x) for x in LAMBDAS] + list(radii * np.exp(2j * np.pi * rng.random(200)))
-
-
 def test_the_left_inverse_equals_pinv_for_c1_c2_c4_c5():
     for label in ("C1", "C2", "C4", "C5"):
         for s in (1, 2):  # C2 alternates by the parity of the degree
@@ -360,7 +354,9 @@ def test_the_left_inverse_equals_pinv_for_c1_c2_c4_c5():
 
 
 def test_the_c3_left_inverse_is_pinv_within_rounding():
-    for lam in _c3_lambdas():
+    rng = np.random.default_rng(8)
+    drawn = 10.0 ** rng.uniform(-3, 3, 200) * np.exp(2j * np.pi * rng.random(200))
+    for lam in [complex(x) for x in LAMBDAS] + list(drawn):
         b = canonical_beta(TripleClass("C3", lam), 1)
         left = systems._column_scaled_adjoint(b)
         assert np.linalg.norm(left - np.linalg.pinv(b)) <= 4 * U * np.linalg.norm(left), lam
