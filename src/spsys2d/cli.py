@@ -2,7 +2,9 @@
 
 Commands: verify-identity, classify, check, generate, dualize.
 Exit codes: 0 success; 1 verification failure; 2 malformed input or usage;
-3 axiom failure; 4 unclassifiable input.
+3 axiom failure; 4 unclassifiable input; 141 (128 + SIGPIPE, as a shell
+reports a process that SIGPIPE ended) when the reader of stdout closes it
+early, as `| head` does, with nothing written to stderr.
 
 Each command imports only what it runs: `verify-identity` loads the exact
 half (`common`, `exactpoly`, `identity`) and no numpy, the file commands the
@@ -23,6 +25,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_AXIOM_FAIL = 3
 EXIT_UNCLASSIFIABLE = 4
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_HORIZON = 6
 
@@ -344,7 +347,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # stdout is gone: point it at devnull, so the final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

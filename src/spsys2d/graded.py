@@ -139,14 +139,17 @@ class DegreeIndex:
     """The degree pairs (s, t) with s + t <= horizon and triples (r, s, t)
     with r + s + t <= horizon, in nested-loop order.
 
-    `levels` holds the (s, t) of each pair as an array; `rs`, `rs_t`, `st`
-    and `r_st` hold, for each triple, the positions in `pairs` of (r, s),
-    (r + s, t), (s, t) and (r, s + t), to gather stacked per-pair maps.
+    `levels` holds the (s, t) of each pair as an array, and `sides` the
+    positions s - 1, t - 1 and s + t - 1 of theta_s, theta_t and theta_{s+t}
+    in a stack of level maps theta_1..theta_h; `rs`, `rs_t`, `st` and `r_st`
+    hold, for each triple, the positions in `pairs` of (r, s), (r + s, t),
+    (s, t) and (r, s + t), to gather stacked per-pair maps.
     """
 
     pairs: tuple
     triples: tuple
     levels: np.ndarray = field(repr=False)
+    sides: np.ndarray = field(repr=False)
     rs: np.ndarray = field(repr=False)
     rs_t: np.ndarray = field(repr=False)
     st: np.ndarray = field(repr=False)
@@ -169,9 +172,10 @@ def degree_index(horizon: int) -> DegreeIndex:
     gather = np.array([[pos[(r, s)], pos[(r + s, t)], pos[(s, t)], pos[(r, s + t)]]
                        for r, s, t in triples], dtype=np.intp).reshape(-1, 4)
     levels = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    for a in (gather, levels):
+    sides = np.column_stack([levels - 1, levels.sum(axis=1) - 1])
+    for a in (gather, levels, sides):
         a.setflags(write=False)
-    return DegreeIndex(pairs, triples, levels, *gather.T)
+    return DegreeIndex(pairs, triples, levels, sides, *gather.T)
 
 
 def _chunks(n: int):
@@ -386,22 +390,29 @@ def intertwining(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
     stacked in pairs order, for the (h, 2, 2) stack theta and two systems'
     (P, 4, 2) stacks.  A graded morphism is this relation on the transposes.
     (theta_s (x) theta_t) X is formed as (theta_s (x) I2)((I2 (x) theta_t) X)."""
-    s, t = degree_index(len(theta)).levels.T
-    inner = matmul2(theta[t - 1, None], src.reshape(-1, 2, 2, 2))
-    lhs = matmul2(theta[s - 1], inner.reshape(-1, 2, 4)).reshape(-1, 4, 2)
-    return lhs, matmul2(dst, theta[s + t - 1])
+    s, t, st = degree_index(len(theta)).sides.T
+    inner = matmul2(theta[t, None], src.reshape(-1, 2, 2, 2))
+    lhs = matmul2(theta[s], inner.reshape(-1, 2, 4)).reshape(-1, 4, 2)
+    return lhs, matmul2(dst, theta[st])
 
 
-def relative_residuals(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The relative residual of each pair, in pairs order, for the (h, 2, 2)
-    stack theta and two systems' (P, 4, 2) stacks: the max defect of
-    `intertwining` scaled by max(1, the largest |entry| of either side).
-    The one residual rule of `systems.iso_residuals`, `classify_system` and
+def intertwining_defects(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """(defects, residuals) for the (h, 2, 2) stack theta and two systems'
+    (P, 4, 2) stacks, in pairs order: the (P, 4, 2) stack |lhs - rhs| of
+    `intertwining`, and the relative residual of each pair, its largest
+    defect scaled by max(1, the largest |entry| of either side).  The one
+    residual rule of `systems.iso_residuals`, `classify_system` and
     `extend_morphism`."""
     lhs, rhs = intertwining(theta, src, dst)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
                                        np.abs(rhs).max(axis=(1, 2))))
-    return np.abs(lhs - rhs).max(axis=(1, 2)) / scale
+    defects = np.abs(lhs - rhs)
+    return defects, defects.max(axis=(1, 2)) / scale
+
+
+def relative_residuals(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The relative residual of each pair, as `intertwining_defects` forms it."""
+    return intertwining_defects(theta, src, dst)[1]
 
 
 def extend_levels(theta1, left, maps) -> np.ndarray:
@@ -439,16 +450,29 @@ def singular_levels(levels: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     each row is scaled to unit norm (row equilibration, van der Sluis 1969):
     s1 <= eps * s0, so scaling a row of a level does not move its decision
     (by a power of two, not by one bit).  Unit rows give s0^2 + s1^2 = 2 and
-    s0 * s1 = q, the |det| of the scaled map, so the test is
-    q <= eps * (1 + sqrt(1 - q^2)).  A zero or non-finite row is singular."""
+    s0 * s1 = q, the |det| of the scaled map (`equilibrated_levels`), so the
+    test is `rank_lost(q, eps)`.  A zero or non-finite row is singular."""
+    return rank_lost(equilibrated_levels(levels)[1], eps)
+
+
+def equilibrated_levels(levels: np.ndarray) -> tuple:
+    """(norms, q) of an (h, 2, 2) stack: the (h, 2) row norms, and per level
+    q = |det| of the map with each row scaled to unit norm, so |det| =
+    q * norms[:, 0] * norms[:, 1].  q is NaN for a zero or non-finite row."""
     levels = np.ascontiguousarray(levels, dtype=complex)
     rows = np.abs(levels)
-    norms = np.hypot(rows[..., 0], rows[..., 1])[..., None, None]
+    norms = np.hypot(rows[..., 0], rows[..., 1])
     with np.errstate(invalid="ignore"):  # a zero row: 0 / 0, then NaN is singular
         # real and imaginary parts divided apart, which no subnormal norm overflows
-        u = (levels.view(float).reshape(-1, 2, 2, 2) / norms).view(complex)[..., 0]
-        q = np.abs(u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0])
-        return ~(q > eps * (1 + np.sqrt(np.maximum(1 - q * q, 0))))  # q may round past 1
+        u = (levels.view(float).reshape(-1, 2, 2, 2) / norms[..., None, None]).view(complex)
+        q = np.abs(u[:, 0, 0, 0] * u[:, 1, 1, 0] - u[:, 0, 1, 0] * u[:, 1, 0, 0])
+    return norms, q
+
+
+def rank_lost(q: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """The test of `singular_levels` on q of `equilibrated_levels`:
+    q <= eps * (1 + sqrt(1 - q^2)), True for a NaN q."""
+    return ~(q > eps * (1 + np.sqrt(np.maximum(1 - q * q, 0))))  # q may round past 1
 
 
 def is_isomorphism(m: GradedMorphism, eps: float = DEFAULT_EPS) -> bool:

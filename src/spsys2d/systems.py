@@ -8,14 +8,16 @@ E_s (x) E_t as 4x2 matrices for s + t <= horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import (Classification, Triple, TripleClass, canonical_maps, check_label,
                        classify_plane)
-from .graded import (GradedAlgebra, checked_maps, degree_index, extend_levels,
-                     relative_residuals, singular_levels, stack_maps, triple_residuals)
+from .graded import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
+                     extend_levels, intertwining_defects, rank_lost, relative_residuals,
+                     stack_maps, triple_residuals)
 from .tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, rank_deficient, residual_tol
 
 SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
@@ -128,16 +130,19 @@ def axiom_text(rep: AxiomReport) -> str:
 
 
 def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport:
+    """Injectivity of every beta[s, t] (`rank_deficient` on a stacked SVD) and
+    coassociativity of every triple within eps * max(max|beta|^2, 1), formed on
+    the stack scaled by a power of two (`_scaled_tol`), so that no product
+    overflows; a NaN or infinite residual fails."""
     idx = degree_index(sys.horizon)
     beta = sys.stack
     sv = np.linalg.svd(beta, compute_uv=False)
     inj_failures = [idx.pairs[i] for i in np.flatnonzero(rank_deficient(sv, eps))]
     min_sv = sv[:, 1].min()
-    scale = np.abs(beta).max()
-    tol = eps * max(scale * scale, 1.0)
-    residuals = triple_residuals(beta, idx)
-    worst = float(np.fmax.reduce(residuals, initial=0.0))  # skips NaN residuals
-    failing = np.flatnonzero(residuals > tol)
+    unit, tol = _scaled_tol(float(np.abs(beta).max()), eps)
+    residuals = triple_residuals(beta if unit == 1 else beta * unit, idx)  # copied only to scale
+    worst = float(np.fmax.reduce(residuals, initial=0.0)) / unit / unit  # skips NaN
+    failing = np.flatnonzero(~(residuals <= tol))
     first_fail = idx.triples[failing[0]] if failing.size else None
     passed = not inj_failures and first_fail is None
     return AxiomReport(
@@ -147,6 +152,17 @@ def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport
         injectivity_failures=tuple(inj_failures),
         min_singular_value=float(min_sv),
     )
+
+
+def _scaled_tol(scale: float, eps: float) -> tuple:
+    """(unit, tol) for a stack whose largest |entry| is `scale`: unit = 2^-k,
+    the power of two that brings a scale >= 2 into [1, 2) (1 otherwise), and
+    the coassociativity tolerance eps * max(scale^2, 1) of `check_axioms` in
+    the units of the stack times unit, which then neither overflows nor
+    rounds differently."""
+    unit = math.ldexp(1.0, -max(math.frexp(scale)[1] - 1, 0))
+    scale *= unit
+    return unit, eps * max(scale * scale, unit * unit)
 
 
 def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Triple:
@@ -177,8 +193,8 @@ def dualize(obj):
 def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classification:
     """Label + explicit per-level isomorphism onto the canonical system.
 
-    Pipeline: check the axioms, then read the class and theta_1 from the
-    normal form of the plane Im beta[1,1].  Every later level is then forced by
+    Pipeline: read the class and theta_1 from the normal form of the plane
+    Im beta[1,1].  Every later level is then forced by
     (theta_1 (x) theta_{n-1}) beta[1, n-1] = beta_can[1, n-1] theta_n.  The
     canonical beta_can[1, t] is injective and the same for every t, so one
     left inverse L of beta_can[1, 1] solves all levels (`extend_levels`).  The
@@ -186,10 +202,38 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     `iso_residuals`, against beta_can[s, t] = `canonical_maps`[s - 1] (no
     canonical system is built); the result keeps them and the plane's rank.
     That certificate covers every pair, so E3 is not checked separately.
+
+    The axioms come last.  A certified input is conjugate, within the
+    certificate's defects, to the canonical system, which is injective and
+    coassociative; `_axioms_proved` bounds what that leaves of both axioms,
+    and `check_axioms` runs only when the bound cannot decide, or when a stage
+    refused or raised.  An input that fails the axioms is refused at stage
+    `axioms`, with the same message, as if they had been checked first.
     """
+    try:
+        with np.errstate(all="ignore"):  # an input that fails the axioms may overflow here
+            result, proved = _certified(sys, eps)
+    except Exception:
+        # whatever a stage raised on an input that fails the axioms, the axioms
+        # refuse it first; on one that passes, the stage's error stands
+        _require_axioms(sys, eps)
+        raise
+    if not proved:
+        _require_axioms(sys, eps)
+    return result
+
+
+def _require_axioms(sys: SubproductSystem, eps: float) -> None:
+    """The `axioms` refusal of `classify_system` when `check_axioms` fails."""
     report = check_axioms(sys, eps)
     if not report.passed:
-        raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
+        raise ClassifyStageError(
+            "axioms", f"input fails the axioms: {axiom_text(report)}") from None
+
+
+def _certified(sys: SubproductSystem, eps: float) -> tuple:
+    """The stages of `classify_system` before the axioms: its result, and
+    whether `_axioms_proved` decides that the input passes `check_axioms`."""
     e2 = Subspace.from_spanning(sys.stack[0], eps=eps)  # beta[1, 1]
     try:
         plane = classify_plane(e2, eps)
@@ -202,16 +246,70 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     left = _column_scaled_adjoint(maps[0])
     # beta[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
     theta = extend_levels(plane.iso.theta, [left] * (h - 1), sys.stack[:h - 1])
-    if singular_levels(theta, eps).any():
+    norms, q = equilibrated_levels(theta)
+    if rank_lost(q, eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
-    target = maps[idx.levels[:, 0] - 1]  # beta_can[s, t] = maps[s - 1]
-    residuals = dict(zip(idx.pairs, relative_residuals(theta, sys.stack, target).tolist()))
+    target = maps[idx.sides[:, 0]]  # beta_can[s, t] = maps[s - 1]
+    defects, residuals = intertwining_defects(theta, sys.stack, target)
+    residuals = dict(zip(idx.pairs, residuals.tolist()))
     worst = max(residuals.values())
     if worst > residual_tol(eps):
         raise ClassifyStageError(
             "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
     iso = SystemIso(theta=dict(enumerate(theta, 1)))
-    return Classification(label, iso, plane.rank, plane.rank_margin, residuals)
+    result = Classification(label, iso, plane.rank, plane.rank_margin, residuals)
+    return result, _axioms_proved(sys.stack, norms, q, defects, label.lam is not None, eps)
+
+
+_U = 2.0 ** -53  # the unit roundoff
+_SLACK = 64 * _U  # relative slack on a computed bound, for its own rounding
+
+
+def _axioms_proved(stack: np.ndarray, norms: np.ndarray, q: np.ndarray,
+                   defects: np.ndarray, c3: bool, eps: float) -> bool:
+    """True only if `check_axioms(sys, eps)` passes, for the system `stack`,
+    decided in O(h^2) from what `_certified` formed: the row norms and q of
+    its level maps theta (`equilibrated_levels`), and the defects of
+    `intertwining_defects` against the canonical maps beta_can.
+
+    Coassociativity, first, as it is the part that fails where the bound
+    cannot decide: write theta_t = D_t U_t with D_t = diag(norms[t]), so U_t
+    has unit rows, |det U_t| = q_t and |U_t^-1|_2 <= sqrt(2) / q_t.  The
+    defect R_st = (theta_s (x) theta_t) beta_st - beta*_s theta_{s+t}, against
+    the canonical maps beta* with exact powers of lambda (a coassociative
+    system), has rows scaled by (D_s (x) D_t)^-1 at most the scaled defects
+    plus the rounding of both sides and of fl(lambda^s).  Then beta =
+    beta' + E with beta' = (theta_s (x) theta_t)^-1 beta* theta_{s+t}
+    coassociative and |E_st|max <= 4 |R_st scaled|max / (q_s q_t), so every
+    triple's defect is at most 4 E (2 B + E), over the largest entries E of E
+    and B of beta; with the rounding of `triple_residuals` it must clear the
+    tolerance of `check_axioms` (`_scaled_tol`).
+
+    Injectivity, in closed form: for the columns x, y of beta_st, sigma_1^2 >=
+    (|x|^2 |y|^2 - |x^H y|^2) / (|x|^2 + |y|^2), which must clear the test of
+    `rank_deficient` with LAPACK's rounding added.  Every rounding term
+    carries a generous constant."""
+    a = np.abs(stack)
+    xx, yy = (a * a).sum(axis=1).T  # |x|^2, |y|^2 for the columns x, y of each map
+    tr = xx + yy  # |beta_st|_F^2 = sigma_0^2 + sigma_1^2
+    s, t, _ = degree_index(len(norms)).sides.T
+    inv = 1 / norms
+    scaled = (defects * (inv[s, :, None] * inv[t, None, :]).reshape(-1, 4, 1)).max(axis=(1, 2))
+    # both sides round within 10 u (|beta_st|_F + |R_st|), fl(lambda^s) within
+    # 12 (s + 1) u |lambda^s|, which adds as much again of |beta_st|_F + |R_st|
+    rounding = _U * (10 + 12 * (s + 2) if c3 else 10) * (np.sqrt(tr) + scaled)
+    q = q - 32 * _U  # q rounds within 25 u
+    err = float(((scaled + rounding) / (q[s] * q[t])).max()) * 4 * (1 + _SLACK)
+    big = float(a.max())
+    unit, tol = _scaled_tol(big, eps)
+    err, big = err * unit, big * unit
+    if not 4 * err * (2 * big + err) * (1 + _SLACK) + _SLACK * big * big <= tol:
+        return False
+    xy = np.abs((stack[..., 0].conj() * stack[..., 1]).sum(axis=1))
+    # sigma_1 > (eps + _SLACK) (1 + _SLACK) max(sigma_0, 1) clears the test with
+    # LAPACK's rounding; the Gram determinant rounds within _SLACK tr^2
+    gap = float(((xx * yy - xy * xy) / (tr * np.maximum(tr, 1))).min())
+    return gap > ((eps + _SLACK) * (1 + _SLACK)) ** 2 + _SLACK
 
 
 def _column_scaled_adjoint(b: np.ndarray) -> np.ndarray:

@@ -318,12 +318,13 @@ def test_generate_keeps_the_overflow_exit(capsys):
 
 
 @pytest.mark.parametrize("h", [6, 12])
-def test_a_certified_call_makes_two_linalg_calls_and_no_pinv(monkeypatch, h):
-    """The SVD of the stack in `check_axioms` and that of beta[1, 1] in
-    `Subspace.from_spanning`: the left inverse of beta_can[1, 1] and the
-    theta rank test are closed forms."""
+def test_a_certified_call_makes_one_svd_per_path_and_no_pinv(monkeypatch, h):
+    """The SVD of beta[1, 1] in `Subspace.from_spanning`, and only when the
+    bound of `_axioms_proved` cannot decide, `check_axioms` with the SVD of the
+    stack: the left inverse of beta_can[1, 1], the theta rank test and the
+    bound are closed forms."""
     inputs = [random_system(label, 40 + i, h) for i, label in enumerate(GRID)]
-    calls = []
+    calls, checks = [], []
     for name in dir(np.linalg):
         real = getattr(np.linalg, name)
         if name.startswith("_") or isinstance(real, type) or not callable(real):
@@ -334,10 +335,27 @@ def test_a_certified_call_makes_two_linalg_calls_and_no_pinv(monkeypatch, h):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    real_check = systems.check_axioms
+
+    def counted_check(*args, **kwargs):
+        checks.append(len(calls))
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "check_axioms", counted_check)
+    paths = []
     for sys in inputs:
         calls.clear()
+        checks.clear()
         assert max(classify_system(sys).residuals.values()) <= 1e-8
-        assert calls == ["svd", "svd"]
+        if checks:  # the fallback: check_axioms after the certificate
+            assert checks == [1] and calls == ["svd", "svd"]
+        else:
+            assert calls == ["svd"]
+        paths.append(bool(checks))
+    # E1, E2, E4, E5 and E3 with |lambda| <= 1 take the fast path; at h = 12,
+    # E3(2+i), E3(3) and E3(4) fall back
+    assert not any(paths[:9])
+    assert h == 6 or all(paths[9:])
 
 
 # --- the left inverse of beta_can[1, 1] --------------------------------------

@@ -1,0 +1,312 @@
+"""`classify_system` checks the axioms last, and skips `check_axioms` when the
+certificate's error bound (`systems._axioms_proved`) already decides it.
+
+The order it replaced, axioms first, is kept here as the reference: every
+outcome must be the same, bit for bit (theta, residuals, label, lambda), or
+the same refusal with the same message.  The bound must be sound: whenever it
+says "pass", `check_axioms` passes.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from spsys2d import systems
+from spsys2d.classify import canonical_maps, classify_plane
+from spsys2d.graded import (degree_index, extend_levels, relative_residuals,
+                            singular_levels, triple_residuals)
+from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemLabel, axiom_text,
+                             canonical_system, check_axioms, classify_system, random_system)
+from spsys2d.tensorlinalg import Subspace, residual_tol
+
+GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
+    SystemLabel("E3", complex(lam))
+    for lam in (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0)
+]
+EPSES = (1e-6, 1e-9, 1e-12)
+
+
+# --- reference: the axioms first ---------------------------------------------
+
+def ref_classify_axioms_first(sys, eps):
+    """classify_system with `check_axioms` as its first stage."""
+    report = check_axioms(sys, eps)
+    if not report.passed:
+        raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
+    e2 = Subspace.from_spanning(sys.stack[0], eps=eps)
+    try:
+        plane = classify_plane(e2, eps)
+    except ValueError as exc:
+        raise ClassifyStageError("classify-triple", str(exc)) from exc
+    label = SystemLabel.from_triple_class(plane.label)
+    h, idx = sys.horizon, degree_index(sys.horizon)
+    maps = canonical_maps(plane.label, h)
+    theta = extend_levels(plane.iso.theta, [systems._column_scaled_adjoint(maps[0])] * (h - 1),
+                          sys.stack[:h - 1])
+    if singular_levels(theta, eps).any():
+        raise ClassifyStageError("extend-morphism", "extended morphism is singular")
+    residuals = relative_residuals(theta, sys.stack, maps[idx.levels[:, 0] - 1])
+    worst = residuals.max()
+    if worst > residual_tol(eps):
+        raise ClassifyStageError(
+            "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
+    return label, theta, plane, dict(zip(idx.pairs, residuals.tolist()))
+
+
+def outcome(sys, eps, reference):
+    """The refusal's stage and message (or the exception's type and message),
+    or label, lambda, rank, margin, theta bit for bit and the residuals."""
+    try:
+        if reference:
+            label, theta, plane, residuals = ref_classify_axioms_first(sys, eps)
+            rank, margin = plane.rank, plane.rank_margin
+        else:
+            r = classify_system(sys, eps)
+            label, theta = r.label, np.stack([r.iso.theta[t] for t in sorted(r.iso.theta)])
+            rank, margin, residuals = r.rank, r.rank_margin, r.residuals
+    except ClassifyStageError as exc:
+        return (exc.stage, str(exc))
+    except Exception as exc:  # noqa: BLE001 - any exception must match too
+        return (type(exc).__name__, str(exc))
+    return ("ok", label.label, label.lam, rank, margin, theta.tobytes(),
+            tuple(residuals), np.array(list(residuals.values())).tobytes())
+
+
+def moved(sys, key, entry, delta):
+    """A copy of `sys` with one entry of beta[key] moved by delta."""
+    beta = {k: b.copy() for k, b in sys.beta.items()}
+    beta[key][entry] += delta
+    return SubproductSystem(sys.horizon, beta)
+
+
+def identity_inputs():
+    """The grid at h = 6, 12, 20, clean and with one entry moved by 1e-13 to
+    1e-3 of the largest entry, at a pair that varies with the input."""
+    for h in (6, 12, 20):
+        pairs = degree_index(h).pairs
+        for i, label in enumerate(GRID):
+            sys = random_system(label, 1000 * i + h, h)
+            yield sys
+            scale = np.abs(sys.stack).max()
+            for j, delta in enumerate((1e-13, 1e-10, 1e-7, 1e-5, 1e-3)):
+                key = pairs[(7 * i + 5 * j) % len(pairs)]
+                yield moved(sys, key, ((i + j) % 4, j % 2), delta * scale)
+
+
+@pytest.fixture
+def axiom_checks(monkeypatch):
+    """A list that grows by one entry per `check_axioms` call of classify_system."""
+    calls = []
+    real = systems.check_axioms
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "check_axioms", counted)
+    return calls
+
+
+# --- decision identity -------------------------------------------------------
+
+@pytest.mark.parametrize("eps", EPSES)
+def test_every_outcome_is_the_axioms_first_outcome(axiom_checks, eps):
+    paths = set()
+    for sys in identity_inputs():
+        axiom_checks.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing the reference does not warn about
+            got = outcome(sys, eps, reference=False)
+        assert got == outcome(sys, eps, reference=True), got[:2]
+        paths.add((got[0], len(axiom_checks)))
+    # the bound decided, the fallback passed, and the fallback refused
+    assert {("ok", 0), ("ok", 1), ("axioms", 1)} <= paths
+    assert all(checks == 1 for stage, checks in paths if stage != "ok")
+
+
+def test_the_bound_decides_most_calls_of_the_benchmark_grid(axiom_checks):
+    """The fast path is the common path: every cell at h = 6 (the large-lambda
+    E3 cells now and then fall back), and all but E3(2+i), E3(3), E3(4) at h = 12."""
+    fast = {}
+    for h in (6, 12):
+        for i, label in enumerate(GRID):
+            for seed in range(3):
+                axiom_checks.clear()
+                classify_system(random_system(label, 1000 * seed + 7 + i, h))
+                fast[h, label] = fast.get((h, label), 0) + (not axiom_checks)
+    assert sum(fast[6, label] for label in GRID) >= 32
+    assert all(fast[6, label] == 3 for label in GRID[:9])
+    assert all(fast[12, label] == 3 for label in GRID[:9] if label.lam != 1)
+
+
+# --- soundness of the bound --------------------------------------------------
+
+def proved(sys, eps):
+    """Whether `_axioms_proved` says "pass", or None when a stage refuses."""
+    try:
+        return systems._certified(sys, eps)[1]
+    except ClassifyStageError:
+        return None
+
+
+def soundness_inputs():
+    """Systems near the coassociativity threshold (one entry moved by 1e-4 to
+    1e4 times eps * max|beta|) and near the injectivity threshold (E3 with a
+    large lambda, whose maps lose rank in float64 as the horizon grows)."""
+    rng = np.random.default_rng(23)
+    for i, label in enumerate(GRID):
+        for h in (6, 12):
+            sys = random_system(label, 500 + 10 * i + h, h)
+            pairs = degree_index(h).pairs
+            scale = np.abs(sys.stack).max()
+            for eps in EPSES:
+                for k in np.linspace(-4, 4, 9):
+                    key = pairs[rng.integers(len(pairs))]
+                    entry = tuple(rng.integers((4, 2)))
+                    delta = 10 ** k * eps * scale * np.exp(2j * np.pi * rng.random())
+                    yield moved(sys, key, entry, delta), eps
+    for lam in (2 + 1j, 3, 4, 6, 8):
+        for h in (6, 9, 12, 14, 16, 20):
+            label = SystemLabel("E3", complex(lam))
+            for eps in EPSES:
+                yield canonical_system(label, h), eps
+                yield random_system(label, h, h), eps
+
+
+def test_the_bound_never_passes_an_input_that_check_axioms_refuses():
+    verdicts = set()
+    for sys, eps in soundness_inputs():
+        claim = proved(sys, eps)
+        passed = check_axioms(sys, eps).passed
+        if claim:
+            assert passed, (sys.horizon, eps)
+        verdicts.add((claim, passed))
+    # the inputs straddle both thresholds: the bound proved some, missed some
+    # that pass, and check_axioms refused some that the certificate accepts
+    assert {(True, True), (False, True), (False, False)} <= verdicts
+
+
+def test_a_one_entry_break_is_never_proved_once_check_axioms_sees_it():
+    """Moving one entry of beta[2, 1] by delta: the bound proves no delta that
+    check_axioms refuses, and proves the small ones."""
+    sys = random_system(SystemLabel("E2"), 3, 6)
+    eps = 1e-9
+    seen = []
+    for delta in np.geomspace(1e-16, 1e-6, 41):
+        broken = moved(sys, (2, 1), (0, 0), delta)
+        seen.append((proved(broken, eps), check_axioms(broken, eps).passed))
+    assert all(passed for claim, passed in seen if claim)
+    assert seen[0] == (True, True) and not seen[-1][1]
+
+
+# --- refusals that the speculative stages meet first --------------------------
+
+def with_beta_1_1(sys, b11):
+    beta = {k: b.copy() for k, b in sys.beta.items()}
+    beta[(1, 1)] = np.asarray(b11, dtype=complex)
+    return SubproductSystem(sys.horizon, beta)
+
+
+def huge_and_rank_deficient(sys):
+    """beta[1, 2] scaled by 1e200, so that theta overflows past level 2, and
+    beta[2, 2] of rank one."""
+    beta = {k: b.copy() for k, b in sys.beta.items()}
+    beta[(1, 2)] *= 1e200
+    beta[(2, 2)] = np.outer(beta[(2, 2)][:, 0], [1.0, 2.0])
+    return SubproductSystem(sys.horizon, beta)
+
+
+BASE = random_system(SystemLabel("E2"), 3, 6)
+REFUSED_FIRST = {
+    "zero column": with_beta_1_1(BASE, np.column_stack([BASE.beta[(1, 1)][:, 0], np.zeros(4)])),
+    "rank one": with_beta_1_1(BASE, np.outer(BASE.beta[(1, 1)][:, 0], [1.0, -3.0])),
+    "huge entries": huge_and_rank_deficient(BASE),
+}
+# the messages of the axioms-first order, as it printed them
+REFUSAL_TEXTS = {
+    "zero column": "worst associativity residual 21.8; first failing triple (1, 1, 1); "
+                   "injectivity failures at [(1, 1)]",
+    "rank one": "worst associativity residual 33.1; first failing triple (1, 1, 1); "
+                "injectivity failures at [(1, 1)]",
+    "huge entries": "worst associativity residual 1.92e+201; injectivity failures at [(2, 2)]",
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_FIRST)
+def test_an_input_that_breaks_a_speculative_stage_is_refused_at_axioms(name):
+    sys = REFUSED_FIRST[name]
+    want = ("axioms", f"[axioms] input fails the axioms: {REFUSAL_TEXTS[name]}")
+    assert outcome(sys, 1e-9, reference=True) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(sys, 1e-9, reference=False) == want
+
+
+def test_any_exception_of_a_stage_defers_to_the_axioms(monkeypatch):
+    """A ZeroDivisionError of the plane read is an `axioms` refusal when the
+    input fails the axioms, and is raised as it is when the input passes."""
+    def broken(*args):
+        raise ZeroDivisionError("complex division by zero")
+
+    monkeypatch.setattr(systems, "classify_plane", broken)
+    with pytest.raises(ClassifyStageError, match=r"^\[axioms\] input fails the axioms"):
+        classify_system(REFUSED_FIRST["rank one"])
+    with pytest.raises(ZeroDivisionError, match="complex division by zero"):
+        classify_system(BASE)
+
+
+# --- the coassociativity tolerance without overflow ---------------------------
+
+def broken_e2(**scaled):
+    """Scrambled E2 at h = 6 with beta[2, 1][0, 0] += 1, then the maps named
+    in `scaled` (all of them for "all") multiplied by the given factor."""
+    beta = {k: b.copy() for k, b in BASE.beta.items()}
+    beta[(2, 1)][0, 0] += 1
+    for k in beta:
+        beta[k] *= scaled.get("all", 1) * scaled.get(f"b{k[0]}{k[1]}", 1)
+    return SubproductSystem(6, beta)
+
+
+def test_a_broken_system_at_any_scale_fails_without_a_warning():
+    """Scaled as a whole by 1e160, the products overflow float64: the old
+    tolerance was inf and every residual NaN or inf, so the input passed."""
+    for factor in (1.0, 1e100, 1e160, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_axioms(broken_e2(all=factor))
+        assert not rep.passed and rep.first_failing_triple == (1, 1, 1)
+
+
+def test_one_huge_map_is_judged_by_the_stated_tolerance_without_a_warning():
+    """beta[1, 5] scaled by 1e160: the tolerance eps * max|beta|^2 (~1e313)
+    is formed without overflow, and admits the break of beta[2, 1] (residual
+    ~2e161), as it does at 1e100, where nothing overflows.  That tolerance is
+    absolute in the largest entry of any map."""
+    for factor in (1e100, 1e160):
+        sys = broken_e2(b15=factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_axioms(sys, 1e-9)
+        log_scale = math.log10(np.abs(sys.stack).max())
+        assert rep.passed
+        assert 0 < math.log10(rep.worst_associativity_residual) < 2 * log_scale - 9
+        assert not check_axioms(broken_e2(), 1e-9).passed  # the break alone
+
+
+def test_the_scaled_tolerance_is_the_stated_one_where_it_does_not_overflow():
+    rng = np.random.default_rng(5)
+    for scale in [0.0, 1e-300, 0.5, 1.0, 1.5, 2.0] + list(10 ** rng.uniform(-20, 150, 200)):
+        for eps in EPSES:
+            unit, tol = systems._scaled_tol(scale, eps)
+            assert unit == 1.0 if scale < 2 else 1 <= scale * unit < 2
+            assert tol / unit / unit == eps * max(scale * scale, 1.0)
+
+
+def test_check_axioms_residuals_are_the_unscaled_ones_bit_for_bit():
+    for i, label in enumerate(GRID):
+        sys = random_system(label, i, 12)
+        rep = check_axioms(sys)
+        worst = triple_residuals(sys.stack, degree_index(12)).max()
+        assert rep.worst_associativity_residual == worst

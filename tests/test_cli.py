@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spsys2d
 import spsys2d.identity
 from spsys2d import graded, serialize
 from spsys2d.classify import TripleClass, canonical_triple
@@ -613,3 +618,43 @@ class TestEnvTolerance:
         # parser is rebuilt per call, so the env var is honored
         code, _, _ = run(capsys, "verify-identity")
         assert code == 0
+
+
+def cold_cli(*argv, **kwargs):
+    """`python -m spsys2d.cli` in a new process, on this checkout's source."""
+    src = str(Path(spsys2d.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.Popen([sys.executable, "-m", "spsys2d.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early (`| head`) ends the command with
+    EXIT_BROKEN_PIPE and nothing on stderr, not a BrokenPipeError traceback."""
+
+    def test_a_reader_gone_before_the_first_byte(self, tmp_path, capsys):
+        path = tmp_path / "e34.json"
+        code, _, _ = run(capsys, "generate", "--class", "E3", "--lambda", "4", "--scramble",
+                         "--seed", "9", "--horizon", "12", "--output", str(path))
+        assert code == 0
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = cold_cli("classify", str(path), "--format", "json", stdout=write)
+        finally:
+            os.close(write)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_a_reader_that_stops_after_400_bytes(self, tmp_path, capsys):
+        # ~0.6 MB of output, past any pipe buffer: the writer must meet the close
+        path = tmp_path / "big.json"
+        code, _, _ = run(capsys, "generate", "--class", "E2", "--scramble", "--seed", "3",
+                         "--horizon", "64", "--output", str(path))
+        assert code == 0
+        proc = cold_cli("dualize", str(path), stdout=subprocess.PIPE)
+        assert len(proc.stdout.read(400)) == 400
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
