@@ -415,17 +415,69 @@ def relative_residuals(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> n
     return intertwining_defects(theta, src, dst)[1]
 
 
-def extend_levels(theta1, left, maps) -> np.ndarray:
+def extend_levels(theta1, left, maps, lam=None) -> np.ndarray:
     """The (h, 2, 2) stack theta_1..theta_h, h = len(maps) + 1, with theta_n =
     left[n-2] (theta_1 (x) theta_{n-1}) maps[n-2]: the level recursion of a
-    system iso (maps = beta[1, .], left = left inverses of the target's)."""
-    theta = np.empty((len(maps) + 1, 2, 2), dtype=complex)
-    theta[0] = theta1
-    t1 = theta[0][:, None, :, None]  # theta_1 (x) theta_{n-1} as `kron` forms it
-    for n in range(2, len(theta) + 1):
-        t1_tn = (t1 * theta[n - 2][None, :, None, :]).reshape(4, 4)
-        theta[n - 1] = left[n - 2] @ t1_tn @ maps[n - 2]
-    return theta
+    system iso (maps = beta[1, .], left = left inverses of the target's
+    beta[1, .], an (h - 1, 2, 4) stack, or one 2x4 map for every level).  It
+    runs on Python complex scalars, each operand read by one `tolist()`:
+    z = (I2 (x) theta_{n-1}) maps[n-2], then y = (theta_1 (x) I2) z, then
+    left[n-2] y, each sum taken left to right.
+
+    With `lam`, the target is E3(lam), whose automorphisms include a_t(x) =
+    [[1, x S_t], [0, 1]], S_t = 1 + lam + ... + lam^(t-1), with a(x) a(y) =
+    a(x + y); theta is gauged by one of them.  After each level n with
+    |S_n| >= 1/2, c = <r2, r1> / <r2, r2> of its rows r1, r2 makes them
+    orthogonal (r1 -= c r2, which is a_n(x) for x = -c / S_n), and theta_1
+    takes a_1(x) (r1 += x r2), so the later levels are solved in the gauge
+    reached so far.  One backward pass then gives each level m the x of every
+    later level, summed, as that sum times S_m r2.  For |lam| > 1 this keeps
+    theta_n from growing a first row of size |lam|^n; inside the loop, each
+    level is solved from gauged rows, so its rounding stays sized to them."""
+    (a, b), (c, d) = np.asarray(theta1).tolist()
+    left = np.asarray(left)
+    lefts = left.tolist() if left.ndim == 3 else [left.tolist()] * len(maps)
+    out = [a, b, c, d]  # theta_1 (its first row is set last), theta_2, ... flat
+    gauges = []  # per level n >= 2: (S_n, the x it added to theta_1)
+    e, f, g, k = a, b, c, d  # theta_{n-1}
+    s_n = 1
+    for (l0, l1), ((b00, b01), (b10, b11), (b20, b21), (b30, b31)) in zip(
+            lefts, np.asarray(maps).tolist()):
+        z00, z01 = e * b00 + f * b10, e * b01 + f * b11
+        z10, z11 = g * b00 + k * b10, g * b01 + k * b11
+        z20, z21 = e * b20 + f * b30, e * b21 + f * b31
+        z30, z31 = g * b20 + k * b30, g * b21 + k * b31
+        y00, y01 = a * z00 + b * z20, a * z01 + b * z21
+        y10, y11 = a * z10 + b * z30, a * z11 + b * z31
+        y20, y21 = c * z00 + d * z20, c * z01 + d * z21
+        y30, y31 = c * z10 + d * z30, c * z11 + d * z31
+        e = l0[0] * y00 + l0[1] * y10 + l0[2] * y20 + l0[3] * y30
+        f = l0[0] * y01 + l0[1] * y11 + l0[2] * y21 + l0[3] * y31
+        g = l1[0] * y00 + l1[1] * y10 + l1[2] * y20 + l1[3] * y30
+        k = l1[0] * y01 + l1[1] * y11 + l1[2] * y21 + l1[3] * y31
+        if lam is not None:
+            s_n = 1 + lam * s_n
+            x = 0
+            gc, kc = g.conjugate(), k.conjugate()
+            r2 = (gc * g + kc * k).real
+            # no division by zero: a zero or NaN row, or |S_n| < 1/2, is skipped
+            if r2 > 0 and (s_n * s_n.conjugate()).real >= 0.25:
+                cc = (gc * e + kc * f) / r2
+                e, f = e - cc * g, f - cc * k
+                x = -cc / s_n
+                a, b = a + x * c, b + x * d
+            gauges.append((s_n, x))
+        out += (e, f, g, k)
+    out[:2] = a, b
+    later = 0
+    for i in range(len(gauges) - 1, -1, -1):  # theta_{i+2}, from the top down
+        if later:
+            shift = later * gauges[i][0]
+            j = 4 * i + 4
+            out[j] += shift * out[j + 2]
+            out[j + 1] += shift * out[j + 3]
+        later += gauges[i][1]
+    return np.array(out, dtype=complex).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -139,8 +139,8 @@ def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport
     sv = np.linalg.svd(beta, compute_uv=False)
     inj_failures = [idx.pairs[i] for i in np.flatnonzero(rank_deficient(sv, eps))]
     min_sv = sv[:, 1].min()
-    unit, tol = _scaled_tol(float(np.abs(beta).max()), eps)
-    residuals = triple_residuals(beta if unit == 1 else beta * unit, idx)  # copied only to scale
+    scaled, unit, _, tol = _scaled_tol(beta, eps)
+    residuals = triple_residuals(scaled, idx)
     worst = float(np.fmax.reduce(residuals, initial=0.0)) / unit / unit  # skips NaN
     failing = np.flatnonzero(~(residuals <= tol))
     first_fail = idx.triples[failing[0]] if failing.size else None
@@ -154,15 +154,21 @@ def check_axioms(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> AxiomReport
     )
 
 
-def _scaled_tol(scale: float, eps: float) -> tuple:
-    """(unit, tol) for a stack whose largest |entry| is `scale`: unit = 2^-k,
-    the power of two that brings a scale >= 2 into [1, 2) (1 otherwise), and
-    the coassociativity tolerance eps * max(scale^2, 1) of `check_axioms` in
-    the units of the stack times unit, which then neither overflows nor
-    rounds differently."""
-    unit = math.ldexp(1.0, -max(math.frexp(scale)[1] - 1, 0))
-    scale *= unit
-    return unit, eps * max(scale * scale, unit * unit)
+def _scaled_tol(stack: np.ndarray, eps: float) -> tuple:
+    """(scaled, unit, big, tol) for a contiguous stack of maps: unit = 2^-k,
+    the power of two that brings the largest |Re| or |Im| of its entries into
+    [1, 2) when that is >= 2 (1 otherwise); scaled = stack * unit (`stack`
+    itself, not copied, when unit is 1); big = max|scaled|; and the
+    coassociativity tolerance eps * max(max|beta|^2, 1) of `check_axioms` in
+    the units of `scaled`, eps * max(big^2, unit^2).  The largest |Re| or |Im|
+    is finite for every finite entry, whose modulus may not be, so neither big
+    nor tol overflows; scaling by a power of two rounds nothing, so the
+    tolerance is the stated one wherever that does not overflow."""
+    peak = float(np.abs(stack.view(float)).max())
+    unit = math.ldexp(1.0, -max(math.frexp(peak)[1] - 1, 0))
+    scaled = stack if unit == 1 else stack * unit
+    big = float(np.abs(scaled).max())
+    return scaled, unit, big, eps * max(big * big, unit * unit)
 
 
 def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Triple:
@@ -197,11 +203,16 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     Im beta[1,1].  Every later level is then forced by
     (theta_1 (x) theta_{n-1}) beta[1, n-1] = beta_can[1, n-1] theta_n.  The
     canonical beta_can[1, t] is injective and the same for every t, so one
-    left inverse L of beta_can[1, 1] solves all levels (`extend_levels`).  The
-    level maps must be invertible, and they are certified once by the rule of
-    `iso_residuals`, against beta_can[s, t] = `canonical_maps`[s - 1] (no
-    canonical system is built); the result keeps them and the plane's rank.
-    That certificate covers every pair, so E3 is not checked separately.
+    left inverse L of beta_can[1, 1] solves all levels (`extend_levels`).  For
+    E3(lambda) theta is defined up to the automorphisms a_t(x) = [[1, x S_t],
+    [0, 1]], S_t = 1 + lambda + ... + lambda^(t-1), of the canonical system;
+    the recursion fixes x by the E3 gauge of `extend_levels` (the rows of
+    each level with |S_t| >= 1/2 made orthogonal in turn), so theta_t does
+    not grow like lambda^t for |lambda| > 1.  The level maps must be
+    invertible, and they are certified once by the rule of `iso_residuals`,
+    against beta_can[s, t] = `canonical_maps`[s - 1] (no canonical system is
+    built); the result keeps them and the plane's rank.  That certificate
+    covers every pair, so E3 is not checked separately.
 
     The axioms come last.  A certified input is conjugate, within the
     certificate's defects, to the canonical system, which is injective and
@@ -245,7 +256,7 @@ def _certified(sys: SubproductSystem, eps: float) -> tuple:
     maps = canonical_maps(plane.label, h)
     left = _column_scaled_adjoint(maps[0])
     # beta[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
-    theta = extend_levels(plane.iso.theta, [left] * (h - 1), sys.stack[:h - 1])
+    theta = extend_levels(plane.iso.theta, left, sys.stack[:h - 1], plane.label.lam)
     norms, q = equilibrated_levels(theta)
     if rank_lost(q, eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
@@ -285,31 +296,40 @@ def _axioms_proved(stack: np.ndarray, norms: np.ndarray, q: np.ndarray,
     and B of beta; with the rounding of `triple_residuals` it must clear the
     tolerance of `check_axioms` (`_scaled_tol`).
 
-    Injectivity, in closed form: for the columns x, y of beta_st, sigma_1^2 >=
-    (|x|^2 |y|^2 - |x^H y|^2) / (|x|^2 + |y|^2), which must clear the test of
-    `rank_deficient` with LAPACK's rounding added.  Every rounding term
-    carries a generous constant."""
+    Injectivity, in closed form: for the columns x, y of beta_st, with
+    r = y - (x^H y / |x|^2) x the part of y orthogonal to x, sigma_0^2
+    sigma_1^2 = |x|^2 |r|^2 (the Gram determinant, formed without its
+    cancellation) and sigma_0^2 <= |x|^2 + |y|^2 = tr, so sigma_1^2 >=
+    |x|^2 |r|^2 / tr.  The computed r is within 19 u |y| + u |r| of the exact
+    one (x^H y within 6 u |x| |y|, the quotient within 15 u |y| / |x|, the
+    product and the difference within 4 u), and its computed norm within 4 u
+    of its own; as |r|, |y| <= sqrt(tr), |r| >= |r|~ - 24 u sqrt(tr) for the
+    computed |r|~.  So sigma_1 / max(sigma_0, 1) >= |x| |r| / max(tr,
+    sqrt(tr)) >= gap - 24 u, for gap = |x| |r|~ / max(tr, sqrt(tr)) (as |x|
+    <= sqrt(tr)), which rounds within 20 u.  It must clear the test of
+    `rank_deficient` with LAPACK's rounding added: sigma_1 > (eps + 64 u)
+    (1 + 64 u) max(sigma_0, 1).  Every rounding term carries a generous
+    constant."""
     a = np.abs(stack)
-    xx, yy = (a * a).sum(axis=1).T  # |x|^2, |y|^2 for the columns x, y of each map
+    xx, yy = np.einsum("prc,prc->cp", a, a)  # |x|^2, |y|^2 for the columns x, y of each map
     tr = xx + yy  # |beta_st|_F^2 = sigma_0^2 + sigma_1^2
+    root_tr = np.sqrt(tr)
     s, t, _ = degree_index(len(norms)).sides.T
     inv = 1 / norms
     scaled = (defects * (inv[s, :, None] * inv[t, None, :]).reshape(-1, 4, 1)).max(axis=(1, 2))
     # both sides round within 10 u (|beta_st|_F + |R_st|), fl(lambda^s) within
     # 12 (s + 1) u |lambda^s|, which adds as much again of |beta_st|_F + |R_st|
-    rounding = _U * (10 + 12 * (s + 2) if c3 else 10) * (np.sqrt(tr) + scaled)
+    rounding = _U * (10 + 12 * (s + 2) if c3 else 10) * (root_tr + scaled)
     q = q - 32 * _U  # q rounds within 25 u
     err = float(((scaled + rounding) / (q[s] * q[t])).max()) * 4 * (1 + _SLACK)
-    big = float(a.max())
-    unit, tol = _scaled_tol(big, eps)
-    err, big = err * unit, big * unit
+    _, unit, big, tol = _scaled_tol(stack, eps)
+    err *= unit
     if not 4 * err * (2 * big + err) * (1 + _SLACK) + _SLACK * big * big <= tol:
         return False
-    xy = np.abs((stack[..., 0].conj() * stack[..., 1]).sum(axis=1))
-    # sigma_1 > (eps + _SLACK) (1 + _SLACK) max(sigma_0, 1) clears the test with
-    # LAPACK's rounding; the Gram determinant rounds within _SLACK tr^2
-    gap = float(((xx * yy - xy * xy) / (tr * np.maximum(tr, 1))).min())
-    return gap > ((eps + _SLACK) * (1 + _SLACK)) ** 2 + _SLACK
+    x, y = stack[..., 0], stack[..., 1]
+    r = (y - ((x.conj() * y).sum(axis=1) / xx)[:, None] * x).view(float)  # Re, Im of r
+    gap = float((np.sqrt(np.einsum("pi,pi->p", r, r) * xx) / np.maximum(tr, root_tr)).min())
+    return gap > (eps + _SLACK) * (1 + _SLACK) ** 2 + _SLACK  # NaN fails
 
 
 def _column_scaled_adjoint(b: np.ndarray) -> np.ndarray:

@@ -175,8 +175,9 @@ def span_rank(s: np.ndarray, eps: float = DEFAULT_EPS):
 
 def rank_deficient(sv: np.ndarray, eps: float = DEFAULT_EPS):
     """True where a rank-2 map with singular values sv[..., 0] >= sv[..., 1]
-    has lost rank: sv[1] <= eps * max(sv[0], 1)."""
-    return sv[..., 1] <= eps * np.maximum(sv[..., 0], 1.0)
+    has lost rank: sv[1] <= eps * max(sv[0], 1), or a singular value is NaN,
+    as LAPACK returns for a map whose norm overflows."""
+    return ~(sv[..., 1] > eps * np.maximum(sv[..., 0], 1.0))
 
 
 def _null_space(m: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:

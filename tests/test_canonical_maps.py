@@ -4,11 +4,15 @@ system or algebra.
 `classify_system` reads the h - 1 distinct canonical maps beta_can[s, .]
 from `canonical_maps` by degree and keeps theta as one stack; it builds no
 canonical `SubproductSystem`.  The path it replaced (`canonical_system`,
-the left inverse of its beta[1, 1], the `kron` recursion, the singular-level
-test on the stacked dict and `iso_residuals`) is kept here as the reference,
-and must agree bit for bit: the same products are formed in the same order.
-The left inverse is the Moore-Penrose inverse of a map with orthogonal
-columns, written out row by row in `ref_left_inverse`.
+the left inverse of its beta[1, 1], the singular-level test on the stacked
+dict and `iso_residuals`) is kept here as the reference, and must agree bit
+for bit: the same products are formed in the same order.  The reference
+solves theta with `extend_levels`, the recursion `classify_system` runs,
+which is pinned on its own against a scalar loop written out here, against
+the `kron` loop it replaced within a stated rounding bound, and, with the E3
+gauge, against that loop's theta carried by a unipotent automorphism of the
+canonical E3.  The left inverse is the Moore-Penrose inverse of a map with
+orthogonal columns, written out row by row in `ref_left_inverse`.
 """
 
 import copy
@@ -23,8 +27,8 @@ import pytest
 from spsys2d import systems
 from spsys2d.cli import main as cli_main
 from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, classify_plane
-from spsys2d.graded import (GradedMorphism, degree_index, extend_levels, is_isomorphism,
-                            singular_levels, stack_maps)
+from spsys2d.graded import (GradedMorphism, degree_index, equilibrated_levels, extend_levels,
+                            is_isomorphism, relative_residuals, singular_levels, stack_maps)
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              axiom_text, canonical_system, check_axioms, classify_system,
                              dualize, iso_residuals, random_system)
@@ -40,8 +44,9 @@ GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
 
 def ref_classify_system(sys, eps=DEFAULT_EPS):
     """classify_system as it was: the canonical system built per call, theta
-    solved level by level with `kron` and kept as a dict, checked with
-    singular_levels on its stack and certified with iso_residuals."""
+    solved by `extend_levels` with the left inverse of its beta[1, 1] and kept
+    as a dict, checked with singular_levels on its stack and certified with
+    iso_residuals."""
     report = check_axioms(sys, eps)
     if not report.passed:
         raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
@@ -52,11 +57,11 @@ def ref_classify_system(sys, eps=DEFAULT_EPS):
         raise ClassifyStageError("classify-triple", str(exc)) from exc
     label = SystemLabel.from_triple_class(plane.label)
 
-    canonical = canonical_system(label, sys.horizon)
+    h = sys.horizon
+    canonical = canonical_system(label, h)
     left = ref_left_inverse(canonical.beta[(1, 1)])
-    theta = {1: plane.iso.theta}
-    for n in range(2, sys.horizon + 1):
-        theta[n] = left @ kron(theta[1], theta[n - 1]) @ sys.beta[(1, n - 1)]
+    maps = stack_maps(sys.beta, [(1, t) for t in range(1, h)])
+    theta = dict(enumerate(extend_levels(plane.iso.theta, [left] * (h - 1), maps, label.lam), 1))
     if singular_levels(stack_maps(theta, range(1, sys.horizon + 1)), eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta=theta)
@@ -183,9 +188,15 @@ def test_classify_system_refusals_match_the_canonical_system_path():
     got = outcome(singular, 1e-9, False)
     assert got == ("extend-morphism", "[extend-morphism] extended morphism is singular")
     assert got == outcome(singular, 1e-9, True)
+    # a break of 1e-3 in beta[1, 2] of E3(4), whose certificate depends on the
+    # gauge: 1.07e-3 ungauged, 1.9e-4 gauged, against residual_tol(1e-6) = 1e-3
     beta = dict(random_system(SystemLabel("E3", 4.0), 0, 6).beta)
     beta[(1, 2)] = beta[(1, 2)] + np.array([[0, 0]] * 3 + [[0, 1e-3]])
-    unfit = SubproductSystem(6, beta)
+    near = SubproductSystem(6, beta)
+    got = outcome(near, 1e-6, False)
+    assert got[:2] == ("ok", "E3") and abs(got[2] - 4) <= 1e-12 * 4
+    assert got == outcome(near, 1e-6, True)
+    unfit = top_heavy_unfit(random_system(SystemLabel("E3", 4.0), 0, 6))
     got = outcome(unfit, 1e-6, False)
     assert got[1].startswith("[extend-morphism] level maps fail to intertwine (residual")
     assert got == outcome(unfit, 1e-6, True)
@@ -205,6 +216,16 @@ def top_heavy_singular(sys):
     kernel = np.linalg.svd(solve)[2][-1].conj()
     b = beta[(1, h - 1)]
     beta[(1, h - 1)] = np.column_stack([b[:, 0], kernel * np.abs(b).max()])
+    return SubproductSystem(h, beta)
+
+
+def top_heavy_unfit(sys):
+    """A broken copy of `sys` that passes `check_axioms`: the maps into the
+    top level h scaled by 1e14, then one entry of beta[h-1, 1] moved by 1e-2
+    of its largest entry, which the certificate at (h-1, 1) sees."""
+    h = sys.horizon
+    beta = {k: b * 1e14 if sum(k) == h else b.copy() for k, b in sys.beta.items()}
+    beta[(h - 1, 1)][3, 1] += 1e-2 * np.abs(beta[(h - 1, 1)]).max()
     return SubproductSystem(h, beta)
 
 
@@ -322,8 +343,11 @@ def test_a_certified_call_makes_one_svd_per_path_and_no_pinv(monkeypatch, h):
     """The SVD of beta[1, 1] in `Subspace.from_spanning`, and only when the
     bound of `_axioms_proved` cannot decide, `check_axioms` with the SVD of the
     stack: the left inverse of beta_can[1, 1], the theta rank test and the
-    bound are closed forms."""
+    bound are closed forms.  The bound decides every input of the grid; it
+    cannot decide the last input, scrambled E2 with beta[2, 1] moved by
+    1e-10 of its largest entry, which passes `check_axioms` and certifies."""
     inputs = [random_system(label, 40 + i, h) for i, label in enumerate(GRID)]
+    inputs.append(moved_entry(random_system(SystemLabel("E2"), 40, h), (2, 1), 1e-10))
     calls, checks = [], []
     for name in dir(np.linalg):
         real = getattr(np.linalg, name)
@@ -352,10 +376,15 @@ def test_a_certified_call_makes_one_svd_per_path_and_no_pinv(monkeypatch, h):
         else:
             assert calls == ["svd"]
         paths.append(bool(checks))
-    # E1, E2, E4, E5 and E3 with |lambda| <= 1 take the fast path; at h = 12,
-    # E3(2+i), E3(3) and E3(4) fall back
-    assert not any(paths[:9])
-    assert h == 6 or all(paths[9:])
+    assert paths == [False] * len(GRID) + [True]
+
+
+def moved_entry(sys, key, rel):
+    """A copy of `sys` with entry [0, 0] of beta[key] moved by `rel` times the
+    largest entry of the stack."""
+    beta = {k: b.copy() for k, b in sys.beta.items()}
+    beta[key][0, 0] += rel * np.abs(sys.stack).max()
+    return SubproductSystem(sys.horizon, beta)
 
 
 # --- the left inverse of beta_can[1, 1] --------------------------------------
@@ -389,18 +418,99 @@ def test_the_c3_left_inverse_is_pinv_within_rounding():
 
 # --- the level recursion and the rank test -----------------------------------
 
+def ref_scalar_levels(theta1, left, maps):
+    """theta_n = left[n-2] (theta_1 (x) theta_{n-1}) maps[n-2] written out on
+    Python complex, in the order of `extend_levels`: z = (I2 (x) theta_{n-1})
+    maps[n-2], row 2r + q = sum_s theta_{n-1}[q, s] maps[2r + s]; y = (theta_1
+    (x) I2) z, row 2p + q = sum_r theta_1[p, r] z[2r + q]; then left y; each
+    sum left to right."""
+    t1 = np.asarray(theta1).tolist()
+    levels = [t1]
+    for m, b in zip(np.asarray(left).tolist(), np.asarray(maps).tolist()):
+        t = levels[-1]
+        z = [[t[q][0] * b[2 * r][j] + t[q][1] * b[2 * r + 1][j] for j in (0, 1)]
+             for r in (0, 1) for q in (0, 1)]
+        y = [[t1[p][0] * z[q][j] + t1[p][1] * z[2 + q][j] for j in (0, 1)]
+             for p in (0, 1) for q in (0, 1)]
+        levels.append([[m[i][0] * y[0][j] + m[i][1] * y[1][j] + m[i][2] * y[2][j]
+                        + m[i][3] * y[3][j] for j in (0, 1)] for i in (0, 1)])
+    return np.array(levels, dtype=complex)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 def test_extend_levels_equals_the_kron_loop_bitwise(n):
+    """Bit for bit the kron loop written out on scalars in the recursion's
+    order (`ref_scalar_levels`), and within 16 (n - 1) u A_n of the numpy
+    kron loop at level n, where A_n = |left| (|theta_1| (x) A_{n-1}) |maps|,
+    A_1 = |theta_1|, bounds the absolute values of the exact products: each
+    of the two loops is within 8 (n - 1) u A_n of the exact level map."""
     rng = np.random.default_rng(n)
     theta1 = _complex(rng, (2, 2))
     left, maps = _complex(rng, (n, 2, 4)), _complex(rng, (n, 4, 2))
     # as classify_system passes them, and as extend_morphism does (transposed views)
     for args in ((theta1, left, maps),
                  (theta1.T, maps.transpose(0, 2, 1), left.transpose(0, 2, 1))):
-        want = [args[0]]
+        got = extend_levels(*args)
+        assert got.tobytes() == ref_scalar_levels(*args).tobytes()
+        want, bound = [args[0]], [np.abs(args[0])]
         for k in range(n):
             want.append(args[1][k] @ kron(args[0], want[-1]) @ args[2][k])
-        assert extend_levels(*args).tobytes() == np.stack(want).tobytes()
+            bound.append(np.abs(args[1][k]) @ kron(np.abs(args[0]), bound[-1])
+                         @ np.abs(args[2][k]))
+        levels = np.arange(n + 1)[:, None, None]
+        assert (np.abs(got - np.stack(want)) <= 16 * levels * U * np.stack(bound)).all()
+
+
+STRESS_GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
+    SystemLabel("E3", complex(lam)) for lam in LAMBDAS]
+
+
+def kron_loop_levels(sys):
+    """theta as the numpy kron loop solved it, with no gauge: theta_1 from the
+    plane read, then theta_n = L (theta_1 (x) theta_{n-1}) beta[1, n-1]."""
+    plane = classify_plane(Subspace.from_spanning(sys.stack[0]))
+    left = ref_left_inverse(canonical_beta(plane.label, 1))
+    theta = [plane.iso.theta]
+    for n in range(2, sys.horizon + 1):
+        theta.append(left @ kron(theta[0], theta[-1]) @ sys.beta[(1, n - 1)])
+    return np.stack(theta)
+
+
+@pytest.mark.parametrize("h", [6, 12])
+def test_the_gauge_is_an_automorphism_of_the_canonical_e3(h, e3_gauge):
+    """Metamorphic: classify_system's theta for E3(lam) is the kron loop's
+    theta carried by a_t(X) = [[1, X S_t], [0, 1]], S_t = 1 + ... + lam^(t-1),
+    with X read from level 1, within 128 (h u + c) max|theta_t| of the kron
+    loop's theta_t, c its certificate (the rounding of the ungauged loop,
+    which reaches 1e-9 at E3(4), h = 12).  For E1, E2, E4, E5 the gauge is
+    not applied, and theta is the kron loop's within 8 h u max|theta_t|."""
+    idx = degree_index(h)
+    for i, label in enumerate(STRESS_GRID):
+        for seed in range(3):
+            sys = random_system(label, 1000 * seed + 7 + i, h)
+            r = classify_system(sys)
+            got = np.stack([r.iso.theta[t] for t in range(1, h + 1)])
+            old = kron_loop_levels(sys)
+            scale = np.abs(old).max(axis=(1, 2))[:, None, None]
+            if label.lam is None:
+                assert (np.abs(got - old) <= 8 * h * U * scale).all(), label
+                continue
+            maps = canonical_maps(TripleClass("C3", r.label.lam), h)
+            c = relative_residuals(old, sys.stack, maps[idx.sides[:, 0]]).max()
+            want = e3_gauge(old, got[0], r.label.lam)
+            assert (np.abs(got - want) <= 128 * (h * U + c) * scale).all(), label
+
+
+@pytest.mark.parametrize("lam", [3, 4, 2 + 1j, -4, 4j])
+def test_the_gauge_keeps_e3_level_maps_well_conditioned(lam):
+    """The kron loop's theta grows a first row of size |lam|^t for |lam| > 1,
+    and its row-equilibrated |det| q_t falls to ~1e-5 at h = 12; gauged, the
+    rows of every level stay as far from parallel as the scramble's (whose
+    level maps have cond <= 50)."""
+    sys = random_system(SystemLabel("E3", complex(lam)), 5, 12)
+    theta = np.stack(list(classify_system(sys).iso.theta.values()))
+    assert equilibrated_levels(theta)[1].min() >= 1e-2
+    assert equilibrated_levels(kron_loop_levels(sys))[1].min() <= 1e-3
 
 
 def test_is_isomorphism_is_the_stack_test():
