@@ -35,12 +35,12 @@ def _completion(x) -> tuple:
     return (-x1.conjugate(), x0.conjugate())
 
 
-def _plane_form(plane: Subspace) -> tuple:
-    """The basis columns u, v of a plane in C^4, as lists of Python complex,
-    and the determinant form restricted to it, (g00, g01, g11)."""
-    if plane.ambient_dim != 4 or plane.dim != 2:
+def _plane_form(cols) -> tuple:
+    """The orthonormal basis `cols` of a plane in C^4, two sequences of Python
+    complex, and the determinant form restricted to it, (g00, g01, g11)."""
+    if len(cols) != 2 or len(cols[0]) != 4:
         raise ValueError("expected a 2-dim plane in a 4-dim ambient space")
-    u, v = plane.basis.T.tolist()
+    u, v = cols
     return u, v, (det_bilinear(u, u), det_bilinear(u, v), det_bilinear(v, v))
 
 
@@ -52,7 +52,7 @@ def rank_of_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> int:
 def rank_with_margin(plane: Subspace, eps: float = DEFAULT_EPS):
     """Rank plus a confidence margin: ratio of the borderline singular value
     to the decision threshold (values near 1 mean a shaky rank call)."""
-    return _form_rank(_plane_form(plane)[2], eps)
+    return _form_rank(_plane_form(plane.basis.T.tolist())[2], eps)
 
 
 def _form_rank(g: tuple, eps: float):
@@ -83,7 +83,7 @@ class PlaneNormalForm:
 
 
 def plane_normal_form(plane: Subspace, eps: float = DEFAULT_EPS) -> PlaneNormalForm:
-    u, v, g = _plane_form(plane)
+    u, v, g = _plane_form(plane.basis.T.tolist())
     rank, margin = _form_rank(g, eps)
     (x1, y1), (x2, y2), tag = _normal_form(u, v, g, rank, eps)
     arrays = [np.array(z, dtype=complex) for z in (x1, y1, x2, y2)]
@@ -441,9 +441,16 @@ def _verify_iso(t: Triple, cls: TripleClass, iso: TripleIso, eps: float) -> None
 def classify_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> Classification:
     """The class C1..C5, lambda and theta_1 read from the normal form of the
     plane E2 alone, with its rank and margin; nothing about E3 is checked.
-    The read is closed-form arithmetic on Python complex scalars, and
-    theta_1 follows the phase rule of `_theta_from_columns`."""
-    u, v, g = _plane_form(plane)
+    The read is closed-form arithmetic on Python complex scalars
+    (`_read_plane`), and theta_1 follows the phase rule of
+    `_theta_from_columns`."""
+    return _read_plane(plane.basis.T.tolist(), eps)
+
+
+def _read_plane(cols, eps: float) -> Classification:
+    """`classify_plane` of the plane with the orthonormal basis `cols`, two
+    4-vectors of Python complex (ValueError for another count)."""
+    u, v, g = _plane_form(cols)
     rank, margin = _form_rank(g, eps)
     (x1, y1), (x2, y2), case_tag = _normal_form(u, v, g, rank, eps)
     loose = residual_tol(eps)

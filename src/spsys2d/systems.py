@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (Classification, Triple, TripleClass, canonical_maps, check_label,
-                       classify_plane)
+from .classify import (Classification, Triple, TripleClass, _read_plane, canonical_maps,
+                       check_label)
 from .graded import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
                      extend_levels, intertwining_defects, rank_lost, relative_residuals,
                      stack_maps, triple_residuals)
-from .tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, rank_deficient, residual_tol
+from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, kron, rank_deficient, residual_tol,
+                           span_basis2)
 
 SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
 MAX_COND = 50.0  # largest condition number of a level map drawn by `random_system`
@@ -200,7 +201,9 @@ def classify_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Classifi
     """Label + explicit per-level isomorphism onto the canonical system.
 
     Pipeline: read the class and theta_1 from the normal form of the plane
-    Im beta[1,1].  Every later level is then forced by
+    Im beta[1,1], whose basis `span_basis2` gives in closed form, as
+    `Subspace.from_spanning` does; the success path makes no np.linalg call.
+    Every later level is then forced by
     (theta_1 (x) theta_{n-1}) beta[1, n-1] = beta_can[1, n-1] theta_n.  The
     canonical beta_can[1, t] is injective and the same for every t, so one
     left inverse L of beta_can[1, 1] solves all levels (`extend_levels`).  For
@@ -245,9 +248,9 @@ def _require_axioms(sys: SubproductSystem, eps: float) -> None:
 def _certified(sys: SubproductSystem, eps: float) -> tuple:
     """The stages of `classify_system` before the axioms: its result, and
     whether `_axioms_proved` decides that the input passes `check_axioms`."""
-    e2 = Subspace.from_spanning(sys.stack[0], eps=eps)  # beta[1, 1]
+    e2 = span_basis2(sys.stack[0].T.tolist(), eps)[1]  # Im beta[1, 1], as `from_spanning`
     try:
-        plane = classify_plane(e2, eps)
+        plane = _read_plane(e2, eps)
     except ValueError as exc:
         raise ClassifyStageError("classify-triple", str(exc)) from exc
     label = SystemLabel.from_triple_class(plane.label)

@@ -129,14 +129,20 @@ class Subspace:
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int | None = None,
                       eps: float = DEFAULT_EPS) -> "Subspace":
-        """Orthonormalized span of the given column vectors (rank-truncated)."""
+        """Orthonormalized span of the given column vectors (rank-truncated):
+        the left singular vectors that `span_rank` keeps, from `span_basis2`
+        for one or two vectors of dimension >= 2, else from LAPACK."""
         m = np.asarray(vectors, dtype=complex)
         if m.ndim == 1:
             m = m[:, None]
         if ambient_dim is None:
             ambient_dim = m.shape[0]
-        if m.shape[1] == 0:
+        n, k = m.shape
+        if k == 0:
             return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
+        if k <= 2 <= n:
+            cols = span_basis2(require_finite(m).T.tolist(), eps)[1]
+            return cls(ambient_dim, np.array(cols, dtype=complex).reshape(len(cols), n).T)
         u, s, _ = np.linalg.svd(m, full_matrices=False)
         return cls(ambient_dim, u[:, :int(span_rank(s, eps))])
 
@@ -311,6 +317,82 @@ def singular_values2(a, b, c, d) -> tuple:
     s0 = math.sqrt((h00 + h11 + math.hypot(h00 - h11, 2 * abs(h01))) / 2)  # >= 1/sqrt(2)
     s1 = min(abs(a * d - b * c) / s0, s0)  # rounding may not reorder them
     return s0 * m, s1 * m
+
+
+def span_basis2(cols, eps: float = DEFAULT_EPS) -> tuple:
+    """(sigma, basis) for the n x k matrix M whose columns are `cols` (k = 1
+    or 2 sequences of n >= 2 Python complex), in closed form: M's singular
+    values (sigma_0, sigma_1), sigma_1 = 0 for k = 1, and its left singular
+    vectors, the top one first, as many as `span_rank` counts on sigma: an
+    orthonormal basis of the span, a list of tuples of Python complex.
+    sigma_0 is inf where it overflows.
+
+    Where the larger column norm is not within 2^+-450, or the modulus of an
+    entry overflows (abs of a finite complex may; a singular value may not),
+    M is first scaled by the power of two that brings its largest |Re| or
+    |Im| into [1, 2), so that nothing over- or underflows; elsewhere that
+    scaling, which rounds nothing, is skipped.  The larger column first,
+    Gram-Schmidt gives M = Q R, R upper triangular 2 x 2, with a second pass
+    where the first cancelled more than half of the second column, and that
+    column counted as zero where the second pass did so again (Kahan's
+    "twice is enough"); sigma = `singular_values2(R)`.  The left singular
+    vectors are Q times the eigenvectors of R R^H, one Jacobi rotation, so Q
+    itself on a tie sigma_0 = sigma_1.  Each is LAPACK's up to a phase,
+    within about u sigma_0 over its gap (sigma_0 - sigma_1 for the top one,
+    min(sigma_0 - sigma_1, sigma_1) for the other)."""
+    a = cols[0]
+    b = cols[1] if len(cols) > 1 else [0j] * len(a)
+    e = 0
+    try:
+        na, nb = _norm(a), _norm(b)
+    except OverflowError:  # the modulus of an entry
+        na = nb = math.inf
+    if not _SAFE_NORMS[0] < max(na, nb) < _SAFE_NORMS[1]:
+        peak = max([max(abs(z.real), abs(z.imag)) for z in (*a, *b)])
+        if peak == 0:
+            return (0.0, 0.0), []
+        e = math.frexp(peak)[1] - 1  # 2^e <= peak < 2^(e + 1)
+        # 2^-e itself may be subnormal or overflow: then two steps of half the power
+        for k in ((-e,) if abs(e) < 1000 else (-e // 2, -e - -e // 2)):
+            f = math.ldexp(1.0, k)
+            a, b = [z * f for z in a], [z * f for z in b]
+        na, nb = _norm(a), _norm(b)
+    if nb > na:  # R's singular values and Q R's left singular vectors do not move
+        a, b, na, nb = b, a, nb, na
+    q0 = [z / na for z in a]
+    r01 = 0j
+    for _ in range(2):  # b minus its q0-component
+        r = sum([x.conjugate() * y for x, y in zip(q0, b)])
+        b = [y - r * x for x, y in zip(q0, b)]
+        r01 += r
+        r11 = _norm(b)
+        if r11 * _SQRT2 >= nb:
+            break
+        nb, r11 = r11, 0.0  # cancelled twice: b is rounding
+    s0, s1 = singular_values2(na, r01, 0, r11)
+    scale = 2.0 ** e
+    sigma = s0 * scale, s1 * scale
+    # span_rank's rule: sigma_0 <= eps is rank 0, sigma_1 is compared in scale
+    rank = 0 if sigma[0] <= eps else (s0 > eps * s0) + (s1 > eps * s0)
+    if not rank:
+        return sigma, []
+    # R R^H = [[h00, h01], [conj(h01), h11]], h01 = |h01| conj(w), has the top
+    # eigenvector (cos t, w sin t) up to a phase, tan 2t = 2|h01| / (h00 - h11)
+    h01 = r01 * r11
+    m = abs(h01)
+    t = math.atan2(m, (na * na + abs(r01) ** 2 - r11 * r11) / 2) / 2
+    cos, sin = math.cos(t), math.sin(t)
+    ws = (h01.conjugate() / m if m else 1) * sin  # R R^H diagonal: any phase
+    q1 = [z / r11 for z in b] if r11 else b
+    top = tuple([cos * x + ws * y for x, y in zip(q0, q1)])
+    if rank == 1:
+        return sigma, [top]
+    ws = ws.conjugate()
+    return sigma, [top, tuple([cos * y - ws * x for x, y in zip(q0, q1)])]
+
+
+_SAFE_NORMS = (2.0 ** -450, 2.0 ** 450)  # a larger column norm here needs no scaling
+_SQRT2 = math.sqrt(2)
 
 
 def _real_peak(v) -> tuple:

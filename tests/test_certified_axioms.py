@@ -280,7 +280,7 @@ def test_any_exception_of_a_stage_defers_to_the_axioms(monkeypatch):
     def broken(*args):
         raise ZeroDivisionError("complex division by zero")
 
-    monkeypatch.setattr(systems, "classify_plane", broken)
+    monkeypatch.setattr(systems, "_read_plane", broken)
     with pytest.raises(ClassifyStageError, match=r"^\[axioms\] input fails the axioms"):
         classify_system(REFUSED_FIRST["rank one"])
     with pytest.raises(ZeroDivisionError, match="complex division by zero"):

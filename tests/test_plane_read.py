@@ -502,7 +502,7 @@ class TestDeterminantForm:
             b = plane.basis
             want = np.array([[(u[0] * v[3] + u[3] * v[0] - u[1] * v[2] - u[2] * v[1]) / 2
                               for v in b.T] for u in b.T])
-            g = classify._plane_form(plane)[2]  # (g00, g01, g11), as classify_plane reads it
+            g = classify._plane_form(b.T.tolist())[2]  # (g00, g01, g11), as the plane read forms it
             assert np.abs(np.array(g) - want[[0, 0, 1], [0, 1, 1]]).max() <= 1e-15
 
     def test_quadratic_form_is_exact_on_small_integers(self):
