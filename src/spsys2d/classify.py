@@ -12,10 +12,9 @@ import numpy as np
 
 from .common import quad_coeffs
 from .tensorlinalg import (
-    COLLINEAR_TOL, DEFAULT_EPS, FRAME_TOL, I2, Subspace, _binary_roots, _cross,
-    _factor, _norm, _projective, _real_peak, _unit, annihilator, det_bilinear, intersect, kron,
-    normalize_projective, projective_cross, require_finite, residual_tol,
-    roots_binary_quadratic, singular_values2,
+    DEFAULT_EPS, FRAME_TOL, I2, Subspace, _binary_roots, _cross, _factor, _norm, _projective,
+    _real_peak, _unit, annihilator, det_bilinear, intersect, kron, normalize_projective,
+    require_finite, residual_tol, singular_values2,
 )
 
 LABELS = ("C1", "C2", "C3", "C4", "C5")
@@ -190,38 +189,38 @@ def extend_left(plane: Subspace) -> Subspace:
     return Subspace(8, np.column_stack(cols))
 
 
-def _covector_quadratic(cov1: np.ndarray, cov2: np.ndarray, middle_on_right: bool):
-    """Coefficients (p, q, r) of the quadratic form in the shared middle vector.
-
-    `middle_on_right` selects the slot of the shared factor inside the
-    covectors' 4-dim space: True for the (first, middle) plane, False for the
-    (middle, last) plane.
-    """
-    if not middle_on_right:
-        cov1, cov2 = cov1[[0, 2, 1, 3]], cov2[[0, 2, 1, 3]]
-    q = quad_coeffs(cov1, cov2)
-    return complex(q.p), complex(q.q), complex(q.r)
+def _annihilated(rows) -> tuple:
+    """The unit x with r0 x0 + r1 x1 = 0 for the larger row r of `rows` (two
+    pairs of Python complex), or e1 when both rows are zero."""
+    a, b = max(rows, key=_norm)
+    n = _norm((a, b))
+    return (1 + 0j, 0j) if n == 0 else (-b / n, a / n)
 
 
-def _solve_margin(cov1, cov2, x2, on_right: bool, eps):
-    """Nonzero x with cov . kron(x, x2) = 0 (on_right) or cov . kron(x2, x) = 0."""
-    rows = []
-    for cov in (cov1, cov2):
-        if on_right:
-            rows.append([cov @ kron(e, x2) for e in I2])
-        else:
-            rows.append([cov @ kron(x2, e) for e in I2])
-    m = np.array(rows, dtype=complex)
-    _, _, vh = np.linalg.svd(m)
-    return vh[-1].conj()
+def _solve_factor(covs, y) -> tuple:
+    """(x, residual) for two covectors of a plane L, each a 4-vector c read as
+    the 2x2 [[c0, c1], [c2, c3]], and a unit y: the unit x that the larger row
+    of the system c (x (x) y) = 0 annihilates, and the norm of the system at
+    x, which is dist(x (x) y, L) when the covectors are an orthonormal basis
+    of L's annihilator."""
+    rows = [(c[0] * y[0] + c[1] * y[1], c[2] * y[0] + c[3] * y[1]) for c in covs]
+    x = _annihilated(rows)
+    return x, _norm([r[0] * x[0] + r[1] * x[1] for r in rows])
+
+
+# the x2 tried when neither quadratic offers a root (both vanish identically)
+_FIXED_DIRECTIONS = ((1 + 0j, 0j), (0j, 1 + 0j), (math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j))
 
 
 def product_in_intersection(L12: Subspace, L23: Subspace, eps: float = DEFAULT_EPS):
     """A product triple (x1, x2, x3) witnessing a nonzero intersection.
 
-    Returns None when the intersection of the two extended subspaces is zero;
-    otherwise vectors with kron(x1, x2) in L12 and kron(x2, x3) in L23, found
-    via a common root of the two binary quadratic forms in x2.
+    Returns None when the intersection of the two extended subspaces is zero.
+    Otherwise each root of either binary quadratic form in x2 (the Main
+    Lemma's common root is among them; the fixed directions when both forms
+    vanish identically) is tried as x2, x1 and x3 are solved from their 2x2
+    systems in closed form, and the triple with the smallest residual
+    max(dist(x1 (x) x2, L12), dist(x2 (x) x3, L23)) is returned.
     """
     if L12.ambient_dim != 4 or L12.dim != 2 or L23.ambient_dim != 4 or L23.dim != 2:
         raise ValueError("both planes must be 2-dim in 4-dim ambient spaces")
@@ -229,55 +228,20 @@ def product_in_intersection(L12: Subspace, L23: Subspace, eps: float = DEFAULT_E
     if inter.dim == 0:
         return None
 
-    ann12 = annihilator(L12, eps).basis
-    ann23 = annihilator(L23, eps).basis
-    u12, v12 = ann12[:, 0], ann12[:, 1]
-    u23, v23 = ann23[:, 0], ann23[:, 1]
-    q_lo = _covector_quadratic(u12, v12, middle_on_right=True)
-    q_hi = _covector_quadratic(u23, v23, middle_on_right=False)
-    roots_lo = roots_binary_quadratic(*q_lo, eps)
-    roots_hi = roots_binary_quadratic(*q_hi, eps)
+    # each plane's covectors, laid out with the shared factor x2 second: those
+    # of L23 (x2 (x) x3) transposed
+    lo = annihilator(L12, eps).basis.T.tolist()
+    hi = [[c[0], c[2], c[1], c[3]] for c in annihilator(L23, eps).basis.T.tolist()]
+    roots = [_binary_roots(*quad_coeffs(*covs)[:3], eps) for covs in (lo, hi)]
+    candidates = [r for rs in roots if rs for r in rs] or _FIXED_DIRECTIONS
 
-    if roots_lo.identically_zero and roots_hi.identically_zero:
-        candidates = [np.array([1.0, 0.0], dtype=complex),
-                      np.array([0.0, 1.0], dtype=complex),
-                      np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)]
-    elif roots_lo.identically_zero:
-        candidates = list(roots_hi.roots)
-    elif roots_hi.identically_zero:
-        candidates = list(roots_lo.roots)
-    else:
-        candidates = []
-        for r1 in roots_lo.roots:
-            for r2 in roots_hi.roots:
-                if projective_cross(r1, r2) <= COLLINEAR_TOL:
-                    candidates.append((r1 + r2) / 2 if np.linalg.norm(r1 + r2) > 0.5 else r1)
-        if not candidates:
-            # the intersection is nonzero, so a common root exists up to
-            # roundoff; fall back to the closest pair
-            best = min(
-                ((projective_cross(r1, r2), r1) for r1 in roots_lo.roots
-                 for r2 in roots_hi.roots),
-                key=lambda t: t[0],
-            )
-            candidates = [best[1]]
+    def fit(x2):
+        x2 = _unit(x2)
+        (x1, r12), (x3, r23) = _solve_factor(lo, x2), _solve_factor(hi, x2)
+        return max(r12, r23), (x1, x2, x3)
 
-    best_triple = None
-    best_residual = np.inf
-    for x2 in candidates:
-        x2 = x2 / np.linalg.norm(x2)
-        x1 = _solve_margin(u12, v12, x2, on_right=True, eps=eps)
-        x3 = _solve_margin(u23, v23, x2, on_right=False, eps=eps)
-        residual = max(L12.distance(kron(x1, x2)), L23.distance(kron(x2, x3)))
-        if residual < best_residual:
-            best_residual = residual
-            best_triple = (x1, x2, x3)
-    x1, x2, x3 = best_triple
-    return (
-        normalize_projective(x1),
-        normalize_projective(x2),
-        normalize_projective(x3),
-    )
+    _, best = min(map(fit, candidates), key=lambda t: t[0])
+    return tuple(normalize_projective(x) for x in best)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ numeric half.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -43,7 +44,10 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected re or re,im, got {text!r}")
 
 
+@functools.lru_cache(maxsize=8)
 def _build_parser(default_tol: float) -> argparse.ArgumentParser:
+    """The parser for this default tolerance, built once per process: parsing
+    leaves it as it was, so `main` reuses it from call to call."""
     parser = argparse.ArgumentParser(
         prog="spsys2d",
         description="Classification toolkit for two-dimensional subproduct "

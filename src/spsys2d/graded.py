@@ -16,8 +16,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .tensorlinalg import (
-    DEFAULT_EPS, I2, Subspace, _null_space, as_cmat, kron, matmul2, rank_deficient,
-    require_finite, residual_tol, span_rank,
+    DEFAULT_EPS, I2, Subspace, _masked_null_spaces, _null_space, as_cmat, kron, matmul2,
+    rank_deficient, require_finite, residual_tol, span_rank,
 )
 
 # Per-triple checks (O(h^3) of them; pair stacks are not chunked) run over at
@@ -331,14 +331,6 @@ def kernel_subspace(m: np.ndarray, eps: float = DEFAULT_EPS) -> Subspace:
     return Subspace(m.shape[1], _null_space(m, eps))
 
 
-def _masked_null_spaces(m: np.ndarray, eps: float):
-    """Kernels of a (T, k, n) stack as (T, n, n) bases and (T, n) column
-    masks: the columns that `_null_space` returns, in place, the rest zero."""
-    _, s, vh = np.linalg.svd(m)
-    keep = np.arange(m.shape[-1]) >= span_rank(s, eps)[:, None]
-    return vh.conj().transpose(0, 2, 1) * keep[:, None, :], keep
-
-
 def _masked_spans(m: np.ndarray, eps: float):
     """Spans of a (T, n, k) stack, k >= n, as (T, n, n) bases and (T, n)
     column masks: the columns that `Subspace.from_spanning` keeps, in place,
@@ -408,11 +400,6 @@ def intertwining_defects(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) ->
                                        np.abs(rhs).max(axis=(1, 2))))
     defects = np.abs(lhs - rhs)
     return defects, defects.max(axis=(1, 2)) / scale
-
-
-def relative_residuals(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The relative residual of each pair, as `intertwining_defects` forms it."""
-    return intertwining_defects(theta, src, dst)[1]
 
 
 def extend_levels(theta1, left, maps, lam=None) -> np.ndarray:
@@ -542,7 +529,7 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     transposed, is `extend_levels` from the dual of gB onto that of gA.  Right
     inverses default to the minimum-norm choice, or are randomized with `rng`
     (the result is the same either way, which is tested).  The result is
-    certified on every pair by the rule of `relative_residuals`.
+    certified on every pair by the rule of `intertwining_defects`.
     """
     if gA.horizon != gB.horizon:
         raise MorphismError("source and target horizons differ")
@@ -574,8 +561,8 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
             f"theta_{bad[0] + 3} is not well defined (kernel leak {leak[bad[0]]})")
     # the recursion reads only the pairs (1, t); certify every pair, as the
     # system iso theta^T from the dual of gB onto the dual of gA
-    worst = relative_residuals(theta.transpose(0, 2, 1), gB.stack.transpose(0, 2, 1),
-                               gA.stack.transpose(0, 2, 1)).max()
+    worst = intertwining_defects(theta.transpose(0, 2, 1), gB.stack.transpose(0, 2, 1),
+                                 gA.stack.transpose(0, 2, 1))[1].max()
     if worst > residual_tol(eps):
         raise MorphismError(f"level maps fail to intertwine (residual {worst:.3g})")
     return GradedMorphism(source=gA, target=gB, theta=dict(enumerate(theta, 1)))

@@ -16,8 +16,8 @@ import numpy as np
 from .classify import (Classification, Triple, TripleClass, _read_plane, canonical_maps,
                        check_label)
 from .graded import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
-                     extend_levels, intertwining_defects, rank_lost, relative_residuals,
-                     stack_maps, triple_residuals)
+                     extend_levels, intertwining_defects, rank_lost, stack_maps,
+                     triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, kron, rank_deficient, residual_tol,
                            span_basis2)
 
@@ -95,7 +95,7 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
         raise ValueError(f"source horizon {src.horizon} and target horizon "
                          f"{dst.horizon} differ")
     theta = stack_maps(iso.theta, range(1, src.horizon + 1))
-    residuals = relative_residuals(theta, src.stack, dst.stack)
+    residuals = intertwining_defects(theta, src.stack, dst.stack)[1]
     return dict(zip(degree_index(src.horizon).pairs, residuals.tolist()))
 
 

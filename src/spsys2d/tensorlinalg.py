@@ -32,7 +32,6 @@ def residual_tol(eps: float) -> float:
 
 
 GRAM_TOL = 1e-7  # orthonormality of a stored basis
-COLLINEAR_TOL = 1e-6  # matched roots of the two quadratic forms in the shared factor
 FRAME_TOL = 1e-12  # relative determinant of the frame that builds theta
 ZERO_SCALE = 1e-300  # a quadratic form this small is identically zero
 
@@ -176,7 +175,7 @@ def span_rank(s: np.ndarray, eps: float = DEFAULT_EPS):
     descending; leading axes are a stack): none count when the largest is
     <= eps, else those above eps times the largest."""
     top = s[..., :1]
-    return np.where(np.all(top <= eps, axis=-1), 0, np.sum(s > eps * top, axis=-1))
+    return ((s > eps * top) & (top > eps)).sum(axis=-1)
 
 
 def rank_deficient(sv: np.ndarray, eps: float = DEFAULT_EPS):
@@ -187,12 +186,22 @@ def rank_deficient(sv: np.ndarray, eps: float = DEFAULT_EPS):
 
 
 def _null_space(m: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Orthonormal basis (columns) of {x : m x = 0}."""
+    """Orthonormal basis (columns) of {x : m x = 0}: the one-matrix case of
+    `_masked_null_spaces`, the identity for a matrix with no rows."""
     m = as_cmat(m)
     if m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(m)
-    return vh[int(span_rank(s, eps)):].conj().T
+    basis, keep = _masked_null_spaces(m[None], eps)
+    return basis[0][:, keep[0]]
+
+
+def _masked_null_spaces(m: np.ndarray, eps: float):
+    """Kernels of a (T, k, n) stack, k >= 1, as (T, n, n) bases and (T, n)
+    column masks: the right singular vectors past the `span_rank` of each
+    matrix, in place, the other columns zero."""
+    _, s, vh = np.linalg.svd(m)
+    keep = np.arange(m.shape[-1]) >= span_rank(s, eps)[:, None]
+    return np.where(keep[:, None, :], vh.conj().transpose(0, 2, 1), 0), keep
 
 
 def annihilator(s: Subspace, eps: float = DEFAULT_EPS) -> Subspace:
@@ -273,11 +282,6 @@ def roots_binary_quadratic(p, q, r, eps: float = DEFAULT_EPS) -> QuadraticRoots:
         return QuadraticRoots(identically_zero=True, roots=())
     return QuadraticRoots(identically_zero=False,
                           roots=tuple(np.array(n, dtype=complex) for n in roots))
-
-
-def projective_cross(u, v) -> float:
-    """|u0 v1 - u1 v0| scaled by the norms: 0 iff projectively equal."""
-    return _cross(as_cvec(u).tolist(), as_cvec(v).tolist())
 
 
 # -- closed forms on Python complex scalars, behind the public functions above

@@ -28,7 +28,8 @@ from spsys2d import systems
 from spsys2d.cli import main as cli_main
 from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, classify_plane
 from spsys2d.graded import (GradedMorphism, degree_index, equilibrated_levels, extend_levels,
-                            is_isomorphism, relative_residuals, singular_levels, stack_maps)
+                            intertwining_defects, is_isomorphism, singular_levels,
+                            stack_maps)
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              axiom_text, canonical_system, check_axioms, classify_system,
                              dualize, iso_residuals, random_system)
@@ -497,7 +498,7 @@ def test_the_gauge_is_an_automorphism_of_the_canonical_e3(h, e3_gauge):
                 assert (np.abs(got - old) <= 8 * h * U * scale).all(), label
                 continue
             maps = canonical_maps(TripleClass("C3", r.label.lam), h)
-            c = relative_residuals(old, sys.stack, maps[idx.sides[:, 0]]).max()
+            c = intertwining_defects(old, sys.stack, maps[idx.sides[:, 0]])[1].max()
             want = e3_gauge(old, got[0], r.label.lam)
             assert (np.abs(got - want) <= 128 * (h * U + c) * scale).all(), label
 

@@ -15,7 +15,7 @@ import pytest
 
 from spsys2d import systems
 from spsys2d.classify import canonical_maps, classify_plane
-from spsys2d.graded import (degree_index, extend_levels, relative_residuals,
+from spsys2d.graded import (degree_index, extend_levels, intertwining_defects,
                             singular_levels, triple_residuals)
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemLabel, axiom_text,
                              canonical_system, check_axioms, classify_system, random_system)
@@ -47,7 +47,7 @@ def ref_classify_axioms_first(sys, eps):
                           sys.stack[:h - 1], plane.label.lam)
     if singular_levels(theta, eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
-    residuals = relative_residuals(theta, sys.stack, maps[idx.levels[:, 0] - 1])
+    residuals = intertwining_defects(theta, sys.stack, maps[idx.levels[:, 0] - 1])[1]
     worst = residuals.max()
     if worst > residual_tol(eps):
         raise ClassifyStageError(

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from spsys2d import classify
 from spsys2d.classify import (
     NotSubproductTripleError,
     Triple,
     TripleClass,
+    _annihilated,
     canonical_triple,
     classify_triple,
     plane_normal_form,
@@ -113,6 +115,95 @@ class TestProductInIntersection:
             g1, g2, g3 = got
             assert L12.distance(kron(g1, g2)) <= 1e-8
             assert L23.distance(kron(g2, g3)) <= 1e-8
+
+
+def _witness_residual(L12, L23, triple):
+    x1, x2, x3 = triple
+    return max(L12.distance(kron(x1, x2)), L23.distance(kron(x2, x3)))
+
+
+LEFT = _span(kron(E1, E1), kron(E1, E2))  # E1 (x) C^2: x1 = e1, any x2
+RIGHT = _span(kron(E1, E1), kron(E2, E1))  # C^2 (x) E1: x2 = e1, any x1
+
+
+class TestProductInIntersectionByResidual:
+    """Every root of either quadratic is tried as x2; x1 and x3 are solved in
+    closed form, and the smallest residual wins."""
+
+    @pytest.mark.parametrize("L12, L23, zero_forms, zero_system", [
+        (LEFT, RIGHT, 2, False),  # both quadratics vanish: the fixed directions
+        (LEFT, LEFT, 1, True),  # the first vanishes; at x2 = e1 x3's system is all zero
+        (RIGHT, RIGHT, 1, True),  # the second vanishes; at x2 = e1 x1's system is all zero
+        (RIGHT, LEFT, 0, True),  # x2 = e1 zeroes both systems
+    ], ids=["left-right", "left-left", "right-right", "right-left"])
+    def test_rank_zero_planes_meet_exactly(self, monkeypatch, L12, L23, zero_forms,
+                                           zero_system):
+        forms, systems = [], []
+        binary_roots, annihilated = classify._binary_roots, classify._annihilated
+
+        def roots_spy(*args):
+            forms.append(binary_roots(*args))
+            return forms[-1]
+
+        def solve_spy(rows):
+            systems.append(rows)
+            return annihilated(rows)
+
+        monkeypatch.setattr(classify, "_binary_roots", roots_spy)
+        monkeypatch.setattr(classify, "_annihilated", solve_spy)
+        got = product_in_intersection(L12, L23)
+        assert _witness_residual(L12, L23, got) == 0
+        assert sum(f is None for f in forms) == zero_forms
+        assert any(all(z == 0 for row in rows for z in row) for rows in systems) == zero_system
+
+    def test_all_zero_system_takes_e1(self):
+        assert _annihilated([(0j, 0j), (0j, 0j)]) == (1, 0)
+        assert _annihilated([(0j, 0j), (3 + 0j, 4j)]) == (-0.8j, 0.6)
+
+    def test_moved_rank_zero_planes_meet(self):
+        # x (x) C^2 and C^2 (x) y moved by g (x) g: a quadratic that vanishes
+        # only up to roundoff has noise roots, which the residual passes over
+        rng = _rng(7)
+        for _ in range(100):
+            g = np.kron(*([_random_gl2(rng)] * 2))
+            for L12, L23 in ((LEFT, RIGHT), (RIGHT, LEFT), (LEFT, LEFT), (RIGHT, RIGHT)):
+                L12, L23 = L12.map_by(g), L23.map_by(g)
+                got = product_in_intersection(L12, L23)
+                assert got is not None
+                assert _witness_residual(L12, L23, got) <= 1e-7
+
+    def test_three_linalg_calls_whatever_the_candidates(self, monkeypatch):
+        calls = []
+        for name in dir(np.linalg):
+            fn = getattr(np.linalg, name)
+            if name.startswith("_") or isinstance(fn, type) or not callable(fn):
+                continue
+
+            def counting(*args, _name=name, _fn=fn, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        rng = _rng(3)
+        x1, x2, x3 = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3))
+        forced = (_span(kron(x1, x2), rng.standard_normal(4)),
+                  _span(kron(x2, x3), rng.standard_normal(4)))
+        # four candidates, two, one, the three fixed directions
+        for L12, L23 in (forced, (RIGHT, LEFT), (LEFT, LEFT), (LEFT, RIGHT)):
+            calls.clear()
+            assert product_in_intersection(L12, L23) is not None
+            assert calls == ["svd"] * 3
+
+    def test_forced_intersection_2000_instances_to_roundoff(self):
+        rng = _rng(2024)
+        worst = 0.0
+        for _ in range(2000):
+            x1, x2, x3 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                          for _ in range(3))
+            L12 = _span(kron(x1, x2), rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            L23 = _span(kron(x2, x3), rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            worst = max(worst, _witness_residual(L12, L23, product_in_intersection(L12, L23)))
+        assert worst <= 1e-12
 
 
 class TestCanonicalTriples:

@@ -10,7 +10,7 @@ import pytest
 
 import spsys2d
 import spsys2d.identity
-from spsys2d import graded, serialize
+from spsys2d import cli, graded, serialize
 from spsys2d.classify import TripleClass, canonical_triple
 from spsys2d.cli import main
 from spsys2d.exactpoly import NVARS, Polynomial, int_det_bareiss
@@ -615,9 +615,21 @@ class TestDualize:
 class TestEnvTolerance:
     def test_env_var_sets_default(self, monkeypatch, capsys):
         monkeypatch.setenv("SPSYS_TOLERANCE", "1e-6")
-        # parser is rebuilt per call, so the env var is honored
+        # the env var is read on every call
         code, _, _ = run(capsys, "verify-identity")
         assert code == 0
+
+    def test_env_var_is_read_per_call_and_the_parser_built_once_per_default(
+            self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify_identity",
+                            lambda args: seen.append(args.tolerance) or 0)
+        cli._build_parser.cache_clear()
+        for env in ("1e-6", "1e-7", "1e-6", "1e-7"):
+            monkeypatch.setenv("SPSYS_TOLERANCE", env)
+            assert main(["verify-identity"]) == 0
+        assert seen == [1e-6, 1e-7, 1e-6, 1e-7]
+        assert cli._build_parser.cache_info().misses == 2
 
 
 def cold_cli(*argv, **kwargs):

@@ -20,9 +20,11 @@ from spsys2d.systems import SystemLabel, dualize, random_system, triple_of_syste
 BASE = random_system(SystemLabel("E3", 2 + 1j), 5, 4)
 TEXTS = {kind: serialize.dumps_canonical(serialize.to_json(obj)) for kind, obj in (
     ("system", BASE), ("algebra", dualize(BASE)), ("triple", triple_of_system(BASE)))}
-# the handlers of `cli.main`, past its argument parsing, which would cost ~5x the rest
-COMMANDS = (cli.cmd_check, cli.cmd_classify, cli.cmd_dualize)
+COMMANDS = ("check", "classify", "dualize")
 MUTANTS = 2100  # per run, over the three payloads and the three commands
+# every MAIN_EVERY-th mutant runs through `cli.main`, argv parsing included,
+# on the parser it builds once; the rest call the command's handler directly
+MAIN_EVERY = 4
 DOCUMENTED_EXITS = {0, 2, 3, 4}
 
 VALUES = (None, True, False, 0, -1, 2, 3.5, "x", "", [], {}, [0, 0], [[0, 0]],
@@ -107,20 +109,23 @@ def mutate(kind: str, rng: random.Random) -> str:
     return json.dumps(tree)
 
 
-def run(command, text: str) -> int:
+def run(command: str, text: str, through_main: bool) -> int:
     args = argparse.Namespace(input="mutant.json", tolerance=cli.DEFAULT_EPS, format="text",
                               output=None)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return command(args)
+            if through_main:
+                return cli.main([command, "mutant.json"])
+            return getattr(cli, "cmd_" + command)(args)
         except SystemExit as exc:  # `_load` exits 2 on malformed input
             return exc.code
 
 
 def test_every_mutant_ends_in_a_documented_exit(monkeypatch):
     rng = random.Random(0)
-    kinds, codes, text = list(TEXTS), set(), ""
+    kinds, codes, text = list(TEXTS), {False: set(), True: set()}, ""
+    monkeypatch.delenv("SPSYS_TOLERANCE", raising=False)  # `cli.main` reads it
     # `cli._load` reads the mutant from memory: a file per mutant costs ~1/4 of the run
     monkeypatch.setattr(cli, "open", lambda path, encoding: io.StringIO(text), raising=False)
     for i in range(MUTANTS):
@@ -128,10 +133,12 @@ def test_every_mutant_ends_in_a_documented_exit(monkeypatch):
         text = mutate(kind, rng)
         command = COMMANDS[(i // 3) % 3]
         try:
-            code = run(command, text)
+            through_main = i % MAIN_EVERY == 0
+            code = run(command, text, through_main)
         except Exception as exc:  # pragma: no cover - the failure report
-            raise AssertionError(f"{command.__name__} raised {exc!r} on mutant {i} "
+            raise AssertionError(f"{command} raised {exc!r} on mutant {i} "
                                  f"of the {kind}: {text[:400]}") from exc
-        assert code in DOCUMENTED_EXITS, (command.__name__, kind, i, code, text[:400])
-        codes.add(code)
-    assert codes == DOCUMENTED_EXITS  # the mutants reach every outcome
+        assert code in DOCUMENTED_EXITS, (command, kind, i, code, text[:400])
+        codes[through_main].add(code)
+    # the mutants reach every outcome, through the handlers and through `cli.main`
+    assert codes == {False: DOCUMENTED_EXITS, True: DOCUMENTED_EXITS}

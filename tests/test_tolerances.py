@@ -26,7 +26,6 @@ EPSES = (1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2)
 
 GUARDS = {
     "GRAM_TOL": 1e-7,
-    "COLLINEAR_TOL": 1e-6,
     "FRAME_TOL": 1e-12,
     "ZERO_SCALE": 1e-300,
 }
