@@ -9,6 +9,7 @@ maps M[s, t] (2x4 each) up to a finite horizon.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -183,14 +184,39 @@ def _chunks(n: int):
     return (slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
 
 
-def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
-                 noun: str) -> tuple:
-    """The per-pair maps of a system or graded algebra, copied once into a
-    read-only complex (P, *shape) stack in `degree_index(horizon).pairs`
-    order, and a read-only mapping of per-pair views into it.  ValueError
-    for a horizon below 3, a stray (s, t) (every key must be integral with
-    1 <= s, t and s + t <= horizon), a map that is not 2-d or has the wrong
-    shape, a missing map, or a non-finite entry, checked in that order."""
+def checked_stack(horizon: int, stack, name: str, shape: tuple) -> tuple:
+    """The one validation of the maps of a system or graded algebra: `stack`
+    as a read-only C-contiguous complex (P, *shape) stack in
+    `degree_index(horizon).pairs` order, and a read-only mapping of per-pair
+    views into it.  A stack that already is complex and C-contiguous is
+    adopted, not copied, and made read-only in place.  ValueError for a
+    horizon below 3, another shape, or a non-finite entry, checked in that
+    order."""
+    if horizon < 3:
+        raise ValueError("horizon must be at least 3")
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    want = (horizon * (horizon - 1) // 2, *shape)
+    if stack.shape != want:
+        raise ValueError(f"{name} stack must be {'x'.join(map(str, want))} at horizon "
+                         f"{horizon}, not {'x'.join(map(str, stack.shape))}")
+    require_finite(stack).setflags(write=False)
+    return stack, MappingProxyType(dict(zip(degree_index(horizon).pairs, stack)))
+
+
+# the types of a bool, which a dict lookup takes for the integer 0 or 1
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def checked_maps(horizon: int, maps, name: str, shape: tuple, noun: str) -> tuple:
+    """The maps of a system or graded algebra as `checked_stack` returns them.
+    A (P, *shape) stack in pairs order is validated as it is.  A dict keyed
+    by (s, t) is first gathered into one stack, copied once, then validated
+    the same way.  ValueError for a horizon below 3, a stray (s, t) (every
+    key must be a pair of integral numbers, no bool, with 1 <= s, t and s + t
+    <= horizon), a map that is not 2-d or has the wrong shape, a missing
+    map, or a non-finite entry, checked in that order."""
+    if isinstance(maps, np.ndarray):
+        return checked_stack(horizon, maps, name, shape)
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
     try:  # stops at the first missing pair, among the first len(maps) + 1,
@@ -198,10 +224,11 @@ def checked_maps(horizon: int, maps: dict, name: str, shape: tuple,
         stack = np.array([maps[p] for p in _pairs(horizon)], dtype=complex)
     except (KeyError, TypeError, ValueError):
         stack = None
-    if stack is None or len(stack) != len(maps) or stack.shape[1:] != shape:
+    if (stack is None or len(stack) != len(maps) or stack.shape[1:] != shape
+            # every key is now a pair equal to (s, t); (True, 1) is equal to (1, 1)
+            or not _BOOL_TYPES.isdisjoint(map(type, itertools.chain.from_iterable(maps)))):
         _refuse_maps(horizon, maps, name, shape, noun)
-    require_finite(stack).setflags(write=False)
-    return stack, MappingProxyType(dict(zip(degree_index(horizon).pairs, stack)))
+    return checked_stack(horizon, stack, name, shape)
 
 
 def _refuse_maps(horizon: int, maps: dict, name: str, shape: tuple, noun: str) -> None:
@@ -209,7 +236,7 @@ def _refuse_maps(horizon: int, maps: dict, name: str, shape: tuple, noun: str) -
     key: not a pair, stray, not 2-d, wrong shape; then the first missing pair."""
     for key, m in maps.items():
         if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(x, numbers.Real) for x in key)):
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in key)):
             raise ValueError(f"{name} key {key!r} is not a pair (s, t) of degrees")
         s, t = key
         if s < 1 or t < 1 or s + t > horizon:
@@ -228,12 +255,19 @@ def _refuse_maps(horizon: int, maps: dict, name: str, shape: tuple, noun: str) -
 
 def stack_maps(maps: dict, keys) -> np.ndarray:
     """The maps under `keys`, in order, as one (len(keys), m, n) array; for
-    the level maps theta (a system or algebra keeps its own `stack`).
-    ValueError naming the first key that has no map."""
+    a dict of level maps theta (a system, an algebra and a `SystemIso` keep
+    their own `stack`).  ValueError naming the first key that has no map."""
     missing = [k for k in keys if k not in maps]
     if missing:
         raise ValueError(f"missing level map {missing[0]}")
     return np.stack([maps[k] for k in keys])
+
+
+def pair_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=(1, 2)) for a real (P, m, n) stack, bit for bit (max is
+    exact, and a NaN propagates): one np.maximum.reduce over an entry-major
+    contiguous (m * n, P) copy, which reduces P lanes at a time."""
+    return np.maximum.reduce(np.ascontiguousarray(a.reshape(len(a), -1).T))
 
 
 def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
@@ -248,7 +282,7 @@ def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
         left = matmul2(b, c.reshape(-1, 2, 4)).reshape(-1, 8, 2)
         b, c = maps[idx.st[sl]], maps[idx.r_st[sl]]
         right = matmul2(b[:, None], c.reshape(-1, 2, 2, 2)).reshape(-1, 8, 2)
-        out[sl] = np.abs(left - right).max(axis=(1, 2))
+        out[sl] = pair_max(np.abs(left - right))
     return out
 
 
@@ -256,9 +290,10 @@ def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
 class GradedAlgebra:
     """Multiplication maps M[s, t]: 2x4 matrices for s + t <= horizon.
 
-    `stack` holds every map, read-only, in `degree_index(horizon).pairs`
-    order; `M` is a read-only mapping whose M[s, t] is a view into it.  A
-    copy or unpickled instance is rebuilt through the constructor."""
+    Built from a dict of the maps keyed by (s, t), or from their (P, 2, 4)
+    stack in `degree_index(horizon).pairs` order (`checked_maps`).  `stack`
+    holds every map, read-only; `M` is a read-only mapping whose M[s, t] is a
+    view into it.  A copy or unpickled instance is rebuilt from the stack."""
 
     horizon: int
     M: dict = field(repr=False)
@@ -270,7 +305,7 @@ class GradedAlgebra:
         object.__setattr__(self, "stack", stack)
 
     def __reduce__(self):
-        return type(self), (self.horizon, dict(self.M))
+        return type(self), (self.horizon, self.stack)
 
     def associativity_residual(self) -> float:
         # the defect of M is that of its transpose, the dual system's beta
@@ -396,10 +431,9 @@ def intertwining_defects(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) ->
     residual rule of `systems.iso_residuals`, `classify_system` and
     `extend_morphism`."""
     lhs, rhs = intertwining(theta, src, dst)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
-                                       np.abs(rhs).max(axis=(1, 2))))
+    scale = np.maximum(1.0, pair_max(np.maximum(np.abs(lhs), np.abs(rhs))))
     defects = np.abs(lhs - rhs)
-    return defects, defects.max(axis=(1, 2)) / scale
+    return defects, pair_max(defects) / scale
 
 
 def extend_levels(theta1, left, maps, lam=None) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import re
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,7 +28,7 @@ class SerializationError(ValueError):
 
 def _plain(obj):
     """`obj` in the types `json.dumps` writes, by the rules above."""
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, MappingProxyType)):  # the read-only maps of an iso
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]

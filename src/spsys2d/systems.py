@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .classify import (Classification, Triple, TripleClass, _read_plane, canonical_maps,
                        check_label)
 from .graded import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
-                     extend_levels, intertwining_defects, rank_lost, stack_maps,
+                     extend_levels, intertwining_defects, pair_max, rank_lost, stack_maps,
                      triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, kron, rank_deficient, residual_tol,
                            span_basis2)
@@ -54,9 +55,11 @@ class SystemLabel:
 class SubproductSystem:
     """beta[s, t] is the 4x2 map E_{s+t} -> E_s (x) E_t, for s + t <= horizon.
 
-    `stack` holds every map, read-only, in `degree_index(horizon).pairs`
-    order; `beta` is a read-only mapping whose beta[s, t] is a view into it.
-    A copy or unpickled instance is rebuilt through the constructor."""
+    Built from a dict of the maps keyed by (s, t), or from their (P, 4, 2)
+    stack in `degree_index(horizon).pairs` order (`checked_maps`).  `stack`
+    holds every map, read-only; `beta` is a read-only mapping whose beta[s, t]
+    is a view into it.  A copy or unpickled instance is rebuilt from the
+    stack."""
 
     horizon: int
     beta: dict = field(repr=False)
@@ -68,7 +71,7 @@ class SubproductSystem:
         object.__setattr__(self, "stack", stack)
 
     def __reduce__(self):
-        return type(self), (self.horizon, dict(self.beta))
+        return type(self), (self.horizon, self.stack)
 
     def index_triples(self):
         return iter(degree_index(self.horizon).triples)
@@ -77,9 +80,32 @@ class SubproductSystem:
 @dataclass(frozen=True, eq=False)
 class SystemIso:
     """Per-level invertible maps theta[t] carrying one system onto another:
-    (theta_s (x) theta_t) beta[s, t] = beta'[s, t] theta_{s+t}."""
+    (theta_s (x) theta_t) beta[s, t] = beta'[s, t] theta_{s+t}.
+
+    Built from a dict of theta_1..theta_n keyed by level, or from their
+    (n, 2, 2) stack.  `stack` holds theta_t at stack[t - 1], read-only (a
+    complex C-contiguous stack is adopted, not copied); `theta` is a
+    read-only mapping whose theta[t] is a view into it.  ValueError naming
+    the first missing level of a dict (its keys must be 1..n), or for maps
+    that are not 2x2.  A copy or unpickled instance is rebuilt from the
+    stack."""
 
     theta: dict = field(repr=False)
+    stack: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        theta = self.theta
+        if not isinstance(theta, np.ndarray):
+            theta = stack_maps(theta, range(1, len(theta) + 1))
+        stack = np.ascontiguousarray(theta, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1:] != (2, 2):
+            raise ValueError("level maps must be 2x2")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "theta", MappingProxyType(dict(enumerate(stack, 1))))
+
+    def __reduce__(self):
+        return type(self), (self.stack,)
 
 
 def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
@@ -89,14 +115,19 @@ def iso_residuals(src: SubproductSystem, dst: SubproductSystem,
     Residuals are relative: the defect is scaled by the magnitude of the
     compared maps, since the level maps of an isomorphism carry no preferred
     normalization and their norms can grow geometrically with the level.
-    ValueError when the horizons differ or a level map is missing.
+    The level maps are the slice iso.stack[:horizon] of the iso's stack, so
+    nothing is restacked; levels past the horizon are not read.  ValueError
+    when the horizons differ, or naming the first missing level when the iso
+    has fewer than `horizon`.
     """
-    if src.horizon != dst.horizon:
-        raise ValueError(f"source horizon {src.horizon} and target horizon "
-                         f"{dst.horizon} differ")
-    theta = stack_maps(iso.theta, range(1, src.horizon + 1))
+    h = src.horizon
+    if h != dst.horizon:
+        raise ValueError(f"source horizon {h} and target horizon {dst.horizon} differ")
+    theta = iso.stack[:h]
+    if len(theta) < h:
+        raise ValueError(f"missing level map {len(theta) + 1}")
     residuals = intertwining_defects(theta, src.stack, dst.stack)[1]
-    return dict(zip(degree_index(src.horizon).pairs, residuals.tolist()))
+    return dict(zip(degree_index(h).pairs, residuals.tolist()))
 
 
 def _triple_class(label: SystemLabel) -> TripleClass:
@@ -105,10 +136,11 @@ def _triple_class(label: SystemLabel) -> TripleClass:
 
 def canonical_system(label: SystemLabel, horizon: int = 6) -> SubproductSystem:
     """The canonical representative of each isomorphism class: beta[s, t] =
-    `canonical_maps`[s - 1] for every t."""
+    `canonical_maps`[s - 1] for every t, gathered into the system's stack in
+    one index (`degree_index(horizon).sides[:, 0]` holds each s - 1) and
+    handed to the constructor as a stack, with no dict of maps."""
     maps = canonical_maps(_triple_class(label), horizon)
-    return SubproductSystem(horizon, {(s, t): bs for s, bs in enumerate(maps, 1)
-                                      for t in range(1, horizon - s + 1)})
+    return SubproductSystem(horizon, maps[degree_index(horizon).sides[:, 0]])
 
 
 @dataclass(frozen=True)
@@ -189,11 +221,12 @@ def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Triple:
 
 
 def dualize(obj):
-    """Transpose duality between systems and graded algebras (an involution)."""
+    """Transpose duality between systems and graded algebras (an involution),
+    built from the transposed stack."""
     if isinstance(obj, SubproductSystem):
-        return GradedAlgebra(obj.horizon, {k: b.T for k, b in obj.beta.items()})
+        return GradedAlgebra(obj.horizon, obj.stack.transpose(0, 2, 1))
     if isinstance(obj, GradedAlgebra):
-        return SubproductSystem(obj.horizon, {k: m.T for k, m in obj.M.items()})
+        return SubproductSystem(obj.horizon, obj.stack.transpose(0, 2, 1))
     raise TypeError("dualize expects a SubproductSystem or a GradedAlgebra")
 
 
@@ -270,7 +303,7 @@ def _certified(sys: SubproductSystem, eps: float) -> tuple:
     if worst > residual_tol(eps):
         raise ClassifyStageError(
             "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
-    iso = SystemIso(theta=dict(enumerate(theta, 1)))
+    iso = SystemIso(theta)
     result = Classification(label, iso, plane.rank, plane.rank_margin, residuals)
     return result, _axioms_proved(sys.stack, norms, q, defects, label.lam is not None, eps)
 
@@ -319,7 +352,7 @@ def _axioms_proved(stack: np.ndarray, norms: np.ndarray, q: np.ndarray,
     root_tr = np.sqrt(tr)
     s, t, _ = degree_index(len(norms)).sides.T
     inv = 1 / norms
-    scaled = (defects * (inv[s, :, None] * inv[t, None, :]).reshape(-1, 4, 1)).max(axis=(1, 2))
+    scaled = pair_max(defects * (inv[s, :, None] * inv[t, None, :]).reshape(-1, 4, 1))
     # both sides round within 10 u (|beta_st|_F + |R_st|), fl(lambda^s) within
     # 12 (s + 1) u |lambda^s|, which adds as much again of |beta_st|_F + |R_st|
     rounding = _U * (10 + 12 * (s + 2) if c3 else 10) * (root_tr + scaled)
@@ -358,7 +391,6 @@ def random_system(label: SystemLabel, seed: int, horizon: int = 6) -> Subproduct
         cand = z[:, 0] + 1j * z[:, 1]
         g = np.concatenate([g, cand[np.linalg.cond(cand) <= MAX_COND]])
     g = g[:horizon]
-    idx = degree_index(horizon)
-    s, t = idx.levels.T
+    s, t = degree_index(horizon).levels.T
     beta = kron(g[s - 1], g[t - 1]) @ maps[s - 1] @ np.linalg.inv(g)[s + t - 1]
-    return SubproductSystem(horizon=horizon, beta=dict(zip(idx.pairs, beta)))
+    return SubproductSystem(horizon, beta)

@@ -1,5 +1,6 @@
-"""The constructor of both dual kinds copies the maps into one stack in bulk
-and, on any fault, names the fault the per-key walk named.
+"""The constructor of both dual kinds copies a dict of maps into one stack in
+bulk and, on any fault, names the fault the per-key walk named.  A bool in a
+key is such a fault: a dict lookup takes (True, 1) for (1, 1).
 
 `ref_checked_maps` is that walk, kept as the reference: for every input the
 two must raise the same exception type with the same message, or build
@@ -28,7 +29,8 @@ def ref_checked_maps(horizon, maps, name, shape, noun):
     arrays = {}
     for key, m in maps.items():
         if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(x, numbers.Real) for x in key)):
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                        for x in key)):
             raise ValueError(f"{name} key {key!r} is not a pair (s, t) of degrees")
         s, t = key
         if s < 1 or t < 1 or s + t > horizon:
@@ -71,6 +73,11 @@ def _stray_first(maps, key, value):
     return {key: value, **maps}
 
 
+def _rekey(maps, old, new):
+    """`maps` with the key `old` replaced by `new`, in place in the order."""
+    return {new if k == old else k: x for k, x in maps.items()}
+
+
 # each entry: the good maps of a kind -> the input, as a dict in insertion order
 FAULTS = {
     "wrong shape and a missing pair": lambda m, g: _drop(_set(m, (2, 1), np.ones(g[::-1])),
@@ -109,6 +116,13 @@ FAULTS = {
     "a string key": lambda m, g: _set(m, "ab", np.ones(g)),
     "a key that is no pair": lambda m, g: _set(m, 7, np.ones(g)),
     "nested lists": lambda m, g: {k: x.tolist() for k, x in m.items()},
+    "a bool key": lambda m, g: _rekey(m, (1, 1), (True, 1)),
+    "a numpy bool key": lambda m, g: _rekey(m, (2, 1), (2, np.True_)),
+    "bool keys everywhere": lambda m, g: _rekey(_rekey(m, (1, 1), (True, True)),
+                                                (1, 2), (True, 2)),
+    "a bool key after a wrong shape": lambda m, g: _rekey(_set(m, (1, 1), np.ones(g[::-1])),
+                                                          (2, 1), (2, True)),
+    "a bool key and a missing pair": lambda m, g: _drop(_rekey(m, (1, 1), (1, True)), (1, 3)),
 }
 
 
@@ -150,7 +164,10 @@ def test_a_non_integral_key_is_refused(kind, fault):
 @pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("fault, key", [("a key of three", "(1, 1, 1)"),
                                         ("a string key", "'ab'"),
-                                        ("a key that is no pair", "7")])
+                                        ("a key that is no pair", "7"),
+                                        ("a bool key", "(True, 1)"),
+                                        ("a numpy bool key", repr((2, np.True_))),
+                                        ("bool keys everywhere", "(True, True)")])
 def test_a_key_that_is_not_a_pair_is_named(kind, fault, key):
     name, shape, _ = KINDS[kind]
     maps = FAULTS[fault](good_maps(shape), shape)

@@ -24,12 +24,12 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from spsys2d import systems
+from spsys2d import graded, systems
 from spsys2d.cli import main as cli_main
 from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, classify_plane
-from spsys2d.graded import (GradedMorphism, degree_index, equilibrated_levels, extend_levels,
-                            intertwining_defects, is_isomorphism, singular_levels,
-                            stack_maps)
+from spsys2d.graded import (GradedAlgebra, GradedMorphism, degree_index, equilibrated_levels,
+                            extend_levels, intertwining_defects, is_isomorphism,
+                            singular_levels, stack_maps)
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              axiom_text, canonical_system, check_axioms, classify_system,
                              dualize, iso_residuals, random_system)
@@ -165,13 +165,13 @@ def test_classify_system_matches_the_canonical_system_path_bit_for_bit(h, eps):
 def test_classify_system_builds_no_subproduct_system(monkeypatch):
     sys = random_system(SystemLabel("E3", 2.0), 5, 8)
     calls = []
-    checked = systems.checked_maps
+    checked = graded.checked_stack
 
-    def counting(*args):
+    def counting(*args):  # the one validation of every built system or algebra
         calls.append(args[0])
         return checked(*args)
 
-    monkeypatch.setattr(systems, "checked_maps", counting)
+    monkeypatch.setattr(graded, "checked_stack", counting)
     label, _ = classify_system(sys)
     assert label.label == "E3" and calls == []
     canonical_system(label, 8)  # the counter sees a build
@@ -546,33 +546,54 @@ def test_the_bounded_e3_presentation_classifies(lam, h):
     assert max(r.residuals.values()) <= 1e-12
 
 
-# --- read-only maps, for both dual kinds -------------------------------------
+# --- read-only maps, for both dual kinds and the iso ---------------------------
 
-def _both_kinds():
+def _holders():
+    """Each map holder, by kind and path, with the name of its mapping: built
+    from a stack (`canonical_system`, `random_system`, `dualize`, the iso of
+    `classify_system`) or from a dict."""
     s = canonical_system(SystemLabel("E2"), 5)
-    return [(s, "beta"), (dualize(s), "M")]
+    r = random_system(SystemLabel("E3", 2.0), 4, 5)
+    iso = classify_system(r).iso
+    return {
+        "system": (s, "beta"),
+        "algebra": (dualize(s), "M"),
+        "random system": (r, "beta"),
+        "dict-built system": (SubproductSystem(5, dict(r.beta)), "beta"),
+        "dict-built algebra": (GradedAlgebra(5, dict(dualize(r).M)), "M"),
+        "iso": (iso, "theta"),
+        "dict-built iso": (SystemIso(dict(iso.theta)), "theta"),
+    }
 
 
-@pytest.mark.parametrize("kind", [0, 1], ids=["system", "algebra"])
+HOLDERS = list(_holders())
+
+
+@pytest.mark.parametrize("kind", HOLDERS)
 def test_maps_cannot_drift_from_the_stack(kind):
-    obj, name = _both_kinds()[kind]
+    obj, name = _holders()[kind]
     maps = getattr(obj, name)
+    key = next(iter(maps))
     assert isinstance(maps, MappingProxyType)
+    assert not obj.stack.flags.writeable
     with pytest.raises(TypeError):
-        maps[(1, 1)] = np.zeros(maps[(1, 1)].shape)
+        maps[key] = np.zeros(maps[key].shape)
     with pytest.raises(TypeError):
-        del maps[(1, 1)]
+        del maps[key]
+    with pytest.raises(ValueError):
+        maps[key][0, 0] = 5
     assert all(np.shares_memory(m, obj.stack) for m in maps.values())
 
 
-@pytest.mark.parametrize("kind", [0, 1], ids=["system", "algebra"])
+@pytest.mark.parametrize("kind", HOLDERS)
 @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
                                    copy.copy], ids=["pickle", "deepcopy", "copy"])
 def test_copies_are_rebuilt_read_only(kind, clone):
-    obj, name = _both_kinds()[kind]
+    obj, name = _holders()[kind]
     dup = clone(obj)
     maps = getattr(dup, name)
-    assert type(dup) is type(obj) and dup.horizon == obj.horizon
+    assert type(dup) is type(obj)
+    assert getattr(dup, "horizon", None) == getattr(obj, "horizon", None)
     assert dup.stack.tobytes() == obj.stack.tobytes()
     assert not dup.stack.flags.writeable
     assert isinstance(maps, MappingProxyType)

@@ -1,0 +1,223 @@
+"""Systems, algebras and isomorphisms built from their stacks.
+
+`canonical_system`, `random_system` and `dualize` hand the constructor a
+(P, m, n) stack; they used to hand it a dict of per-pair maps, which the
+constructor gathered back into a stack.  Those dict-built versions are kept
+here as `ref_*`, and every stack the new ones build must match theirs byte for
+byte.  `classify_system` keeps theta as the stack it certified, and
+`iso_residuals` slices that stack: its residuals against `canonical_system`
+are the result's own, bit for bit.  The per-pair maxima of the certificate
+are one `pair_max`, which must be `.max(axis=(1, 2))` exactly.
+"""
+
+import numpy as np
+import pytest
+
+from spsys2d import systems
+from spsys2d.classify import TripleClass, canonical_maps
+from spsys2d.graded import (GradedAlgebra, degree_index, intertwining, intertwining_defects,
+                            pair_max)
+from spsys2d.systems import (MAX_COND, SubproductSystem, SystemIso, SystemLabel,
+                             canonical_system, classify_system, dualize, iso_residuals,
+                             random_system)
+from spsys2d.tensorlinalg import kron
+
+CELLS = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
+    SystemLabel("E3", complex(lam))
+    for lam in (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0)
+]
+HORIZONS = (3, 6, 12, 32)
+
+
+def _maps(label, horizon):
+    return canonical_maps(TripleClass(systems._SYSTEM_TO_TRIPLE[label.label], label.lam),
+                          horizon)
+
+
+def ref_canonical_system(label, horizon):
+    """canonical_system as it was: a dict of views, gathered by the constructor."""
+    maps = _maps(label, horizon)
+    return SubproductSystem(horizon, {(s, t): bs for s, bs in enumerate(maps, 1)
+                                      for t in range(1, horizon - s + 1)})
+
+
+def ref_random_system(label, seed, horizon):
+    """random_system as it was: the same draw, its stack handed over as a dict."""
+    rng = np.random.default_rng(seed)
+    maps = _maps(label, horizon)
+    g = np.empty((0, 2, 2), dtype=complex)
+    while len(g) < horizon:
+        z = rng.standard_normal((horizon, 2, 2, 2))
+        cand = z[:, 0] + 1j * z[:, 1]
+        g = np.concatenate([g, cand[np.linalg.cond(cand) <= MAX_COND]])
+    g = g[:horizon]
+    idx = degree_index(horizon)
+    s, t = idx.levels.T
+    beta = kron(g[s - 1], g[t - 1]) @ maps[s - 1] @ np.linalg.inv(g)[s + t - 1]
+    return SubproductSystem(horizon=horizon, beta=dict(zip(idx.pairs, beta)))
+
+
+def ref_dualize(obj):
+    """dualize as it was: a dict of transposed views."""
+    if isinstance(obj, SubproductSystem):
+        return GradedAlgebra(obj.horizon, {k: b.T for k, b in obj.beta.items()})
+    return SubproductSystem(obj.horizon, {k: m.T for k, m in obj.M.items()})
+
+
+def assert_same_build(got, want, name):
+    assert type(got) is type(want) and got.horizon == want.horizon
+    assert got.stack.dtype == want.stack.dtype == complex
+    assert got.stack.shape == want.stack.shape
+    assert got.stack.tobytes() == want.stack.tobytes()
+    assert got.stack.flags.c_contiguous and not got.stack.flags.writeable
+    maps = getattr(got, name)
+    assert list(maps) == list(getattr(want, name)) == list(degree_index(got.horizon).pairs)
+    assert all(np.shares_memory(m, got.stack) for m in maps.values())
+
+
+@pytest.mark.parametrize("horizon", HORIZONS)
+@pytest.mark.parametrize("label", CELLS, ids=lambda x: f"{x.label}-{x.lam}")
+def test_stack_built_systems_match_the_dict_built_ones_byte_for_byte(label, horizon):
+    can = canonical_system(label, horizon)
+    assert_same_build(can, ref_canonical_system(label, horizon), "beta")
+    for seed in (0, 7):
+        sys = random_system(label, seed, horizon)
+        assert_same_build(sys, ref_random_system(label, seed, horizon), "beta")
+        for obj in (can, sys):
+            dual = dualize(obj)
+            assert_same_build(dual, ref_dualize(obj), "M")
+            back = dualize(dual)
+            assert_same_build(back, ref_dualize(ref_dualize(obj)), "beta")
+            assert back.stack.tobytes() == obj.stack.tobytes()  # an involution
+
+
+@pytest.mark.parametrize("horizon", [6, 12])
+def test_iso_residuals_on_the_result_are_the_certificate_bit_for_bit(horizon):
+    for seed in range(3):
+        for i, label in enumerate(CELLS):
+            sys = random_system(label, 1000 * seed + i, horizon)
+            r = classify_system(sys)
+            got = iso_residuals(sys, canonical_system(r.label, horizon), r.iso)
+            assert list(got) == list(r.residuals)
+            assert (np.array(list(got.values())).tobytes()
+                    == np.array(list(r.residuals.values())).tobytes())
+
+
+def test_the_iso_holds_the_certified_stack():
+    sys = random_system(SystemLabel("E3", 2.0), 5, 8)
+    iso = classify_system(sys).iso
+    assert iso.stack.shape == (8, 2, 2) and not iso.stack.flags.writeable
+    assert list(iso.theta) == list(range(1, 9))
+    assert all(np.shares_memory(m, iso.stack) for m in iso.theta.values())
+    assert all(iso.theta[t].tobytes() == iso.stack[t - 1].tobytes() for t in iso.theta)
+    rebuilt = SystemIso(dict(iso.theta))  # the dict path: the same stack, copied
+    assert rebuilt.stack.tobytes() == iso.stack.tobytes()
+    assert not np.shares_memory(rebuilt.stack, iso.stack)
+
+
+def test_a_level_past_the_horizon_is_not_read():
+    sys = random_system(SystemLabel("E1"), 2, 6)
+    r = classify_system(sys)
+    longer = SystemIso(np.concatenate([r.iso.stack, np.full((2, 2, 2), np.nan)]))
+    assert iso_residuals(sys, canonical_system(r.label, 6), longer) == r.residuals
+
+
+@pytest.mark.parametrize("theta, message", [
+    ({1: np.eye(2), 3: np.eye(2)}, "^missing level map 2$"),
+    ({2: np.eye(2)}, "^missing level map 1$"),
+    ({1: np.eye(2), 2: np.eye(3)}, None),
+    (np.ones((3, 2, 3)), "^level maps must be 2x2$"),
+    (np.ones((2, 2)), "^level maps must be 2x2$"),
+])
+def test_a_malformed_iso_is_refused(theta, message):
+    with pytest.raises(ValueError, match=message):
+        SystemIso(theta)
+
+
+def test_a_short_iso_names_its_first_missing_level():
+    sys = random_system(SystemLabel("E2"), 3, 6)
+    iso = classify_system(sys).iso
+    can = canonical_system(SystemLabel("E2"), 6)
+    for levels in (1, 4, 5):
+        with pytest.raises(ValueError, match=f"^missing level map {levels + 1}$"):
+            iso_residuals(sys, can, SystemIso(iso.stack[:levels]))
+
+
+def ref_intertwining_defects(theta, src, dst):
+    """intertwining_defects as it was: two per-pair maxima and a maximum."""
+    lhs, rhs = intertwining(theta, src, dst)
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
+                                       np.abs(rhs).max(axis=(1, 2))))
+    defects = np.abs(lhs - rhs)
+    return defects, defects.max(axis=(1, 2)) / scale
+
+
+@pytest.mark.parametrize("h", [3, 6, 12])
+def test_the_certificate_keeps_its_bits(h):
+    """Either side may hold the largest entry of a pair: theta scaled down
+    makes the right side dominate, scaled up the left."""
+    rng = np.random.default_rng(h)
+    p = h * (h - 1) // 2
+    for scale in (1e-3, 0.5, 1.0, 2.0, 1e3):
+        theta = scale * (rng.standard_normal((h, 2, 2)) + 1j * rng.standard_normal((h, 2, 2)))
+        src, dst = (rng.standard_normal((p, 4, 2)) + 1j * rng.standard_normal((p, 4, 2))
+                    for _ in range(2))
+        got = intertwining_defects(theta, src, dst)
+        want = ref_intertwining_defects(theta, src, dst)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("kind, shape", [("system", (4, 2)), ("algebra", (2, 4))])
+def test_a_malformed_stack_is_refused(kind, shape):
+    cls, name = (SubproductSystem, "beta") if kind == "system" else (GradedAlgebra, "M")
+    good = np.ones((10, *shape), dtype=complex)
+    cls(5, good.copy())
+    with pytest.raises(ValueError, match="^horizon must be at least 3$"):
+        cls(2, good[:1].copy())
+    for bad in (good[:9], good.reshape(10, *shape[::-1]), good[None]):
+        want = "x".join(map(str, bad.shape))
+        with pytest.raises(ValueError, match=f"^{name} stack must be 10x{shape[0]}x{shape[1]} "
+                                             f"at horizon 5, not {want}$"):
+            cls(5, bad.copy())
+    for value in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[4, 1, 1] = value
+        with pytest.raises(ValueError, match="^non-finite entries are not admitted$"):
+            cls(5, bad)
+
+
+def test_a_stack_is_adopted_read_only_and_a_view_is_copied():
+    stack = np.ones((10, 4, 2), dtype=complex)
+    sys = SubproductSystem(5, stack)
+    assert sys.stack is stack and not stack.flags.writeable
+    dual = dualize(sys)  # a transposed view of a read-only stack: copied, contiguous
+    assert dual.stack.flags.c_contiguous and not np.shares_memory(dual.stack, stack)
+    real = np.ones((10, 4, 2))
+    assert SubproductSystem(5, real).stack.dtype == complex and real.flags.writeable
+
+
+def _pair_max_inputs():
+    rng = np.random.default_rng(3)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 5e-324])
+    for shape in ((1, 4, 2), (15, 4, 2), (66, 4, 2), (300, 8, 2), (7, 2, 4)):
+        a = rng.standard_normal(shape)
+        yield a
+        yield np.abs(a)
+        yield rng.choice(special, size=shape)
+        b = a.copy()
+        b.reshape(-1)[rng.choice(b.size, size=b.size // 3, replace=False)] = -0.0
+        yield b
+    yield np.full((5, 4, 2), -0.0)
+    yield np.full((5, 4, 2), np.nan)
+    yield np.abs(rng.standard_normal((66, 4, 2)))[:, ::2]  # not contiguous
+
+
+@pytest.mark.parametrize("i, a", list(enumerate(_pair_max_inputs())), ids=lambda x: "")
+def test_pair_max_is_the_per_pair_max(i, a):
+    got, want = pair_max(a), a.max(axis=(1, 2))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    nan = np.isnan(want)
+    # the sign of a zero too, wherever no NaN is involved
+    assert got[~nan].tobytes() == want[~nan].tobytes()
