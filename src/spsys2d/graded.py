@@ -68,10 +68,6 @@ class Algebra2:
             raise ValueError("structure constants must form a 2x4 matrix")
         object.__setattr__(self, "mult", m)
 
-    def associativity_residual(self) -> float:
-        left = self.mult @ kron(self.mult, I2)
-        right = self.mult @ kron(I2, self.mult)
-        return float(np.abs(left - right).max())
 
 def catalog(name: str) -> Algebra2:
     """The seven two-dimensional algebras; D1..D4 have surjective
@@ -116,22 +112,14 @@ class AutomorphismFamily:
 
 def automorphism_description(name: str) -> AutomorphismFamily:
     if name == "D1":
-        return AutomorphismFamily(
-            algebra="D1",
-            maps=(I2.copy(), _SWAP.copy()),
-            description="identity and the coordinate swap",
-        )
+        return AutomorphismFamily("D1", (I2.copy(), _SWAP.copy()),
+                                  description="identity and the coordinate swap")
     if name == "D2":
-        return AutomorphismFamily(
-            algebra="D2",
-            maps=(I2.copy(),),
-            one_parameter=lambda lam: np.array([[1, 0], [0, lam]], dtype=complex),
-            description="(a1, a2) -> (a1, lam a2) for nonzero lam",
-        )
+        return AutomorphismFamily("D2", (I2.copy(),),
+                                  lambda lam: np.array([[1, 0], [0, lam]], dtype=complex),
+                                  "(a1, a2) -> (a1, lam a2) for nonzero lam")
     if name in ("D3", "D4"):
-        return AutomorphismFamily(
-            algebra=name, maps=(I2.copy(),), description="identity only"
-        )
+        return AutomorphismFamily(name, (I2.copy(),), description="identity only")
     raise ValueError(f"automorphism description only covers D1..D4, not {name!r}")
 
 
@@ -253,14 +241,24 @@ def _refuse_maps(horizon: int, maps: dict, name: str, shape: tuple, noun: str) -
             raise ValueError(f"missing {noun} {name}[{s},{t}]")
 
 
-def stack_maps(maps: dict, keys) -> np.ndarray:
-    """The maps under `keys`, in order, as one (len(keys), m, n) array; for
-    a dict of level maps theta (a system, an algebra and a `SystemIso` keep
-    their own `stack`).  ValueError naming the first key that has no map."""
-    missing = [k for k in keys if k not in maps]
-    if missing:
-        raise ValueError(f"missing level map {missing[0]}")
-    return np.stack([maps[k] for k in keys])
+def checked_levels(theta) -> tuple:
+    """The level maps theta_1..theta_n of a `SystemIso` or `GradedMorphism`, a
+    dict keyed by level or an (n, 2, 2) stack, as a read-only C-contiguous
+    complex stack (a complex C-contiguous one is adopted, not copied) and a
+    read-only mapping of each level t to the view stack[t - 1].  ValueError
+    naming the first missing level of a dict (keys must be 1..n), then for no
+    level, or for maps that are not 2x2."""
+    if not isinstance(theta, np.ndarray):
+        levels = range(1, len(theta) + 1)
+        missing = [t for t in levels if t not in theta]
+        if missing:
+            raise ValueError(f"missing level map {missing[0]}")
+        theta = [theta[t] for t in levels]
+    stack = np.ascontiguousarray(theta, dtype=complex)
+    if stack.shape[1:] != (2, 2) or not len(stack):
+        raise ValueError("level maps must be 2x2" if len(stack) else "no level maps")
+    stack.setflags(write=False)
+    return stack, MappingProxyType(dict(zip(range(1, len(stack) + 1), stack)))
 
 
 def pair_max(a: np.ndarray) -> np.ndarray:
@@ -309,9 +307,8 @@ class GradedAlgebra:
 
     def associativity_residual(self) -> float:
         # the defect of M is that of its transpose, the dual system's beta
-        idx = degree_index(self.horizon)
-        maps = self.stack.transpose(0, 2, 1)
-        return float(np.fmax.reduce(triple_residuals(maps, idx), initial=0.0))
+        residuals = triple_residuals(self.stack.transpose(0, 2, 1), degree_index(self.horizon))
+        return float(np.fmax.reduce(residuals, initial=0.0))
 
 
 def build_graded(d: Algebra2, eta, horizon: int, eps: float = DEFAULT_EPS) -> GradedAlgebra:
@@ -319,14 +316,10 @@ def build_graded(d: Algebra2, eta, horizon: int, eps: float = DEFAULT_EPS) -> Gr
     eta = as_cmat(eta)
     if not is_automorphism(d, eta, eps):
         raise NotAutomorphismError("eta is not an automorphism of the algebra")
-    maps = {}
-    powers = {0: I2}
-    for s in range(1, horizon):
-        powers[s] = powers[s - 1] @ eta
-    for s in range(1, horizon):
-        for t in range(1, horizon - s + 1):
-            maps[(s, t)] = d.mult @ kron(I2, powers[s])
-    g = GradedAlgebra(horizon=horizon, M=maps)
+    powers = list(itertools.accumulate([I2] + [eta] * (horizon - 1), np.matmul))[1:]
+    # M[s, t] = D (I2 (x) eta^s) for every t: the h - 1 distinct maps, gathered
+    maps = d.mult @ kron(I2, np.stack(powers))
+    g = GradedAlgebra(horizon, maps[degree_index(horizon).sides[:, 0]])
     residual = g.associativity_residual()
     if residual > eps * 100:
         raise MorphismError(f"construction produced associativity residual {residual}")
@@ -335,19 +328,20 @@ def build_graded(d: Algebra2, eta, horizon: int, eps: float = DEFAULT_EPS) -> Gr
 
 def twist(g: GradedAlgebra, f, eps: float = DEFAULT_EPS) -> GradedAlgebra:
     """The twisted algebra with product (x, y) -> x f_t^s(y); `f` gives f_t
-    as a callable or a mapping of t."""
-    levels = {t: as_cmat(f(t) if callable(f) else f[t]) for t in range(1, g.horizon + 1)}
-    singular = np.flatnonzero(
-        singular_levels(stack_maps(levels, range(1, g.horizon + 1)), eps))
+    as a callable or a mapping of t (ValueError naming its first missing
+    level).  f_t^s is one stacked matrix power per exponent s."""
+    h = g.horizon
+    m = GradedMorphism(g, g, np.array([f(t) for t in range(1, h + 1)]) if callable(f) else f)
+    levels = require_finite(m.stack[:h])
+    singular = np.flatnonzero(singular_levels(levels, eps))
     if singular.size:
         raise NotAutomorphismError(f"level-{singular[0] + 1} map is not invertible")
-    residual = max(GradedMorphism(source=g, target=g, theta=levels).level_residuals().values())
+    residual = max(m.level_residuals().values())
     if residual > residual_tol(eps):
-        raise NotAutomorphismError(
-            f"per-level family is not multiplicative (residual {residual})"
-        )
-    return GradedAlgebra(horizon=g.horizon, M={
-        (s, t): m @ kron(I2, np.linalg.matrix_power(levels[t], s)) for (s, t), m in g.M.items()})
+        raise NotAutomorphismError(f"per-level family is not multiplicative (residual {residual})")
+    # pairs order runs t = 1..h - s for each s in turn
+    powers = np.concatenate([np.linalg.matrix_power(levels[:h - s], s) for s in range(1, h)])
+    return GradedAlgebra(h, g.stack @ kron(I2, powers))
 
 
 def check_image_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
@@ -375,10 +369,6 @@ def _masked_spans(m: np.ndarray, eps: float):
     return u * keep[:, None, :], keep
 
 
-def _projectors(b: np.ndarray) -> np.ndarray:
-    return b @ b.conj().transpose(0, 2, 1)
-
-
 def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
     """Ker M[r, s, t] equals the sum of the two partial kernels, for all triples.
 
@@ -397,17 +387,16 @@ def check_kernel_condition(g: GradedAlgebra, eps: float = DEFAULT_EPS) -> bool:
         k3, k3_keep = _masked_null_spaces(m3, eps)
         side, side_keep = _masked_spans(np.concatenate(
             [kron(pair_kernels[rs], I2), kron(I2, pair_kernels[st])], axis=2), eps)
-        leak = np.abs(m3 @ side).max(axis=(1, 2))
-        leaks = leak > tol * np.maximum(1.0, np.abs(m3).max(axis=(1, 2)))
-        distance = np.abs(_projectors(k3) - _projectors(side)).max(axis=(1, 2))
+        leak = pair_max(np.abs(m3 @ side))
+        leaks = leak > tol * np.maximum(1.0, pair_max(np.abs(m3)))
+        distance = pair_max(np.abs(k3 @ k3.conj().transpose(0, 2, 1)
+                                   - side @ side.conj().transpose(0, 2, 1)))
         unequal = (k3_keep.sum(1) != side_keep.sum(1)) | (distance > tol)
         bad = np.flatnonzero(leaks | unequal)
         if bad.size:
             if leaks[bad[0]]:
-                raise RuntimeError(
-                    "partial kernels escape the triple kernel; "
-                    "the graded data is inconsistent"
-                )
+                raise RuntimeError("partial kernels escape the triple kernel; "
+                                   "the graded data is inconsistent")
             return False
     return True
 
@@ -503,19 +492,36 @@ def extend_levels(theta1, left, maps, lam=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GradedMorphism:
-    """Per-level maps theta[t] of a morphism between two graded algebras."""
+    """Per-level maps theta[t] of a morphism between two graded algebras, kept
+    as a `SystemIso` keeps them (`checked_levels`).  MorphismError when the
+    horizons differ, or naming the first level up to the horizon with no map.
+    A copy or unpickled instance is rebuilt from the stack."""
 
     source: GradedAlgebra = field(repr=False)
     target: GradedAlgebra = field(repr=False)
     theta: dict = field(repr=False)
+    stack: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.source.horizon != self.target.horizon:
+            raise MorphismError("source and target horizons differ")
+        stack, theta = checked_levels(self.theta)
+        if len(stack) < self.source.horizon:
+            raise MorphismError(f"missing level map {len(stack) + 1}")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "theta", theta)
+
+    def __reduce__(self):
+        return type(self), (self.source, self.target, self.stack)
 
     def level_residuals(self) -> dict:
-        """Per-pair absolute max |theta_{s+t} M_A - M_B (theta_s (x) theta_t)|."""
+        """Per-pair absolute max |theta_{s+t} M_A - M_B (theta_s (x) theta_t)|:
+        the defects of `intertwining_defects` on the transposes, reduced once."""
         h = self.source.horizon
-        theta = stack_maps(self.theta, range(1, h + 1)).transpose(0, 2, 1)
-        lhs, rhs = intertwining(theta, self.target.stack.transpose(0, 2, 1),
-                                self.source.stack.transpose(0, 2, 1))
-        return dict(zip(degree_index(h).pairs, np.abs(lhs - rhs).max(axis=(1, 2)).tolist()))
+        defects = intertwining_defects(self.stack[:h].transpose(0, 2, 1),
+                                       self.target.stack.transpose(0, 2, 1),
+                                       self.source.stack.transpose(0, 2, 1))[0]
+        return dict(zip(degree_index(h).pairs, pair_max(defects).tolist()))
 
 
 def singular_levels(levels: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -550,8 +556,7 @@ def rank_lost(q: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
 
 def is_isomorphism(m: GradedMorphism, eps: float = DEFAULT_EPS) -> bool:
     """True unless some level map theta[1..horizon] has lost rank."""
-    theta = stack_maps(m.theta, range(1, m.source.horizon + 1))
-    return not singular_levels(theta, eps).any()
+    return not singular_levels(m.stack[:m.source.horizon], eps).any()
 
 
 def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
@@ -567,13 +572,14 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     """
     if gA.horizon != gB.horizon:
         raise MorphismError("source and target horizons differ")
-    theta1 = as_cmat(theta1)
-    theta2 = as_cmat(theta2)
+    theta1, theta2 = as_cmat(theta1), as_cmat(theta2)
+    if theta1.shape != (2, 2) or theta2.shape != (2, 2):
+        raise MorphismError("theta1 and theta2 must be 2x2")
     if not check_image_condition(gA, eps):
         raise MorphismError("source algebra fails the image condition")
     if not check_kernel_condition(gA, eps):
         raise MorphismError("source algebra fails the kernel condition")
-    compat = np.abs(theta2 @ gA.M[(1, 1)] - gB.M[(1, 1)] @ kron(theta1, theta1)).max()
+    compat = np.abs(theta2 @ gA.stack[0] - gB.stack[0] @ kron(theta1, theta1)).max()
     if compat > residual_tol(eps):
         raise MorphismError(f"theta2 is incompatible with theta1 (residual {compat})")
 
@@ -588,8 +594,8 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
                           mb.transpose(0, 2, 1)).transpose(0, 2, 1)
     # theta_n, n >= 3, is well defined if its rhs vanishes on Ker M_A[1, n-1]
     rhs = mb[1:] @ kron(theta1, theta[1:-1])
-    leak = np.abs(rhs @ kernel[1:]).max(axis=(1, 2))
-    bad = np.flatnonzero(leak > residual_tol(eps) * np.maximum(1.0, np.abs(rhs).max(axis=(1, 2))))
+    leak = pair_max(np.abs(rhs @ kernel[1:]))
+    bad = np.flatnonzero(leak > residual_tol(eps) * np.maximum(1.0, pair_max(np.abs(rhs))))
     if bad.size:
         raise NotExtendableError(
             f"theta_{bad[0] + 3} is not well defined (kernel leak {leak[bad[0]]})")
@@ -599,4 +605,4 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
                                  gA.stack.transpose(0, 2, 1))[1].max()
     if worst > residual_tol(eps):
         raise MorphismError(f"level maps fail to intertwine (residual {worst:.3g})")
-    return GradedMorphism(source=gA, target=gB, theta=dict(enumerate(theta, 1)))
+    return GradedMorphism(gA, gB, theta)

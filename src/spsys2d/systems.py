@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
 from .classify import (Classification, Triple, TripleClass, _read_plane, canonical_maps,
                        check_label)
 from .graded import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
-                     extend_levels, intertwining_defects, pair_max, rank_lost, stack_maps,
+                     checked_levels, extend_levels, intertwining_defects, pair_max, rank_lost,
                      triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, kron, rank_deficient, residual_tol,
                            span_basis2)
@@ -83,26 +82,17 @@ class SystemIso:
     (theta_s (x) theta_t) beta[s, t] = beta'[s, t] theta_{s+t}.
 
     Built from a dict of theta_1..theta_n keyed by level, or from their
-    (n, 2, 2) stack.  `stack` holds theta_t at stack[t - 1], read-only (a
-    complex C-contiguous stack is adopted, not copied); `theta` is a
-    read-only mapping whose theta[t] is a view into it.  ValueError naming
-    the first missing level of a dict (its keys must be 1..n), or for maps
-    that are not 2x2.  A copy or unpickled instance is rebuilt from the
-    stack."""
+    (n, 2, 2) stack (`checked_levels`).  `stack` holds theta_t at
+    stack[t - 1], read-only; `theta` maps each t to a view into it.  A copy
+    or unpickled instance is rebuilt from the stack."""
 
     theta: dict = field(repr=False)
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        theta = self.theta
-        if not isinstance(theta, np.ndarray):
-            theta = stack_maps(theta, range(1, len(theta) + 1))
-        stack = np.ascontiguousarray(theta, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1:] != (2, 2):
-            raise ValueError("level maps must be 2x2")
-        stack.setflags(write=False)
+        stack, theta = checked_levels(self.theta)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "theta", MappingProxyType(dict(enumerate(stack, 1))))
+        object.__setattr__(self, "theta", theta)
 
     def __reduce__(self):
         return type(self), (self.stack,)

@@ -18,11 +18,12 @@ reads the class from the plane Im beta[1,1] alone.
 """
 
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from spsys2d import graded, systems
+from spsys2d import graded
 from spsys2d.graded import (
     CATALOG_NAMES,
     GradedAlgebra,
@@ -40,7 +41,7 @@ from spsys2d.graded import (
     is_isomorphism,
     kernel_subspace,
     singular_levels,
-    stack_maps,
+    twist,
 )
 from spsys2d.classify import Classification, classify_plane, classify_triple
 from spsys2d.systems import (
@@ -272,9 +273,9 @@ def ref_classify_via_triple(sys, eps=DEFAULT_EPS):
     h = sys.horizon
     canonical = canonical_system(label, h)
     left = ref_left_inverse(canonical.beta[(1, 1)])
-    maps = stack_maps(sys.beta, [(1, t) for t in range(1, h)])
+    maps = np.stack([sys.beta[(1, t)] for t in range(1, h)])
     theta = dict(enumerate(extend_levels(tri.iso.theta, [left] * (h - 1), maps, label.lam), 1))
-    if singular_levels(stack_maps(theta, range(1, sys.horizon + 1)), eps).any():
+    if singular_levels(np.stack([theta[t] for t in range(1, sys.horizon + 1)]), eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta=theta)
     residuals = iso_residuals(sys, canonical, iso)
@@ -418,26 +419,42 @@ def test_associativity_residual_matches_the_loops():
     assert GradedAlgebra(5, noise).associativity_residual() > 0.1
 
 
-def test_checks_read_the_stored_stack_instead_of_restacking_the_maps(monkeypatch):
+class Unreadable(Mapping):
+    """A per-pair or per-level mapping that fails the test when read: a check
+    that restacked a holder's maps instead of reading its stack would read it."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"the mapping was read at {key!r}")
+
+    def __iter__(self):
+        raise AssertionError("the mapping was iterated")
+
+    def __len__(self):
+        raise AssertionError("the mapping was sized")
+
+
+def test_checks_read_the_stored_stack_instead_of_restacking_the_maps():
     sys = random_system(SystemLabel("E3", 2.0), 7, 8)
     g = dualize(sys)
     found, iso = classify_system(sys)
     can = canonical_system(found, 8)
-    stored = (sys.beta, can.beta, g.M)
-    restacked = []
-    stack_maps = graded.stack_maps
-
-    def counting(maps, keys):
-        restacked.append(any(maps is m for m in stored))
-        return stack_maps(maps, keys)
-
-    monkeypatch.setattr(graded, "stack_maps", counting)
-    monkeypatch.setattr(systems, "stack_maps", counting)
+    g_can = dualize(can)
+    theta = {t: m.T for t, m in iso.theta.items()}
+    morphism = extend_morphism(g_can, g, theta[1], theta[2])
+    want = (iso_residuals(sys, can, iso), morphism.level_residuals(),
+            twist(g, lambda t: I2).stack.tobytes(),
+            extend_morphism(g_can, g, theta[1], theta[2]).stack.tobytes())
+    for holder, name in ((sys, "beta"), (can, "beta"), (g, "M"), (g_can, "M"),
+                         (iso, "theta"), (morphism, "theta")):
+        object.__setattr__(holder, name, Unreadable())
     assert check_axioms(sys).passed
-    iso_residuals(sys, can, iso)
+    assert classify_system(sys).label == found
     g.associativity_residual()
     assert check_kernel_condition(g) and check_image_condition(g)
-    assert restacked == []  # iso_residuals slices the iso's own stack
+    assert is_isomorphism(morphism)
+    assert want == (iso_residuals(sys, can, iso), morphism.level_residuals(),
+                    twist(g, lambda t: I2).stack.tobytes(),
+                    extend_morphism(g_can, g, theta[1], theta[2]).stack.tobytes())
 
 
 def test_random_system_is_unchanged():

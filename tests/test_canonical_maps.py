@@ -28,12 +28,12 @@ from spsys2d import graded, systems
 from spsys2d.cli import main as cli_main
 from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, classify_plane
 from spsys2d.graded import (GradedAlgebra, GradedMorphism, degree_index, equilibrated_levels,
-                            extend_levels, intertwining_defects, is_isomorphism,
-                            singular_levels, stack_maps)
+                            extend_levels, extend_morphism, intertwining_defects,
+                            is_isomorphism, singular_levels)
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              axiom_text, canonical_system, check_axioms, classify_system,
                              dualize, iso_residuals, random_system)
-from spsys2d.tensorlinalg import DEFAULT_EPS, Subspace, kron, residual_tol
+from spsys2d.tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, residual_tol
 
 GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
     SystemLabel("E3", complex(lam))
@@ -61,9 +61,9 @@ def ref_classify_system(sys, eps=DEFAULT_EPS):
     h = sys.horizon
     canonical = canonical_system(label, h)
     left = ref_left_inverse(canonical.beta[(1, 1)])
-    maps = stack_maps(sys.beta, [(1, t) for t in range(1, h)])
+    maps = np.stack([sys.beta[(1, t)] for t in range(1, h)])
     theta = dict(enumerate(extend_levels(plane.iso.theta, [left] * (h - 1), maps, label.lam), 1))
-    if singular_levels(stack_maps(theta, range(1, sys.horizon + 1)), eps).any():
+    if singular_levels(np.stack([theta[t] for t in range(1, sys.horizon + 1)]), eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     iso = SystemIso(theta=theta)
     residuals = iso_residuals(sys, canonical, iso)
@@ -551,10 +551,12 @@ def test_the_bounded_e3_presentation_classifies(lam, h):
 def _holders():
     """Each map holder, by kind and path, with the name of its mapping: built
     from a stack (`canonical_system`, `random_system`, `dualize`, the iso of
-    `classify_system`) or from a dict."""
+    `classify_system`, the morphism of `extend_morphism`) or from a dict."""
     s = canonical_system(SystemLabel("E2"), 5)
     r = random_system(SystemLabel("E3", 2.0), 4, 5)
     iso = classify_system(r).iso
+    g = dualize(s)
+    morphism = extend_morphism(g, g, I2, I2)
     return {
         "system": (s, "beta"),
         "algebra": (dualize(s), "M"),
@@ -563,6 +565,8 @@ def _holders():
         "dict-built algebra": (GradedAlgebra(5, dict(dualize(r).M)), "M"),
         "iso": (iso, "theta"),
         "dict-built iso": (SystemIso(dict(iso.theta)), "theta"),
+        "morphism": (morphism, "theta"),
+        "dict-built morphism": (GradedMorphism(g, g, dict(morphism.theta)), "theta"),
     }
 
 

@@ -15,10 +15,12 @@ import pytest
 
 from spsys2d import systems
 from spsys2d.classify import canonical_maps, classify_plane
-from spsys2d.graded import (degree_index, extend_levels, intertwining_defects,
-                            singular_levels, triple_residuals)
-from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemLabel, axiom_text,
-                             canonical_system, check_axioms, classify_system, random_system)
+from spsys2d.graded import (GradedMorphism, degree_index, extend_levels, extend_morphism,
+                            intertwining_defects, is_isomorphism, singular_levels,
+                            triple_residuals)
+from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
+                             axiom_text, canonical_system, check_axioms, classify_system,
+                             dualize, iso_residuals, random_system)
 from spsys2d.tensorlinalg import Subspace, residual_tol
 
 GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
@@ -169,6 +171,30 @@ def test_the_stress_grid_certifies_every_input_that_passes_the_axioms(axiom_chec
             assert label.lam is None or abs(r.label.lam - label.lam) <= 1e-9 * abs(label.lam)
             assert max(r.residuals.values()) <= 1e-11, (label, seed)
     assert (passing, len(fallbacks)) == STRESS_COUNTS[h]
+
+
+def dual_extension_inputs():
+    """Every stress cell x 3 seeds at h = 12, and E2 and E3(1/2) at h = 32."""
+    for label in STRESS_GRID:
+        for seed in range(3):
+            yield random_system(label, 1000 * seed + 7, 12)
+    for label in (SystemLabel("E2"), SystemLabel("E3", 0.5)):
+        yield random_system(label, 7, 32)
+
+
+def test_the_duals_of_the_stress_grid_extend():
+    """`extend_morphism` from the dual of the canonical system onto the dual
+    of the scrambled one, from theta_1 and theta_2 of `classify_system`
+    (transposed), is an isomorphism whose dual iso, from the scrambled system
+    onto the canonical one, certifies within 1e-11."""
+    for sys in dual_extension_inputs():
+        r = classify_system(sys)
+        can = canonical_system(r.label, sys.horizon)
+        theta = r.iso.stack.transpose(0, 2, 1)
+        m = extend_morphism(dualize(can), dualize(sys), theta[0], theta[1])
+        assert isinstance(m, GradedMorphism) and is_isomorphism(m), r.label
+        iso = SystemIso(m.stack.transpose(0, 2, 1))
+        assert max(iso_residuals(sys, can, iso).values()) <= 1e-11, r.label
 
 
 # --- soundness of the bound --------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from spsys2d.graded import (
     CATALOG_NAMES,
+    GradedMorphism,
     MorphismError,
     NotAutomorphismError,
     NotExtendableError,
@@ -18,7 +19,7 @@ from spsys2d.graded import (
     kernel_subspace,
     twist,
 )
-from spsys2d.tensorlinalg import DEFAULT_EPS, kron
+from spsys2d.tensorlinalg import DEFAULT_EPS, I2, kron
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -33,7 +34,9 @@ def _random_gl2(rng):
 class TestCatalog:
     def test_seven_algebras_associative(self):
         for name in CATALOG_NAMES:
-            assert catalog(name).associativity_residual() <= DEFAULT_EPS, name
+            d = catalog(name).mult
+            # (xy)z = x(yz): D (D (x) I2) = D (I2 (x) D)
+            assert np.abs(d @ kron(d, I2) - d @ kron(I2, d)).max() <= DEFAULT_EPS, name
 
     def test_surjectivity_split(self):
         for name in ("D1", "D2", "D3", "D4"):
@@ -258,3 +261,38 @@ class TestExtendMorphism:
         g, target = self._perturbed_e2_dual((1, 2))
         with pytest.raises(NotExtendableError, match="kernel leak"):
             extend_morphism(g, target, np.eye(2), np.eye(2))
+
+
+class TestNamedRefusals:
+    """Malformed level maps are refused by name, at construction."""
+
+    def test_twist_names_the_missing_level_of_a_mapping(self):
+        g = build_graded(catalog("D1"), np.eye(2), 4)
+        with pytest.raises(ValueError, match="^missing level map 2$"):
+            twist(g, {1: I2})
+        with pytest.raises(ValueError, match="^missing level map 3$"):
+            twist(g, {1: I2, 2: I2, 4: I2})
+        assert twist(g, {t: SWAP for t in range(1, 7)}).horizon == 4  # extra levels unread
+
+    def test_a_malformed_morphism_is_refused_at_construction(self):
+        g = build_graded(catalog("D1"), np.eye(2), 4)
+        with pytest.raises(ValueError, match="^level maps must be 2x2$"):
+            GradedMorphism(g, g, np.ones((4, 3, 3)))
+        with pytest.raises(ValueError, match="^level maps must be 2x2$"):
+            GradedMorphism(g, g, {t: np.eye(3) for t in range(1, 5)})
+        with pytest.raises(MorphismError, match="^missing level map 4$"):
+            GradedMorphism(g, g, np.stack([I2] * 3))
+        with pytest.raises(MorphismError, match="^missing level map 3$"):
+            GradedMorphism(g, g, {1: I2, 2: I2})
+        with pytest.raises(MorphismError, match="^source and target horizons differ$"):
+            GradedMorphism(g, build_graded(catalog("D1"), np.eye(2), 5), np.stack([I2] * 5))
+        with pytest.raises(ValueError, match="^no level maps$"):
+            GradedMorphism(g, g, {})
+
+    @pytest.mark.parametrize("theta1, theta2", [(np.eye(3), np.eye(2)),
+                                                (np.eye(2), np.ones((2, 4))),
+                                                (np.ones((4, 2)), np.eye(2))])
+    def test_extend_morphism_refuses_maps_that_are_not_2x2(self, theta1, theta2):
+        g = build_graded(catalog("D2"), np.diag([1, 2.0]), 5)
+        with pytest.raises(MorphismError, match="^theta1 and theta2 must be 2x2$"):
+            extend_morphism(g, g, theta1, theta2)

@@ -8,6 +8,12 @@ byte.  `classify_system` keeps theta as the stack it certified, and
 `iso_residuals` slices that stack: its residuals against `canonical_system`
 are the result's own, bit for bit.  The per-pair maxima of the certificate
 are one `pair_max`, which must be `.max(axis=(1, 2))` exactly.
+
+The graded side builds from stacks too: `build_graded` gathers its h - 1
+distinct maps, `twist` forms f_t^s as one stacked matrix power per s, and a
+`GradedMorphism` keeps theta as a stack, which `level_residuals` and
+`is_isomorphism` read.  Their dict-built versions are kept as `ref_*` and
+must match byte for byte.
 """
 
 import numpy as np
@@ -15,12 +21,14 @@ import pytest
 
 from spsys2d import systems
 from spsys2d.classify import TripleClass, canonical_maps
-from spsys2d.graded import (GradedAlgebra, degree_index, intertwining, intertwining_defects,
-                            pair_max)
+from spsys2d.graded import (CATALOG_NAMES, GradedAlgebra, GradedMorphism,
+                            NotAutomorphismError, build_graded, catalog, degree_index,
+                            intertwining, intertwining_defects, is_automorphism,
+                            is_isomorphism, pair_max, singular_levels, twist)
 from spsys2d.systems import (MAX_COND, SubproductSystem, SystemIso, SystemLabel,
                              canonical_system, classify_system, dualize, iso_residuals,
                              random_system)
-from spsys2d.tensorlinalg import kron
+from spsys2d.tensorlinalg import I2, as_cmat, kron
 
 CELLS = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
     SystemLabel("E3", complex(lam))
@@ -128,6 +136,8 @@ def test_a_level_past_the_horizon_is_not_read():
     ({1: np.eye(2), 2: np.eye(3)}, None),
     (np.ones((3, 2, 3)), "^level maps must be 2x2$"),
     (np.ones((2, 2)), "^level maps must be 2x2$"),
+    ({}, "^no level maps$"),
+    (np.ones((0, 2, 2)), "^no level maps$"),
 ])
 def test_a_malformed_iso_is_refused(theta, message):
     with pytest.raises(ValueError, match=message):
@@ -221,3 +231,85 @@ def test_pair_max_is_the_per_pair_max(i, a):
     nan = np.isnan(want)
     # the sign of a zero too, wherever no NaN is involved
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# --- the graded side ------------------------------------------------------------
+
+ETAS = [I2, np.array([[0, 1], [1, 0]], dtype=complex)] + [
+    np.diag([1, lam]).astype(complex) for lam in (2.0, -0.5, 1j, 1 + 1j)]
+GRADED_HORIZONS = (3, 6, 12, 20)
+
+
+def graded_grid():
+    """Each catalog algebra D with each eta of ETAS that is an automorphism of
+    D, at each horizon of GRADED_HORIZONS."""
+    for name in CATALOG_NAMES:
+        d = catalog(name)
+        for eta in ETAS:
+            if is_automorphism(d, eta):
+                for h in GRADED_HORIZONS:
+                    yield d, eta, h
+
+
+def ref_build_graded(d, eta, horizon):
+    """build_graded as it was, less its checks: eta^s by repeated products,
+    and a dict with one map per pair."""
+    maps = {}
+    powers = {0: I2}
+    for s in range(1, horizon):
+        powers[s] = powers[s - 1] @ as_cmat(eta)
+    for s in range(1, horizon):
+        for t in range(1, horizon - s + 1):
+            maps[(s, t)] = d.mult @ kron(I2, powers[s])
+    return GradedAlgebra(horizon=horizon, M=maps)
+
+
+def ref_twist(g, f):
+    """twist as it was, less its checks: a dict of levels, and one matrix
+    power per pair."""
+    levels = {t: as_cmat(f(t) if callable(f) else f[t]) for t in range(1, g.horizon + 1)}
+    return GradedAlgebra(horizon=g.horizon, M={
+        (s, t): m @ kron(I2, np.linalg.matrix_power(levels[t], s)) for (s, t), m in g.M.items()})
+
+
+def ref_level_residuals(m):
+    """GradedMorphism.level_residuals as it was: theta restacked from the
+    dict, and the per-pair maximum of |lhs - rhs|."""
+    h = m.source.horizon
+    theta = np.stack([m.theta[t] for t in range(1, h + 1)]).transpose(0, 2, 1)
+    lhs, rhs = intertwining(theta, m.target.stack.transpose(0, 2, 1),
+                            m.source.stack.transpose(0, 2, 1))
+    return dict(zip(degree_index(h).pairs, np.abs(lhs - rhs).max(axis=(1, 2)).tolist()))
+
+
+def ref_is_isomorphism(m):
+    h = m.source.horizon
+    return not singular_levels(np.stack([m.theta[t] for t in range(1, h + 1)])).any()
+
+
+def test_the_graded_side_matches_the_dict_loops_byte_for_byte():
+    rng = np.random.default_rng(29)
+    twisted = 0
+    for d, eta, h in graded_grid():
+        g = build_graded(d, eta, h)
+        assert_same_build(g, ref_build_graded(d, eta, h), "M")
+        for i, a in enumerate(ETAS):
+            # a mapping with a level past the horizon, or a callable
+            f = {t: a for t in range(1, h + 2)} if i % 2 else (lambda t, a=a: a)
+            try:
+                got = twist(g, f)
+            except NotAutomorphismError:
+                continue
+            twisted += 1
+            assert_same_build(got, ref_twist(g, f), "M")
+        theta = rng.standard_normal((h + 1, 2, 2)) + 1j * rng.standard_normal((h + 1, 2, 2))
+        theta[h // 2] = np.outer(theta[h // 2][:, 0], [1.0, 2.0])  # one singular level
+        for levels in (theta, theta[:h], np.stack([eta] * h)):
+            for theta_in in (levels, dict(enumerate(levels, 1))):
+                m = GradedMorphism(g, g, theta_in)
+                got, want = m.level_residuals(), ref_level_residuals(m)
+                assert list(got) == list(want)
+                assert (np.array(list(got.values())).tobytes()
+                        == np.array(list(want.values())).tobytes())
+                assert is_isomorphism(m) is ref_is_isomorphism(m)
+    assert twisted == 564  # of 116 algebras x 6 candidate maps

@@ -17,8 +17,7 @@ import pytest
 import spsys2d
 from spsys2d import serialize, tensorlinalg as tl
 from spsys2d.graded import (GradedAlgebra, NotAutomorphismError, build_graded, catalog,
-                            is_automorphism, kernel_subspace, singular_levels, stack_maps,
-                            twist)
+                            is_automorphism, kernel_subspace, singular_levels, twist)
 from spsys2d.systems import SubproductSystem, SystemLabel, canonical_system, check_axioms
 
 EPSES = (1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2)
@@ -97,7 +96,7 @@ def test_rank_deficient_is_the_inline_rule(eps):
 
 def test_singular_levels_flags_one_singular_map():
     def singular(theta, horizon):
-        return singular_levels(stack_maps(theta, range(1, horizon + 1))).any()
+        return singular_levels(np.stack([theta[t] for t in range(1, horizon + 1)])).any()
 
     theta = {t: np.eye(2, dtype=complex) * t for t in range(1, 6)}
     assert not singular(theta, 5)
