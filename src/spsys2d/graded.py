@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -128,15 +129,17 @@ class DegreeIndex:
     """The degree pairs (s, t) with s + t <= horizon and triples (r, s, t)
     with r + s + t <= horizon, in nested-loop order.
 
-    `levels` holds the (s, t) of each pair as an array, and `sides` the
-    positions s - 1, t - 1 and s + t - 1 of theta_s, theta_t and theta_{s+t}
-    in a stack of level maps theta_1..theta_h; `rs`, `rs_t`, `st` and `r_st`
-    hold, for each triple, the positions in `pairs` of (r, s), (r + s, t),
-    (s, t) and (r, s + t), to gather stacked per-pair maps.
+    `positions` maps each pair to its position in `pairs`; `levels` holds the
+    (s, t) of each pair as an array, and `sides` the positions s - 1, t - 1
+    and s + t - 1 of theta_s, theta_t and theta_{s+t} in a stack of level
+    maps theta_1..theta_h; `rs`, `rs_t`, `st` and `r_st` hold, for each
+    triple, the positions in `pairs` of (r, s), (r + s, t), (s, t) and
+    (r, s + t), to gather stacked per-pair maps.
     """
 
     pairs: tuple
     triples: tuple
+    positions: dict = field(repr=False)
     levels: np.ndarray = field(repr=False)
     sides: np.ndarray = field(repr=False)
     rs: np.ndarray = field(repr=False)
@@ -164,7 +167,7 @@ def degree_index(horizon: int) -> DegreeIndex:
     sides = np.column_stack([levels - 1, levels.sum(axis=1) - 1])
     for a in (gather, levels, sides):
         a.setflags(write=False)
-    return DegreeIndex(pairs, triples, levels, sides, *gather.T)
+    return DegreeIndex(pairs, triples, pos, levels, sides, *gather.T)
 
 
 def _chunks(n: int):
@@ -172,14 +175,38 @@ def _chunks(n: int):
     return (slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
 
 
+class _Views(Mapping):
+    """Each key of `positions` mapped to a view of `stack` at its position,
+    made on lookup, in the key order of `positions`; lookups, `in`, `get` and
+    `len` are those of the dict `positions`.  The holders of a stack hand it
+    out behind a `MappingProxyType`, so no view is made at construction."""
+
+    __slots__ = ("_stack", "_positions")
+
+    def __init__(self, stack: np.ndarray, positions: dict):
+        self._stack, self._positions = stack, positions
+
+    def __getitem__(self, key):
+        return self._stack[self._positions[key]]
+
+    def __contains__(self, key):
+        return key in self._positions
+
+    def __iter__(self):
+        return iter(self._positions)
+
+    def __len__(self):
+        return len(self._positions)
+
+
 def checked_stack(horizon: int, stack, name: str, shape: tuple) -> tuple:
     """The one validation of the maps of a system or graded algebra: `stack`
     as a read-only C-contiguous complex (P, *shape) stack in
-    `degree_index(horizon).pairs` order, and a read-only mapping of per-pair
-    views into it.  A stack that already is complex and C-contiguous is
-    adopted, not copied, and made read-only in place.  ValueError for a
-    horizon below 3, another shape, or a non-finite entry, checked in that
-    order."""
+    `degree_index(horizon).pairs` order, and a read-only mapping of each pair
+    to a view into it, made on lookup.  A stack that already is complex and
+    C-contiguous is adopted, not copied, and made read-only in place.
+    ValueError for a horizon below 3, another shape, or a non-finite entry,
+    checked in that order."""
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
     stack = np.ascontiguousarray(stack, dtype=complex)
@@ -188,7 +215,7 @@ def checked_stack(horizon: int, stack, name: str, shape: tuple) -> tuple:
         raise ValueError(f"{name} stack must be {'x'.join(map(str, want))} at horizon "
                          f"{horizon}, not {'x'.join(map(str, stack.shape))}")
     require_finite(stack).setflags(write=False)
-    return stack, MappingProxyType(dict(zip(degree_index(horizon).pairs, stack)))
+    return stack, MappingProxyType(_Views(stack, degree_index(horizon).positions))
 
 
 # the types of a bool, which a dict lookup takes for the integer 0 or 1
@@ -241,14 +268,24 @@ def _refuse_maps(horizon: int, maps: dict, name: str, shape: tuple, noun: str) -
             raise ValueError(f"missing {noun} {name}[{s},{t}]")
 
 
+@functools.lru_cache(maxsize=16)
+def _level_positions(n: int) -> dict:
+    """Each level t = 1..n mapped to its position t - 1 in a stack."""
+    return {t: t - 1 for t in range(1, n + 1)}
+
+
 def checked_levels(theta) -> tuple:
     """The level maps theta_1..theta_n of a `SystemIso` or `GradedMorphism`, a
     dict keyed by level or an (n, 2, 2) stack, as a read-only C-contiguous
     complex stack (a complex C-contiguous one is adopted, not copied) and a
-    read-only mapping of each level t to the view stack[t - 1].  ValueError
-    naming the first missing level of a dict (keys must be 1..n), then for no
-    level, or for maps that are not 2x2."""
+    read-only mapping of each level t to the view stack[t - 1], made on
+    lookup.  ValueError naming a bool key of a dict (which a dict lookup takes
+    for the level 0 or 1), then its first missing level (keys must be 1..n),
+    then for no level, or for maps that are not 2x2."""
     if not isinstance(theta, np.ndarray):
+        flag = next((key for key in theta if type(key) in _BOOL_TYPES), None)
+        if flag is not None:
+            raise ValueError(f"level key {flag!r} is not a level t")
         levels = range(1, len(theta) + 1)
         missing = [t for t in levels if t not in theta]
         if missing:
@@ -258,7 +295,7 @@ def checked_levels(theta) -> tuple:
     if stack.shape[1:] != (2, 2) or not len(stack):
         raise ValueError("level maps must be 2x2" if len(stack) else "no level maps")
     stack.setflags(write=False)
-    return stack, MappingProxyType(dict(zip(range(1, len(stack) + 1), stack)))
+    return stack, MappingProxyType(_Views(stack, _level_positions(len(stack))))
 
 
 def pair_max(a: np.ndarray) -> np.ndarray:
@@ -405,11 +442,12 @@ def intertwining(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
     """Both sides of (theta_s (x) theta_t) src[s, t] = dst[s, t] theta_{s+t},
     stacked in pairs order, for the (h, 2, 2) stack theta and two systems'
     (P, 4, 2) stacks.  A graded morphism is this relation on the transposes.
-    (theta_s (x) theta_t) X is formed as (theta_s (x) I2)((I2 (x) theta_t) X)."""
-    s, t, st = degree_index(len(theta)).sides.T
-    inner = matmul2(theta[t, None], src.reshape(-1, 2, 2, 2))
-    lhs = matmul2(theta[s], inner.reshape(-1, 2, 4)).reshape(-1, 4, 2)
-    return lhs, matmul2(dst, theta[st])
+    (theta_s (x) theta_t) X is formed as (theta_s (x) I2)((I2 (x) theta_t) X);
+    theta_s, theta_t and theta_{s+t} of every pair come from one gather."""
+    theta_s, theta_t, theta_st = theta[degree_index(len(theta)).sides.T]
+    inner = matmul2(theta_t[:, None], src.reshape(-1, 2, 2, 2))
+    lhs = matmul2(theta_s, inner.reshape(-1, 2, 4)).reshape(-1, 4, 2)
+    return lhs, matmul2(dst, theta_st)
 
 
 def intertwining_defects(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
@@ -429,8 +467,9 @@ def extend_levels(theta1, left, maps, lam=None) -> np.ndarray:
     """The (h, 2, 2) stack theta_1..theta_h, h = len(maps) + 1, with theta_n =
     left[n-2] (theta_1 (x) theta_{n-1}) maps[n-2]: the level recursion of a
     system iso (maps = beta[1, .], left = left inverses of the target's
-    beta[1, .], an (h - 1, 2, 4) stack, or one 2x4 map for every level).  It
-    runs on Python complex scalars, each operand read by one `tolist()`:
+    beta[1, .], an (h - 1, 2, 4) stack, or one 2x4 map for every level as
+    nested lists of Python complex).  It runs on Python complex scalars, each
+    operand stack read by one `tolist()`:
     z = (I2 (x) theta_{n-1}) maps[n-2], then y = (theta_1 (x) I2) z, then
     left[n-2] y, each sum taken left to right.
 
@@ -445,8 +484,8 @@ def extend_levels(theta1, left, maps, lam=None) -> np.ndarray:
     theta_n from growing a first row of size |lam|^n; inside the loop, each
     level is solved from gauged rows, so its rounding stays sized to them."""
     (a, b), (c, d) = np.asarray(theta1).tolist()
-    left = np.asarray(left)
-    lefts = left.tolist() if left.ndim == 3 else [left.tolist()] * len(maps)
+    # a stack's first entry is a 2x4 map; one map's first entry is a row of 4
+    lefts = [left] * len(maps) if len(left[0]) == 4 else np.asarray(left).tolist()
     out = [a, b, c, d]  # theta_1 (its first row is set last), theta_2, ... flat
     gauges = []  # per level n >= 2: (S_n, the x it added to theta_1)
     e, f, g, k = a, b, c, d  # theta_{n-1}

@@ -280,7 +280,7 @@ def _certified(sys: SubproductSystem, eps: float) -> tuple:
 
     h, idx = sys.horizon, degree_index(sys.horizon)
     maps = canonical_maps(plane.label, h)
-    left = _column_scaled_adjoint(maps[0])
+    left = _left_inverse(maps[0].tolist())
     # beta[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
     theta = extend_levels(plane.iso.theta, left, sys.stack[:h - 1], plane.label.lam)
     norms, q = equilibrated_levels(theta)
@@ -288,13 +288,13 @@ def _certified(sys: SubproductSystem, eps: float) -> tuple:
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")
     target = maps[idx.sides[:, 0]]  # beta_can[s, t] = maps[s - 1]
     defects, residuals = intertwining_defects(theta, sys.stack, target)
-    residuals = dict(zip(idx.pairs, residuals.tolist()))
-    worst = max(residuals.values())
-    if worst > residual_tol(eps):
+    worst = residuals.max()
+    if not worst <= residual_tol(eps):  # a NaN residual fails
         raise ClassifyStageError(
             "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
     iso = SystemIso(theta)
-    result = Classification(label, iso, plane.rank, plane.rank_margin, residuals)
+    result = Classification(label, iso, plane.rank, plane.rank_margin,
+                            dict(zip(idx.pairs, residuals.tolist())))
     return result, _axioms_proved(sys.stack, norms, q, defects, label.lam is not None, eps)
 
 
@@ -340,14 +340,14 @@ def _axioms_proved(stack: np.ndarray, norms: np.ndarray, q: np.ndarray,
     xx, yy = np.einsum("prc,prc->cp", a, a)  # |x|^2, |y|^2 for the columns x, y of each map
     tr = xx + yy  # |beta_st|_F^2 = sigma_0^2 + sigma_1^2
     root_tr = np.sqrt(tr)
-    s, t, _ = degree_index(len(norms)).sides.T
-    inv = 1 / norms
-    scaled = pair_max(defects * (inv[s, :, None] * inv[t, None, :]).reshape(-1, 4, 1))
+    sides = degree_index(len(norms)).sides.T[:2]  # the positions s - 1, t - 1 of each pair
+    inv_s, inv_t = (1 / norms)[sides]
+    scaled = pair_max(defects * (inv_s[:, :, None] * inv_t[:, None, :]).reshape(-1, 4, 1))
     # both sides round within 10 u (|beta_st|_F + |R_st|), fl(lambda^s) within
     # 12 (s + 1) u |lambda^s|, which adds as much again of |beta_st|_F + |R_st|
-    rounding = _U * (10 + 12 * (s + 2) if c3 else 10) * (root_tr + scaled)
-    q = q - 32 * _U  # q rounds within 25 u
-    err = float(((scaled + rounding) / (q[s] * q[t])).max()) * 4 * (1 + _SLACK)
+    rounding = _U * (10 + 12 * (sides[0] + 2) if c3 else 10) * (root_tr + scaled)
+    q_s, q_t = (q - 32 * _U)[sides]  # q rounds within 25 u
+    err = float(((scaled + rounding) / (q_s * q_t)).max()) * 4 * (1 + _SLACK)
     _, unit, big, tol = _scaled_tol(stack, eps)
     err *= unit
     if not 4 * err * (2 * big + err) * (1 + _SLACK) + _SLACK * big * big <= tol:
@@ -358,11 +358,23 @@ def _axioms_proved(stack: np.ndarray, norms: np.ndarray, q: np.ndarray,
     return gap > (eps + _SLACK) * (1 + _SLACK) ** 2 + _SLACK  # NaN fails
 
 
-def _column_scaled_adjoint(b: np.ndarray) -> np.ndarray:
-    """diag(1 / |c_j|^2) b^H for a map b with columns c_j: its Moore-Penrose
+def _left_inverse(b: list) -> list:
+    """diag(1 / |c_j|^2) b^H, as nested lists of Python complex, for a 4x2
+    map b given as its rows (`tolist()`) with columns c_j: its Moore-Penrose
     inverse when the columns are orthogonal, as those of every canonical
-    beta_can are."""
-    return b.conj().T / (b.real * b.real + b.imag * b.imag).sum(axis=0)[:, None]
+    beta_can are.  Each entry conj(z) is multiplied by the reciprocal r = 1 /
+    |c_j|^2 as numpy's complex / real rounds it, (Re z - Im z * 0) r +
+    (-Im z - Re z * 0) r i, so every bit, signed zeros included, is that of
+    `b.conj().T / (b.real * b.real + b.imag * b.imag).sum(axis=0)[:, None]`."""
+    left = []
+    for col in zip(*b):
+        norm2 = 0.0
+        for z in col:  # left to right, as numpy sums the 4 entries of a column
+            norm2 += z.real * z.real + z.imag * z.imag
+        r = 1 / norm2
+        left.append([complex((z.real - z.imag * 0.0) * r, (-z.imag - z.real * 0.0) * r)
+                     for z in col])
+    return left
 
 
 def random_system(label: SystemLabel, seed: int, horizon: int = 6) -> SubproductSystem:

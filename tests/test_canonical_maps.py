@@ -19,6 +19,7 @@ import copy
 import pickle
 import re
 from fractions import Fraction
+from sys import getrefcount
 from types import MappingProxyType
 
 import numpy as np
@@ -399,7 +400,32 @@ def test_the_left_inverse_equals_pinv_for_c1_c2_c4_c5():
     for label in ("C1", "C2", "C4", "C5"):
         for s in (1, 2):  # C2 alternates by the parity of the degree
             b = canonical_beta(TripleClass(label), s)
-            assert np.array_equal(systems._column_scaled_adjoint(b), np.linalg.pinv(b))
+            left = np.array(systems._left_inverse(b.tolist()))
+            assert np.array_equal(left, np.linalg.pinv(b))
+
+
+def test_the_left_inverse_keeps_the_bits_of_numpys_division():
+    """`_left_inverse` on Python complex, bit for bit the numpy form it
+    replaced, whose complex / real multiplies by the reciprocal and leaves
+    signed zeros (conj(1 + 0j) / 1 is 1 - 0j); over the canonical maps and
+    random maps with zero, negative-zero and integral entries."""
+    rng = np.random.default_rng(11)
+    drawn = 10.0 ** rng.uniform(-3, 3, 50) * np.exp(2j * np.pi * rng.random(50))
+    maps = [canonical_beta(TripleClass(label), s) for label in ("C1", "C2", "C4", "C5")
+            for s in (1, 2)]
+    maps += [canonical_beta(TripleClass("C3", lam), 1)
+             for lam in [complex(x) for x in LAMBDAS] + list(drawn)]
+    for k in range(300):
+        b = _complex(rng, (4, 2))
+        b = np.round(b) if k % 3 == 0 else b
+        pick = rng.integers(0, 5, (4, 2))
+        b.real[pick == 0], b.imag[pick == 1] = 0.0, 0.0
+        b.real[pick == 2], b.imag[pick == 3] = -0.0, -0.0
+        maps.append(b)
+    for b in maps:
+        if (np.abs(b).sum(axis=0) > 0).all():
+            want = b.conj().T / (b.real * b.real + b.imag * b.imag).sum(axis=0)[:, None]
+            assert np.array(systems._left_inverse(b.tolist())).tobytes() == want.tobytes()
 
 
 def test_the_c3_left_inverse_is_pinv_within_rounding():
@@ -407,7 +433,7 @@ def test_the_c3_left_inverse_is_pinv_within_rounding():
     drawn = 10.0 ** rng.uniform(-3, 3, 200) * np.exp(2j * np.pi * rng.random(200))
     for lam in [complex(x) for x in LAMBDAS] + list(drawn):
         b = canonical_beta(TripleClass("C3", lam), 1)
-        left = systems._column_scaled_adjoint(b)
+        left = np.array(systems._left_inverse(b.tolist()))
         assert np.linalg.norm(left - np.linalg.pinv(b)) <= 4 * U * np.linalg.norm(left), lam
         assert np.abs(left @ b - np.eye(2)).max() <= 4 * U, lam
         # the exact inverse, of norm 1: rows e1 and (0, conj(lam), 1, 0) / (1 + |lam|^2)
@@ -605,6 +631,69 @@ def test_copies_are_rebuilt_read_only(kind, clone):
     assert all(np.shares_memory(m, dup.stack) for m in maps.values())
     with pytest.raises(ValueError):
         dup.stack[0, 0, 0] = 5
+
+
+def _lookups(obj, name):
+    """(keys in order, keys that alias the first one, keys that name nothing)
+    of a holder's mapping, and the dict-backed mapping it replaced."""
+    if name == "theta":
+        keys = list(range(1, len(obj.stack) + 1))
+        aliases = (True, np.True_, 1.0, np.int64(1), np.float64(1.0))
+        absent = (0, 1.5, len(keys) + 1, -1)
+    else:
+        keys = list(degree_index(obj.horizon).pairs)
+        aliases = ((True, 1), (1.0, 1.0), (np.int64(1), np.int64(1)), (1, np.True_))
+        absent = ((0, 1), (1.5, 1), (1, obj.horizon), (1, 1, 1), "ab", 7)
+    return keys, aliases, absent, dict(zip(keys, obj.stack))
+
+
+@pytest.mark.parametrize("kind", HOLDERS)
+def test_the_lazy_mappings_look_up_as_the_dict_backed_ones(kind):
+    """Each view is made on lookup; keys, order, `in`, `get`, `len` and the
+    errors are those of the dict of views that the holders used to keep."""
+    obj, name = _holders()[kind]
+    maps = getattr(obj, name)
+    keys, aliases, absent, ref = _lookups(obj, name)
+    assert list(maps) == list(maps.keys()) == list(ref) == keys
+    assert len(maps) == len(ref) and maps.keys() == ref.keys()
+    for key in aliases:
+        assert key in maps and key in ref
+        assert maps[key].tobytes() == maps.get(key).tobytes() == ref[key].tobytes()
+    for key in absent:
+        assert key not in maps and key not in ref
+        assert maps.get(key) is None and maps.get(key, 7) == 7
+        with pytest.raises(KeyError):
+            maps[key]
+    for unhashable in ([1, 1], {}):
+        for mapping in (maps, ref):
+            with pytest.raises(TypeError):
+                mapping[unhashable]
+    for i, (key, view) in enumerate(maps.items()):
+        assert view.tobytes() == ref[key].tobytes() == obj.stack[i].tobytes()
+        assert not view.flags.owndata and not view.flags.writeable
+        assert np.shares_memory(view, obj.stack[i])
+
+
+def test_construction_makes_no_view():
+    """A view holds a reference to the stack; none is made until a lookup, so
+    the count of references does not grow with the P pairs or n levels."""
+    def holders(h):
+        s = canonical_system(SystemLabel("E2"), h)
+        r = random_system(SystemLabel("E3", 0.5), 3, h)
+        g = dualize(r)
+        levels = np.tile(I2, (h, 1, 1))
+        return [s, r, g, SubproductSystem(h, dict(s.beta)), GradedAlgebra(h, dict(g.M)),
+                SystemIso(levels.copy()), SystemIso(dict(enumerate(levels, 1))),
+                GradedMorphism(g, g, levels.copy())]
+
+    counts = {h: [getrefcount(x.stack) for x in holders(h)] for h in (4, 64)}
+    assert counts[4] == counts[64]
+    # the measure sees a view: a lookup makes one
+    obj = holders(64)[0]
+    before = getrefcount(obj.stack)
+    view = obj.beta[(3, 4)]
+    after = getrefcount(obj.stack)
+    assert after == before + 1 and view.base is obj.stack
 
 
 def test_classify_system_reads_beta_1_1_from_the_stack():

@@ -45,7 +45,7 @@ def ref_classify_axioms_first(sys, eps):
     label = SystemLabel.from_triple_class(plane.label)
     h, idx = sys.horizon, degree_index(sys.horizon)
     maps = canonical_maps(plane.label, h)
-    theta = extend_levels(plane.iso.theta, [systems._column_scaled_adjoint(maps[0])] * (h - 1),
+    theta = extend_levels(plane.iso.theta, systems._left_inverse(maps[0].tolist()),
                           sys.stack[:h - 1], plane.label.lam)
     if singular_levels(theta, eps).any():
         raise ClassifyStageError("extend-morphism", "extended morphism is singular")

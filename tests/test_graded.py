@@ -274,6 +274,16 @@ class TestNamedRefusals:
             twist(g, {1: I2, 2: I2, 4: I2})
         assert twist(g, {t: SWAP for t in range(1, 7)}).horizon == 4  # extra levels unread
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_a_bool_level_key_is_refused(self, flag):
+        """A dict lookup takes True for the level 1."""
+        g = build_graded(catalog("D1"), np.eye(2), 3)
+        levels = {flag: I2, 2: I2, 3: I2}
+        with pytest.raises(ValueError, match=f"^level key {flag!r} is not a level t$"):
+            twist(g, levels)
+        with pytest.raises(ValueError, match=f"^level key {flag!r} is not a level t$"):
+            GradedMorphism(g, g, levels)
+
     def test_a_malformed_morphism_is_refused_at_construction(self):
         g = build_graded(catalog("D1"), np.eye(2), 4)
         with pytest.raises(ValueError, match="^level maps must be 2x2$"):

@@ -138,10 +138,22 @@ def test_a_level_past_the_horizon_is_not_read():
     (np.ones((2, 2)), "^level maps must be 2x2$"),
     ({}, "^no level maps$"),
     (np.ones((0, 2, 2)), "^no level maps$"),
+    # a dict lookup takes a bool key for the level 0 or 1
+    ({True: np.eye(2), 2: np.eye(2), 3: np.eye(2)}, "^level key True is not a level t$"),
+    ({np.True_: np.eye(2), 2: np.eye(2)}, r"^level key np\.True_ is not a level t$"),
+    ({1: np.eye(2), False: np.eye(2)}, "^level key False is not a level t$"),
 ])
 def test_a_malformed_iso_is_refused(theta, message):
     with pytest.raises(ValueError, match=message):
         SystemIso(theta)
+
+
+def test_integral_float_and_numpy_level_keys_are_levels():
+    """As on the pair side, where (1.0, 1.0) is the pair (1, 1)."""
+    maps = np.arange(12.0).reshape(3, 2, 2)
+    for keys in ((1.0, 2.0, 3.0), tuple(np.arange(1, 4)), (3, 1.0, np.int64(2))):
+        iso = SystemIso(dict(zip(keys, maps[[int(k) - 1 for k in keys]])))
+        assert iso.stack.tobytes() == maps.astype(complex).tobytes()
 
 
 def test_a_short_iso_names_its_first_missing_level():
