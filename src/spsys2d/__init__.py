@@ -15,15 +15,13 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "common": ("DEFAULT_EPS", "QuadCoeffs", "quad_coeffs"),
     "exactpoly": ("NVARS", "VAR_NAMES", "Polynomial", "SymMatrix", "det_cofactor",
-                  "det_laplace", "evaluate_batch", "int_det_bareiss", "laplace_terms"),
+                  "evaluate_batch", "int_det_bareiss", "laplace_terms"),
     "identity": ("d4_polynomial", "d8_polynomial", "det8_matrix", "main_identity_residual",
                  "resultant4", "surviving_laplace_terms"),
-    "tensorlinalg": ("Subspace", "annihilator", "factor_rank_one", "intersect", "kron",
-                     "normalize_projective", "quad_form_A", "quad_form_A_bilinear",
-                     "roots_binary_quadratic"),
-    "classify": ("Classification", "NotSubproductTripleError", "PlaneNormalForm", "Triple",
-                 "TripleClass", "TripleIso", "canonical_triple", "classify_triple",
-                 "plane_normal_form", "product_in_intersection", "rank_of_plane"),
+    "tensorlinalg": ("Subspace", "annihilator", "intersect", "kron"),
+    "classify": ("Classification", "NotSubproductTripleError", "Triple", "TripleClass",
+                 "TripleIso", "canonical_triple", "classify_triple", "product_in_intersection",
+                 "rank_of_plane"),
     "graded": ("Algebra2", "AutomorphismFamily", "GradedAlgebra", "GradedMorphism",
                "automorphism_description", "build_graded", "catalog",
                "check_image_condition", "check_kernel_condition", "check_surjective_mult",

@@ -348,7 +348,8 @@ def _det_cofactor(m: SymMatrix, rows: tuple, cols: tuple, memo: dict) -> Polynom
 
 
 def det_cofactor(m: SymMatrix) -> Polynomial:
-    """Full cofactor-expansion determinant (independent of det_laplace's path)."""
+    """Full cofactor-expansion determinant (independent of the row selections
+    of `laplace_terms`)."""
     if not m.is_square():
         raise ValueError("determinant requires a square matrix")
     idx = tuple(range(m.rows))
@@ -402,11 +403,6 @@ def laplace_terms(m: SymMatrix, pivot_rows: Iterable[int]) -> list[LaplaceTerm]:
         terms.append(LaplaceTerm(cols=tuple(j + 1 for j in col_sel), sign=sign,
                                  minor=minor, complementary=comp))
     return terms
-
-
-def det_laplace(m: SymMatrix, pivot_rows: Iterable[int]) -> Polynomial:
-    """Determinant via Laplace expansion by the given set of rows (0-based)."""
-    return sum((t.contribution() for t in laplace_terms(m, pivot_rows)), Polynomial.zero())
 
 
 def int_det_bareiss(matrix) -> int:

@@ -97,11 +97,6 @@ def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
 
 
-def normalize_projective(v: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Scale so the largest-magnitude coordinate equals 1 (ties: lower index)."""
-    return np.array(_projective(as_cvec(v).tolist(), eps), dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^n stored as a matrix with orthonormal columns."""
@@ -223,8 +218,8 @@ def intersect(s1: Subspace, s2: Subspace, eps: float = DEFAULT_EPS) -> Subspace:
     return Subspace(n, _null_space(stacked, eps))
 
 
-# the determinant form on C^4 as a symmetric matrix: quad_form_A(v) = v0 v3 - v1 v2;
-# `det_bilinear` evaluates u @ DET_FORM @ v
+# the determinant form on C^4 as a symmetric matrix: v @ DET_FORM @ v = v0 v3 - v1 v2,
+# zero exactly on product vectors; `det_bilinear` evaluates u @ DET_FORM @ v
 DET_FORM = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]) / 2
 DET_FORM.setflags(write=False)
 
@@ -234,57 +229,7 @@ def det_bilinear(u, v) -> complex:
     return (u[0] * v[3] + u[3] * v[0] - u[1] * v[2] - u[2] * v[1]) / 2
 
 
-def quad_form_A(v) -> complex:
-    """The determinant quadratic form on C^4; zero exactly on product vectors."""
-    return quad_form_A_bilinear(v, v)
-
-
-def quad_form_A_bilinear(u, v) -> complex:
-    """Symmetric bilinear polarization of quad_form_A: u @ DET_FORM @ v."""
-    u = as_cvec(u)
-    v = as_cvec(v)
-    if u.shape[0] != 4 or v.shape[0] != 4:
-        raise ValueError("the determinant form is defined on 4-dimensional vectors")
-    return complex(det_bilinear(u.tolist(), v.tolist()))
-
-
-def factor_rank_one(v, eps: float = DEFAULT_EPS):
-    """Factor a 4-dim vector as kron(x, y) when its 2x2 reshape has rank 1.
-
-    Returns (x, y) or None, as `_factor` decides.  The zero vector returns
-    None by convention.
-    """
-    v = as_cvec(v)
-    if v.shape[0] != 4:
-        raise ValueError("factor_rank_one expects a 4-dimensional vector")
-    factors = _factor(v.tolist(), eps)
-    return None if factors is None else tuple(np.array(f, dtype=complex) for f in factors)
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticRoots:
-    """Projective roots of p u^2 + q u v + r v^2.
-
-    `identically_zero` marks the degenerate all-zero form (every (u:v) is a
-    root); otherwise `roots` holds one or two normalized projective roots.
-    """
-
-    identically_zero: bool
-    roots: tuple
-
-    def __iter__(self):
-        return iter(self.roots)
-
-
-def roots_binary_quadratic(p, q, r, eps: float = DEFAULT_EPS) -> QuadraticRoots:
-    roots = _binary_roots(complex(p), complex(q), complex(r), eps)
-    if roots is None:
-        return QuadraticRoots(identically_zero=True, roots=())
-    return QuadraticRoots(identically_zero=False,
-                          roots=tuple(np.array(n, dtype=complex) for n in roots))
-
-
-# -- closed forms on Python complex scalars, behind the public functions above
+# -- closed forms on Python complex scalars, behind `Subspace.from_spanning`
 # and the plane read (`classify.classify_plane`), which makes no np.linalg
 # call.  A vector is a sequence of complex; a 4-vector w is the 2x2 matrix
 # [[w0, w1], [w2, w3]], as `kron` lays out x (x) y.
@@ -446,8 +391,9 @@ def _projective(v, eps: float) -> tuple:
 
 
 def _binary_roots(p: complex, q: complex, r: complex, eps: float):
-    """The projective roots of p u^2 + q u v + r v^2 as `roots_binary_quadratic`
-    returns them, as tuples, or None for the identically zero form."""
+    """The distinct projective roots (u, v) of p u^2 + q u v + r v^2, at most
+    two, each a tuple scaled by `_projective`; None when the form is
+    identically zero (every (u:v) is a root)."""
     scale = max(abs(p), abs(q), abs(r))
     if scale < ZERO_SCALE:
         return None

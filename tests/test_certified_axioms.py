@@ -146,7 +146,8 @@ STRESS_GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
 ]
 # per horizon: (inputs that pass check_axioms, calls the bound leaves to
 # check_axioms); the 38 and 60 inputs that fail at h = 20 and 32 are E3 with
-# |lambda| > 1, whose maps lose rank in float64 (cause c of ROADMAP item 1)
+# |lambda| > 1, whose maps lose rank in float64: the lambda^s presentation is
+# no longer injective once |lambda|^s is that large
 STRESS_COUNTS = {6: (180, 0), 12: (180, 0), 20: (142, 0), 32: (120, 0)}
 
 

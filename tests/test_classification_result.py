@@ -3,9 +3,9 @@ their evidence, and `spsys2d classify` only formats it.
 
 The reference functions below are the earlier composition, which rebuilt the
 evidence after classifying: `classify_system`, then `canonical_system`,
-`iso_residuals` and `rank_with_margin(triple_of_system(...).E2)`.  The reports
-the CLI writes must equal the ones built that way, and the CLI must compute
-each quantity once.
+`iso_residuals` and the rank and margin of `classify_plane(triple_of_system(
+...).E2)`.  The reports the CLI writes must equal the ones built that way, and
+the CLI must compute each quantity once.
 """
 
 import json
@@ -17,7 +17,7 @@ import pytest
 import spsys2d
 from spsys2d import classify, cli, serialize, systems
 from spsys2d.classify import (Classification, NotSubproductTripleError, TripleClass,
-                              canonical_triple, classify_triple, rank_with_margin)
+                              canonical_triple, classify_plane, classify_triple)
 from spsys2d.cli import main
 from spsys2d.systems import (ClassifyStageError, SystemLabel, canonical_system, check_axioms,
                              classify_system, dualize, iso_residuals, random_system,
@@ -32,12 +32,12 @@ TOLERANCES = (1e-6, 1e-9, 1e-12)
 def ref_classify_report(obj, eps):
     if isinstance(obj, classify.Triple):
         cls, iso = classify_triple(obj, eps)
-        rank, margin = rank_with_margin(obj.E2, eps)
+        plane = classify_plane(obj.E2, eps)
         report = {
             "label": cls.label,
             "theta": serialize.matrix_to_json(iso.theta),
-            "rank": rank,
-            "rank_confidence": margin,
+            "rank": plane.rank,
+            "rank_confidence": plane.rank_margin,
         }
         if cls.lam is not None:
             report["lambda"] = serialize.complex_to_json(cls.lam)
@@ -45,14 +45,14 @@ def ref_classify_report(obj, eps):
     sys_obj = dualize(obj) if isinstance(obj, spsys2d.GradedAlgebra) else obj
     label, iso = classify_system(sys_obj, eps)
     residuals = iso_residuals(sys_obj, canonical_system(label, sys_obj.horizon), iso)
-    rank, margin = rank_with_margin(triple_of_system(sys_obj, eps).E2, eps)
+    plane = classify_plane(triple_of_system(sys_obj, eps).E2, eps)
     report = {
         "label": label.label,
         "theta": {str(t): serialize.matrix_to_json(m) for t, m in iso.theta.items()},
         "residuals": {f"{s},{t}": r for (s, t), r in residuals.items()},
         "max_residual": max(residuals.values()),
-        "rank": rank,
-        "rank_confidence": margin,
+        "rank": plane.rank,
+        "rank_confidence": plane.rank_margin,
     }
     if label.lam is not None:
         report["lambda"] = serialize.complex_to_json(label.lam)
@@ -114,7 +114,8 @@ class TestResult:
         assert result.residuals == iso_residuals(
             s, canonical_system(result.label, 8), result.iso)
         assert set(result.residuals) == set(s.beta)
-        assert (result.rank, result.rank_margin) == rank_with_margin(triple_of_system(s).E2)
+        plane = classify_plane(triple_of_system(s).E2)
+        assert (result.rank, result.rank_margin) == (plane.rank, plane.rank_margin)
         assert result.rank == 1
 
     @pytest.mark.parametrize("label, lam, rank", [
@@ -125,9 +126,8 @@ class TestResult:
         result = classify_triple(t)
         assert result.residuals == {}
         assert result.rank == rank
-        assert (result.rank, result.rank_margin) == rank_with_margin(t.E2)
-        nf = classify.plane_normal_form(t.E2)
-        assert (nf.rank, nf.margin) == (result.rank, result.rank_margin)
+        g = classify._plane_form(t.E2.basis.T.tolist())[2]
+        assert classify._form_rank(g, spsys2d.DEFAULT_EPS) == (result.rank, result.rank_margin)
 
     def test_result_is_frozen(self):
         result = classify_triple(canonical_triple(TripleClass("C1")))

@@ -7,13 +7,14 @@ from spsys2d.classify import (
     Triple,
     TripleClass,
     _annihilated,
+    _normal_form,
+    _plane_form,
     canonical_triple,
     classify_triple,
-    plane_normal_form,
     product_in_intersection,
     rank_of_plane,
 )
-from spsys2d.tensorlinalg import E1, E2, Subspace, kron
+from spsys2d.tensorlinalg import DEFAULT_EPS, E1, E2, Subspace, kron
 
 
 def _rng(seed=0):
@@ -29,6 +30,11 @@ def _random_gl2(rng, max_cond=50.0):
 
 def _span(*vectors):
     return Subspace.from_spanning(np.column_stack(vectors))
+
+
+def _normal_form_of(plane):
+    """The plane read's ((x1, y1), (x2, y2), case_tag) of `plane`, at its rank."""
+    return _normal_form(*_plane_form(plane.basis.T.tolist()), rank_of_plane(plane), DEFAULT_EPS)
 
 
 class TestPlaneRank:
@@ -62,23 +68,21 @@ class TestPlaneRank:
 class TestPlaneNormalForm:
     def test_rank_two_recovers_product_directions(self):
         p = _span(kron(E1, E1), kron(E2, E2))
-        nf = plane_normal_form(p)
-        assert nf.rank == 2
-        for x, y in zip(nf.basis1, nf.basis2):
+        assert rank_of_plane(p) == 2
+        basis1, basis2, _ = _normal_form_of(p)
+        for x, y in zip(basis1, basis2):
             assert p.distance(kron(x, y)) <= 1e-8
 
     def test_rank_one_normal_form(self):
         p = _span(kron(E1, E1), kron(E2, E1) + 3 * kron(E1, E2))
-        nf = plane_normal_form(p)
-        assert nf.rank == 1
-        x1, y1 = nf.basis1
-        x2, y2 = nf.basis2
+        assert rank_of_plane(p) == 1
+        (x1, y1), (x2, y2), _ = _normal_form_of(p)
         assert p.distance(kron(x1, x2)) <= 1e-8
         assert p.distance(kron(x1, y2) + kron(y1, x2)) <= 1e-8
 
     def test_rank_zero_tags(self):
-        assert plane_normal_form(_span(kron(E1, E1), kron(E2, E1))).case_tag == "left"
-        assert plane_normal_form(_span(kron(E1, E1), kron(E1, E2))).case_tag == "right"
+        assert _normal_form_of(_span(kron(E1, E1), kron(E2, E1)))[2] == "left"
+        assert _normal_form_of(_span(kron(E1, E1), kron(E1, E2)))[2] == "right"
 
 
 class TestProductInIntersection:
@@ -115,6 +119,13 @@ class TestProductInIntersection:
             g1, g2, g3 = got
             assert L12.distance(kron(g1, g2)) <= 1e-8
             assert L23.distance(kron(g2, g3)) <= 1e-8
+
+    def test_refuses_what_is_not_a_plane_of_c4(self):
+        p = _span(kron(E1, E1), kron(E2, E2))
+        for other in (_span(kron(E1, E1)), Subspace.from_spanning(np.eye(8)[:, :2])):
+            for pair in ((p, other), (other, p)):
+                with pytest.raises(ValueError, match="2-dim in 4-dim"):
+                    product_in_intersection(*pair)
 
 
 def _witness_residual(L12, L23, triple):

@@ -17,8 +17,7 @@ from spsys2d.classify import (
     canonical_triple,
     classify_plane,
     classify_triple,
-    plane_normal_form,
-    rank_with_margin,
+    rank_of_plane,
 )
 from spsys2d.graded import (
     GradedMorphism,
@@ -35,6 +34,7 @@ from spsys2d.systems import (
     dualize,
 )
 from spsys2d.tensorlinalg import (
+    DEFAULT_EPS,
     DET_FORM,
     E1,
     E2,
@@ -42,12 +42,10 @@ from spsys2d.tensorlinalg import (
     I2,
     ZERO_SCALE,
     Subspace,
-    factor_rank_one,
+    _factor,
+    det_bilinear,
     kron,
-    quad_form_A,
-    quad_form_A_bilinear,
     residual_tol,
-    roots_binary_quadratic,
     singular_values2,
 )
 
@@ -60,7 +58,7 @@ U = 2.0 ** -53  # unit roundoff
 
 # --- reference: the SVD-based plane read that the closed forms replaced ------
 
-def ref_normalize_projective(v, eps=1e-9):
+def ref_projective(v, eps=1e-9):
     v = np.asarray(v, dtype=complex).reshape(-1)
     mags = np.abs(v)
     peak = mags.max()
@@ -77,14 +75,14 @@ def ref_projective_cross(u, v):
     return float(abs(u[0] * v[1] - u[1] * v[0]) / (nu * nv))
 
 
-def ref_factor_rank_one(v, eps=1e-9):
+def ref_factor(v, eps=1e-9):
     u, s, vh = np.linalg.svd(np.asarray(v, dtype=complex).reshape(2, 2))
     if s[0] == 0 or s[1] > eps * s[0]:
         return None
     return u[:, 0] * s[0], vh[0]
 
 
-def ref_roots_binary_quadratic(p, q, r, eps):
+def ref_binary_roots(p, q, r, eps):
     """The roots as a tuple of arrays, or None for the identically zero form."""
     p, q, r = complex(p), complex(q), complex(r)
     scale = max(abs(p), abs(q), abs(r))
@@ -104,7 +102,7 @@ def ref_roots_binary_quadratic(p, q, r, eps):
     for cand in raw:
         if np.abs(cand).max() <= tol:
             continue
-        n = ref_normalize_projective(cand)
+        n = ref_projective(cand)
         if any(ref_projective_cross(n, seen) <= eps for seen in roots):
             continue
         roots.append(n)
@@ -124,18 +122,18 @@ def ref_form_rank(g, eps):
     return rank, float(min((max(r, 1 / r) for r in ratios), default=np.inf))
 
 
-def ref_plane_normal_form(plane, eps):
+def ref_normal_form(plane, eps):
     """(rank, margin, (x1, y1), (x2, y2), case_tag) by SVDs and a 4x4 solve."""
     g = plane.basis.T @ DET_FORM @ plane.basis
     rank, margin = ref_form_rank(g, eps)
     loose = residual_tol(eps)
     if rank == 2:
-        roots = ref_roots_binary_quadratic(g[0, 0], 2 * g[0, 1], g[1, 1], eps)
+        roots = ref_binary_roots(g[0, 0], 2 * g[0, 1], g[1, 1], eps)
         if roots is None or len(roots) != 2:
             raise NotSubproductTripleError("restricted form is degenerate at rank 2")
         products = []
         for ab in roots:
-            factors = ref_factor_rank_one(plane.basis @ ab, loose)
+            factors = ref_factor(plane.basis @ ab, loose)
             if factors is None:
                 raise NotSubproductTripleError("isotropic direction failed the rank-1 test")
             products.append(factors)
@@ -145,7 +143,7 @@ def ref_plane_normal_form(plane, eps):
         _, _, vh = np.linalg.svd(g)
         psi = plane.basis @ vh[1].conj()
         xi = plane.basis @ vh[0].conj()
-        factors = ref_factor_rank_one(psi, loose)
+        factors = ref_factor(psi, loose)
         if factors is None:
             raise NotSubproductTripleError("rank-1 product direction failed the rank-1 test")
         x1, x2 = factors
@@ -156,8 +154,8 @@ def ref_plane_normal_form(plane, eps):
         if scale <= loose or abs(delta) > loose * max(1.0, scale):
             raise NotSubproductTripleError("plane does not fit the rank-1 normal form")
         return rank, margin, (x1, gamma * y1c), (x2, beta * y2c), None
-    f1 = ref_factor_rank_one(plane.basis[:, 0], loose)
-    f2 = ref_factor_rank_one(plane.basis[:, 1], loose)
+    f1 = ref_factor(plane.basis[:, 0], loose)
+    f2 = ref_factor(plane.basis[:, 1], loose)
     if f1 is None or f2 is None:
         raise NotSubproductTripleError("rank-0 plane contains a non-product vector")
     (u1, v1), (u2, v2) = f1, f2
@@ -165,9 +163,9 @@ def ref_plane_normal_form(plane, eps):
     if min(left_score, right_score) > loose:
         raise NotSubproductTripleError("rank-0 plane is not of the left or right form")
     if left_score <= right_score:
-        x2 = ref_normalize_projective(v1)
+        x2 = ref_projective(v1)
         return rank, margin, (u1, u2), (x2, ref_completion(x2)), "left"
-    x1 = ref_normalize_projective(u1)
+    x1 = ref_projective(u1)
     return rank, margin, (x1, ref_completion(x1)), (v1, v2), "right"
 
 
@@ -180,7 +178,7 @@ def ref_theta_from_columns(x, y):
 
 def ref_classify_plane(plane, eps):
     """classify_plane as it was: three SVDs, a 4x4 solve, det and inv."""
-    rank, margin, (x1, y1), (x2, y2), tag = ref_plane_normal_form(plane, eps)
+    rank, margin, (x1, y1), (x2, y2), tag = ref_normal_form(plane, eps)
     loose = residual_tol(eps)
     if rank == 2:
         if ref_projective_cross(x1, x2) <= loose and ref_projective_cross(y1, y2) <= loose:
@@ -214,7 +212,7 @@ def ref_frame_solve_read(plane, eps):
     """The parent read with the rank-1 branch it had before reading lambda
     from the normal form: a second frame (x, y), a 4x4 solve, a 3x2 SVD and
     a second y (x) y test."""
-    rank, margin, (x1, _), (x2, _), _ = ref_plane_normal_form(plane, eps)
+    rank, margin, (x1, _), (x2, _), _ = ref_normal_form(plane, eps)
     if rank != 1:
         return ref_classify_plane(plane, eps)
     loose = residual_tol(eps)
@@ -443,8 +441,8 @@ class TestClosedFormRead:
         ranks = []
         for plane in planes:
             ranks.append(classify_plane(plane).rank)
-            plane_normal_form(plane)
-            rank_with_margin(plane)
+            u, v, g = classify._plane_form(plane.basis.T.tolist())
+            classify._normal_form(u, v, g, rank_of_plane(plane), DEFAULT_EPS)
         assert sorted(set(ranks)) == [0, 1, 2]
         assert calls == []
 
@@ -478,11 +476,11 @@ class TestClosedFormRead:
                     if label == "C3":
                         assert abs(got.label.lam - ref.label.lam) <= 1e-12 * abs(ref.label.lam)
 
-    def test_factor_rank_one_fixes_the_phase_of_y(self):
+    def test_factor_fixes_the_phase_of_y(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             x, y = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
-            fx, fy = factor_rank_one(kron(x, y))
+            fx, fy = map(np.array, _factor(kron(x, y).tolist(), DEFAULT_EPS))
             assert np.abs(kron(fx, fy) - kron(x, y)).max() <= 1e-14 * np.abs(kron(x, y)).max()
             assert abs(np.linalg.norm(fy) - 1) <= 1e-15
             k = np.abs(fy).argmax()
@@ -510,15 +508,17 @@ class TestDeterminantForm:
         for _ in range(200):
             u = rng.integers(-9, 10, 4) + 1j * rng.integers(-9, 10, 4)
             v = rng.integers(-9, 10, 4) + 1j * rng.integers(-9, 10, 4)
-            assert quad_form_A(v) == v[0] * v[3] - v[1] * v[2]
-            assert quad_form_A_bilinear(u, v) == (
+            assert det_bilinear(v.tolist(), v.tolist()) == v[0] * v[3] - v[1] * v[2]
+            assert det_bilinear(u.tolist(), v.tolist()) == (
                 u[0] * v[3] + u[3] * v[0] - u[1] * v[2] - u[2] * v[1]) / 2
 
     def test_wrong_dimension_is_refused(self):
-        with pytest.raises(ValueError, match="4-dimensional"):
-            quad_form_A(np.ones(2))
-        with pytest.raises(ValueError, match="4-dimensional"):
-            quad_form_A_bilinear(np.ones(4), np.ones(8))
+        """The form is read only on a 2-dim plane of C^4, where `_plane_form`
+        forms it; any other subspace is refused before `det_bilinear` runs."""
+        with pytest.raises(ValueError, match="4-dim ambient"):
+            rank_of_plane(Subspace.from_spanning(np.eye(8)[:, :2]))
+        with pytest.raises(ValueError, match="4-dim ambient"):
+            classify_plane(Subspace.from_spanning(np.eye(4)[:, :1]))
 
 
 _SYSTEM = canonical_system(SystemLabel("E3", 2.0), 4)
@@ -535,12 +535,10 @@ IDENTITY_TYPES = {
     "TripleIso": lambda: classify_triple(_TRIPLE).iso,
     "SystemIso": lambda: classify_system(_SYSTEM).iso,
     "Classification": lambda: classify_triple(_TRIPLE),
-    "PlaneNormalForm": lambda: plane_normal_form(_TRIPLE.E2),
     "GradedMorphism": lambda: GradedMorphism(_ALGEBRA, _ALGEBRA,
                                              {t: I2 for t in range(1, 5)}),
     "AutomorphismFamily": lambda: automorphism_description("D2"),
     "DegreeIndex": lambda: degree_index(4),
-    "QuadraticRoots": lambda: roots_binary_quadratic(1, 0, -1),
 }
 
 

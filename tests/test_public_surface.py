@@ -1,14 +1,17 @@
-"""Every public top-level function and class of the package, and every public
-method of its classes, has a caller.
+"""Every public top-level function and class of the package, every public
+method of its classes and every name in `spsys2d.__all__` has a caller, and
+no module of the package imports a name it does not use.
 
-A name counts as used when the package itself, the benchmark (`perfbench/`)
-or the acceptance tests refer to it in code (docstrings and comments do not
-count), or when `spsys2d.__all__` exports it.  Other tests do not count: a
-helper that only its own tests call is dead weight.
+A name counts as used when the package outside `__init__.py`, the benchmark
+(`perfbench/`) or the acceptance tests refer to it in code (docstrings and
+comments do not count).  A name that `spsys2d.__all__` exports may instead be
+named in code in README's "Python API" section; being exported is not a use.
+Other tests do not count: a helper that only its own tests call is dead weight.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -17,8 +20,8 @@ import spsys2d
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spsys2d"
-CALLERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
-           ROOT / "tests" / "test_acceptance.py"]
+CALLERS = [*(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"),
+           *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
 def _parse(path: Path) -> ast.Module:
@@ -41,6 +44,15 @@ def _referenced_names(attributes_only: bool = False) -> set:
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
     return names
+
+
+def _documented_exports() -> set:
+    """The names of `spsys2d.__all__` that a code span or block of README's
+    "Python API" section contains."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    code = re.findall(r"```.*?```|`[^`]+`", section, flags=re.S)
+    return set(re.findall(r"\w+", " ".join(code))) & set(spsys2d.__all__)
 
 
 def _public_definitions():
@@ -68,9 +80,30 @@ def _public_methods():
 
 
 def test_every_public_definition_has_a_caller():
-    used = _referenced_names() | set(spsys2d.__all__)
-    unused = [where for where, name in _public_definitions() if name not in used]
+    """Each public definition, and each name `__all__` exports (constants
+    too), is used."""
+    used = _referenced_names() | _documented_exports()
+    names = [*_public_definitions(), *((f"__all__:{n}", n) for n in spsys2d.__all__)]
+    unused = [where for where, name in names if name not in used]
     assert not unused, f"public names with no caller: {unused}"
+
+
+def test_the_package_imports_nothing_it_does_not_use():
+    """Each name a module of the package binds by `import` or `from ...
+    import` is read in that module (`from __future__` excepted)."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        imported, read = {}, set()
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert not unused, f"unused imports: {unused}"
 
 
 def test_every_public_method_has_a_caller():

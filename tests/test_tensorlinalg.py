@@ -6,18 +6,17 @@ from spsys2d.tensorlinalg import (
     E1,
     E2,
     Subspace,
+    _binary_roots,
+    _factor,
     _masked_null_spaces,
     _null_space,
+    _projective,
     annihilator,
     as_cvec,
-    factor_rank_one,
+    det_bilinear,
     intersect,
     kron,
     matmul2,
-    normalize_projective,
-    quad_form_A,
-    quad_form_A_bilinear,
-    roots_binary_quadratic,
     span_rank,
 )
 
@@ -28,6 +27,11 @@ def _rng():
 
 def _cvec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _det_form(v):
+    """The determinant quadratic form v @ DET_FORM @ v of a numpy 4-vector."""
+    return det_bilinear(v.tolist(), v.tolist())
 
 
 class TestBasics:
@@ -63,13 +67,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             as_cvec([np.nan, 1.0])
 
-    def test_normalize_projective(self):
-        v = normalize_projective(np.array([2j, 1.0]))
+    def test_projective(self):
+        v = _projective((2j, 1 + 0j), DEFAULT_EPS)
         assert v[0] == 1.0  # largest magnitude becomes 1
-        w = normalize_projective(np.array([1.0, -1.0]))
-        assert w[0] == 1.0  # tie broken toward the lower index
+        w = _projective((1 + 0j, -1 + 0j), DEFAULT_EPS)
+        assert w == (1.0, -1.0)  # tie broken toward the lower index
         with pytest.raises(ValueError):
-            normalize_projective(np.zeros(2))
+            _projective((0j, 0j), DEFAULT_EPS)
 
 
 class TestSubspace:
@@ -140,15 +144,16 @@ class TestQuadraticForm:
     def test_vanishes_exactly_on_product_vectors(self):
         rng = _rng()
         x, y = _cvec(rng, 2), _cvec(rng, 2)
-        assert abs(quad_form_A(kron(x, y))) < 1e-12
-        assert abs(quad_form_A(kron(x, y) + kron(y, x))) > 1e-8
+        assert abs(_det_form(kron(x, y))) < 1e-12
+        assert abs(_det_form(kron(x, y) + kron(y, x))) > 1e-8
 
     def test_polarization(self):
         rng = _rng()
         u, v = _cvec(rng, 4), _cvec(rng, 4)
-        lhs = quad_form_A(u + v) - quad_form_A(u) - quad_form_A(v)
-        assert abs(lhs - 2 * quad_form_A_bilinear(u, v)) < 1e-12
-        assert abs(quad_form_A_bilinear(u, u) - quad_form_A(u)) < 1e-12
+        lhs = _det_form(u + v) - _det_form(u) - _det_form(v)
+        uv, vu = det_bilinear(u.tolist(), v.tolist()), det_bilinear(v.tolist(), u.tolist())
+        assert abs(lhs - 2 * uv) < 1e-12
+        assert abs(uv - vu) < 1e-12  # symmetric
 
 
 class TestFactorRankOne:
@@ -156,41 +161,39 @@ class TestFactorRankOne:
         rng = _rng()
         for _ in range(20):
             x, y = _cvec(rng, 2), _cvec(rng, 2)
-            fx, fy = factor_rank_one(kron(x, y))
+            fx, fy = _factor(kron(x, y).tolist(), DEFAULT_EPS)
             assert np.abs(kron(fx, fy) - kron(x, y)).max() < 1e-10
 
     def test_rank_two_returns_none(self):
-        assert factor_rank_one(kron(E1, E1) + kron(E2, E2)) is None
+        assert _factor((kron(E1, E1) + kron(E2, E2)).tolist(), DEFAULT_EPS) is None
 
     def test_zero_returns_none(self):
-        assert factor_rank_one(np.zeros(4)) is None
+        assert _factor([0j] * 4, DEFAULT_EPS) is None
 
 
 class TestQuadraticRoots:
     def test_two_simple_roots(self):
         # (u - v)(u - 2v) = u^2 - 3uv + 2v^2
-        roots = roots_binary_quadratic(1, -3, 2)
-        assert len(roots.roots) == 2
-        for u, v in roots.roots:
+        roots = _binary_roots(1 + 0j, -3 + 0j, 2 + 0j, DEFAULT_EPS)
+        assert len(roots) == 2
+        for u, v in roots:
             assert abs(u * u - 3 * u * v + 2 * v * v) < 1e-12
 
     def test_degenerate_leading_coefficient(self):
-        roots = roots_binary_quadratic(0, 1, -2)  # v(u - 2v)
-        assert len(roots.roots) == 2
-        vals = sorted(abs(u / v) if abs(v) > 1e-9 else np.inf
-                      for u, v in roots.roots)
+        roots = _binary_roots(0j, 1 + 0j, -2 + 0j, DEFAULT_EPS)  # v(u - 2v)
+        assert len(roots) == 2
+        vals = sorted(abs(u / v) if abs(v) > 1e-9 else np.inf for u, v in roots)
         assert vals[0] == pytest.approx(2.0)
 
     def test_double_root_deduplicated(self):
-        roots = roots_binary_quadratic(1, -2, 1)  # (u - v)^2
-        assert len(roots.roots) == 1
+        roots = _binary_roots(1 + 0j, -2 + 0j, 1 + 0j, DEFAULT_EPS)  # (u - v)^2
+        assert len(roots) == 1
 
     def test_identically_zero(self):
-        roots = roots_binary_quadratic(0, 0, 0)
-        assert roots.identically_zero
+        assert _binary_roots(0j, 0j, 0j, DEFAULT_EPS) is None
 
     def test_complex_coefficients(self):
-        roots = roots_binary_quadratic(1, 0, 1)  # u^2 + v^2
-        assert len(roots.roots) == 2
-        for u, v in roots.roots:
+        roots = _binary_roots(1 + 0j, 0j, 1 + 0j, DEFAULT_EPS)  # u^2 + v^2
+        assert len(roots) == 2
+        for u, v in roots:
             assert abs(u * u + v * v) < 1e-12
