@@ -139,9 +139,9 @@ def _normal_form_rank0(u, v, loose):
     if min(left_score, right_score) > loose:
         raise NotSubproductTripleError("rank-0 plane is not of the left or right form")
     if left_score <= right_score:
-        x2 = _projective(v1, DEFAULT_EPS)
+        x2 = _projective(v1)
         return (u1, u2), (x2, _completion(x2)), "left"
-    x1 = _projective(u1, DEFAULT_EPS)
+    x1 = _projective(u1)
     return (x1, _completion(x1)), (v1, v2), "right"
 
 
@@ -213,7 +213,7 @@ def product_in_intersection(L12: Subspace, L23: Subspace, eps: float = DEFAULT_E
         return max(r12, r23), (x1, x2, x3)
 
     _, best = min(map(fit, candidates), key=lambda t: t[0])
-    return tuple(np.array(_projective(x, DEFAULT_EPS), dtype=complex) for x in best)
+    return tuple(np.array(_projective(x), dtype=complex) for x in best)
 
 
 # ---------------------------------------------------------------------------

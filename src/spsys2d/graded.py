@@ -281,7 +281,7 @@ def checked_levels(theta) -> tuple:
     read-only mapping of each level t to the view stack[t - 1], made on
     lookup.  ValueError naming a bool key of a dict (which a dict lookup takes
     for the level 0 or 1), then its first missing level (keys must be 1..n),
-    then for no level, or for maps that are not 2x2."""
+    then for no level, for maps that are not 2x2, or for a non-finite entry."""
     if not isinstance(theta, np.ndarray):
         flag = next((key for key in theta if type(key) in _BOOL_TYPES), None)
         if flag is not None:
@@ -294,7 +294,7 @@ def checked_levels(theta) -> tuple:
     stack = np.ascontiguousarray(theta, dtype=complex)
     if stack.shape[1:] != (2, 2) or not len(stack):
         raise ValueError("level maps must be 2x2" if len(stack) else "no level maps")
-    stack.setflags(write=False)
+    require_finite(stack).setflags(write=False)
     return stack, MappingProxyType(_Views(stack, _level_positions(len(stack))))
 
 
@@ -369,12 +369,12 @@ def twist(g: GradedAlgebra, f, eps: float = DEFAULT_EPS) -> GradedAlgebra:
     level).  f_t^s is one stacked matrix power per exponent s."""
     h = g.horizon
     m = GradedMorphism(g, g, np.array([f(t) for t in range(1, h + 1)]) if callable(f) else f)
-    levels = require_finite(m.stack[:h])
+    levels = m.stack[:h]
     singular = np.flatnonzero(singular_levels(levels, eps))
     if singular.size:
         raise NotAutomorphismError(f"level-{singular[0] + 1} map is not invertible")
-    residual = max(m.level_residuals().values())
-    if residual > residual_tol(eps):
+    residual = np.max(list(m.level_residuals().values()))  # a NaN propagates
+    if not residual <= residual_tol(eps):
         raise NotAutomorphismError(f"per-level family is not multiplicative (residual {residual})")
     # pairs order runs t = 1..h - s for each s in turn
     powers = np.concatenate([np.linalg.matrix_power(levels[:h - s], s) for s in range(1, h)])
@@ -619,7 +619,7 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     if not check_kernel_condition(gA, eps):
         raise MorphismError("source algebra fails the kernel condition")
     compat = np.abs(theta2 @ gA.stack[0] - gB.stack[0] @ kron(theta1, theta1)).max()
-    if compat > residual_tol(eps):
+    if not compat <= residual_tol(eps):  # a NaN residual fails
         raise MorphismError(f"theta2 is incompatible with theta1 (residual {compat})")
 
     # M[1, t] for t = 1..h-1: the pairs (1, t) lead degree_index order
@@ -634,7 +634,7 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     # theta_n, n >= 3, is well defined if its rhs vanishes on Ker M_A[1, n-1]
     rhs = mb[1:] @ kron(theta1, theta[1:-1])
     leak = pair_max(np.abs(rhs @ kernel[1:]))
-    bad = np.flatnonzero(leak > residual_tol(eps) * np.maximum(1.0, pair_max(np.abs(rhs))))
+    bad = np.flatnonzero(~(leak <= residual_tol(eps) * np.maximum(1.0, pair_max(np.abs(rhs)))))
     if bad.size:
         raise NotExtendableError(
             f"theta_{bad[0] + 3} is not well defined (kernel leak {leak[bad[0]]})")
@@ -642,6 +642,6 @@ def extend_morphism(gA: GradedAlgebra, gB: GradedAlgebra, theta1, theta2,
     # system iso theta^T from the dual of gB onto the dual of gA
     worst = intertwining_defects(theta.transpose(0, 2, 1), gB.stack.transpose(0, 2, 1),
                                  gA.stack.transpose(0, 2, 1))[1].max()
-    if worst > residual_tol(eps):
+    if not worst <= residual_tol(eps):
         raise MorphismError(f"level maps fail to intertwine (residual {worst:.3g})")
     return GradedMorphism(gA, gB, theta)

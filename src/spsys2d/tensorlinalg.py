@@ -33,6 +33,7 @@ def residual_tol(eps: float) -> float:
 
 GRAM_TOL = 1e-7  # orthonormality of a stored basis
 FRAME_TOL = 1e-12  # relative determinant of the frame that builds theta
+PIVOT_TOL = 1e-9  # a projective pivot's modulus, relative to the largest
 ZERO_SCALE = 1e-300  # a quadratic form this small is identically zero
 
 VECTOR_DIMS = (2, 4, 8)
@@ -139,10 +140,6 @@ class Subspace:
             return cls(ambient_dim, np.array(cols, dtype=complex).reshape(len(cols), n).T)
         u, s, _ = np.linalg.svd(m, full_matrices=False)
         return cls(ambient_dim, u[:, :int(span_rank(s, eps))])
-
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n, np.zeros((n, 0), dtype=complex))
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -378,14 +375,14 @@ def _cross(u, v) -> float:
     return abs(u[0] / nu * (v[1] / nv) - u[1] / nu * (v[0] / nv))
 
 
-def _projective(v, eps: float) -> tuple:
+def _projective(v) -> tuple:
     """v divided by its lowest-index nonzero coordinate whose modulus is
-    within eps of the largest; ValueError for the zero vector."""
+    within PIVOT_TOL of the largest; ValueError for the zero vector."""
     mags = [abs(z) for z in v]
     peak = max(mags)
     if peak == 0:
         raise ValueError("cannot normalize the zero vector")
-    floor = peak * (1 - eps)
+    floor = peak * (1 - PIVOT_TOL)
     pivot = v[next(i for i, a in enumerate(mags) if a >= floor and a > 0)]
     return tuple(z / pivot for z in v)
 
@@ -412,7 +409,7 @@ def _binary_roots(p: complex, q: complex, r: complex, eps: float):
     for cand in raw:
         if max(abs(cand[0]), abs(cand[1])) <= tol:
             continue
-        n = _projective(cand, DEFAULT_EPS)
+        n = _projective(cand)
         if any(_cross(n, seen) <= eps for seen in roots):
             continue
         roots.append(n)

@@ -7,11 +7,11 @@ sums round in another order than BLAS's, so they agree within the rounding
 bound of the compared products.  The image condition, which now tracks a 2x2
 factor instead of the 2 x 2^n iterated product, is compared by verdict.
 The parent's classify_system, which went through the dual graded
-algebras and extend_morphism, is kept as the reference for the direct
-recursion that replaced it; its extend_morphism loop, which took a pinv and
-a null space of M[n-1, 1] at every level, is kept as `ref_extend_morphism`
-for the stacked recursion on the transposes that replaced it.  The
-composition before that, which certified
+algebras and extend_morphism, is kept as `ref_classify_by_graded_detour`,
+the reference for the direct recursion that replaced it; its extend_morphism
+loop, which took a pinv and a null space of M[n-1, 1] at every level, is kept
+as `ref_extend_morphism` for the stacked recursion on the transposes that
+replaced it.  The composition before that, which certified
 the degree-(1,2,3) triple with `triple_of_system` and `classify_triple`
 before the recursion, is kept as the reference for the system path that
 reads the class from the plane Im beta[1,1] alone.
@@ -23,6 +23,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
+from refs import GRID, moved, ref_is_isomorphism, ref_left_inverse, top_heavy_unfit
 from spsys2d import graded
 from spsys2d.graded import (
     CATALOG_NAMES,
@@ -59,12 +60,6 @@ from spsys2d.systems import (
 )
 from spsys2d.tensorlinalg import (DEFAULT_EPS, I2, Subspace, _null_space, as_cmat, kron,
                                   residual_tol)
-
-# the benchmark grid: every label, and E3 over |lambda| in [1/4, 4]
-GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
-    SystemLabel("E3", complex(lam))
-    for lam in (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0)
-]
 
 
 # --- reference: the per-index loops -----------------------------------------
@@ -134,8 +129,9 @@ def ref_triple_kernels(g, r, s, t, eps=DEFAULT_EPS):
     k3 = kernel_subspace(m3, eps)
     k_rs = kernel_subspace(g.M[(r, s)], eps)
     k_st = kernel_subspace(g.M[(s, t)], eps)
-    left = Subspace(8, np.kron(k_rs.basis, I2)) if k_rs.dim else Subspace.zero(8)
-    right = Subspace(8, np.kron(I2, k_st.basis)) if k_st.dim else Subspace.zero(8)
+    zero = Subspace(8, np.zeros((8, 0), complex))
+    left = Subspace(8, np.kron(k_rs.basis, I2)) if k_rs.dim else zero
+    right = Subspace(8, np.kron(I2, k_st.basis)) if k_st.dim else zero
     side = Subspace.from_spanning(np.hstack([left.basis, right.basis]), ambient_dim=8, eps=eps)
     leaks = False
     if side.dim:
@@ -174,28 +170,6 @@ def ref_image_condition(g, eps=DEFAULT_EPS):
     return True
 
 
-def ref_is_isomorphism(m, eps=DEFAULT_EPS):
-    for t in range(1, m.source.horizon + 1):
-        sv = np.linalg.svd(m.theta[t], compute_uv=False)
-        if sv[1] <= eps * max(sv[0], 1.0):
-            return False
-    return True
-
-
-def ref_random_system(label, seed, horizon):
-    rng = np.random.default_rng(seed)
-    base = canonical_system(label, horizon)
-    g = {}
-    for t in range(1, horizon + 1):
-        while True:
-            cand = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            if np.linalg.cond(cand) <= 50.0:
-                g[t] = cand
-                break
-    return {(s, t): np.kron(g[s], g[t]) @ base.beta[(s, t)] @ np.linalg.inv(g[s + t])
-            for s, t in ref_pairs(horizon)}
-
-
 def ref_extend_morphism(gA, gB, theta1, theta2, eps=DEFAULT_EPS, rng=None):
     """extend_morphism as a loop over the levels: theta_2 as given, then theta_n
     factored through M[n-1, 1] with its own pinv and null space."""
@@ -227,7 +201,7 @@ def ref_extend_morphism(gA, gB, theta1, theta2, eps=DEFAULT_EPS, rng=None):
     return GradedMorphism(source=gA, target=gB, theta=theta)
 
 
-def ref_classify_system(sys, eps=DEFAULT_EPS):
+def ref_classify_by_graded_detour(sys, eps=DEFAULT_EPS):
     """classify_system by the graded-algebra detour: dualize, extend the
     transposed triple isomorphism with ref_extend_morphism, transpose back."""
     report = check_axioms(sys, eps)
@@ -284,12 +258,6 @@ def ref_classify_via_triple(sys, eps=DEFAULT_EPS):
     return Classification(label, iso, tri.rank, tri.rank_margin, residuals)
 
 
-def ref_left_inverse(b):
-    """The Moore-Penrose inverse of a map b whose columns c_j are orthogonal:
-    row j is c_j^H / |c_j|^2."""
-    return np.array([c.conj() / sum(x.real * x.real + x.imag * x.imag for x in c) for c in b.T])
-
-
 def outcome(check, *args):
     try:
         return check(*args)
@@ -298,12 +266,6 @@ def outcome(check, *args):
 
 
 # --- inputs ------------------------------------------------------------------
-
-def _perturbed(sys, key, entry, delta):
-    beta = {k: b.copy() for k, b in sys.beta.items()}
-    beta[key][entry] += delta
-    return SubproductSystem(sys.horizon, beta)
-
 
 def _rank_deficient(sys, key):
     beta = dict(sys.beta)
@@ -318,8 +280,8 @@ def axiom_inputs():
             scr = random_system(label, 50 + i, h)
             yield can
             yield scr
-            yield _perturbed(scr, (2, 1), (0, 0), 1e-3)
-            yield _perturbed(can, (h - 2, 1), (3, 1), 1e-7)
+            yield moved(scr, (2, 1), (0, 0), 1e-3)
+            yield moved(can, (h - 2, 1), (3, 1), 1e-7)
             yield _rank_deficient(scr, (1, 2))
             yield _rank_deficient(can, (h - 1, 1))
 
@@ -457,14 +419,6 @@ def test_checks_read_the_stored_stack_instead_of_restacking_the_maps():
                     extend_morphism(g_can, g, theta[1], theta[2]).stack.tobytes())
 
 
-def test_random_system_is_unchanged():
-    for seed in range(20):
-        label = GRID[seed % len(GRID)]
-        want = ref_random_system(label, seed, 12)
-        got = random_system(label, seed, 12).beta
-        assert all(np.array_equal(got[k], want[k]) for k in want)
-
-
 def kernel_inputs():
     for h in (5, 8):
         for i, label in enumerate(GRID):
@@ -559,25 +513,14 @@ def classify_inputs():
         yield label, random_system(label, 77 + i, 32)
 
 
-def top_heavy_unfit(sys):
-    """A broken copy of `sys` that passes `check_axioms`.  The maps into the
-    top level h are scaled by 1e14, an isomorphic system; then one entry of
-    beta[h-1, 1] moves by 1e-2 of its largest entry.  Coassociativity is
-    tested against eps * max|beta|^2, which cannot see that break; the
-    certificate at (h-1, 1) does, as does the detour's kernel-leak test."""
-    h = sys.horizon
-    beta = {k: b * 1e14 if sum(k) == h else b.copy() for k, b in sys.beta.items()}
-    beta[(h - 1, 1)][3, 1] += 1e-2 * np.abs(beta[(h - 1, 1)]).max()
-    return SubproductSystem(h, beta)
-
-
 def test_direct_recursion_matches_the_graded_detour(e3_gauge):
     """The detour's theta is not gauged: for E3 it is compared after the
     canonical automorphism that carries its theta_1 onto classify_system's."""
     stages = set()
     for drawn, sys in classify_inputs():
         stage, label, iso, worst = classify_outcome(classify_system, sys)
-        ref_stage, ref_label, ref_iso, ref_worst = classify_outcome(ref_classify_system, sys)
+        ref_stage, ref_label, ref_iso, ref_worst = classify_outcome(
+            ref_classify_by_graded_detour, sys)
         stages.add((sys.horizon, stage))
         if (stage, ref_stage) == ("ok", "extend-morphism"):
             # the detour's rank test is not scale-free: it refused a level

@@ -5,14 +5,15 @@ system or algebra.
 from `canonical_maps` by degree and keeps theta as one stack; it builds no
 canonical `SubproductSystem`.  The path it replaced (`canonical_system`,
 the left inverse of its beta[1, 1], the singular-level test on the stacked
-dict and `iso_residuals`) is kept here as the reference, and must agree bit
-for bit: the same products are formed in the same order.  The reference
-solves theta with `extend_levels`, the recursion `classify_system` runs,
-which is pinned on its own against a scalar loop written out here, against
-the `kron` loop it replaced within a stated rounding bound, and, with the E3
-gauge, against that loop's theta carried by a unipotent automorphism of the
-canonical E3.  The left inverse is the Moore-Penrose inverse of a map with
-orthogonal columns, written out row by row in `ref_left_inverse`.
+dict and `iso_residuals`) is `refs.ref_classify_system`, which
+`test_certified_axioms.py` pins bit for bit on the grid; its refusals are
+pinned here.  The reference solves theta with `extend_levels`, the recursion
+`classify_system` runs, which is pinned on its own against a scalar loop
+written out here, against the `kron` loop it replaced within a stated
+rounding bound, and, with the E3 gauge, against that loop's theta carried by
+a unipotent automorphism of the canonical E3.  The left inverse is the
+Moore-Penrose inverse of a map with orthogonal columns, written out row by
+row in `refs.ref_left_inverse`.
 """
 
 import copy
@@ -25,112 +26,18 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
+from refs import (GRID, STRESS_GRID, STRESS_LAMBDAS, U, assert_same_build, bitwise_outcome,
+                  moved, ref_classify_system, ref_left_inverse, ref_random_system,
+                  top_heavy_unfit)
 from spsys2d import graded, systems
 from spsys2d.cli import main as cli_main
 from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, classify_plane
 from spsys2d.graded import (GradedAlgebra, GradedMorphism, degree_index, equilibrated_levels,
                             extend_levels, extend_morphism, intertwining_defects,
                             is_isomorphism, singular_levels)
-from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
-                             axiom_text, canonical_system, check_axioms, classify_system,
-                             dualize, iso_residuals, random_system)
-from spsys2d.tensorlinalg import DEFAULT_EPS, I2, Subspace, kron, residual_tol
-
-GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
-    SystemLabel("E3", complex(lam))
-    for lam in (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0)
-]
-
-
-# --- reference: the certificate against a canonical system -------------------
-
-def ref_classify_system(sys, eps=DEFAULT_EPS):
-    """classify_system as it was: the canonical system built per call, theta
-    solved by `extend_levels` with the left inverse of its beta[1, 1] and kept
-    as a dict, checked with singular_levels on its stack and certified with
-    iso_residuals."""
-    report = check_axioms(sys, eps)
-    if not report.passed:
-        raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
-    e2 = Subspace.from_spanning(sys.beta[(1, 1)], eps=eps)
-    try:
-        plane = classify_plane(e2, eps)
-    except ValueError as exc:
-        raise ClassifyStageError("classify-triple", str(exc)) from exc
-    label = SystemLabel.from_triple_class(plane.label)
-
-    h = sys.horizon
-    canonical = canonical_system(label, h)
-    left = ref_left_inverse(canonical.beta[(1, 1)])
-    maps = np.stack([sys.beta[(1, t)] for t in range(1, h)])
-    theta = dict(enumerate(extend_levels(plane.iso.theta, [left] * (h - 1), maps, label.lam), 1))
-    if singular_levels(np.stack([theta[t] for t in range(1, sys.horizon + 1)]), eps).any():
-        raise ClassifyStageError("extend-morphism", "extended morphism is singular")
-    iso = SystemIso(theta=theta)
-    residuals = iso_residuals(sys, canonical, iso)
-    worst = max(residuals.values())
-    if worst > residual_tol(eps):
-        raise ClassifyStageError(
-            "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
-    return plane, label, iso, residuals
-
-
-def ref_left_inverse(b):
-    """The Moore-Penrose inverse of a map b whose columns c_j are orthogonal:
-    row j is c_j^H / |c_j|^2."""
-    return np.array([c.conj() / sum(x.real * x.real + x.imag * x.imag for x in c) for c in b.T])
-
-
-def outcome(sys, eps, reference):
-    """The refusal's stage and message, or label, lambda, rank, margin, each
-    theta_t bit for bit and the residual dict bit for bit."""
-    try:
-        if reference:
-            plane, label, iso, residuals = ref_classify_system(sys, eps)
-            rank, margin = plane.rank, plane.rank_margin
-        else:
-            label, iso = r = classify_system(sys, eps)
-            rank, margin, residuals = r.rank, r.rank_margin, r.residuals
-    except ClassifyStageError as exc:
-        return (exc.stage, str(exc))
-    theta = tuple((t, iso.theta[t].tobytes()) for t in sorted(iso.theta))
-    return ("ok", label.label, label.lam, rank, margin, theta,
-            tuple(residuals), np.array(list(residuals.values())).tobytes())
-
-
-def ref_random_system_stack(label, seed, horizon, max_cond=50.0):
-    """random_system's stack as it was built: over canonical_system's stack."""
-    rng = np.random.default_rng(seed)
-    base = canonical_system(label, horizon)
-    g = np.empty((horizon, 2, 2), dtype=complex)
-    for t in range(horizon):
-        while True:
-            cand = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            if np.linalg.cond(cand) <= max_cond:
-                g[t] = cand
-                break
-    s, t = degree_index(horizon).levels.T
-    return kron(g[s - 1], g[t - 1]) @ base.stack @ np.linalg.inv(g)[s + t - 1]
-
-
-def ref_canonical_beta(c, s):
-    """canonical_beta as it was: one 4x2 map filled entry by entry."""
-    b = np.zeros((4, 2), dtype=complex)
-    if c.label == "C2" and s % 2:
-        b[1, 0] = 1
-        b[2, 1] = 1
-        return b
-    b[0, 0] = 1
-    if c.label in ("C1", "C2"):
-        b[3, 1] = 1
-    elif c.label == "C3":
-        b[2, 1] = 1
-        b[1, 1] = c.lam ** s
-    elif c.label == "C4":
-        b[2, 1] = 1
-    else:
-        b[1, 1] = 1
-    return b
+from spsys2d.systems import (SubproductSystem, SystemIso, SystemLabel, canonical_system,
+                             check_axioms, classify_system, dualize, random_system)
+from spsys2d.tensorlinalg import I2, Subspace, kron
 
 
 def drawn(seed, horizon, max_cond):
@@ -150,19 +57,6 @@ def _complex(rng, shape):
 
 # --- the certificate ---------------------------------------------------------
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-9])
-@pytest.mark.parametrize("h", [6, 12, 20])
-def test_classify_system_matches_the_canonical_system_path_bit_for_bit(h, eps):
-    stages = set()
-    for i, label in enumerate(GRID):
-        for seed in range(3):
-            sys = random_system(label, 1000 * h + 10 * i + seed, h)
-            got = outcome(sys, eps, reference=False)
-            assert got == outcome(sys, eps, reference=True)
-            stages.add(got[0])
-    assert "ok" in stages
-
-
 def test_classify_system_builds_no_subproduct_system(monkeypatch):
     sys = random_system(SystemLabel("E3", 2.0), 5, 8)
     calls = []
@@ -180,28 +74,23 @@ def test_classify_system_builds_no_subproduct_system(monkeypatch):
 
 
 def test_classify_system_refusals_match_the_canonical_system_path():
+    def both(sys, eps):
+        got = bitwise_outcome(classify_system, sys, eps)
+        assert got == bitwise_outcome(ref_classify_system, sys, eps)
+        return got
+
     # theta grows with the level here, which a rank test that is not
     # scale-free calls singular: it certifies, with the label and lambda drawn
-    growing = random_system(SystemLabel("E3", 3.0), 7, 12)
-    got = outcome(growing, 1e-9, False)
+    got = both(random_system(SystemLabel("E3", 3.0), 7, 12), 1e-9)
     assert got[:2] == ("ok", "E3") and abs(got[2] - 3.0) <= 1e-12
-    assert got == outcome(growing, 1e-9, True)
-    singular = top_heavy_singular(random_system(SystemLabel("E2"), 3, 12))
-    got = outcome(singular, 1e-9, False)
+    got = both(top_heavy_singular(random_system(SystemLabel("E2"), 3, 12)), 1e-9)
     assert got == ("extend-morphism", "[extend-morphism] extended morphism is singular")
-    assert got == outcome(singular, 1e-9, True)
     # a break of 1e-3 in beta[1, 2] of E3(4), whose certificate depends on the
     # gauge: 1.07e-3 ungauged, 1.9e-4 gauged, against residual_tol(1e-6) = 1e-3
-    beta = dict(random_system(SystemLabel("E3", 4.0), 0, 6).beta)
-    beta[(1, 2)] = beta[(1, 2)] + np.array([[0, 0]] * 3 + [[0, 1e-3]])
-    near = SubproductSystem(6, beta)
-    got = outcome(near, 1e-6, False)
+    got = both(moved(random_system(SystemLabel("E3", 4.0), 0, 6), (1, 2), (3, 1), 1e-3), 1e-6)
     assert got[:2] == ("ok", "E3") and abs(got[2] - 4) <= 1e-12 * 4
-    assert got == outcome(near, 1e-6, True)
-    unfit = top_heavy_unfit(random_system(SystemLabel("E3", 4.0), 0, 6))
-    got = outcome(unfit, 1e-6, False)
+    got = both(top_heavy_unfit(random_system(SystemLabel("E3", 4.0), 0, 6)), 1e-6)
     assert got[1].startswith("[extend-morphism] level maps fail to intertwine (residual")
-    assert got == outcome(unfit, 1e-6, True)
 
 
 def top_heavy_singular(sys):
@@ -221,28 +110,7 @@ def top_heavy_singular(sys):
     return SubproductSystem(h, beta)
 
 
-def top_heavy_unfit(sys):
-    """A broken copy of `sys` that passes `check_axioms`: the maps into the
-    top level h scaled by 1e14, then one entry of beta[h-1, 1] moved by 1e-2
-    of its largest entry, which the certificate at (h-1, 1) sees."""
-    h = sys.horizon
-    beta = {k: b * 1e14 if sum(k) == h else b.copy() for k, b in sys.beta.items()}
-    beta[(h - 1, 1)][3, 1] += 1e-2 * np.abs(beta[(h - 1, 1)]).max()
-    return SubproductSystem(h, beta)
-
-
 # --- the canonical maps ------------------------------------------------------
-
-@pytest.mark.parametrize("label", GRID, ids=lambda x: f"{x.label}-{x.lam}")
-def test_canonical_maps_are_the_canonical_systems_maps(label):
-    c = TripleClass(systems._SYSTEM_TO_TRIPLE[label.label], label.lam)
-    maps = canonical_maps(c, 7)
-    assert maps.shape == (6, 4, 2) and not maps.flags.writeable
-    for s in range(1, 7):
-        assert np.array_equal(maps[s - 1], canonical_beta(c, s))
-    s = degree_index(7).levels[:, 0]
-    assert maps[s - 1].tobytes() == canonical_system(label, 7).stack.tobytes()
-
 
 def test_canonical_maps_keep_the_system_errors():
     for label in (SystemLabel("E1"), SystemLabel("E3", 2.0)):
@@ -259,35 +127,35 @@ def test_canonical_maps_keep_the_system_errors():
         canonical_system(SystemLabel("E3", 1e200), 2)
 
 
-@pytest.mark.parametrize("h", [3, 6, 12])
-def test_random_system_stacks_equal_the_canonical_system_construction(h):
-    for label in GRID:
-        for seed in range(5):
-            got = random_system(label, seed, h).stack
-            assert got.tobytes() == ref_random_system_stack(label, seed, h).tobytes()
+def test_generate_keeps_the_overflow_exit(capsys):
+    argv = ["generate", "--class", "E3", "--lambda", "4", "--horizon", "600"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --lambda overflows: complex exponentiation\n"
 
 
 # --- the batched draw of the level maps --------------------------------------
 
-@pytest.mark.parametrize("max_cond", [2.0, 5.0])
-@pytest.mark.parametrize("h", [3, 6, 12])
-def test_the_batched_draw_equals_the_one_per_draw_loop_when_candidates_are_refused(
-        monkeypatch, h, max_cond):
+# (horizon, MAX_COND, seeds) of the one-per-draw loop
+DRAWS = [(3, 50.0, range(8)), (6, 50.0, range(8)), (12, 50.0, range(20)), (32, 50.0, (0, 7))] + [
+    (h, max_cond, range(3)) for max_cond in (2.0, 5.0) for h in (3, 6, 12)]
+
+
+@pytest.mark.parametrize("h, max_cond, seeds", DRAWS, ids=[f"{h}-{c}" for h, c, _ in DRAWS])
+def test_random_system_is_the_one_per_draw_loop(monkeypatch, h, max_cond, seeds):
+    """The batched draw and the stack built from it equal the loop that drew
+    one candidate at a time and built the system from a dict of per-pair
+    maps: bit for bit, and as a build, where candidates are refused too."""
     monkeypatch.setattr(systems, "MAX_COND", max_cond)
-    seeds = range(3)
-    assert max(drawn(seed, h, max_cond) for seed in seeds) > h  # a second batch
+    if max_cond < 50:  # a second batch
+        assert max(drawn(seed, h, max_cond) for seed in seeds) > h
+    if (h, max_cond) == (12, 50.0):  # seed 12 refuses one candidate
+        assert drawn(12, 12, max_cond) == 13
     for label in GRID:
         for seed in seeds:
-            got = random_system(label, seed, h).stack
-            want = ref_random_system_stack(label, seed, h, max_cond=max_cond)
-            assert got.tobytes() == want.tobytes()
-
-
-def test_seed_12_at_horizon_12_refuses_one_candidate():
-    assert drawn(12, 12, systems.MAX_COND) == 13
-    for label in GRID:
-        got = random_system(label, 12, 12).stack
-        assert got.tobytes() == ref_random_system_stack(label, 12, 12).tobytes()
+            assert_same_build(random_system(label, seed, h),
+                              ref_random_system(label, seed, h, max_cond), "beta")
 
 
 @pytest.mark.parametrize("max_cond, seed, h", [(50.0, 0, 12), (50.0, 12, 12),
@@ -307,38 +175,7 @@ def test_cond_is_called_once_per_batch(monkeypatch, max_cond, seed, h):
     assert shapes == [(h, 2, 2)] * batches
 
 
-# --- the canonical filler and the cached left inverse -------------------------
-
-CLASSES = [TripleClass(systems._SYSTEM_TO_TRIPLE[x.label], x.lam) for x in GRID] + [
-    TripleClass("C3", 3), TripleClass("C3", -0.5)]
-
-
-@pytest.mark.parametrize("h", [3, 12, 64])
-def test_the_canonical_filler_equals_the_per_degree_table(h):
-    for c in CLASSES:
-        maps = canonical_maps(c, h)
-        for s in range(1, h):
-            want = ref_canonical_beta(c, s).tobytes()
-            assert maps[s - 1].tobytes() == want, (c, s)
-            assert canonical_beta(c, s).tobytes() == want, (c, s)
-
-
-@pytest.mark.parametrize("lam", [4, 4.0, 4 + 0j])
-def test_the_canonical_filler_keeps_the_overflow(lam):
-    c = TripleClass("C3", lam)
-    with pytest.raises(OverflowError) as want:
-        [ref_canonical_beta(c, s) for s in range(1, 600)]
-    with pytest.raises(OverflowError, match=f"^{re.escape(str(want.value))}$"):
-        canonical_maps(c, 600)
-
-
-def test_generate_keeps_the_overflow_exit(capsys):
-    argv = ["generate", "--class", "E3", "--lambda", "4", "--horizon", "600"]
-    assert cli_main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --lambda overflows: complex exponentiation\n"
-
+# --- the calls of a certified classification ---------------------------------
 
 @pytest.mark.parametrize("h", [6, 12])
 def test_a_certified_call_makes_one_svd_per_path_and_no_pinv(monkeypatch, h):
@@ -350,7 +187,8 @@ def test_a_certified_call_makes_one_svd_per_path_and_no_pinv(monkeypatch, h):
     moved by 1e-10 of its largest entry, which passes `check_axioms` and
     certifies."""
     inputs = [random_system(label, 40 + i, h) for i, label in enumerate(GRID)]
-    inputs.append(moved_entry(random_system(SystemLabel("E2"), 40, h), (2, 1), 1e-10))
+    e2 = random_system(SystemLabel("E2"), 40, h)
+    inputs.append(moved(e2, (2, 1), (0, 0), 1e-10 * np.abs(e2.stack).max()))
     calls, checks = [], []
     for name in dir(np.linalg):
         real = getattr(np.linalg, name)
@@ -382,19 +220,7 @@ def test_a_certified_call_makes_one_svd_per_path_and_no_pinv(monkeypatch, h):
     assert paths == [False] * len(GRID) + [True]
 
 
-def moved_entry(sys, key, rel):
-    """A copy of `sys` with entry [0, 0] of beta[key] moved by `rel` times the
-    largest entry of the stack."""
-    beta = {k: b.copy() for k, b in sys.beta.items()}
-    beta[key][0, 0] += rel * np.abs(sys.stack).max()
-    return SubproductSystem(sys.horizon, beta)
-
-
 # --- the left inverse of beta_can[1, 1] --------------------------------------
-
-U = np.finfo(float).eps / 2  # the unit roundoff
-LAMBDAS = (0.25, 0.5, 1, -1, 1j, 2 + 1j, 3, 4, 1.25, 1.5, -2, -4, 0.5j, 4j)
-
 
 def test_the_left_inverse_equals_pinv_for_c1_c2_c4_c5():
     for label in ("C1", "C2", "C4", "C5"):
@@ -414,7 +240,7 @@ def test_the_left_inverse_keeps_the_bits_of_numpys_division():
     maps = [canonical_beta(TripleClass(label), s) for label in ("C1", "C2", "C4", "C5")
             for s in (1, 2)]
     maps += [canonical_beta(TripleClass("C3", lam), 1)
-             for lam in [complex(x) for x in LAMBDAS] + list(drawn)]
+             for lam in [complex(x) for x in STRESS_LAMBDAS] + list(drawn)]
     for k in range(300):
         b = _complex(rng, (4, 2))
         b = np.round(b) if k % 3 == 0 else b
@@ -431,7 +257,7 @@ def test_the_left_inverse_keeps_the_bits_of_numpys_division():
 def test_the_c3_left_inverse_is_pinv_within_rounding():
     rng = np.random.default_rng(8)
     drawn = 10.0 ** rng.uniform(-3, 3, 200) * np.exp(2j * np.pi * rng.random(200))
-    for lam in [complex(x) for x in LAMBDAS] + list(drawn):
+    for lam in [complex(x) for x in STRESS_LAMBDAS] + list(drawn):
         b = canonical_beta(TripleClass("C3", lam), 1)
         left = np.array(systems._left_inverse(b.tolist()))
         assert np.linalg.norm(left - np.linalg.pinv(b)) <= 4 * U * np.linalg.norm(left), lam
@@ -487,10 +313,6 @@ def test_extend_levels_equals_the_kron_loop_bitwise(n):
                          @ np.abs(args[2][k]))
         levels = np.arange(n + 1)[:, None, None]
         assert (np.abs(got - np.stack(want)) <= 16 * levels * U * np.stack(bound)).all()
-
-
-STRESS_GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
-    SystemLabel("E3", complex(lam)) for lam in LAMBDAS]
 
 
 def kron_loop_levels(sys):

@@ -1,14 +1,18 @@
 """The one table of canonical maps and the pairwise image check.
 
-The hand-written tables that `canonical_beta` replaced are kept here as the
-reference: the canonical systems and triples must be bit-identical to them.
+The hand-written tables that `canonical_beta` and `canonical_maps` replaced
+are kept here as the reference: the canonical maps, systems and triples must
+be bit-identical to them.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from spsys2d.classify import TripleClass, canonical_triple
-from spsys2d.graded import check_image_condition
+from refs import GRID
+from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, canonical_triple
+from spsys2d.graded import check_image_condition, degree_index
 from spsys2d.systems import SystemLabel, canonical_system, dualize, random_system
 from spsys2d.tensorlinalg import I2, Subspace, kron
 
@@ -16,32 +20,33 @@ LAMBDAS = (0.25, -1, 1j, 2 + 1j, 4, 1 - 1j, 1e-3, 1e3)
 LABELS = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
     SystemLabel("E3", lam) for lam in LAMBDAS
 ]
+# the labels of the table test: the benchmark grid, LABELS, and E3 at a real
+# lambda given as an int and as a float
+TABLE_LABELS = list(GRID) + LABELS[4:] + [SystemLabel("E3", 3), SystemLabel("E3", -0.5)]
+
+
+def _triple_class(label):
+    return TripleClass("C" + label.label[1], label.lam)
 
 
 # --- reference: the separate system and triple tables ------------------------
 
-def ref_canonical_beta(label, s):
+def ref_canonical_beta(c, s):
+    """canonical_beta as it was: one 4x2 map filled entry by entry."""
     b = np.zeros((4, 2), dtype=complex)
-    name = label.label
-    if name == "E1":
-        b[0, 0] = 1
-        b[3, 1] = 1
-    elif name == "E2":
-        if s % 2 == 0:
-            b[0, 0] = 1
-            b[3, 1] = 1
-        else:
-            b[1, 0] = 1
-            b[2, 1] = 1
-    elif name == "E3":
-        b[0, 0] = 1
+    if c.label == "C2" and s % 2:
+        b[1, 0] = 1
         b[2, 1] = 1
-        b[1, 1] = label.lam ** s
-    elif name == "E4":
-        b[0, 0] = 1
+        return b
+    b[0, 0] = 1
+    if c.label in ("C1", "C2"):
+        b[3, 1] = 1
+    elif c.label == "C3":
+        b[2, 1] = 1
+        b[1, 1] = c.lam ** s
+    elif c.label == "C4":
         b[2, 1] = 1
     else:
-        b[0, 0] = 1
         b[1, 1] = 1
     return b
 
@@ -73,14 +78,37 @@ def ref_canonical_triple(c):
             Subspace.from_spanning(np.column_stack(v3)).basis)
 
 
+@pytest.mark.parametrize("label", TABLE_LABELS, ids=str)
+def test_the_canonical_maps_are_the_per_degree_table_bit_for_bit(label):
+    """`canonical_maps` (read-only, one map per degree), `canonical_beta` and
+    the stack of `canonical_system`, gathered from the maps by degree and
+    keyed by the pairs in order, against the table filled entry by entry."""
+    c = _triple_class(label)
+    for h in (3, 6, 7, 12, 64):
+        want = np.stack([ref_canonical_beta(c, s) for s in range(1, h)])
+        maps = canonical_maps(c, h)
+        assert maps.shape == (h - 1, 4, 2) and not maps.flags.writeable
+        assert maps.tobytes() == want.tobytes(), h
+        for s in range(1, h):
+            assert canonical_beta(c, s).tobytes() == want[s - 1].tobytes(), (h, s)
+        idx = degree_index(h)
+        sys = canonical_system(label, h)
+        assert list(sys.beta) == list(idx.pairs)
+        assert sys.stack.tobytes() == want[idx.levels[:, 0] - 1].tobytes(), h
+
+
+@pytest.mark.parametrize("lam", [4, 4.0, 4 + 0j])
+def test_the_canonical_filler_keeps_the_overflow(lam):
+    c = TripleClass("C3", lam)
+    with pytest.raises(OverflowError) as want:
+        [ref_canonical_beta(c, s) for s in range(1, 600)]
+    with pytest.raises(OverflowError, match=f"^{re.escape(str(want.value))}$"):
+        canonical_maps(c, 600)
+
+
 @pytest.mark.parametrize("label", LABELS, ids=str)
-def test_canonical_tables_are_bit_identical_to_the_separate_tables(label):
-    for h in (3, 6, 12):
-        beta = canonical_system(label, h).beta
-        assert set(beta) == {(s, t) for s in range(1, h) for t in range(1, h - s + 1)}
-        for (s, t), b in beta.items():
-            assert np.array_equal(b, ref_canonical_beta(label, s)), (h, s, t)
-    c = TripleClass("C" + label.label[1], label.lam)
+def test_canonical_triples_are_bit_identical_to_the_separate_table(label):
+    c = _triple_class(label)
     t = canonical_triple(c)
     want_e2, want_e3 = ref_canonical_triple(c)
     assert np.array_equal(t.E2.basis, want_e2)

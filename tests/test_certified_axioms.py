@@ -1,9 +1,11 @@
-"""`classify_system` checks the axioms last, and skips `check_axioms` when the
-certificate's error bound (`systems._axioms_proved`) already decides it.
+"""`classify_system` checks the axioms last, skips `check_axioms` when the
+certificate's error bound (`systems._axioms_proved`) already decides it, and
+certifies against the canonical maps without building a canonical system.
 
-The order it replaced, axioms first, is kept here as the reference: every
-outcome must be the same, bit for bit (theta, residuals, label, lambda), or
-the same refusal with the same message.  The bound must be sound: whenever it
+The path it replaced, axioms first and certified against `canonical_system`
+(`refs.ref_classify_system`), is the reference: every outcome must be the
+same, bit for bit (theta, residuals, label, lambda, rank and margin), or the
+same refusal with the same message.  The bound must be sound: whenever it
 says "pass", `check_axioms` passes.
 """
 
@@ -13,79 +15,21 @@ import warnings
 import numpy as np
 import pytest
 
+from refs import GRID, STRESS_GRID, bitwise_outcome, moved, ref_classify_system
 from spsys2d import systems
-from spsys2d.classify import canonical_maps, classify_plane
-from spsys2d.graded import (GradedMorphism, degree_index, extend_levels, extend_morphism,
-                            intertwining_defects, is_isomorphism, singular_levels,
+from spsys2d.graded import (GradedMorphism, degree_index, extend_morphism, is_isomorphism,
                             triple_residuals)
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
-                             axiom_text, canonical_system, check_axioms, classify_system,
-                             dualize, iso_residuals, random_system)
-from spsys2d.tensorlinalg import Subspace, residual_tol
+                             canonical_system, check_axioms, classify_system, dualize,
+                             iso_residuals, random_system)
 
-GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
-    SystemLabel("E3", complex(lam))
-    for lam in (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0)
-]
 EPSES = (1e-6, 1e-9, 1e-12)
 
 
-# --- reference: the axioms first ---------------------------------------------
-
-def ref_classify_axioms_first(sys, eps):
-    """classify_system with `check_axioms` as its first stage."""
-    report = check_axioms(sys, eps)
-    if not report.passed:
-        raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
-    e2 = Subspace.from_spanning(sys.stack[0], eps=eps)
-    try:
-        plane = classify_plane(e2, eps)
-    except ValueError as exc:
-        raise ClassifyStageError("classify-triple", str(exc)) from exc
-    label = SystemLabel.from_triple_class(plane.label)
-    h, idx = sys.horizon, degree_index(sys.horizon)
-    maps = canonical_maps(plane.label, h)
-    theta = extend_levels(plane.iso.theta, systems._left_inverse(maps[0].tolist()),
-                          sys.stack[:h - 1], plane.label.lam)
-    if singular_levels(theta, eps).any():
-        raise ClassifyStageError("extend-morphism", "extended morphism is singular")
-    residuals = intertwining_defects(theta, sys.stack, maps[idx.levels[:, 0] - 1])[1]
-    worst = residuals.max()
-    if worst > residual_tol(eps):
-        raise ClassifyStageError(
-            "extend-morphism", f"level maps fail to intertwine (residual {worst:.3g})")
-    return label, theta, plane, dict(zip(idx.pairs, residuals.tolist()))
-
-
-def outcome(sys, eps, reference):
-    """The refusal's stage and message (or the exception's type and message),
-    or label, lambda, rank, margin, theta bit for bit and the residuals."""
-    try:
-        if reference:
-            label, theta, plane, residuals = ref_classify_axioms_first(sys, eps)
-            rank, margin = plane.rank, plane.rank_margin
-        else:
-            r = classify_system(sys, eps)
-            label, theta = r.label, np.stack([r.iso.theta[t] for t in sorted(r.iso.theta)])
-            rank, margin, residuals = r.rank, r.rank_margin, r.residuals
-    except ClassifyStageError as exc:
-        return (exc.stage, str(exc))
-    except Exception as exc:  # noqa: BLE001 - any exception must match too
-        return (type(exc).__name__, str(exc))
-    return ("ok", label.label, label.lam, rank, margin, theta.tobytes(),
-            tuple(residuals), np.array(list(residuals.values())).tobytes())
-
-
-def moved(sys, key, entry, delta):
-    """A copy of `sys` with one entry of beta[key] moved by delta."""
-    beta = {k: b.copy() for k, b in sys.beta.items()}
-    beta[key][entry] += delta
-    return SubproductSystem(sys.horizon, beta)
-
-
 def identity_inputs():
-    """The grid at h = 6, 12, 20, clean and with one entry moved by 1e-13 to
-    1e-3 of the largest entry, at a pair that varies with the input."""
+    """The grid at h = 6, 12, 20: one seed clean and with one entry moved by
+    1e-13 to 1e-3 of the largest entry, at a pair that varies with the input;
+    three more seeds clean."""
     for h in (6, 12, 20):
         pairs = degree_index(h).pairs
         for i, label in enumerate(GRID):
@@ -95,6 +39,8 @@ def identity_inputs():
             for j, delta in enumerate((1e-13, 1e-10, 1e-7, 1e-5, 1e-3)):
                 key = pairs[(7 * i + 5 * j) % len(pairs)]
                 yield moved(sys, key, ((i + j) % 4, j % 2), delta * scale)
+            for seed in range(3):
+                yield random_system(label, 1000 * h + 10 * i + seed, h)
 
 
 @pytest.fixture
@@ -114,14 +60,14 @@ def axiom_checks(monkeypatch):
 # --- decision identity -------------------------------------------------------
 
 @pytest.mark.parametrize("eps", EPSES)
-def test_every_outcome_is_the_axioms_first_outcome(axiom_checks, eps):
+def test_every_outcome_is_the_canonical_system_paths_bit_for_bit(axiom_checks, eps):
     paths = set()
     for sys in identity_inputs():
         axiom_checks.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # nothing the reference does not warn about
-            got = outcome(sys, eps, reference=False)
-        assert got == outcome(sys, eps, reference=True), got[:2]
+            got = bitwise_outcome(classify_system, sys, eps)
+        assert got == bitwise_outcome(ref_classify_system, sys, eps), got[:2]
         paths.add((got[0], len(axiom_checks)))
     # the bound decided, the fallback passed, and the fallback refused
     assert {("ok", 0), ("ok", 1), ("axioms", 1)} <= paths
@@ -140,10 +86,6 @@ def test_the_bound_decides_most_calls_of_the_benchmark_grid(axiom_checks):
 
 # --- the stress grid ------------------------------------------------------------
 
-STRESS_GRID = [SystemLabel(x) for x in ("E1", "E2", "E4", "E5")] + [
-    SystemLabel("E3", complex(lam))
-    for lam in (0.25, 0.5, 1, -1, 1j, 2 + 1j, 3, 4, 1.25, 1.5, -2, -4, 0.5j, 4j)
-]
 # per horizon: (inputs that pass check_axioms, calls the bound leaves to
 # check_axioms); the 38 and 60 inputs that fail at h = 20 and 32 are E3 with
 # |lambda| > 1, whose maps lose rank in float64: the lambda^s presentation is
@@ -295,10 +237,10 @@ REFUSAL_TEXTS = {
 def test_an_input_that_breaks_a_speculative_stage_is_refused_at_axioms(name):
     sys = REFUSED_FIRST[name]
     want = ("axioms", f"[axioms] input fails the axioms: {REFUSAL_TEXTS[name]}")
-    assert outcome(sys, 1e-9, reference=True) == want
+    assert bitwise_outcome(ref_classify_system, sys, 1e-9) == want
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert outcome(sys, 1e-9, reference=False) == want
+        assert bitwise_outcome(classify_system, sys, 1e-9) == want
 
 
 def test_any_exception_of_a_stage_defers_to_the_axioms(monkeypatch):

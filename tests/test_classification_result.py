@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import spsys2d
+from refs import GRID
 from spsys2d import classify, cli, serialize, systems
 from spsys2d.classify import (Classification, NotSubproductTripleError, TripleClass,
                               canonical_triple, classify_plane, classify_triple)
@@ -23,9 +24,6 @@ from spsys2d.systems import (ClassifyStageError, SystemLabel, canonical_system, 
                              classify_system, dualize, iso_residuals, random_system,
                              triple_of_system)
 
-# the cells of the benchmark grid
-CELLS = tuple(SystemLabel(x) for x in ("E1", "E2", "E4", "E5")) + tuple(
-    SystemLabel("E3", complex(lam)) for lam in (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0))
 TOLERANCES = (1e-6, 1e-9, 1e-12)
 
 
@@ -85,7 +83,7 @@ def _written(tmp_path, name, obj):
 
 def _inputs(horizon=6):
     """(name, object) for a scrambled system, its dual and its triple per cell."""
-    for i, label in enumerate(CELLS):
+    for i, label in enumerate(GRID):
         s = random_system(label, 1000 + i, horizon)
         yield f"sys{i}", s
         yield f"dual{i}", dualize(s)
@@ -169,7 +167,7 @@ class TestComputedOnce:
     def test_classify_system_runs_no_triple_check(self, monkeypatch):
         counts = self._count(monkeypatch, self.TRIPLE_CHECKS + (
             (classify, "_plane_form"),))
-        for i, label in enumerate(CELLS):
+        for i, label in enumerate(GRID):
             counts.clear()
             assert classify_system(random_system(label, 70 + i, 6)).label.label == label.label
             assert counts == Counter(_plane_form=1), (label, dict(counts))

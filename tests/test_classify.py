@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from refs import random_gl2
 from spsys2d import classify
 from spsys2d.classify import (
     NotSubproductTripleError,
@@ -19,13 +20,6 @@ from spsys2d.tensorlinalg import DEFAULT_EPS, E1, E2, Subspace, kron
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def _random_gl2(rng, max_cond=50.0):
-    while True:
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if np.linalg.cond(g) <= max_cond:
-            return g
 
 
 def _span(*vectors):
@@ -55,7 +49,7 @@ class TestPlaneRank:
     def test_rank_invariant_under_factor_maps(self):
         rng = _rng(5)
         for _ in range(10):
-            g1, g2 = _random_gl2(rng), _random_gl2(rng)
+            g1, g2 = random_gl2(rng), random_gl2(rng)
             big = np.kron(g1, g2)
             for plane, want in [
                 (_span(kron(E1, E1), kron(E2, E2)), 2),
@@ -176,7 +170,7 @@ class TestProductInIntersectionByResidual:
         # only up to roundoff has noise roots, which the residual passes over
         rng = _rng(7)
         for _ in range(100):
-            g = np.kron(*([_random_gl2(rng)] * 2))
+            g = np.kron(*([random_gl2(rng)] * 2))
             for L12, L23 in ((LEFT, RIGHT), (RIGHT, LEFT), (LEFT, LEFT), (RIGHT, RIGHT)):
                 L12, L23 = L12.map_by(g), L23.map_by(g)
                 got = product_in_intersection(L12, L23)
@@ -257,7 +251,7 @@ class TestClassifyConjugated:
         rng = _rng(hash((label, str(lam))) % 2**31)
         base = canonical_triple(TripleClass(label, lam))
         for _ in range(10):
-            g = _random_gl2(rng)
+            g = random_gl2(rng)
             g2 = np.kron(g, g)
             g3 = np.kron(g2, g)
             t = Triple(E2=base.E2.map_by(g2), E3=base.E3.map_by(g3))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from refs import SWAP, random_gl2
 from spsys2d.graded import (
     CATALOG_NAMES,
     GradedMorphism,
@@ -20,15 +21,6 @@ from spsys2d.graded import (
     twist,
 )
 from spsys2d.tensorlinalg import DEFAULT_EPS, I2, kron
-
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _random_gl2(rng):
-    while True:
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if np.linalg.cond(g) <= 50:
-            return g
 
 
 class TestCatalog:
@@ -90,7 +82,7 @@ class TestAutomorphisms:
         for name in ("D1", "D2", "D3", "D4"):
             d = catalog(name)
             for _ in range(100):
-                assert not is_automorphism(d, _random_gl2(rng))
+                assert not is_automorphism(d, random_gl2(rng))
 
     def test_singular_map_is_not_automorphism(self):
         assert not is_automorphism(catalog("D1"), np.zeros((2, 2)))
@@ -194,7 +186,7 @@ class TestExtendMorphism:
         # norm keeps the residual scale meaningful)
         def well_conditioned():
             while True:
-                m = _random_gl2(rng)
+                m = random_gl2(rng)
                 if np.linalg.cond(m) <= 20:
                     return m / np.linalg.norm(m, 2)
 
@@ -262,6 +254,14 @@ class TestExtendMorphism:
         with pytest.raises(NotExtendableError, match="kernel leak"):
             extend_morphism(g, target, np.eye(2), np.eye(2))
 
+    def test_level_maps_that_overflow_are_refused(self):
+        """theta_n = 2^(400 n) I2 overflows from level 3 on, where its kernel
+        leak is NaN: a NaN fails the test, as it fails the certificate's."""
+        g = build_graded(catalog("D1"), I2, 6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotExtendableError, match=r"^theta_3 .* \(kernel leak nan\)$"):
+                extend_morphism(g, g, 2**400 * I2, 2**800 * I2)
+
 
 class TestNamedRefusals:
     """Malformed level maps are refused by name, at construction."""
@@ -298,6 +298,13 @@ class TestNamedRefusals:
             GradedMorphism(g, build_graded(catalog("D1"), np.eye(2), 5), np.stack([I2] * 5))
         with pytest.raises(ValueError, match="^no level maps$"):
             GradedMorphism(g, g, {})
+        for value in (np.nan, np.inf):
+            levels = np.stack([I2] * 5)
+            levels[4, 0, 1] = value  # past the horizon too
+            with pytest.raises(ValueError, match="^non-finite entries are not admitted$"):
+                GradedMorphism(g, g, levels)
+            with pytest.raises(ValueError, match="^non-finite entries are not admitted$"):
+                twist(g, dict(enumerate(levels, 1)))
 
     @pytest.mark.parametrize("theta1, theta2", [(np.eye(3), np.eye(2)),
                                                 (np.eye(2), np.ones((2, 4))),

@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+from refs import GRID_LAMBDAS, U
 from spsys2d import classify
 from spsys2d.classify import (
     Classification,
@@ -50,10 +51,9 @@ from spsys2d.tensorlinalg import (
 )
 
 # the benchmark's E3 lambda grid, and |lambda| at 1e-2 and 1e2
-LAMBDAS = (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0, 1e-2, -1e-2j, 1e2, 1e2j)
+LAMBDAS = GRID_LAMBDAS + (1e-2, -1e-2j, 1e2, 1e2j)
 BANDS = (0.0, 0.3, 1.0, 3.0, 5.0)  # y (x) y component, in units of residual_tol
 EPS = (1e-6, 1e-9, 1e-12)
-U = 2.0 ** -53  # unit roundoff
 
 
 # --- reference: the SVD-based plane read that the closed forms replaced ------

@@ -9,10 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from refs import U
 from spsys2d.classify import TripleClass, canonical_beta
 from spsys2d.tensorlinalg import Subspace, span_basis2, span_rank
-
-U = np.finfo(float).eps / 2  # the unit roundoff
 
 
 def exact_gram_defect(cols) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from refs import SWAP
 from spsys2d.classify import TripleClass, canonical_triple
 from spsys2d.graded import GradedAlgebra, build_graded, catalog, degree_index
 from spsys2d.systems import (
@@ -16,8 +17,6 @@ from spsys2d.systems import (
     random_system,
     triple_of_system,
 )
-
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 ALL_LABELS = [
     SystemLabel("E1"),

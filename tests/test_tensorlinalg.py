@@ -68,12 +68,12 @@ class TestBasics:
             as_cvec([np.nan, 1.0])
 
     def test_projective(self):
-        v = _projective((2j, 1 + 0j), DEFAULT_EPS)
+        v = _projective((2j, 1 + 0j))
         assert v[0] == 1.0  # largest magnitude becomes 1
-        w = _projective((1 + 0j, -1 + 0j), DEFAULT_EPS)
+        w = _projective((1 + 0j, -1 + 0j))
         assert w == (1.0, -1.0)  # tie broken toward the lower index
         with pytest.raises(ValueError):
-            _projective((0j, 0j), DEFAULT_EPS)
+            _projective((0j, 0j))
 
 
 class TestSubspace:

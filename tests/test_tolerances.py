@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import spsys2d
+from refs import U
 from spsys2d import serialize, tensorlinalg as tl
 from spsys2d.graded import (GradedAlgebra, NotAutomorphismError, build_graded, catalog,
                             is_automorphism, kernel_subspace, singular_levels, twist)
@@ -26,6 +27,7 @@ EPSES = (1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2)
 GUARDS = {
     "GRAM_TOL": 1e-7,
     "FRAME_TOL": 1e-12,
+    "PIVOT_TOL": 1e-9,
     "ZERO_SCALE": 1e-300,
 }
 
@@ -103,9 +105,6 @@ def test_singular_levels_flags_one_singular_map():
     theta[4] = np.array([[1, 2], [2, 4]], dtype=complex)
     assert singular(theta, 5)
     assert not singular(theta, 3)
-
-
-U = np.finfo(float).eps / 2  # the unit roundoff
 
 
 def _levels_with_ratios(ratio, rng):

@@ -1,7 +1,8 @@
-"""Outcome census of `classify_system`: one sha256 over what it returns or
-refuses on a grid of scrambled systems, each clean and with one entry moved.
+"""Outcome census of the numeric pipeline: one sha256 over what
+`classify_system`, the graded side and the CLI return or refuse on a grid of
+scrambled systems, each clean and with one entry moved.
 
-    python tools/census.py                         # the full grid, ~3 s
+    python tools/census.py                         # the full grid, ~5 s
     python tools/census.py --seeds 1 --horizons 4  # a small grid, under 1 s
 
 The grid is the benchmark's 12 cells (E1, E2, E4, E5 and E3 over eight
@@ -11,9 +12,21 @@ and with one seeded entry moved by 1e-9, 1e-6 and 1e-3 times its largest
 |entry|.  A record holds the label, lambda, rank and rank margin, the theta
 stack's bytes, the certificate's residuals and those `iso_residuals` gives
 against the canonical system, every float by `float.hex`; or, for a refusal,
-the exception's type, stage and text.  The script imports the package from
-the `src/` of its own checkout, so two checkouts that print the same line
-classify the grid bit for bit alike.  It prints
+the exception's type, stage and text.  At each horizon the hash also takes,
+for each cell's clean system of the first seed: `extend_morphism` from the
+dual of the canonical system onto the dual of the scrambled one, from theta_1
+and theta_2 of `classify_system` transposed (its theta bytes,
+`level_residuals` and `is_isomorphism`, or the refusal); and, for every third
+cell (E1, E5, E3 at -1 and 2+i), the exit code and the text that `spsys2d
+classify` (text and JSON), `check` and `dualize` print for its file.  And it
+takes the graded side: `build_graded` of each catalog algebra with each
+candidate eta, and `twist` of each such algebra by each candidate as a
+constant level family (each stack's bytes, or the refusal).
+The counts in the output line are those of the `classify_system` records.
+The script imports the package from the `src/` of its own checkout, so two
+checkouts that print the same line compute the grid bit for bit alike: to
+check a change, run it in the change's checkout and in the parent's (from
+`git archive`).  It prints
 
     sha256 <hex> records <n> refusals <r>
 """
@@ -21,26 +34,41 @@ classify the grid bit for bit alike.  It prints
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from spsys2d import cli, serialize  # noqa: E402
+from spsys2d.graded import (  # noqa: E402
+    CATALOG_NAMES, build_graded, catalog, extend_morphism, is_isomorphism, twist,
+)
 from spsys2d.systems import (  # noqa: E402
-    SubproductSystem, SystemLabel, canonical_system, classify_system, iso_residuals,
+    SubproductSystem, SystemLabel, canonical_system, classify_system, dualize, iso_residuals,
     random_system,
 )
 
 CELLS = tuple(SystemLabel(x) for x in ("E1", "E2", "E4", "E5")) + tuple(
     SystemLabel("E3", complex(lam)) for lam in (0.25, 0.5, -1.0, 1.0, 1j, 2 + 1j, 3.0, 4.0))
 MOVES = (0.0, 1e-9, 1e-6, 1e-3)
+# the candidate eta of `build_graded` and constant levels of `twist`
+ETAS = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])) + tuple(
+    np.diag([1, lam]) for lam in (2.0, -0.5, 1j, 1 + 1j))
+COMMANDS = (("classify",), ("classify", "--format", "json"), ("check",), ("dualize",))
 
 
 def _floats(residuals: dict) -> list:
     return [(key, value.hex()) for key, value in residuals.items()]
+
+
+def refusal(exc: Exception) -> tuple:
+    return type(exc).__name__, getattr(exc, "stage", None), str(exc)
 
 
 def outcome(system: SubproductSystem) -> tuple:
@@ -48,13 +76,60 @@ def outcome(system: SubproductSystem) -> tuple:
     try:
         result = classify_system(system)
     except Exception as exc:  # noqa: BLE001 - a refusal of any kind is an outcome
-        return True, (type(exc).__name__, getattr(exc, "stage", None), str(exc))
+        return True, refusal(exc)
     label, iso = result
     lam = None if label.lam is None else (label.lam.real.hex(), label.lam.imag.hex())
     canonical = canonical_system(label, system.horizon)
     return False, (label.label, lam, result.rank, float(result.rank_margin).hex(),
                    iso.stack.tobytes(), _floats(result.residuals),
                    _floats(iso_residuals(system, canonical, iso)))
+
+
+def extension(system: SubproductSystem) -> tuple:
+    """`extend_morphism` from the dual of the canonical system onto the dual
+    of `system`, from theta_1 and theta_2 of `classify_system`, transposed."""
+    try:
+        result = classify_system(system)
+        theta = result.iso.stack
+        m = extend_morphism(dualize(canonical_system(result.label, system.horizon)),
+                            dualize(system), theta[0].T, theta[1].T)
+    except Exception as exc:  # noqa: BLE001 - a refusal of any kind is an outcome
+        return refusal(exc)
+    return m.stack.tobytes(), _floats(m.level_residuals()), is_isomorphism(m)
+
+
+def graded_side(h: int):
+    """Each catalog algebra with each candidate eta, and its twists by each
+    candidate as a constant family: (name, index of eta, index of the twist's
+    level or None, record)."""
+    for name in CATALOG_NAMES:
+        for i, eta in enumerate(ETAS):
+            try:
+                g = build_graded(catalog(name), eta, h)
+            except Exception as exc:  # noqa: BLE001
+                yield name, i, None, refusal(exc)
+                continue
+            yield name, i, None, g.stack.tobytes()
+            for j, f in enumerate(ETAS):
+                try:
+                    record = twist(g, lambda t, f=f: f).stack.tobytes()
+                except Exception as exc:  # noqa: BLE001
+                    record = refusal(exc)
+                yield name, i, j, record
+
+
+def printed(systems: list):
+    """(file, command, exit code, stdout, stderr) of the CLI on each system's
+    file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, system in enumerate(systems):
+            path = Path(tmp) / f"{n}.json"
+            path.write_text(serialize.dumps_canonical(serialize.to_json(system)))
+            for command in COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([*command, str(path)])
+                yield n, command, code, out.getvalue(), err.getvalue()
 
 
 def census(seeds: int, horizons: list) -> tuple:
@@ -75,6 +150,13 @@ def census(seeds: int, horizons: list) -> tuple:
                     digest.update(repr((cell, seed, h, move, record)).encode())
                     records += 1
                     refusals += refused
+        scrambled = [random_system(cell, 7, h) for cell in CELLS]
+        for cell, system in zip(CELLS, scrambled):
+            digest.update(repr((cell, h, extension(system))).encode())
+        for record in graded_side(h):
+            digest.update(repr((h, record)).encode())
+        for record in printed(scrambled[::3]):
+            digest.update(repr((h, record)).encode())
     return digest.hexdigest(), records, refusals
 
 
