@@ -6,15 +6,14 @@ triples into the five canonical families C1..C5 with an explicit isomorphism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .common import quad_coeffs
 from .tensorlinalg import (
-    DEFAULT_EPS, FRAME_TOL, I2, Subspace, _binary_roots, _cross, _factor, _norm, _projective,
-    _real_peak, _unit, annihilator, det_bilinear, intersect, kron, require_finite,
-    residual_tol, singular_values2,
+    DEFAULT_EPS, FRAME_TOL, I2, Record, Subspace, ValueRecord, _binary_roots, _cross, _factor,
+    _norm, _projective, _real_peak, _unit, annihilator, det_bilinear, intersect, kron,
+    require_finite, residual_tol, singular_values2,
 )
 
 LABELS = ("C1", "C2", "C3", "C4", "C5")
@@ -220,12 +219,14 @@ def product_in_intersection(L12: Subspace, L23: Subspace, eps: float = DEFAULT_E
 # Identical-factor triples
 
 
-@dataclass(frozen=True, eq=False)
-class Triple:
+class Triple(Record):
     """The data (E2, E3) of an identical-factor triple; E1 is implicitly C^2."""
 
-    E2: Subspace
-    E3: Subspace
+    __slots__ = _shown = ("E2", "E3")
+
+    def __init__(self, E2: Subspace, E3: Subspace):
+        object.__setattr__(self, "E2", E2)
+        object.__setattr__(self, "E3", E3)
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         if self.E2.ambient_dim != 4 or self.E2.dim != 2:
@@ -241,13 +242,18 @@ class Triple:
                 )
 
 
-@dataclass(frozen=True)
-class TripleClass:
-    label: str  # C1..C5
-    lam: complex | None = None
+class TripleClass(ValueRecord):
+    """A class C1..C5, with the lambda of C3."""
 
-    def __post_init__(self):
-        check_label(self.label, self.lam, LABELS, "label")
+    __slots__ = _shown = ("label", "lam")
+
+    def __init__(self, label: str, lam: complex | None = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lam", lam)
+        check_label(label, lam, LABELS, "label")
+
+    def _fields(self) -> tuple:
+        return self.label, self.lam
 
 
 def check_label(label: str, lam, labels: tuple, noun: str) -> None:
@@ -262,11 +268,13 @@ def check_label(label: str, lam, labels: tuple, noun: str) -> None:
         raise ValueError(f"label {label} carries no lambda")
 
 
-@dataclass(frozen=True, eq=False)
-class TripleIso:
+class TripleIso(Record):
     """theta maps the input triple onto the canonical triple of its class."""
 
-    theta: np.ndarray
+    __slots__ = _shown = ("theta",)
+
+    def __init__(self, theta: np.ndarray):
+        object.__setattr__(self, "theta", theta)
 
     def apply2(self, s: Subspace, eps: float = DEFAULT_EPS) -> Subspace:
         return s.map_by(kron(self.theta, self.theta), eps)
@@ -276,8 +284,7 @@ class TripleIso:
         return s.map_by(t3, eps)
 
 
-@dataclass(frozen=True, eq=False)
-class Classification:
+class Classification(Record):
     """A class, the isomorphism onto its canonical representative, the rank
     of the plane E2 with its margin, and the certificate residual per pair
     (s, t), empty for a triple.  Unpacks as `label, iso`.  The rank counts
@@ -285,13 +292,19 @@ class Classification:
     max(1, s0); the margin is the least max(s/thr, thr/s) over s > 0 (inf for
     a zero form), near 1 for a shaky call.  At rank 1 it is thr/s1 with s1 at
     roundoff, so it measures rounding, not distance to a flip: 1.3e7 to 2.2e7
-    on `random_system(SystemLabel("E3", 0.5), seed, 6)`, seeds 0-3."""
+    on `random_system(SystemLabel("E3", 0.5), seed, 6)`, seeds 0-3.  With no
+    `residuals`, a new empty dict."""
 
-    label: TripleClass  # or systems.SystemLabel
-    iso: TripleIso  # or systems.SystemIso
-    rank: int
-    rank_margin: float
-    residuals: dict = field(default_factory=dict)
+    __slots__ = _shown = ("label", "iso", "rank", "rank_margin", "residuals")
+
+    def __init__(self, label: TripleClass, iso: TripleIso, rank: int, rank_margin: float,
+                 residuals: dict | None = None):
+        # label and iso: or a systems.SystemLabel and systems.SystemIso
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "iso", iso)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rank_margin", rank_margin)
+        object.__setattr__(self, "residuals", {} if residuals is None else residuals)
 
     def __iter__(self):
         return iter((self.label, self.iso))

@@ -234,8 +234,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    import dataclasses
-
     from . import serialize
     from .classify import Triple
     from .graded import GradedAlgebra
@@ -257,7 +255,8 @@ def cmd_check(args) -> int:
     sys_obj = dualize(obj) if isinstance(obj, GradedAlgebra) else obj
     rep = check_axioms(sys_obj, args.tolerance)
     if args.format == "json":
-        _write(args, serialize.dumps_canonical(dataclasses.asdict(rep)))
+        _write(args, serialize.dumps_canonical({name: getattr(rep, name)
+                                                for name in rep.__slots__}))
     else:
         status = "PASS" if rep.passed else "FAIL"
         _write(args, f"check: {status} ({axiom_text(rep)})")

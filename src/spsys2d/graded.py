@@ -12,13 +12,12 @@ import functools
 import itertools
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .tensorlinalg import (
-    DEFAULT_EPS, I2, Subspace, _masked_null_spaces, _null_space, as_cmat, kron, matmul2,
+    DEFAULT_EPS, I2, Record, Subspace, _masked_null_spaces, _null_space, as_cmat, kron, matmul2,
     rank_deficient, require_finite, residual_tol, span_rank,
 )
 
@@ -56,18 +55,18 @@ class NotExtendableError(MorphismError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Algebra2:
+class Algebra2(Record):
     """A two-dimensional algebra given by its structure constants."""
 
-    mult: np.ndarray = field(repr=False)
-    name: str | None = None
+    __slots__ = ("mult", "name")
+    _shown = ("name",)
 
-    def __post_init__(self):
-        m = as_cmat(self.mult)
+    def __init__(self, mult: np.ndarray, name: str | None = None):
+        m = as_cmat(mult)
         if m.shape != (2, 4):
             raise ValueError("structure constants must form a 2x4 matrix")
         object.__setattr__(self, "mult", m)
+        object.__setattr__(self, "name", name)
 
 
 def catalog(name: str) -> Algebra2:
@@ -97,18 +96,21 @@ def is_automorphism(d: Algebra2, m, eps: float = DEFAULT_EPS) -> bool:
 _SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class AutomorphismFamily:
+class AutomorphismFamily(Record):
     """Closed-form description of an algebra's automorphism group.
 
     `maps` lists the isolated automorphisms; `one_parameter` (for D2) maps a
     nonzero scalar to the member of the continuous family.
     """
 
-    algebra: str
-    maps: tuple
-    one_parameter: object | None = None
-    description: str = ""
+    __slots__ = _shown = ("algebra", "maps", "one_parameter", "description")
+
+    def __init__(self, algebra: str, maps: tuple, one_parameter: object | None = None,
+                 description: str = ""):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "one_parameter", one_parameter)
+        object.__setattr__(self, "description", description)
 
 
 def automorphism_description(name: str) -> AutomorphismFamily:
@@ -124,8 +126,7 @@ def automorphism_description(name: str) -> AutomorphismFamily:
     raise ValueError(f"automorphism description only covers D1..D4, not {name!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeIndex:
+class DegreeIndex(Record):
     """The degree pairs (s, t) with s + t <= horizon and triples (r, s, t)
     with r + s + t <= horizon, in nested-loop order.
 
@@ -137,15 +138,21 @@ class DegreeIndex:
     (r, s + t), to gather stacked per-pair maps.
     """
 
-    pairs: tuple
-    triples: tuple
-    positions: dict = field(repr=False)
-    levels: np.ndarray = field(repr=False)
-    sides: np.ndarray = field(repr=False)
-    rs: np.ndarray = field(repr=False)
-    rs_t: np.ndarray = field(repr=False)
-    st: np.ndarray = field(repr=False)
-    r_st: np.ndarray = field(repr=False)
+    __slots__ = ("pairs", "triples", "positions", "levels", "sides", "rs", "rs_t", "st", "r_st")
+    _shown = ("pairs", "triples")
+
+    def __init__(self, pairs: tuple, triples: tuple, positions: dict, levels: np.ndarray,
+                 sides: np.ndarray, rs: np.ndarray, rs_t: np.ndarray, st: np.ndarray,
+                 r_st: np.ndarray):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "rs_t", rs_t)
+        object.__setattr__(self, "st", st)
+        object.__setattr__(self, "r_st", r_st)
 
 
 def _pairs(horizon: int):
@@ -321,8 +328,7 @@ def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class GradedAlgebra:
+class GradedAlgebra(Record):
     """Multiplication maps M[s, t]: 2x4 matrices for s + t <= horizon.
 
     Built from a dict of the maps keyed by (s, t), or from their (P, 2, 4)
@@ -330,12 +336,12 @@ class GradedAlgebra:
     holds every map, read-only; `M` is a read-only mapping whose M[s, t] is a
     view into it.  A copy or unpickled instance is rebuilt from the stack."""
 
-    horizon: int
-    M: dict = field(repr=False)
-    stack: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("horizon", "M", "stack")
+    _shown = ("horizon",)
 
-    def __post_init__(self):
-        stack, maps = checked_maps(self.horizon, self.M, "M", (2, 4), "multiplication map")
+    def __init__(self, horizon: int, M: dict):
+        stack, maps = checked_maps(horizon, M, "M", (2, 4), "multiplication map")
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "M", maps)
         object.__setattr__(self, "stack", stack)
 
@@ -529,26 +535,24 @@ def extend_levels(theta1, left, maps, lam=None) -> np.ndarray:
     return np.array(out, dtype=complex).reshape(-1, 2, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class GradedMorphism:
+class GradedMorphism(Record):
     """Per-level maps theta[t] of a morphism between two graded algebras, kept
     as a `SystemIso` keeps them (`checked_levels`).  MorphismError when the
     horizons differ, or naming the first level up to the horizon with no map.
     A copy or unpickled instance is rebuilt from the stack."""
 
-    source: GradedAlgebra = field(repr=False)
-    target: GradedAlgebra = field(repr=False)
-    theta: dict = field(repr=False)
-    stack: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("source", "target", "theta", "stack")
 
-    def __post_init__(self):
-        if self.source.horizon != self.target.horizon:
+    def __init__(self, source: GradedAlgebra, target: GradedAlgebra, theta: dict):
+        if source.horizon != target.horizon:
             raise MorphismError("source and target horizons differ")
-        stack, theta = checked_levels(self.theta)
-        if len(stack) < self.source.horizon:
+        stack, theta = checked_levels(theta)
+        if len(stack) < source.horizon:
             raise MorphismError(f"missing level map {len(stack) + 1}")
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "stack", stack)
 
     def __reduce__(self):
         return type(self), (self.source, self.target, self.stack)

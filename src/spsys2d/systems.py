@@ -9,7 +9,6 @@ E_s (x) E_t as 4x2 matrices for s + t <= horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,8 +17,8 @@ from .classify import (Classification, Triple, TripleClass, _read_plane, canonic
 from .graded import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
                      checked_levels, extend_levels, intertwining_defects, pair_max, rank_lost,
                      triple_residuals)
-from .tensorlinalg import (DEFAULT_EPS, I2, Subspace, kron, rank_deficient, residual_tol,
-                           span_basis2)
+from .tensorlinalg import (DEFAULT_EPS, I2, Record, Subspace, ValueRecord, kron, rank_deficient,
+                           residual_tol, span_basis2)
 
 SYSTEM_LABELS = ("E1", "E2", "E3", "E4", "E5")
 MAX_COND = 50.0  # largest condition number of a level map drawn by `random_system`
@@ -37,21 +36,25 @@ class ClassifyStageError(ValueError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class SystemLabel:
-    label: str  # E1..E5
-    lam: complex | None = None
+class SystemLabel(ValueRecord):
+    """A family E1..E5, with the lambda of E3."""
 
-    def __post_init__(self):
-        check_label(self.label, self.lam, SYSTEM_LABELS, "system label")
+    __slots__ = _shown = ("label", "lam")
+
+    def __init__(self, label: str, lam: complex | None = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lam", lam)
+        check_label(label, lam, SYSTEM_LABELS, "system label")
+
+    def _fields(self) -> tuple:
+        return self.label, self.lam
 
     @classmethod
     def from_triple_class(cls, c: TripleClass) -> "SystemLabel":
         return cls(_TRIPLE_TO_SYSTEM[c.label], c.lam)
 
 
-@dataclass(frozen=True, eq=False)
-class SubproductSystem:
+class SubproductSystem(Record):
     """beta[s, t] is the 4x2 map E_{s+t} -> E_s (x) E_t, for s + t <= horizon.
 
     Built from a dict of the maps keyed by (s, t), or from their (P, 4, 2)
@@ -60,12 +63,12 @@ class SubproductSystem:
     is a view into it.  A copy or unpickled instance is rebuilt from the
     stack."""
 
-    horizon: int
-    beta: dict = field(repr=False)
-    stack: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("horizon", "beta", "stack")
+    _shown = ("horizon",)
 
-    def __post_init__(self):
-        stack, beta = checked_maps(self.horizon, self.beta, "beta", (4, 2), "map")
+    def __init__(self, horizon: int, beta: dict):
+        stack, beta = checked_maps(horizon, beta, "beta", (4, 2), "map")
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "stack", stack)
 
@@ -76,8 +79,7 @@ class SubproductSystem:
         return iter(degree_index(self.horizon).triples)
 
 
-@dataclass(frozen=True, eq=False)
-class SystemIso:
+class SystemIso(Record):
     """Per-level invertible maps theta[t] carrying one system onto another:
     (theta_s (x) theta_t) beta[s, t] = beta'[s, t] theta_{s+t}.
 
@@ -86,13 +88,12 @@ class SystemIso:
     stack[t - 1], read-only; `theta` maps each t to a view into it.  A copy
     or unpickled instance is rebuilt from the stack."""
 
-    theta: dict = field(repr=False)
-    stack: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("theta", "stack")
 
-    def __post_init__(self):
-        stack, theta = checked_levels(self.theta)
-        object.__setattr__(self, "stack", stack)
+    def __init__(self, theta: dict):
+        stack, theta = checked_levels(theta)
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "stack", stack)
 
     def __reduce__(self):
         return type(self), (self.stack,)
@@ -133,13 +134,24 @@ def canonical_system(label: SystemLabel, horizon: int = 6) -> SubproductSystem:
     return SubproductSystem(horizon, maps[degree_index(horizon).sides[:, 0]])
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    passed: bool
-    worst_associativity_residual: float
-    first_failing_triple: tuple | None
-    injectivity_failures: tuple
-    min_singular_value: float
+class AxiomReport(ValueRecord):
+    """The findings of `check_axioms`."""
+
+    __slots__ = _shown = ("passed", "worst_associativity_residual", "first_failing_triple",
+                          "injectivity_failures", "min_singular_value")
+
+    def __init__(self, passed: bool, worst_associativity_residual: float,
+                 first_failing_triple: tuple | None, injectivity_failures: tuple,
+                 min_singular_value: float):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "worst_associativity_residual", worst_associativity_residual)
+        object.__setattr__(self, "first_failing_triple", first_failing_triple)
+        object.__setattr__(self, "injectivity_failures", injectivity_failures)
+        object.__setattr__(self, "min_singular_value", min_singular_value)
+
+    def _fields(self) -> tuple:
+        return (self.passed, self.worst_associativity_residual, self.first_failing_triple,
+                self.injectivity_failures, self.min_singular_value)
 
 
 def axiom_text(rep: AxiomReport) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,23 +97,67 @@ def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
+class Record:
+    """The base of the package's records, which behave as frozen dataclasses
+    do, with no code generated at import: slotted and read-only (each
+    `__init__` writes its slots through `object.__setattr__`), copied and
+    pickled slot by slot unless the class rebuilds itself by `__reduce__`,
+    and shown as `Name(field=value, ...)` over the fields named in `_shown`.
+    Equality is identity; a `ValueRecord` compares its fields."""
+
+    __slots__ = ()
+    _shown = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
+class ValueRecord(Record):
+    """A `Record` equal to one of its own class with equal fields, compared
+    and hashed as the tuple `_fields()`, in slot order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class Subspace(Record):
     """A subspace of C^n stored as a matrix with orthonormal columns."""
 
-    ambient_dim: int
-    basis: np.ndarray = field(repr=False)
+    __slots__ = ("ambient_dim", "basis")
+    _shown = ("ambient_dim",)
 
-    def __post_init__(self):
-        b = as_cmat(self.basis)
-        if b.shape[0] != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: np.ndarray):
+        b = as_cmat(basis)
+        if b.shape[0] != ambient_dim:
             raise ValueError("basis row count must equal the ambient dimension")
-        if b.shape[1] > self.ambient_dim:
+        if b.shape[1] > ambient_dim:
             raise ValueError("subspace dimension exceeds ambient dimension")
         if b.shape[1]:
             gram = b.conj().T @ b
             if np.abs(gram - np.eye(b.shape[1])).max() > GRAM_TOL:
                 raise ValueError("basis columns are not orthonormal")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", b)
 
     @property

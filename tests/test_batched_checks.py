@@ -347,20 +347,12 @@ def test_check_axioms_report_matches_the_loops():
     assert seen_fail and seen_inj  # both failure kinds were exercised
 
 
-def test_iso_residuals_and_is_isomorphism_match_the_loops():
+def test_iso_residuals_match_the_loops():
     for i, label in enumerate(GRID):
         sys = random_system(label, 70 + i, 6)
         found, iso = classify_system(sys)
         can = canonical_system(found, 6)
         assert_iso_residuals_match_the_loop(sys, can, iso)
-        g_can = dualize(can)
-        theta = {t: m.T for t, m in iso.theta.items()}
-        morphism = extend_morphism(g_can, dualize(sys), theta[1], theta[2])
-        assert is_isomorphism(morphism) == ref_is_isomorphism(morphism) is True
-        singular = dict(morphism.theta)
-        singular[5] = np.outer(singular[5][:, 0], [1.0, 1.0])
-        bad = type(morphism)(morphism.source, morphism.target, singular)
-        assert is_isomorphism(bad) == ref_is_isomorphism(bad) is False
     other = SystemIso({t: 2.0 * m for t, m in iso.theta.items()})
     assert_iso_residuals_match_the_loop(sys, can, other)
 

@@ -2,7 +2,6 @@
 size: it runs as a script, it is deterministic, and its hash moves when one
 bit of one outcome does, on the system side and on the graded side."""
 
-import dataclasses
 import importlib.util
 import re
 import subprocess
@@ -12,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spsys2d.classify import Classification
 from spsys2d.graded import GradedAlgebra
 from spsys2d.systems import SystemIso
 
@@ -53,7 +53,8 @@ def test_the_hash_sees_one_bit_of_theta(monkeypatch, digest):
         result = classify(system)
         stack = result.iso.stack.copy()
         stack[0, 0, 0] = complex(np.nextafter(stack[0, 0, 0].real, np.inf), stack[0, 0, 0].imag)
-        return dataclasses.replace(result, iso=SystemIso(stack))
+        return Classification(result.label, SystemIso(stack), result.rank, result.rank_margin,
+                              result.residuals)
 
     monkeypatch.setattr(census, "classify_system", moved)
     assert census.census(1, [4])[0] != digest

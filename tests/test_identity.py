@@ -1,7 +1,6 @@
 import time
 
 import numpy as np
-import pytest
 
 from spsys2d.exactpoly import (
     NVARS,

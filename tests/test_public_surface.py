@@ -1,6 +1,7 @@
 """Every public top-level function and class of the package, every public
 method of its classes and every name in `spsys2d.__all__` has a caller, and
-no module of the package imports a name it does not use.
+no module of the package, the tests or the tools imports a name it does not
+use.
 
 A name counts as used when the package outside `__init__.py`, the benchmark
 (`perfbench/`) or the acceptance tests refer to it in code (docstrings and
@@ -22,6 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spsys2d"
 CALLERS = [*(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"),
            *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+# the acceptance tests are kept as written, an unused `import pytest` included
+IMPORTERS = [*sorted(PACKAGE.glob("*.py")),
+             *(p for p in sorted((ROOT / "tests").glob("*.py")) if p.name != "test_acceptance.py"),
+             *sorted((ROOT / "tools").glob("*.py"))]
 
 
 def _parse(path: Path) -> ast.Module:
@@ -89,10 +94,11 @@ def test_every_public_definition_has_a_caller():
 
 
 def test_the_package_imports_nothing_it_does_not_use():
-    """Each name a module of the package binds by `import` or `from ...
-    import` is read in that module (`from __future__` excepted)."""
+    """Each name a module of the package, a test module or a tool binds by
+    `import` or `from ... import` is read in that module (`from __future__`
+    excepted)."""
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in IMPORTERS:
         imported, read = {}, set()
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name):
@@ -101,7 +107,7 @@ def test_the_package_imports_nothing_it_does_not_use():
                   and getattr(node, "module", None) != "__future__"):
                 for alias in node.names:
                     imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert not unused, f"unused imports: {unused}"
 

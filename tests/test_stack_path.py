@@ -26,7 +26,7 @@ from spsys2d import systems
 from spsys2d.classify import TripleClass, canonical_maps
 from spsys2d.graded import (CATALOG_NAMES, GradedAlgebra, GradedMorphism,
                             NotAutomorphismError, build_graded, catalog, degree_index,
-                            intertwining, intertwining_defects, is_automorphism,
+                            extend_morphism, intertwining, intertwining_defects, is_automorphism,
                             is_isomorphism, pair_max, twist)
 from spsys2d.systems import (SubproductSystem, SystemIso, SystemLabel, canonical_system,
                              classify_system, dualize, iso_residuals, random_system)
@@ -282,14 +282,41 @@ def test_the_graded_side_matches_the_dict_loops_byte_for_byte():
                 continue
             twisted += 1
             assert_same_build(got, ref_twist(g, f), "M")
-        theta = rng.standard_normal((h + 1, 2, 2)) + 1j * rng.standard_normal((h + 1, 2, 2))
-        theta[h // 2] = np.outer(theta[h // 2][:, 0], [1.0, 2.0])  # one singular level
-        for levels in (theta, theta[:h], np.stack([eta] * h)):
-            for theta_in in (levels, dict(enumerate(levels, 1))):
-                m = GradedMorphism(g, g, theta_in)
-                got, want = m.level_residuals(), ref_level_residuals(m)
-                assert list(got) == list(want)
-                assert (np.array(list(got.values())).tobytes()
-                        == np.array(list(want.values())).tobytes())
-                assert is_isomorphism(m) is ref_is_isomorphism(m)
+        for m in graded_morphisms(g, eta, rng):
+            got, want = m.level_residuals(), ref_level_residuals(m)
+            assert list(got) == list(want)
+            assert (np.array(list(got.values())).tobytes()
+                    == np.array(list(want.values())).tobytes())
     assert twisted == 564  # of 116 algebras x 6 candidate maps
+
+
+def graded_morphisms(g, eta, rng):
+    """Morphisms g -> g: random theta with one singular level, with and
+    without a level past the horizon, and eta at every level; each from a
+    stack and from a dict."""
+    h = g.horizon
+    theta = rng.standard_normal((h + 1, 2, 2)) + 1j * rng.standard_normal((h + 1, 2, 2))
+    theta[h // 2] = np.outer(theta[h // 2][:, 0], [1.0, 2.0])  # one singular level
+    for levels in (theta, theta[:h], np.stack([eta] * h)):
+        for theta_in in (levels, dict(enumerate(levels, 1))):
+            yield GradedMorphism(g, g, theta_in)
+
+
+def test_is_isomorphism_gives_the_verdict_of_lapacks_singular_values():
+    # the extension of each grid cell's certified theta at h = 6, an
+    # isomorphism, and the same with a rank-one theta_5, which is not one
+    for i, label in enumerate(GRID):
+        sys = random_system(label, 70 + i, 6)
+        found, iso = classify_system(sys)
+        theta = iso.stack.transpose(0, 2, 1)
+        m = extend_morphism(dualize(canonical_system(found, 6)), dualize(sys), theta[0], theta[1])
+        assert is_isomorphism(m) is ref_is_isomorphism(m) is True
+        singular = dict(m.theta)
+        singular[5] = np.outer(singular[5][:, 0], [1.0, 1.0])
+        bad = GradedMorphism(m.source, m.target, singular)
+        assert is_isomorphism(bad) is ref_is_isomorphism(bad) is False
+    # the morphisms of the graded grid, as `level_residuals` is pinned on them
+    rng = np.random.default_rng(29)
+    for d, eta, h in graded_grid():
+        for m in graded_morphisms(build_graded(d, eta, h), eta, rng):
+            assert is_isomorphism(m) is ref_is_isomorphism(m)
