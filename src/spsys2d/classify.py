@@ -252,9 +252,6 @@ class TripleClass(ValueRecord):
         object.__setattr__(self, "lam", lam)
         check_label(label, lam, LABELS, "label")
 
-    def _fields(self) -> tuple:
-        return self.label, self.lam
-
 
 def check_label(label: str, lam, labels: tuple, noun: str) -> None:
     """The rule of TripleClass and SystemLabel: a label among `labels`, with
@@ -284,6 +281,9 @@ class TripleIso(Record):
         return s.map_by(t3, eps)
 
 
+_NEW_DICT = object()  # the default of Classification.residuals: a new dict per record
+
+
 class Classification(Record):
     """A class, the isomorphism onto its canonical representative, the rank
     of the plane E2 with its margin, and the certificate residual per pair
@@ -293,18 +293,18 @@ class Classification(Record):
     a zero form), near 1 for a shaky call.  At rank 1 it is thr/s1 with s1 at
     roundoff, so it measures rounding, not distance to a flip: 1.3e7 to 2.2e7
     on `random_system(SystemLabel("E3", 0.5), seed, 6)`, seeds 0-3.  With no
-    `residuals`, a new empty dict."""
+    `residuals` given, a new empty dict."""
 
     __slots__ = _shown = ("label", "iso", "rank", "rank_margin", "residuals")
 
     def __init__(self, label: TripleClass, iso: TripleIso, rank: int, rank_margin: float,
-                 residuals: dict | None = None):
+                 residuals: dict = _NEW_DICT):
         # label and iso: or a systems.SystemLabel and systems.SystemIso
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "iso", iso)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rank_margin", rank_margin)
-        object.__setattr__(self, "residuals", {} if residuals is None else residuals)
+        object.__setattr__(self, "residuals", {} if residuals is _NEW_DICT else residuals)
 
     def __iter__(self):
         return iter((self.label, self.iso))

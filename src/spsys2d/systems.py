@@ -46,9 +46,6 @@ class SystemLabel(ValueRecord):
         object.__setattr__(self, "lam", lam)
         check_label(label, lam, SYSTEM_LABELS, "system label")
 
-    def _fields(self) -> tuple:
-        return self.label, self.lam
-
     @classmethod
     def from_triple_class(cls, c: TripleClass) -> "SystemLabel":
         return cls(_TRIPLE_TO_SYSTEM[c.label], c.lam)
@@ -148,10 +145,6 @@ class AxiomReport(ValueRecord):
         object.__setattr__(self, "first_failing_triple", first_failing_triple)
         object.__setattr__(self, "injectivity_failures", injectivity_failures)
         object.__setattr__(self, "min_singular_value", min_singular_value)
-
-    def _fields(self) -> tuple:
-        return (self.passed, self.worst_associativity_residual, self.first_failing_triple,
-                self.injectivity_failures, self.min_singular_value)
 
 
 def axiom_text(rep: AxiomReport) -> str:

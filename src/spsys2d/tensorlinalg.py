@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -128,17 +129,21 @@ class Record:
 
 class ValueRecord(Record):
     """A `Record` equal to one of its own class with equal fields, compared
-    and hashed as the tuple `_fields()`, in slot order."""
+    and hashed as the tuple of its slots, in order."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
 
 class Subspace(Record):

@@ -127,6 +127,11 @@ class TestResult:
         g = classify._plane_form(t.E2.basis.T.tolist())[2]
         assert classify._form_rank(g, spsys2d.DEFAULT_EPS) == (result.rank, result.rank_margin)
 
+    def test_result_is_frozen(self):
+        result = classify_triple(canonical_triple(TripleClass("C1")))
+        with pytest.raises(AttributeError):
+            result.rank = 0
+
 
 class TestComputedOnce:
     COUNTED = (

@@ -127,6 +127,7 @@ def test_the_defaults_are_the_dataclass_defaults():
     assert (family.one_parameter, family.description) == (None, "")
     a, b = (Classification(TripleClass("C1"), TripleIso(I2), 2, 1.0) for _ in range(2))
     assert a.residuals == {} and a.residuals is not b.residuals
+    assert Classification(TripleClass("C1"), TripleIso(I2), 2, 1.0, None).residuals is None
 
 
 @CASES
