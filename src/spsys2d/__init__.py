@@ -3,8 +3,10 @@ dual graded algebras: exact symbolic proof of the determinant identity,
 constructive normal forms, and an explicit isomorphism for every instance.
 
 `import spsys2d` loads no submodule: each public name below is imported from
-its submodule on first use (PEP 562), so the exact half (`exactpoly`,
-`identity`) and the numeric half load apart.
+the submodule that defines it on first use (PEP 562), so the exact half
+(`exactpoly`, `identity`) and the numeric half load apart, and a name of the
+system path (`plane`, `stacks`, `systems`) loads neither `classify` nor
+`graded`.
 """
 
 from importlib import import_module
@@ -19,10 +21,11 @@ _EXPORTS = {name: module for module, names in {
     "identity": ("d4_polynomial", "d8_polynomial", "det8_matrix", "main_identity_residual",
                  "resultant4", "surviving_laplace_terms"),
     "tensorlinalg": ("Subspace", "annihilator", "intersect", "kron"),
-    "classify": ("Classification", "NotSubproductTripleError", "Triple", "TripleClass",
-                 "TripleIso", "canonical_triple", "classify_triple", "product_in_intersection",
-                 "rank_of_plane"),
-    "graded": ("Algebra2", "AutomorphismFamily", "GradedAlgebra", "GradedMorphism",
+    "plane": ("Classification", "NotSubproductTripleError", "TripleClass", "TripleIso",
+              "rank_of_plane"),
+    "classify": ("Triple", "canonical_triple", "classify_triple", "product_in_intersection"),
+    "stacks": ("GradedAlgebra",),
+    "graded": ("Algebra2", "AutomorphismFamily", "GradedMorphism",
                "automorphism_description", "build_graded", "catalog",
                "check_image_condition", "check_kernel_condition", "check_surjective_mult",
                "extend_morphism", "is_automorphism", "is_isomorphism", "twist"),

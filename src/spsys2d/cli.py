@@ -7,8 +7,10 @@ reports a process that SIGPIPE ended) when the reader of stdout closes it
 early, as `| head` does, with nothing written to stderr.
 
 Each command imports only what it runs: `verify-identity` loads the exact
-half (`common`, `exactpoly`, `identity`) and no numpy, the file commands the
-numeric half.
+half (`common`, `exactpoly`, `identity`) and no numpy; `generate` and the file
+commands the system path of the numeric half (`tensorlinalg`, `plane`,
+`stacks`, `systems`, `serialize`), and `classify` only on a triple.  No
+command loads `graded`.
 """
 
 from __future__ import annotations
@@ -174,13 +176,17 @@ def cmd_verify_identity(args) -> int:
 
 def _classify_report(args, obj):
     from . import serialize
-    from .classify import Triple, classify_triple
-    from .graded import GradedAlgebra
-    from .systems import classify_system, dualize
+    from .stacks import GradedAlgebra
+    from .systems import SubproductSystem, classify_system, dualize
 
     if isinstance(obj, GradedAlgebra):
         obj = dualize(obj)
-    result = (classify_triple if isinstance(obj, Triple) else classify_system)(obj, args.tolerance)
+    if isinstance(obj, SubproductSystem):
+        result = classify_system(obj, args.tolerance)
+    else:  # a triple
+        from .classify import classify_triple
+
+        result = classify_triple(obj, args.tolerance)
     label, iso = result
     report = {
         "label": label.label,
@@ -213,7 +219,7 @@ def _report_text(report: dict) -> str:
 
 def cmd_classify(args) -> int:
     from . import serialize
-    from .classify import NotSubproductTripleError
+    from .plane import NotSubproductTripleError
     from .systems import ClassifyStageError
 
     obj = _load(args.input)
@@ -235,12 +241,11 @@ def cmd_classify(args) -> int:
 
 def cmd_check(args) -> int:
     from . import serialize
-    from .classify import Triple
-    from .graded import GradedAlgebra
-    from .systems import axiom_text, check_axioms, dualize
+    from .stacks import GradedAlgebra
+    from .systems import SubproductSystem, axiom_text, check_axioms, dualize
 
     obj = _load(args.input)
-    if isinstance(obj, Triple):
+    if not isinstance(obj, (SubproductSystem, GradedAlgebra)):  # a triple
         try:
             obj.validate(args.tolerance)
         except ValueError as exc:
@@ -267,7 +272,7 @@ def _e3_plane_is_rank1(lam: complex, eps: float) -> bool:
     """Whether the plane of the canonical E3(lam) reads as rank 1 at eps, so
     that `classify` can tell the system from E4; a plane that collapses to a
     line does not."""
-    from .classify import TripleClass, canonical_beta, rank_of_plane
+    from .plane import TripleClass, canonical_beta, rank_of_plane
     from .tensorlinalg import Subspace
 
     try:
@@ -315,11 +320,11 @@ def cmd_generate(args) -> int:
 
 def cmd_dualize(args) -> int:
     from . import serialize
-    from .classify import Triple
-    from .systems import dualize
+    from .stacks import GradedAlgebra
+    from .systems import SubproductSystem, dualize
 
     obj = _load(args.input)
-    if isinstance(obj, Triple):
+    if not isinstance(obj, (SubproductSystem, GradedAlgebra)):  # a triple
         print("error: triples have no dual representation here", file=sys.stderr)
         return EXIT_BAD_INPUT
     flipped = dualize(obj)

@@ -4,7 +4,8 @@ The writer is `json.dumps` with sorted keys, no spaces and NaN/Inf refused, over
 plain JSON types: complex scalars as [re, im], arrays as nested (row-major)
 lists, numpy scalars as Python numbers, keys as strings, -0.0 as 0.0.  Floats
 print as `repr`, which reads back exactly; identical values give identical text.
-The reader `loads` refuses an object that repeats a key.
+The reader `loads` refuses an object that repeats a key.  `classify`, which
+holds `Triple`, is imported only where a triple payload is written or read.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .classify import Triple
-from .graded import GradedAlgebra
+from .stacks import GradedAlgebra
 from .systems import SubproductSystem
 from .tensorlinalg import Subspace
 
@@ -119,7 +119,7 @@ def system_to_json(sys: SubproductSystem) -> dict:
     return _maps_to_json(sys)
 
 
-def triple_to_json(t: Triple) -> dict:
+def triple_to_json(t) -> dict:
     # E2 and E3 each as the list of their basis vectors
     return {"kind": "triple",
             **{name: matrix_to_json(getattr(t, name).basis.T) for name in ("E2", "E3")}}
@@ -158,7 +158,9 @@ def _maps_from_json(cls, data: dict):
         raise SerializationError(f"malformed {kind.replace('_', ' ')}: {exc}") from exc
 
 
-def triple_from_json(data: dict) -> Triple:
+def triple_from_json(data: dict):
+    from .classify import Triple
+
     try:
         e2 = matrix_from_json(data["E2"]).T  # stored as a list of vectors
         e3 = matrix_from_json(data["E3"]).T
@@ -176,6 +178,8 @@ def triple_from_json(data: dict) -> Triple:
 def to_json(obj) -> dict:
     if isinstance(obj, (SubproductSystem, GradedAlgebra)):
         return _maps_to_json(obj)
+    from .classify import Triple
+
     if isinstance(obj, Triple):
         return triple_to_json(obj)
     raise SerializationError(f"cannot serialize {type(obj).__name__}")

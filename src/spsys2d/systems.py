@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from .classify import (Classification, Triple, TripleClass, _read_plane, canonical_maps,
-                       check_label)
-from .graded import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
+from .plane import Classification, TripleClass, _read_plane, canonical_maps, check_label
+from .stacks import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
                      checked_levels, extend_levels, intertwining_defects, pair_max, rank_lost,
                      triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Record, Subspace, ValueRecord, kron, rank_deficient,
@@ -199,8 +198,12 @@ def _scaled_tol(stack: np.ndarray, eps: float) -> tuple:
     return scaled, unit, big, eps * max(big * big, unit * unit)
 
 
-def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS) -> Triple:
-    """The degree-(1, 2, 3) data: E2 = Im beta[1,1], E3 the common composite image."""
+def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
+    """The degree-(1, 2, 3) data as a `classify.Triple`: E2 = Im beta[1,1], E3
+    the common composite image.  `classify` is imported here, as no other
+    stage of a system reaches it."""
+    from .classify import Triple
+
     b11 = sys.beta[(1, 1)]
     via_left = kron(b11, I2) @ sys.beta[(2, 1)]
     via_right = kron(I2, b11) @ sys.beta[(1, 2)]

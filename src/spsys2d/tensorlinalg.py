@@ -275,7 +275,7 @@ def det_bilinear(u, v) -> complex:
 
 
 # -- closed forms on Python complex scalars, behind `Subspace.from_spanning`
-# and the plane read (`classify.classify_plane`), which makes no np.linalg
+# and the plane read (`plane.classify_plane`), which makes no np.linalg
 # call.  A vector is a sequence of complex; a 4-vector w is the 2x2 matrix
 # [[w0, w1], [w2, w3]], as `kron` lays out x (x) y.
 

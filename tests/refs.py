@@ -10,8 +10,9 @@ the exact oracles).  Fixtures live in `conftest.py`.
 
 import numpy as np
 
-from spsys2d.classify import Classification, classify_plane
-from spsys2d.graded import degree_index, extend_levels, singular_levels
+from spsys2d.graded import singular_levels
+from spsys2d.plane import Classification, classify_plane
+from spsys2d.stacks import degree_index, extend_levels
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              axiom_text, canonical_system, check_axioms, iso_residuals)
 from spsys2d.tensorlinalg import DEFAULT_EPS, Subspace, kron, residual_tol

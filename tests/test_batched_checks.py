@@ -25,9 +25,9 @@ import pytest
 
 from refs import GRID, moved, ref_is_isomorphism, ref_left_inverse, top_heavy_unfit
 from spsys2d import graded
+from spsys2d.classify import classify_triple
 from spsys2d.graded import (
     CATALOG_NAMES,
-    GradedAlgebra,
     GradedMorphism,
     MorphismError,
     NotExtendableError,
@@ -36,15 +36,14 @@ from spsys2d.graded import (
     catalog,
     check_image_condition,
     check_kernel_condition,
-    degree_index,
-    extend_levels,
     extend_morphism,
     is_isomorphism,
     kernel_subspace,
     singular_levels,
     twist,
 )
-from spsys2d.classify import Classification, classify_plane, classify_triple
+from spsys2d.plane import Classification, classify_plane
+from spsys2d.stacks import GradedAlgebra, degree_index, extend_levels
 from spsys2d.systems import (
     ClassifyStageError,
     SubproductSystem,

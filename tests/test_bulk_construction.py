@@ -13,8 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from spsys2d import graded
-from spsys2d.graded import GradedAlgebra, checked_maps, degree_index
+from spsys2d.stacks import GradedAlgebra, _pairs, checked_maps, degree_index
 from spsys2d.systems import SubproductSystem
 from spsys2d.tensorlinalg import require_finite
 
@@ -44,7 +43,7 @@ def ref_checked_maps(horizon, maps, name, shape, noun):
             raise ValueError(f"{name}[{s},{t}] must be {shape[0]}x{shape[1]}")
         arrays[key] = m
     try:
-        ordered = [arrays[p] for p in graded._pairs(horizon)]
+        ordered = [arrays[p] for p in _pairs(horizon)]
     except KeyError as exc:
         s, t = exc.args[0]
         raise ValueError(f"missing {noun} {name}[{s},{t}]") from None
@@ -56,7 +55,7 @@ def ref_checked_maps(horizon, maps, name, shape, noun):
 def good_maps(shape, horizon=H, dtype=complex, seed=0):
     rng = np.random.default_rng(seed)
     return {p: (10 * rng.standard_normal(shape)).astype(dtype)
-            for p in graded._pairs(horizon)}
+            for p in _pairs(horizon)}
 
 
 def _set(maps, key, value):

@@ -29,12 +29,12 @@ import pytest
 from refs import (GRID, STRESS_GRID, STRESS_LAMBDAS, U, assert_same_build, bitwise_outcome,
                   moved, ref_classify_system, ref_left_inverse, ref_random_system,
                   top_heavy_unfit)
-from spsys2d import graded, systems
+from spsys2d import stacks, systems
 from spsys2d.cli import main as cli_main
-from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, classify_plane
-from spsys2d.graded import (GradedAlgebra, GradedMorphism, degree_index, equilibrated_levels,
-                            extend_levels, extend_morphism, intertwining_defects,
-                            is_isomorphism, singular_levels)
+from spsys2d.graded import GradedMorphism, extend_morphism, is_isomorphism, singular_levels
+from spsys2d.plane import TripleClass, canonical_beta, canonical_maps, classify_plane
+from spsys2d.stacks import (GradedAlgebra, degree_index, equilibrated_levels, extend_levels,
+                            intertwining_defects)
 from spsys2d.systems import (SubproductSystem, SystemIso, SystemLabel, canonical_system,
                              check_axioms, classify_system, dualize, random_system)
 from spsys2d.tensorlinalg import I2, Subspace, kron
@@ -60,13 +60,13 @@ def _complex(rng, shape):
 def test_classify_system_builds_no_subproduct_system(monkeypatch):
     sys = random_system(SystemLabel("E3", 2.0), 5, 8)
     calls = []
-    checked = graded.checked_stack
+    checked = stacks.checked_stack
 
     def counting(*args):  # the one validation of every built system or algebra
         calls.append(args[0])
         return checked(*args)
 
-    monkeypatch.setattr(graded, "checked_stack", counting)
+    monkeypatch.setattr(stacks, "checked_stack", counting)
     label, _ = classify_system(sys)
     assert label.label == "E3" and calls == []
     canonical_system(label, 8)  # the counter sees a build

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from refs import GRID
-from spsys2d.classify import TripleClass, canonical_beta, canonical_maps, canonical_triple
-from spsys2d.graded import check_image_condition, degree_index
+from spsys2d.classify import canonical_triple
+from spsys2d.graded import check_image_condition
+from spsys2d.plane import TripleClass, canonical_beta, canonical_maps
+from spsys2d.stacks import degree_index
 from spsys2d.systems import SystemLabel, canonical_system, dualize, random_system
 from spsys2d.tensorlinalg import I2, Subspace, kron
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spsys2d.classify import Classification
-from spsys2d.graded import GradedAlgebra
+from spsys2d.plane import Classification
+from spsys2d.stacks import GradedAlgebra
 from spsys2d.systems import SystemIso
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -17,8 +17,8 @@ import pytest
 
 from refs import GRID, STRESS_GRID, bitwise_outcome, moved, ref_classify_system
 from spsys2d import systems
-from spsys2d.graded import (GradedMorphism, degree_index, extend_morphism, is_isomorphism,
-                            triple_residuals)
+from spsys2d.graded import GradedMorphism, extend_morphism, is_isomorphism
+from spsys2d.stacks import degree_index, triple_residuals
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              canonical_system, check_axioms, classify_system, dualize,
                              iso_residuals, random_system)

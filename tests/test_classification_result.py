@@ -16,10 +16,10 @@ import pytest
 
 import spsys2d
 from refs import GRID
-from spsys2d import classify, cli, serialize, systems
-from spsys2d.classify import (Classification, NotSubproductTripleError, TripleClass,
-                              canonical_triple, classify_plane, classify_triple)
+from spsys2d import classify, cli, plane, serialize, systems
+from spsys2d.classify import canonical_triple, classify_triple
 from spsys2d.cli import main
+from spsys2d.plane import Classification, NotSubproductTripleError, TripleClass, classify_plane
 from spsys2d.systems import (ClassifyStageError, SystemLabel, canonical_system, check_axioms,
                              classify_system, dualize, iso_residuals, random_system,
                              triple_of_system)
@@ -124,8 +124,8 @@ class TestResult:
         result = classify_triple(t)
         assert result.residuals == {}
         assert result.rank == rank
-        g = classify._plane_form(t.E2.basis.T.tolist())[2]
-        assert classify._form_rank(g, spsys2d.DEFAULT_EPS) == (result.rank, result.rank_margin)
+        g = plane._plane_form(t.E2.basis.T.tolist())[2]
+        assert plane._form_rank(g, spsys2d.DEFAULT_EPS) == (result.rank, result.rank_margin)
 
     def test_result_is_frozen(self):
         result = classify_triple(canonical_triple(TripleClass("C1")))
@@ -138,7 +138,7 @@ class TestComputedOnce:
         (systems, "triple_of_system"),
         (systems, "canonical_system"),
         (systems, "iso_residuals"),
-        (classify, "_plane_form"),
+        (plane, "_plane_form"),
     )
 
     # the checks of the triple path, which classify_system no longer runs
@@ -166,7 +166,7 @@ class TestComputedOnce:
 
     def test_classify_system_runs_no_triple_check(self, monkeypatch):
         counts = self._count(monkeypatch, self.TRIPLE_CHECKS + (
-            (classify, "_plane_form"),))
+            (plane, "_plane_form"),))
         for i, label in enumerate(GRID):
             counts.clear()
             assert classify_system(random_system(label, 70 + i, 6)).label.label == label.label

@@ -4,15 +4,17 @@ import pytest
 from refs import random_gl2
 from spsys2d import classify
 from spsys2d.classify import (
-    NotSubproductTripleError,
     Triple,
-    TripleClass,
     _annihilated,
-    _normal_form,
-    _plane_form,
     canonical_triple,
     classify_triple,
     product_in_intersection,
+)
+from spsys2d.plane import (
+    NotSubproductTripleError,
+    TripleClass,
+    _normal_form,
+    _plane_form,
     rank_of_plane,
 )
 from spsys2d.tensorlinalg import DEFAULT_EPS, E1, E2, Subspace, kron

@@ -10,12 +10,13 @@ import pytest
 
 import spsys2d
 import spsys2d.identity
-from spsys2d import cli, graded, serialize
-from spsys2d.classify import TripleClass, canonical_triple
+from spsys2d import cli, serialize, stacks
+from spsys2d.classify import canonical_triple
 from spsys2d.cli import main
 from spsys2d.exactpoly import NVARS, Polynomial, int_det_bareiss
 from spsys2d.graded import build_graded, catalog
 from spsys2d.identity import d4_polynomial, d8_polynomial, det8_matrix
+from spsys2d.plane import TripleClass
 from spsys2d.systems import SystemLabel, canonical_system, dualize, random_system
 
 
@@ -360,7 +361,7 @@ class TestExitCodes:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         built = []
-        real = graded.degree_index
+        real = stacks.degree_index
 
         def recorded(h):
             built.append(h)
@@ -368,7 +369,7 @@ class TestExitCodes:
                 raise AssertionError("degree_index built for the huge horizon")
             return real(h)
 
-        monkeypatch.setattr(graded, "degree_index", recorded)
+        monkeypatch.setattr(stacks, "degree_index", recorded)
         with pytest.raises(SystemExit) as err:
             run(capsys, "check", str(path))
         assert err.value.code == 2

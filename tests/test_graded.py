@@ -196,7 +196,7 @@ class TestExtendMorphism:
             maps[(s, t)] = (
                 np.linalg.inv(levels[s + t]) @ m @ np.kron(levels[s], levels[t])
             )
-        from spsys2d.graded import GradedAlgebra
+        from spsys2d.stacks import GradedAlgebra
         gb = GradedAlgebra(horizon=8, M=maps)
         m = extend_morphism(gb, g, levels[1], levels[2])
         assert is_isomorphism(m)
@@ -233,7 +233,7 @@ class TestExtendMorphism:
     def _perturbed_e2_dual(key):
         """The dual of canonical E2 at h = 6, and a copy with 1e-3 added to
         every entry of M[key]."""
-        from spsys2d.graded import GradedAlgebra
+        from spsys2d.stacks import GradedAlgebra
         from spsys2d.systems import SystemLabel, canonical_system, dualize
         g = dualize(canonical_system(SystemLabel("E2"), 6))
         maps = dict(g.M)

@@ -9,24 +9,21 @@ import numpy as np
 import pytest
 
 from refs import GRID_LAMBDAS, U
-from spsys2d import classify
-from spsys2d.classify import (
+from spsys2d.classify import canonical_triple, classify_triple
+from spsys2d.graded import GradedMorphism, automorphism_description, catalog
+from spsys2d.identity import quad_coeffs
+from spsys2d.plane import (
     Classification,
     NotSubproductTripleError,
     TripleClass,
     TripleIso,
-    canonical_triple,
+    _normal_form,
+    _plane_form,
+    canonical_beta,
     classify_plane,
-    classify_triple,
     rank_of_plane,
 )
-from spsys2d.graded import (
-    GradedMorphism,
-    automorphism_description,
-    catalog,
-    degree_index,
-)
-from spsys2d.identity import quad_coeffs
+from spsys2d.stacks import degree_index
 from spsys2d.systems import (
     SystemLabel,
     canonical_system,
@@ -319,7 +316,7 @@ def perturbed_planes(n):
             cls = TripleClass("C3", complex(LAMBDAS[rng.integers(0, len(LAMBDAS))]))
         delta = (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3)[rng.integers(0, 6)]
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = kron(g, g) @ classify.canonical_beta(cls, 1)
+        b = kron(g, g) @ canonical_beta(cls, 1)
         b = b + delta * np.abs(b).max() * (rng.standard_normal((4, 2))
                                            + 1j * rng.standard_normal((4, 2)))
         yield eps, delta, Subspace.from_spanning(b, eps=eps)
@@ -425,7 +422,7 @@ class TestClosedFormRead:
         for label in ("C1", "C2", "C3", "C4", "C5"):
             cls = TripleClass(label, 2 + 1j if label == "C3" else None)
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = classify.canonical_beta(cls, 1)
+            b = canonical_beta(cls, 1)
             planes += [Subspace.from_spanning(b), Subspace.from_spanning(kron(g, g) @ b)]
         calls = []
         for name in dir(np.linalg):
@@ -441,8 +438,8 @@ class TestClosedFormRead:
         ranks = []
         for plane in planes:
             ranks.append(classify_plane(plane).rank)
-            u, v, g = classify._plane_form(plane.basis.T.tolist())
-            classify._normal_form(u, v, g, rank_of_plane(plane), DEFAULT_EPS)
+            u, v, g = _plane_form(plane.basis.T.tolist())
+            _normal_form(u, v, g, rank_of_plane(plane), DEFAULT_EPS)
         assert sorted(set(ranks)) == [0, 1, 2]
         assert calls == []
 
@@ -457,7 +454,7 @@ class TestClosedFormRead:
             cls = TripleClass(label, 0.5 - 2j if label == "C3" else None)
             for _ in range(5):
                 g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                plane = Subspace.from_spanning(kron(g, g) @ classify.canonical_beta(cls, 1))
+                plane = Subspace.from_spanning(kron(g, g) @ canonical_beta(cls, 1))
                 ref = classify_plane(plane)
                 frame = np.linalg.inv(ref.iso.theta)
                 peaks = frame[np.abs(frame).argmax(axis=0), [0, 1]]
@@ -500,7 +497,7 @@ class TestDeterminantForm:
             b = plane.basis
             want = np.array([[(u[0] * v[3] + u[3] * v[0] - u[1] * v[2] - u[2] * v[1]) / 2
                               for v in b.T] for u in b.T])
-            g = classify._plane_form(b.T.tolist())[2]  # (g00, g01, g11), as the plane read forms it
+            g = _plane_form(b.T.tolist())[2]  # (g00, g01, g11), as the plane read forms it
             assert np.abs(np.array(g) - want[[0, 0, 1], [0, 1, 1]]).max() <= 1e-15
 
     def test_quadratic_form_is_exact_on_small_integers(self):

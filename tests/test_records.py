@@ -14,10 +14,11 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from spsys2d.classify import Classification, Triple, TripleClass, TripleIso
-from spsys2d.graded import (Algebra2, AutomorphismFamily, DegreeIndex, GradedAlgebra,
-                            GradedMorphism, automorphism_description, build_graded, catalog,
-                            degree_index)
+from spsys2d.classify import Triple
+from spsys2d.graded import (Algebra2, AutomorphismFamily, GradedMorphism, automorphism_description,
+                            build_graded, catalog)
+from spsys2d.plane import Classification, TripleClass, TripleIso
+from spsys2d.stacks import DegreeIndex, GradedAlgebra, degree_index
 from spsys2d.systems import (AxiomReport, SubproductSystem, SystemIso, SystemLabel,
                              canonical_system)
 from spsys2d.tensorlinalg import I2, Record, Subspace, ValueRecord

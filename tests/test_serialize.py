@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from spsys2d import serialize
-from spsys2d.classify import TripleClass, canonical_triple
+from spsys2d.classify import canonical_triple
 from spsys2d.graded import build_graded, catalog
+from spsys2d.plane import TripleClass
 from spsys2d.systems import SystemLabel, canonical_system, dualize, random_system
 
 

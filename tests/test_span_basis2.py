@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from refs import U
-from spsys2d.classify import TripleClass, canonical_beta
+from spsys2d.plane import TripleClass, canonical_beta
 from spsys2d.tensorlinalg import Subspace, span_basis2, span_rank
 
 

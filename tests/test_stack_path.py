@@ -23,11 +23,11 @@ import pytest
 
 from refs import GRID, assert_same_build, ref_is_isomorphism
 from spsys2d import systems
-from spsys2d.classify import TripleClass, canonical_maps
-from spsys2d.graded import (CATALOG_NAMES, GradedAlgebra, GradedMorphism,
-                            NotAutomorphismError, build_graded, catalog, degree_index,
-                            extend_morphism, intertwining, intertwining_defects, is_automorphism,
-                            is_isomorphism, pair_max, twist)
+from spsys2d.graded import (CATALOG_NAMES, GradedMorphism, NotAutomorphismError, build_graded,
+                            catalog, extend_morphism, is_automorphism, is_isomorphism, twist)
+from spsys2d.plane import TripleClass, canonical_maps
+from spsys2d.stacks import (GradedAlgebra, degree_index, intertwining, intertwining_defects,
+                            pair_max)
 from spsys2d.systems import (SubproductSystem, SystemIso, SystemLabel, canonical_system,
                              classify_system, dualize, iso_residuals, random_system)
 from spsys2d.tensorlinalg import I2, as_cmat, kron

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from refs import SWAP
-from spsys2d.classify import TripleClass, canonical_triple
-from spsys2d.graded import GradedAlgebra, build_graded, catalog, degree_index
+from spsys2d.classify import canonical_triple
+from spsys2d.graded import build_graded, catalog
+from spsys2d.plane import TripleClass
+from spsys2d.stacks import GradedAlgebra, degree_index
 from spsys2d.systems import (
     ClassifyStageError,
     SubproductSystem,

@@ -17,8 +17,9 @@ import pytest
 import spsys2d
 from refs import U
 from spsys2d import serialize, tensorlinalg as tl
-from spsys2d.graded import (GradedAlgebra, NotAutomorphismError, build_graded, catalog,
-                            is_automorphism, kernel_subspace, singular_levels, twist)
+from spsys2d.graded import (NotAutomorphismError, build_graded, catalog, is_automorphism,
+                            kernel_subspace, singular_levels, twist)
+from spsys2d.stacks import GradedAlgebra
 from spsys2d.systems import SubproductSystem, SystemLabel, canonical_system, check_axioms
 
 EPSES = (1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2)
@@ -75,7 +76,8 @@ def test_fixed_guard_pins_its_value(name):
     assert getattr(tl, name) == GUARDS[name]
 
 
-@pytest.mark.parametrize("module", ["classify.py", "graded.py", "systems.py"])
+@pytest.mark.parametrize("module", ["classify.py", "graded.py", "plane.py", "stacks.py",
+                                    "systems.py"])
 def test_decision_modules_hold_no_tolerance_literal(module):
     path = pathlib.Path(spsys2d.__file__).parent / module
     tree = ast.parse(path.read_text(encoding="utf-8"))
