@@ -239,7 +239,7 @@ class GradedMorphism(Record):
         defects = intertwining_defects(self.stack[:h].transpose(0, 2, 1),
                                        self.target.stack.transpose(0, 2, 1),
                                        self.source.stack.transpose(0, 2, 1))[0]
-        return dict(zip(degree_index(h).pairs, pair_max(defects).tolist()))
+        return dict(zip(degree_index(h).pairs, np.maximum.reduce(defects).tolist()))
 
 
 def singular_levels(levels: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:

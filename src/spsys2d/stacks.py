@@ -24,11 +24,12 @@ from .tensorlinalg import DEFAULT_EPS, Record, matmul2, require_finite
 
 
 # Per-triple checks (O(h^3) of them; pair stacks are not chunked) run over at
-# most CHUNK triples at a time: as `matmul2` contractions in the coassociativity
-# check, as stacked SVDs in the kernel check.  Sized by measurement: 256 keeps
-# the peak of `check_axioms` under 1 MiB at h = 64 (the kernel check peaks at
-# ~2.4 MiB at h = 32), while each array operation spans enough triples to
-# amortise its fixed cost.
+# most CHUNK triples at a time: in the coassociativity check, as `matmul2`
+# contractions of entry-major (m, 2, T) operands gathered along their last,
+# triple axis; in the kernel check, as stacked SVDs.  Sized by measurement:
+# 256 keeps the peak of `check_axioms` under 1 MiB at h = 64 (the kernel check
+# peaks at ~2.4 MiB at h = 32), while each array operation spans enough
+# triples to amortise its fixed cost.
 CHUNK = 256
 
 
@@ -223,14 +224,18 @@ def triple_residuals(maps: np.ndarray, idx: DegreeIndex) -> np.ndarray:
     max |(b[r,s] (x) I2) b[r+s,t] - (I2 (x) b[s,t]) b[r,s+t]| per triple,
     where `maps` stacks the 4x2 maps b in idx.pairs order.  (B (x) I2) C
     contracts B with the first factor of C's rows, (I2 (x) B) C with the
-    second, so neither Kronecker product is formed."""
+    second, so neither Kronecker product is formed.  The stack is made
+    entry-major, (4, 2, P), once; each chunk's operands are gathered along
+    its last axis, and each triple's 16 defects reduced by one
+    np.maximum.reduce over the entry axis."""
+    lanes = np.ascontiguousarray(maps.transpose(1, 2, 0))
     out = np.empty(len(idx.triples))
     for sl in _chunks(len(idx.triples)):
-        b, c = maps[idx.rs[sl]], maps[idx.rs_t[sl]]
-        left = matmul2(b, c.reshape(-1, 2, 4)).reshape(-1, 8, 2)
-        b, c = maps[idx.st[sl]], maps[idx.r_st[sl]]
-        right = matmul2(b[:, None], c.reshape(-1, 2, 2, 2)).reshape(-1, 8, 2)
-        out[sl] = pair_max(np.abs(left - right))
+        left = matmul2(np.take(lanes, idx.rs[sl], axis=-1),
+                       np.take(lanes, idx.rs_t[sl], axis=-1).reshape(2, 4, -1)).reshape(16, -1)
+        left -= matmul2(np.take(lanes, idx.st[sl], axis=-1),
+                        np.take(lanes, idx.r_st[sl], axis=-1).reshape(2, 2, 2, -1)).reshape(16, -1)
+        out[sl] = np.maximum.reduce(np.abs(left))
     return out
 
 
@@ -262,27 +267,33 @@ class GradedAlgebra(Record):
 
 def intertwining(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
     """Both sides of (theta_s (x) theta_t) src[s, t] = dst[s, t] theta_{s+t},
-    stacked in pairs order, for the (h, 2, 2) stack theta and two systems'
-    (P, 4, 2) stacks.  A graded morphism is this relation on the transposes.
+    as entry-major (4, 2, P) stacks with the pairs in order along the last
+    axis, for the (h, 2, 2) stack theta and two systems' (P, 4, 2) stacks.  A
+    graded morphism is this relation on the transposes.
     (theta_s (x) theta_t) X is formed as (theta_s (x) I2)((I2 (x) theta_t) X);
-    theta_s, theta_t and theta_{s+t} of every pair come from one gather."""
-    theta_s, theta_t, theta_st = theta[degree_index(len(theta)).sides.T]
-    inner = matmul2(theta_t[:, None], src.reshape(-1, 2, 2, 2))
-    lhs = matmul2(theta_s, inner.reshape(-1, 2, 4)).reshape(-1, 4, 2)
+    theta_s, theta_t and theta_{s+t} of every pair come from one gather,
+    made pairs-last by it, and each system's stack is made entry-major once."""
+    sides = degree_index(len(theta)).sides.T
+    gathered = np.take(theta.transpose(1, 2, 0), sides, axis=-1)  # (2, 2, 3, P)
+    theta_s, theta_t, theta_st = gathered.transpose(2, 0, 1, 3)
+    src, dst = (np.ascontiguousarray(m.transpose(1, 2, 0)) for m in (src, dst))
+    inner = matmul2(theta_t, src.reshape(2, 2, 2, -1))
+    lhs = matmul2(theta_s, inner.reshape(2, 4, -1)).reshape(4, 2, -1)
     return lhs, matmul2(dst, theta_st)
 
 
 def intertwining_defects(theta: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
     """(defects, residuals) for the (h, 2, 2) stack theta and two systems'
-    (P, 4, 2) stacks, in pairs order: the (P, 4, 2) stack |lhs - rhs| of
-    `intertwining`, and the relative residual of each pair, its largest
-    defect scaled by max(1, the largest |entry| of either side).  The one
-    residual rule of `systems.iso_residuals`, `classify_system` and
-    `extend_morphism`."""
-    lhs, rhs = intertwining(theta, src, dst)
-    scale = np.maximum(1.0, pair_max(np.maximum(np.abs(lhs), np.abs(rhs))))
+    (P, 4, 2) stacks, in pairs order: the entry-major (8, P) stack |lhs - rhs|
+    of `intertwining`, entry 2 i + j of a pair its (i, j) entry, and the
+    relative residual of each pair, its largest defect scaled by max(1, the
+    largest |entry| of either side), each maximum one np.maximum.reduce over
+    the entry axis.  The one residual rule of `systems.iso_residuals`,
+    `classify_system` and `extend_morphism`."""
+    lhs, rhs = (side.reshape(8, -1) for side in intertwining(theta, src, dst))
+    scale = np.maximum(1.0, np.maximum.reduce(np.maximum(np.abs(lhs), np.abs(rhs))))
     defects = np.abs(lhs - rhs)
-    return defects, pair_max(defects) / scale
+    return defects, np.maximum.reduce(defects) / scale
 
 
 def extend_levels(theta1, left, maps, lam=None) -> np.ndarray:

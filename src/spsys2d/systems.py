@@ -14,7 +14,7 @@ import numpy as np
 
 from .plane import Classification, TripleClass, _read_plane, canonical_maps, check_label
 from .stacks import (GradedAlgebra, checked_maps, degree_index, equilibrated_levels,
-                     checked_levels, extend_levels, intertwining_defects, pair_max, rank_lost,
+                     checked_levels, extend_levels, intertwining_defects, rank_lost,
                      triple_residuals)
 from .tensorlinalg import (DEFAULT_EPS, I2, Record, Subspace, ValueRecord, kron, rank_deficient,
                            residual_tol, span_basis2)
@@ -191,11 +191,16 @@ def _scaled_tol(stack: np.ndarray, eps: float) -> tuple:
     is finite for every finite entry, whose modulus may not be, so neither big
     nor tol overflows; scaling by a power of two rounds nothing, so the
     tolerance is the stated one wherever that does not overflow."""
-    peak = float(np.abs(stack.view(float)).max())
-    unit = math.ldexp(1.0, -max(math.frexp(peak)[1] - 1, 0))
+    unit = _unit(stack)
     scaled = stack if unit == 1 else stack * unit
     big = float(np.abs(scaled).max())
     return scaled, unit, big, eps * max(big * big, unit * unit)
+
+
+def _unit(stack: np.ndarray) -> float:
+    """The unit 2^-k of `_scaled_tol` for a contiguous stack of maps."""
+    peak = float(np.abs(stack.view(float)).max())
+    return math.ldexp(1.0, -max(math.frexp(peak)[1] - 1, 0))
 
 
 def triple_of_system(sys: SubproductSystem, eps: float = DEFAULT_EPS):
@@ -349,14 +354,21 @@ def _axioms_proved(stack: np.ndarray, norms: np.ndarray, q: np.ndarray,
     tr = xx + yy  # |beta_st|_F^2 = sigma_0^2 + sigma_1^2
     root_tr = np.sqrt(tr)
     sides = degree_index(len(norms)).sides.T[:2]  # the positions s - 1, t - 1 of each pair
-    inv_s, inv_t = (1 / norms)[sides]
-    scaled = pair_max(defects * (inv_s[:, :, None] * inv_t[:, None, :]).reshape(-1, 4, 1))
+    # 1 / the row norms of theta_s and theta_t, (rows, s or t, P), pairs last
+    inv = np.take((1 / norms).T, sides, axis=1)
+    # the defects are entry-major (8, P): entry 2 i + j of a pair, row i of it
+    rows = (inv[:, None, 0] * inv[None, :, 1]).reshape(4, 1, -1)
+    scaled = np.maximum.reduce((defects.reshape(4, 2, -1) * rows).reshape(8, -1))
     # both sides round within 10 u (|beta_st|_F + |R_st|), fl(lambda^s) within
     # 12 (s + 1) u |lambda^s|, which adds as much again of |beta_st|_F + |R_st|
     rounding = _U * (10 + 12 * (sides[0] + 2) if c3 else 10) * (root_tr + scaled)
-    q_s, q_t = (q - 32 * _U)[sides]  # q rounds within 25 u
+    q_s, q_t = np.take(q - 32 * _U, sides)  # q rounds within 25 u
     err = float(((scaled + rounding) / (q_s * q_t)).max()) * 4 * (1 + _SLACK)
-    _, unit, big, tol = _scaled_tol(stack, eps)
+    # big and tol of `_scaled_tol`, big from |beta| as formed above: |z 2^-k|
+    # is |z| 2^-k, as `tests/test_certified_axioms.py` pins
+    unit = _unit(stack)
+    big = float(a.max()) * unit
+    tol = eps * max(big * big, unit * unit)
     err *= unit
     if not 4 * err * (2 * big + err) * (1 + _SLACK) + _SLACK * big * big <= tol:
         return False

@@ -28,7 +28,7 @@ from .common import DEFAULT_EPS  # re-exported: shared with the exact half
 
 def residual_tol(eps: float) -> float:
     """Certificates, normal forms, kernel leaks and composite agreement, twists."""
-    return np.sqrt(eps)
+    return math.sqrt(eps)
 
 
 GRAM_TOL = 1e-7  # orthonormality of a stored basis
@@ -89,13 +89,17 @@ def kron(u, v) -> np.ndarray:
 
 
 def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for (..., m, 2) and (..., 2, n) stacks whose leading axes
-    broadcast: two broadcast products and one sum over the whole stack, in
-    place of one BLAS call per matrix.  ValueError unless the contracted
-    dimension is 2 on both sides."""
-    if a.shape[-1] != 2 or b.shape[-2] != 2:
+    """a @ b for entry-major (..., m, 2, P) and (..., 2, n, P) stacks, the
+    pair (or triple) axis last and the leading axes broadcast: the (..., m, n,
+    P) stack a[..., i, 0] b[..., 0, j] + a[..., i, 1] b[..., 1, j].  Two
+    broadcast products, the second added in place; each inner loop runs over
+    the P lanes, and no BLAS call is made per matrix.  ValueError unless the
+    contracted dimension is 2 on both sides."""
+    if a.shape[-2] != 2 or b.shape[-3] != 2:
         raise ValueError(f"matmul2 contracts a dimension of 2, not {a.shape} @ {b.shape}")
-    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+    out = a[..., :, 0, None, :] * b[..., None, 0, :, :]
+    out += a[..., :, 1, None, :] * b[..., None, 1, :, :]
+    return out
 
 
 class Record:

@@ -12,7 +12,7 @@ import numpy as np
 
 from spsys2d.graded import singular_levels
 from spsys2d.plane import Classification, classify_plane
-from spsys2d.stacks import degree_index, extend_levels
+from spsys2d.stacks import CHUNK, degree_index, extend_levels
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              axiom_text, canonical_system, check_axioms, iso_residuals)
 from spsys2d.tensorlinalg import DEFAULT_EPS, Subspace, kron, residual_tol
@@ -74,6 +74,37 @@ def assert_same_build(got, want, name):
 
 
 # --- references ----------------------------------------------------------------
+
+def ref_matmul2(a, b):
+    """matmul2 as it was, pairs first: a @ b for (..., m, 2) and (..., 2, n)
+    stacks whose leading axes broadcast, two broadcast products and a sum."""
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
+def ref_intertwining(theta, src, dst):
+    """stacks.intertwining as it was: both sides of (theta_s (x) theta_t)
+    src[s, t] = dst[s, t] theta_{s+t} as (P, 4, 2) stacks, by `ref_matmul2`
+    on the pairs-first stacks."""
+    theta_s, theta_t, theta_st = theta[degree_index(len(theta)).sides.T]
+    inner = ref_matmul2(theta_t[:, None], src.reshape(-1, 2, 2, 2))
+    lhs = ref_matmul2(theta_s, inner.reshape(-1, 2, 4)).reshape(-1, 4, 2)
+    return lhs, ref_matmul2(dst, theta_st)
+
+
+def ref_triple_residuals(maps, idx):
+    """stacks.triple_residuals as it was: the defect of each triple, by
+    `ref_matmul2` on pairs-first operands, CHUNK triples at a time, and
+    reduced by `.max(axis=(1, 2))`."""
+    out = np.empty(len(idx.triples))
+    for lo in range(0, len(idx.triples), CHUNK):
+        sl = slice(lo, lo + CHUNK)
+        b, c = maps[idx.rs[sl]], maps[idx.rs_t[sl]]
+        left = ref_matmul2(b, c.reshape(-1, 2, 4)).reshape(-1, 8, 2)
+        b, c = maps[idx.st[sl]], maps[idx.r_st[sl]]
+        right = ref_matmul2(b[:, None], c.reshape(-1, 2, 2, 2)).reshape(-1, 8, 2)
+        out[sl] = np.abs(left - right).max(axis=(1, 2))
+    return out
+
 
 def ref_left_inverse(b):
     """The Moore-Penrose inverse of a map b whose columns c_j are orthogonal:

@@ -2,9 +2,10 @@
 at-a-time loops they replaced, which are kept here as the reference.
 
 Verdicts, failing indices and singular values must agree exactly.  The
-coassociativity and intertwining residuals are formed by `matmul2`, whose
-sums round in another order than BLAS's, so they agree within the rounding
-bound of the compared products.  The image condition, which now tracks a 2x2
+coassociativity and intertwining residuals are formed by `matmul2` on
+entry-major (m, 2, P) and (2, n, P) stacks, the pair (or triple) axis last,
+whose sums round in another order than BLAS's, so they agree within the
+rounding bound of the compared products.  The image condition, which now tracks a 2x2
 factor instead of the 2 x 2^n iterated product, is compared by verdict.
 The parent's classify_system, which went through the dual graded
 algebras and extend_morphism, is kept as `ref_classify_by_graded_detour`,

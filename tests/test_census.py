@@ -11,14 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refs import moved
 from spsys2d.plane import Classification
 from spsys2d.stacks import GradedAlgebra
-from spsys2d.systems import SystemIso
+from spsys2d.systems import SystemIso, SystemLabel, random_system
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "census.py"
 SMALL = ["--seeds", "1", "--horizons", "4"]
 LINE = re.compile(r"^sha256 ([0-9a-f]{64}) records (\d+) refusals (\d+)$")
+CHECKS = re.compile(r"^axiom checks (\d+) of (\d+) records$")
 
 
 def _load():
@@ -37,12 +39,28 @@ def digest():
 def test_the_census_runs_as_a_script(digest):
     proc = subprocess.run([sys.executable, str(SCRIPT), *SMALL], capture_output=True,
                           text=True, timeout=300, check=True)
-    found = LINE.match(proc.stdout.strip())
-    assert found, proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    found, checks = LINE.match(lines[0]), CHECKS.match(lines[1])
+    assert found and checks, proc.stdout
     records, refusals = int(found.group(2)), int(found.group(3))
     # 12 cells x 1 seed x 1 horizon, each clean and with one entry moved 3 ways
     assert records == 48 and 0 < refusals < records
     assert found.group(1) == digest
+    assert int(checks.group(2)) == records and 0 < int(checks.group(1)) < records
+
+
+def test_a_record_counts_as_checked_when_check_axioms_ran():
+    """The bound decides a clean scrambled system; an input that fails the
+    axioms is refused by `check_axioms`.  The count leaves `check_axioms` as
+    it was."""
+    census = _load()
+    check_axioms = census.systems.check_axioms
+    clean = random_system(SystemLabel("E2"), 7, 6)
+    assert census.outcome(clean)[:2] == (False, False)
+    refused, checked, record = census.outcome(moved(clean, (2, 1), (0, 0), 1e-3))
+    assert refused and checked and record[1] == "axioms"
+    assert census.systems.check_axioms is check_axioms
 
 
 def test_the_hash_sees_one_bit_of_theta(monkeypatch, digest):

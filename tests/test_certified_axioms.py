@@ -313,6 +313,21 @@ def test_the_scaled_tolerance_is_the_stated_one_where_it_does_not_overflow():
             assert tol / unit / unit == eps * max(big * big, 1.0)
 
 
+@pytest.mark.parametrize("h", sorted(STRESS_COUNTS))
+def test_the_modulus_commutes_with_the_scaling_on_the_stress_grid(h):
+    """The bound takes max|beta| 2^-k from the |beta| it forms, where
+    `check_axioms` takes max|beta 2^-k|: the same bits wherever |z 2^-k| is
+    |z| 2^-k, entry by entry, which the libm's hypot must give.  Every system
+    of the stress grid is scaled (2^-k < 1)."""
+    for label in STRESS_GRID:
+        for seed in range(10):
+            stack = random_system(label, 1000 * seed + 7, h).stack
+            unit = systems._unit(stack)
+            assert unit < 1
+            assert np.abs(stack * unit).tobytes() == (np.abs(stack) * unit).tobytes()
+            assert systems._scaled_tol(stack, 1e-9)[2] == float(np.abs(stack).max()) * unit
+
+
 def test_an_entry_whose_modulus_overflows_fails_without_a_warning():
     """beta[1, 5][0, 0] = 1.5e308 (1 + i) has finite parts but a modulus past
     the float range: the scale is taken from the parts, and the LAPACK SVD of

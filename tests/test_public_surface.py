@@ -51,13 +51,32 @@ def _referenced_names(attributes_only: bool = False) -> set:
     return names
 
 
+def _python_api_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _documented_exports() -> set:
     """The names of `spsys2d.__all__` that a code span or block of README's
     "Python API" section contains."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
-    code = re.findall(r"```.*?```|`[^`]+`", section, flags=re.S)
+    code = re.findall(r"```.*?```|`[^`]+`", _python_api_section(), flags=re.S)
     return set(re.findall(r"\w+", " ".join(code))) & set(spsys2d.__all__)
+
+
+def test_readme_lists_exactly_the_exports_of_each_submodule():
+    """Each "- `module`: names" bullet of README's "Python API" section names
+    in code exactly the names that `spsys2d._EXPORTS` maps to that module, and
+    each module of `_EXPORTS` has one bullet.  So an `_EXPORTS` literal whose
+    repeated key drops a module's names fails here."""
+    bullets = re.findall(r"^- `(\w+)`(.*?)(?=^- |^$|\Z)", _python_api_section(),
+                         flags=re.M | re.S)
+    modules = [module for module, _ in bullets]
+    assert len(modules) == len(set(modules)), f"a submodule has two bullets: {modules}"
+    listed = {module: sorted(re.findall(r"`([^`]+)`", body)) for module, body in bullets}
+    exported = {}
+    for name, module in spsys2d._EXPORTS.items():
+        exported.setdefault(module, []).append(name)
+    assert listed == {module: sorted(names) for module, names in exported.items()}
 
 
 def _public_definitions():

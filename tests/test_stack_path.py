@@ -21,16 +21,17 @@ singular values (`refs.ref_is_isomorphism`).
 import numpy as np
 import pytest
 
-from refs import GRID, assert_same_build, ref_is_isomorphism
+from refs import (GRID, assert_same_build, ref_intertwining, ref_is_isomorphism, ref_matmul2,
+                  ref_triple_residuals)
 from spsys2d import systems
 from spsys2d.graded import (CATALOG_NAMES, GradedMorphism, NotAutomorphismError, build_graded,
                             catalog, extend_morphism, is_automorphism, is_isomorphism, twist)
 from spsys2d.plane import TripleClass, canonical_maps
 from spsys2d.stacks import (GradedAlgebra, degree_index, intertwining, intertwining_defects,
-                            pair_max)
+                            pair_max, triple_residuals)
 from spsys2d.systems import (SubproductSystem, SystemIso, SystemLabel, canonical_system,
                              classify_system, dualize, iso_residuals, random_system)
-from spsys2d.tensorlinalg import I2, as_cmat, kron
+from spsys2d.tensorlinalg import I2, as_cmat, kron, matmul2
 
 HORIZONS = (3, 6, 12, 32)
 
@@ -139,28 +140,72 @@ def test_a_short_iso_names_its_first_missing_level():
 
 
 def ref_intertwining_defects(theta, src, dst):
-    """intertwining_defects as it was: two per-pair maxima and a maximum."""
-    lhs, rhs = intertwining(theta, src, dst)
+    """intertwining_defects as it was: the (P, 4, 2) defects of
+    `refs.ref_intertwining`, two per-pair maxima and a maximum."""
+    lhs, rhs = ref_intertwining(theta, src, dst)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
                                        np.abs(rhs).max(axis=(1, 2))))
     defects = np.abs(lhs - rhs)
     return defects, defects.max(axis=(1, 2)) / scale
 
 
-@pytest.mark.parametrize("h", [3, 6, 12])
-def test_the_certificate_keeps_its_bits(h):
-    """Either side may hold the largest entry of a pair: theta scaled down
-    makes the right side dominate, scaled up the left."""
+KERNEL_HORIZONS = (3, 6, 12, 20)  # 1140 triples at h = 20: five chunks of CHUNK
+THETA_SCALES = (1e-3, 0.5, 1.0, 2.0, 1e3)
+
+
+def _kernel_inputs(h):
+    """(theta, src, dst) at horizon h for each scale of THETA_SCALES: either
+    side may hold the largest entry of a pair, theta scaled down makes the
+    right side dominate, scaled up the left."""
     rng = np.random.default_rng(h)
     p = h * (h - 1) // 2
-    for scale in (1e-3, 0.5, 1.0, 2.0, 1e3):
+    for scale in THETA_SCALES:
         theta = scale * (rng.standard_normal((h, 2, 2)) + 1j * rng.standard_normal((h, 2, 2)))
         src, dst = (rng.standard_normal((p, 4, 2)) + 1j * rng.standard_normal((p, 4, 2))
                     for _ in range(2))
+        yield theta, src, dst
+
+
+def _pairs_first(a):
+    """An entry-major (..., P) stack as the C-contiguous pairs-first stack."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def test_matmul2_keeps_the_bits_of_the_pairs_first_products():
+    rng = np.random.default_rng(5)
+    for sa, sb in (((66, 4, 2), (66, 2, 2)), ((66, 1, 2, 2), (66, 2, 2, 2)),
+                   ((256, 4, 2), (256, 2, 4)), ((256, 1, 4, 2), (256, 2, 2, 2))):
+        a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in (sa, sb))
+        got = matmul2(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1))
+        assert _pairs_first(got).tobytes() == ref_matmul2(a, b).tobytes()
+
+
+@pytest.mark.parametrize("h", KERNEL_HORIZONS)
+def test_the_certificate_keeps_its_bits(h):
+    """Both sides of the relation, their defects and the residuals."""
+    for theta, src, dst in _kernel_inputs(h):
+        for got, want in zip(intertwining(theta, src, dst), ref_intertwining(theta, src, dst)):
+            assert got.shape == (4, 2, len(src))
+            assert _pairs_first(got).tobytes() == want.tobytes()
         got = intertwining_defects(theta, src, dst)
         want = ref_intertwining_defects(theta, src, dst)
-        assert got[0].tobytes() == want[0].tobytes()
+        assert got[0].shape == (8, len(src))
+        assert _pairs_first(got[0]).tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("h", KERNEL_HORIZONS)
+def test_the_coassociativity_defects_keep_their_bits(h):
+    """On random maps, and on scrambled systems whose defects are rounding."""
+    idx = degree_index(h)
+    stacks = [scale * src for scale, (_, src, _) in zip(THETA_SCALES, _kernel_inputs(h))]
+    stacks += [random_system(label, h, h).stack for label in GRID]
+    for maps in stacks:
+        want = ref_triple_residuals(maps, idx)
+        assert triple_residuals(maps, idx).tobytes() == want.tobytes()
+        # the transposed view that `GradedAlgebra.associativity_residual` passes
+        dual = np.ascontiguousarray(maps.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert triple_residuals(dual, idx).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind, shape", [("system", (4, 2)), ("algebra", (2, 4))])
@@ -259,11 +304,11 @@ def ref_twist(g, f):
 
 def ref_level_residuals(m):
     """GradedMorphism.level_residuals as it was: theta restacked from the
-    dict, and the per-pair maximum of |lhs - rhs|."""
+    dict, and the per-pair maximum of |lhs - rhs| of `refs.ref_intertwining`."""
     h = m.source.horizon
     theta = np.stack([m.theta[t] for t in range(1, h + 1)]).transpose(0, 2, 1)
-    lhs, rhs = intertwining(theta, m.target.stack.transpose(0, 2, 1),
-                            m.source.stack.transpose(0, 2, 1))
+    lhs, rhs = ref_intertwining(theta, m.target.stack.transpose(0, 2, 1),
+                                m.source.stack.transpose(0, 2, 1))
     return dict(zip(degree_index(h).pairs, np.abs(lhs - rhs).max(axis=(1, 2)).tolist()))
 
 

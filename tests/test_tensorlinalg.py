@@ -46,22 +46,26 @@ class TestBasics:
 
     def test_matmul2_is_matmul_within_rounding(self):
         rng = _rng()
-        shapes = [((4, 2), (2, 4)), ((7, 4, 2), (7, 2, 2)), ((7, 1, 4, 2), (7, 3, 2, 2)),
-                  ((5, 2), (6, 1, 2, 3)), ((1, 8, 2), (3, 2, 1))]
+        # entry-major operands, the lane axis last: (..., m, 2, P) @ (..., 2, n, P)
+        shapes = [((4, 2, 1), (2, 4, 1)), ((4, 2, 7), (2, 2, 7)), ((1, 4, 2, 7), (3, 2, 2, 7)),
+                  ((5, 2, 1), (6, 2, 3, 4)), ((8, 2, 3), (2, 1, 3))]
         for sa, sb in shapes:
             a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
             b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
-            got, want = matmul2(a, b), np.matmul(a, b)
+            got = matmul2(a, b)
+            lanes_first = (np.moveaxis(a, -1, -3), np.moveaxis(b, -1, -3))
+            want = np.moveaxis(np.matmul(*lanes_first), -3, -1)
             assert got.shape == want.shape
             # componentwise rounding bound of a length-2 complex dot product
-            bound = 8 * np.finfo(float).eps * np.matmul(np.abs(a), np.abs(b))
+            bound = 8 * np.finfo(float).eps * np.moveaxis(
+                np.matmul(*map(np.abs, lanes_first)), -3, -1)
             assert (np.abs(got - want) <= bound).all(), (sa, sb)
 
     def test_matmul2_contracts_only_a_dimension_of_two(self):
         with pytest.raises(ValueError):
-            matmul2(np.ones((4, 3)), np.ones((3, 2)))
+            matmul2(np.ones((4, 3, 1)), np.ones((3, 2, 1)))
         with pytest.raises(ValueError):
-            matmul2(np.ones((4, 2)), np.ones((3, 2)))
+            matmul2(np.ones((4, 2, 1)), np.ones((3, 2, 1)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

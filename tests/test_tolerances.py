@@ -36,6 +36,7 @@ GUARDS = {
 @pytest.mark.parametrize("eps", EPSES)
 def test_residual_tol_is_the_square_root_of_eps(eps):
     assert tl.residual_tol(eps) == np.sqrt(eps)
+    assert type(tl.residual_tol(eps)) is float  # no numpy scalar in the plane read
 
 
 def test_coassociativity_is_tested_at_eps_with_no_floor():

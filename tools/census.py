@@ -29,6 +29,12 @@ check a change, run it in the change's checkout and in the parent's (from
 `git archive`).  It prints
 
     sha256 <hex> records <n> refusals <r>
+    axiom checks <k> of <n> records
+
+The second line, which the hash does not take, counts the records whose
+`classify_system` call ran `check_axioms`: those its O(h^2) axiom bound did
+not decide, and those a stage refused.  A change to the bound that keeps the
+first line and this count keeps where the bound decides.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from spsys2d import cli, serialize  # noqa: E402
+from spsys2d import cli, serialize, systems  # noqa: E402
 from spsys2d.graded import (  # noqa: E402
     CATALOG_NAMES, build_graded, catalog, extend_morphism, is_isomorphism, twist,
 )
@@ -71,18 +77,38 @@ def refusal(exc: Exception) -> tuple:
     return type(exc).__name__, getattr(exc, "stage", None), str(exc)
 
 
-def outcome(system: SubproductSystem) -> tuple:
-    """(refused, record) for one system."""
+@contextlib.contextmanager
+def counted_axiom_checks():
+    """A one-item list that counts the calls of `systems.check_axioms`, the
+    one `classify_system` makes, within the block."""
+    calls, check_axioms = [0], systems.check_axioms
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return check_axioms(*args, **kwargs)
+
+    systems.check_axioms = counted
     try:
-        result = classify_system(system)
-    except Exception as exc:  # noqa: BLE001 - a refusal of any kind is an outcome
-        return True, refusal(exc)
+        yield calls
+    finally:
+        systems.check_axioms = check_axioms
+
+
+def outcome(system: SubproductSystem) -> tuple:
+    """(refused, checked, record) for one system, checked being whether
+    `classify_system` ran `check_axioms`."""
+    with counted_axiom_checks() as calls:
+        try:
+            result = classify_system(system)
+        except Exception as exc:  # noqa: BLE001 - a refusal of any kind is an outcome
+            return True, bool(calls[0]), refusal(exc)
     label, iso = result
     lam = None if label.lam is None else (label.lam.real.hex(), label.lam.imag.hex())
     canonical = canonical_system(label, system.horizon)
-    return False, (label.label, lam, result.rank, float(result.rank_margin).hex(),
-                   iso.stack.tobytes(), _floats(result.residuals),
-                   _floats(iso_residuals(system, canonical, iso)))
+    return False, bool(calls[0]), (label.label, lam, result.rank,
+                                   float(result.rank_margin).hex(), iso.stack.tobytes(),
+                                   _floats(result.residuals),
+                                   _floats(iso_residuals(system, canonical, iso)))
 
 
 def extension(system: SubproductSystem) -> tuple:
@@ -133,9 +159,9 @@ def printed(systems: list):
 
 
 def census(seeds: int, horizons: list) -> tuple:
-    """(sha256 hex digest, records, refusals) over the grid."""
+    """(sha256 hex digest, records, refusals, axiom checks) over the grid."""
     digest = hashlib.sha256()
-    records = refusals = 0
+    records = refusals = checks = 0
     for h in horizons:
         for k in range(seeds):
             seed = 1000 * k + 7
@@ -146,10 +172,11 @@ def census(seeds: int, horizons: list) -> tuple:
                 for move in MOVES:
                     stack = base.stack.copy()
                     stack[where] += move * np.abs(stack).max()
-                    refused, record = outcome(SubproductSystem(h, stack))
+                    refused, checked, record = outcome(SubproductSystem(h, stack))
                     digest.update(repr((cell, seed, h, move, record)).encode())
                     records += 1
                     refusals += refused
+                    checks += checked
         scrambled = [random_system(cell, 7, h) for cell in CELLS]
         for cell, system in zip(CELLS, scrambled):
             digest.update(repr((cell, h, extension(system))).encode())
@@ -157,7 +184,7 @@ def census(seeds: int, horizons: list) -> tuple:
             digest.update(repr((h, record)).encode())
         for record in printed(scrambled[::3]):
             digest.update(repr((h, record)).encode())
-    return digest.hexdigest(), records, refusals
+    return digest.hexdigest(), records, refusals, checks
 
 
 def main(argv=None) -> int:
@@ -167,8 +194,9 @@ def main(argv=None) -> int:
                         help="comma-separated horizons, each at least 3 (default 6,12,20)")
     args = parser.parse_args(argv)
     horizons = [int(h) for h in args.horizons.split(",")]
-    digest, records, refusals = census(args.seeds, horizons)
+    digest, records, refusals, checks = census(args.seeds, horizons)
     print(f"sha256 {digest} records {records} refusals {refusals}")
+    print(f"axiom checks {checks} of {records} records")
     return 0
 
 
