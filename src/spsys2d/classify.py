@@ -1,7 +1,8 @@
 """The constructive search for product vectors in intersections (the Main
 Lemma), and classification of identical-factor triples into the five
-canonical families C1..C5 with an explicit isomorphism, certified on E2 and
-E3.  The read of the plane E2 and the canonical tables are in `plane`, which
+canonical families C1..C5 with an explicit isomorphism, certified as the
+horizon-3 system that the triple determines.  The read of the plane E2 and
+the canonical tables are in `plane`, the certificate in `systems`, which
 classifying a system loads without this module.
 """
 
@@ -12,9 +13,10 @@ import math
 import numpy as np
 
 from .common import quad_coeffs
-from .plane import (
-    Classification, NotSubproductTripleError, TripleClass, TripleIso, canonical_beta,
-    classify_plane,
+from .plane import Classification, NotSubproductTripleError, TripleClass, TripleIso
+from .systems import (
+    ClassifyStageError, SubproductSystem, SystemLabel, _certified, _triple_class,
+    canonical_system, triple_of_system,
 )
 from .tensorlinalg import (
     DEFAULT_EPS, I2, Record, Subspace, _binary_roots, _norm, _projective, _unit, annihilator,
@@ -122,36 +124,31 @@ class Triple(Record):
 
 def canonical_triple(c: TripleClass, eps: float = DEFAULT_EPS) -> Triple:
     """The canonical triple of each class, in standard coordinates: the
-    degree-(1, 2, 3) data of the canonical system of `canonical_beta`."""
-    b11 = canonical_beta(c, 1)
-    return Triple(
-        E2=Subspace.from_spanning(b11, eps=eps),
-        E3=Subspace.from_spanning(kron(b11, I2) @ canonical_beta(c, 2), eps=eps),
-    )
+    degree-(1, 2, 3) data of the canonical system (`triple_of_system`)."""
+    return triple_of_system(canonical_system(SystemLabel.from_triple_class(c), 3), eps)
 
 
-def _verify_iso(t: Triple, cls: TripleClass, iso: TripleIso, eps: float) -> None:
-    """The images of E2 and E3 are the canonical ones: the same dimension,
-    and projectors within residual_tol(eps) entrywise."""
-    target = canonical_triple(cls, eps)
-    tol = residual_tol(eps)
-
-    def matches(image: Subspace, canonical: Subspace) -> bool:
-        return (image.dim == canonical.dim
-                and np.abs(image.projector() - canonical.projector()).max() <= tol)
-
-    if not matches(iso.apply2(t.E2, eps), target.E2):
-        raise NotSubproductTripleError("E2 does not map onto the canonical plane")
-    if not matches(iso.apply3(t.E3, eps), target.E3):
-        raise NotSubproductTripleError(
-            "E3 is inconsistent with the normal form implied by E2"
-        )
+def _system_of(t: Triple) -> SubproductSystem:
+    """The horizon-3 system of a triple: beta[1, 1] = b, the orthonormal basis
+    of E2, and beta[1, 2] = (I2 (x) b)^H e3, beta[2, 1] = (b (x) I2)^H e3 for
+    the basis e3 of E3 (b^H is the left inverse of b, so both are E3's
+    coordinates in C^2 (x) E2 and E2 (x) C^2)."""
+    b, e3 = t.E2.basis, t.E3.basis
+    return SubproductSystem(3, {(1, 1): b, (1, 2): kron(I2, b).conj().T @ e3,
+                                (2, 1): kron(b, I2).conj().T @ e3})
 
 
 def classify_triple(t: Triple, eps: float = DEFAULT_EPS) -> Classification:
-    """Classify a triple into C1..C5 with lambda and an explicit isomorphism,
-    certified on both E2 and E3."""
+    """Classify a triple into C1..C5 with lambda and an explicit isomorphism:
+    `Triple.validate`, then the certified stages of `classify_system` on the
+    triple's horizon-3 system (`_system_of`), whose axiom bound is not read:
+    `validate` is the triple's axiom check.  theta_1 is the iso's first level
+    and the residuals are the certificate's, one per pair; a refusal of a
+    stage is a NotSubproductTripleError with the stage's text."""
     t.validate(eps)
-    result = classify_plane(t.E2, eps)
-    _verify_iso(t, *result, eps)
-    return result
+    try:
+        result = _certified(_system_of(t), eps)[0]
+    except ClassifyStageError as exc:
+        raise NotSubproductTripleError(str(exc)) from exc
+    return Classification(_triple_class(result.label), TripleIso(result.iso.stack[0]),
+                          result.rank, result.rank_margin, result.residuals)

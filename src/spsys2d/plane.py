@@ -1,6 +1,6 @@
 """The read of a plane E2 in C^2 (x) C^2: the rank and normal form of the
 determinant form restricted to it, the class C1..C5 with lambda and theta_1
-that they give (`classify_plane`), the canonical tables of each class
+that they give (`_read_plane`), the canonical tables of each class
 (`canonical_beta`, `canonical_maps`), and the records that carry a class.
 
 It is a module of its own so that classifying a system loads only this:
@@ -15,7 +15,7 @@ import numpy as np
 
 from .tensorlinalg import (
     DEFAULT_EPS, FRAME_TOL, Record, Subspace, ValueRecord, _binary_roots, _cross, _factor, _norm,
-    _projective, _real_peak, _unit, det_bilinear, kron, require_finite, residual_tol,
+    _projective, _real_peak, _unit, det_bilinear, require_finite, residual_tol,
     singular_values2,
 )
 
@@ -179,13 +179,6 @@ class TripleIso(Record):
     def __init__(self, theta: np.ndarray):
         object.__setattr__(self, "theta", theta)
 
-    def apply2(self, s: Subspace, eps: float = DEFAULT_EPS) -> Subspace:
-        return s.map_by(kron(self.theta, self.theta), eps)
-
-    def apply3(self, s: Subspace, eps: float = DEFAULT_EPS) -> Subspace:
-        t3 = kron(kron(self.theta, self.theta), self.theta)
-        return s.map_by(t3, eps)
-
 
 _NEW_DICT = object()  # the default of Classification.residuals: a new dict per record
 
@@ -193,12 +186,13 @@ _NEW_DICT = object()  # the default of Classification.residuals: a new dict per 
 class Classification(Record):
     """A class, the isomorphism onto its canonical representative, the rank
     of the plane E2 with its margin, and the certificate residual per pair
-    (s, t), empty for a triple.  Unpacks as `label, iso`.  The rank counts
-    the singular values s of the determinant form on E2 above thr = eps *
-    max(1, s0); the margin is the least max(s/thr, thr/s) over s > 0 (inf for
-    a zero form), near 1 for a shaky call.  At rank 1 it is thr/s1 with s1 at
-    roundoff, so it measures rounding, not distance to a flip: 1.3e7 to 2.2e7
-    on `random_system(SystemLabel("E3", 0.5), seed, 6)`, seeds 0-3.  With no
+    (s, t) of the system (for a triple, the three pairs of its horizon-3
+    system).  Unpacks as `label, iso`.  The rank counts the singular values s
+    of the determinant form on E2 above thr = eps * max(1, s0); the margin is
+    the least max(s/thr, thr/s) over s > 0 (inf for a zero form), near 1 for a
+    shaky call.  At rank 1 it is thr/s1 with s1 at roundoff, so it measures
+    rounding, not distance to a flip: 1.3e7 to 2.2e7 on
+    `random_system(SystemLabel("E3", 0.5), seed, 6)`, seeds 0-3.  With no
     `residuals` given, a new empty dict."""
 
     __slots__ = _shown = ("label", "iso", "rank", "rank_margin", "residuals")
@@ -269,18 +263,12 @@ def _theta_from_columns(x, y) -> tuple:
     return (y[1] / det, -y[0] / det), (-x[1] / det, x[0] / det)
 
 
-def classify_plane(plane: Subspace, eps: float = DEFAULT_EPS) -> Classification:
-    """The class C1..C5, lambda and theta_1 read from the normal form of the
-    plane E2 alone, with its rank and margin; nothing about E3 is checked.
-    The read is closed-form arithmetic on Python complex scalars
-    (`_read_plane`), and theta_1 follows the phase rule of
-    `_theta_from_columns`."""
-    return _read_plane(plane.basis.T.tolist(), eps)
-
-
 def _read_plane(cols, eps: float) -> Classification:
-    """`classify_plane` of the plane with the orthonormal basis `cols`, two
-    4-vectors of Python complex (ValueError for another count)."""
+    """The class C1..C5, lambda and theta_1 read from the normal form of the
+    plane E2 with the orthonormal basis `cols`, two 4-vectors of Python
+    complex (ValueError for another count), with its rank and margin; nothing
+    about E3 is checked.  The read is closed-form arithmetic on Python complex
+    scalars, and theta_1 follows the phase rule of `_theta_from_columns`."""
     u, v, g = _plane_form(cols)
     rank, margin = _form_rank(g, eps)
     (x1, y1), (x2, y2), case_tag = _normal_form(u, v, g, rank, eps)

@@ -208,11 +208,6 @@ class Subspace(Record):
             return 0.0
         return float(np.linalg.norm(v - self.project(v)) / norm)
 
-    def map_by(self, m, eps: float = DEFAULT_EPS) -> "Subspace":
-        """Image of the subspace under a linear map (rows of m = target coords)."""
-        m = as_cmat(m)
-        return Subspace.from_spanning(m @ self.basis, ambient_dim=m.shape[0], eps=eps)
-
 
 def span_rank(s: np.ndarray, eps: float = DEFAULT_EPS):
     """The one rank rule of spans and kernels, on singular values (last axis,
@@ -279,7 +274,7 @@ def det_bilinear(u, v) -> complex:
 
 
 # -- closed forms on Python complex scalars, behind `Subspace.from_spanning`
-# and the plane read (`plane.classify_plane`), which makes no np.linalg
+# and the plane read (`plane._read_plane`), which makes no np.linalg
 # call.  A vector is a sequence of complex; a 4-vector w is the 2x2 matrix
 # [[w0, w1], [w2, w3]], as `kron` lays out x (x) y.
 

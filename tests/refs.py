@@ -11,7 +11,7 @@ the exact oracles).  Fixtures live in `conftest.py`.
 import numpy as np
 
 from spsys2d.graded import singular_levels
-from spsys2d.plane import Classification, classify_plane
+from spsys2d.plane import Classification, _read_plane
 from spsys2d.stacks import CHUNK, degree_index, extend_levels
 from spsys2d.systems import (ClassifyStageError, SubproductSystem, SystemIso, SystemLabel,
                              axiom_text, canonical_system, check_axioms, iso_residuals)
@@ -146,7 +146,7 @@ def ref_classify_system(sys, eps=DEFAULT_EPS):
         raise ClassifyStageError("axioms", f"input fails the axioms: {axiom_text(report)}")
     e2 = Subspace.from_spanning(sys.beta[(1, 1)], eps=eps)
     try:
-        plane = classify_plane(e2, eps)
+        plane = _read_plane(e2.basis.T.tolist(), eps)
     except ValueError as exc:
         raise ClassifyStageError("classify-triple", str(exc)) from exc
     label = SystemLabel.from_triple_class(plane.label)

@@ -13,9 +13,10 @@ the reference for the direct recursion that replaced it; its extend_morphism
 loop, which took a pinv and a null space of M[n-1, 1] at every level, is kept
 as `ref_extend_morphism` for the stacked recursion on the transposes that
 replaced it.  The composition before that, which certified
-the degree-(1,2,3) triple with `triple_of_system` and `classify_triple`
-before the recursion, is kept as the reference for the system path that
-reads the class from the plane Im beta[1,1] alone.
+the degree-(1,2,3) triple with `triple_of_system` and the projector route of
+`classify_triple` as it was (`ref_classify_triple`) before the recursion, is
+kept as the reference for the system path that reads the class from the plane
+Im beta[1,1] alone.
 """
 
 import tracemalloc
@@ -26,7 +27,7 @@ import pytest
 
 from refs import GRID, moved, ref_is_isomorphism, ref_left_inverse, top_heavy_unfit
 from spsys2d import graded
-from spsys2d.classify import classify_triple
+from spsys2d.classify import canonical_triple
 from spsys2d.graded import (
     CATALOG_NAMES,
     GradedMorphism,
@@ -43,7 +44,7 @@ from spsys2d.graded import (
     singular_levels,
     twist,
 )
-from spsys2d.plane import Classification, classify_plane
+from spsys2d.plane import Classification, NotSubproductTripleError, _read_plane
 from spsys2d.stacks import GradedAlgebra, degree_index, extend_levels
 from spsys2d.systems import (
     ClassifyStageError,
@@ -201,6 +202,26 @@ def ref_extend_morphism(gA, gB, theta1, theta2, eps=DEFAULT_EPS, rng=None):
     return GradedMorphism(source=gA, target=gB, theta=theta)
 
 
+def ref_classify_triple(t, eps=DEFAULT_EPS):
+    """classify_triple as it was: `Triple.validate`, the plane read of the
+    basis of E2, then the images of E2 and E3 under theta_1 (x) theta_1 and
+    theta_1 (x) theta_1 (x) theta_1, each the same dimension as the canonical
+    triple's and with projectors within residual_tol(eps) entrywise."""
+    t.validate(eps)
+    result = _read_plane(t.E2.basis.T.tolist(), eps)
+    target = canonical_triple(result.label, eps)
+    theta2 = np.kron(result.iso.theta, result.iso.theta)
+    for m, space, canonical, text in (
+            (theta2, t.E2, target.E2, "E2 does not map onto the canonical plane"),
+            (np.kron(theta2, result.iso.theta), t.E3, target.E3,
+             "E3 is inconsistent with the normal form implied by E2")):
+        image = Subspace.from_spanning(m @ space.basis, eps=eps)
+        if (image.dim != canonical.dim
+                or np.abs(image.projector() - canonical.projector()).max() > residual_tol(eps)):
+            raise NotSubproductTripleError(text)
+    return result
+
+
 def ref_classify_by_graded_detour(sys, eps=DEFAULT_EPS):
     """classify_system by the graded-algebra detour: dualize, extend the
     transposed triple isomorphism with ref_extend_morphism, transpose back."""
@@ -209,7 +230,7 @@ def ref_classify_by_graded_detour(sys, eps=DEFAULT_EPS):
         raise ClassifyStageError("axioms", f"input fails the axioms: {report}")
     triple = triple_of_system(sys, eps)
     try:
-        cls, tri_iso = classify_triple(triple, eps)
+        cls, tri_iso = ref_classify_triple(triple, eps)
     except ValueError as exc:
         raise ClassifyStageError("classify-triple", str(exc)) from exc
     label = SystemLabel.from_triple_class(cls)
@@ -231,7 +252,7 @@ def ref_classify_by_graded_detour(sys, eps=DEFAULT_EPS):
 
 def ref_classify_via_triple(sys, eps=DEFAULT_EPS):
     """classify_system through the triple: certify the degree-(1,2,3) triple
-    with triple_of_system and classify_triple, then solve the level maps
+    with triple_of_system and ref_classify_triple, then solve the level maps
     with the left recursion (`extend_levels`, the one classify_system runs)
     and certify them with iso_residuals."""
     report = check_axioms(sys, eps)
@@ -239,7 +260,7 @@ def ref_classify_via_triple(sys, eps=DEFAULT_EPS):
         raise ClassifyStageError("axioms", f"input fails the axioms: {report}")
     triple = triple_of_system(sys, eps)
     try:
-        tri = classify_triple(triple, eps)
+        tri = ref_classify_triple(triple, eps)
     except ValueError as exc:
         raise ClassifyStageError("classify-triple", str(exc)) from exc
     label = SystemLabel.from_triple_class(tri.label)
@@ -544,7 +565,8 @@ def extend_inputs():
         for seed in range(seeds):
             for label in GRID:
                 sys = random_system(label, 1000 * seed + 7, horizon)
-                plane = classify_plane(Subspace.from_spanning(sys.beta[(1, 1)]), DEFAULT_EPS)
+                plane = _read_plane(Subspace.from_spanning(sys.beta[(1, 1)]).basis.T.tolist(),
+                                    DEFAULT_EPS)
                 found = SystemLabel.from_triple_class(plane.label)
                 g_can, g_sys = dualize(canonical_system(found, horizon)), dualize(sys)
                 theta1 = plane.iso.theta.T

@@ -32,12 +32,12 @@ from refs import (GRID, STRESS_GRID, STRESS_LAMBDAS, U, assert_same_build, bitwi
 from spsys2d import stacks, systems
 from spsys2d.cli import main as cli_main
 from spsys2d.graded import GradedMorphism, extend_morphism, is_isomorphism, singular_levels
-from spsys2d.plane import TripleClass, canonical_beta, canonical_maps, classify_plane
+from spsys2d.plane import TripleClass, _read_plane, canonical_beta, canonical_maps
 from spsys2d.stacks import (GradedAlgebra, degree_index, equilibrated_levels, extend_levels,
                             intertwining_defects)
 from spsys2d.systems import (SubproductSystem, SystemIso, SystemLabel, canonical_system,
                              check_axioms, classify_system, dualize, random_system)
-from spsys2d.tensorlinalg import I2, Subspace, kron
+from spsys2d.tensorlinalg import DEFAULT_EPS, I2, Subspace, kron
 
 
 def drawn(seed, horizon, max_cond):
@@ -318,7 +318,7 @@ def test_extend_levels_equals_the_kron_loop_bitwise(n):
 def kron_loop_levels(sys):
     """theta as the numpy kron loop solved it, with no gauge: theta_1 from the
     plane read, then theta_n = L (theta_1 (x) theta_{n-1}) beta[1, n-1]."""
-    plane = classify_plane(Subspace.from_spanning(sys.stack[0]))
+    plane = _read_plane(Subspace.from_spanning(sys.stack[0]).basis.T.tolist(), DEFAULT_EPS)
     left = ref_left_inverse(canonical_beta(plane.label, 1))
     theta = [plane.iso.theta]
     for n in range(2, sys.horizon + 1):

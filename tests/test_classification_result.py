@@ -2,9 +2,9 @@
 their evidence, and `spsys2d classify` only formats it.
 
 The reference functions below are the earlier composition, which rebuilt the
-evidence after classifying: `classify_system`, then `canonical_system`,
-`iso_residuals` and the rank and margin of `classify_plane(triple_of_system(
-...).E2)`.  The reports the CLI writes must equal the ones built that way, and
+evidence after classifying: `classify_system` (of a triple's horizon-3
+system), then `canonical_system`, `iso_residuals` and the rank and margin of
+the plane read of `triple_of_system(...).E2`.  The reports the CLI writes must equal the ones built that way, and
 the CLI must compute each quantity once.
 """
 
@@ -19,34 +19,36 @@ from refs import GRID
 from spsys2d import classify, cli, plane, serialize, systems
 from spsys2d.classify import canonical_triple, classify_triple
 from spsys2d.cli import main
-from spsys2d.plane import Classification, NotSubproductTripleError, TripleClass, classify_plane
+from spsys2d.plane import Classification, NotSubproductTripleError, TripleClass, _read_plane
 from spsys2d.systems import (ClassifyStageError, SystemLabel, canonical_system, check_axioms,
                              classify_system, dualize, iso_residuals, random_system,
                              triple_of_system)
+from spsys2d.tensorlinalg import span_basis2
 
 TOLERANCES = (1e-6, 1e-9, 1e-12)
 
 
+def ref_system_of(t):
+    """The horizon-3 system of a triple, with np.kron: beta[1, 1] = b, the
+    basis of E2, and E3's coordinates (I2 (x) b)^H e3 and (b (x) I2)^H e3."""
+    b, e3 = t.E2.basis, t.E3.basis
+    return systems.SubproductSystem(3, {(1, 1): b, (1, 2): np.kron(np.eye(2), b).conj().T @ e3,
+                                        (2, 1): np.kron(b, np.eye(2)).conj().T @ e3})
+
+
 def ref_classify_report(obj, eps):
-    if isinstance(obj, classify.Triple):
-        cls, iso = classify_triple(obj, eps)
-        plane = classify_plane(obj.E2, eps)
-        report = {
-            "label": cls.label,
-            "theta": serialize.matrix_to_json(iso.theta),
-            "rank": plane.rank,
-            "rank_confidence": plane.rank_margin,
-        }
-        if cls.lam is not None:
-            report["lambda"] = serialize.complex_to_json(cls.lam)
-        return report
-    sys_obj = dualize(obj) if isinstance(obj, spsys2d.GradedAlgebra) else obj
+    triple = isinstance(obj, classify.Triple)
+    if triple:
+        sys_obj = ref_system_of(obj)
+    else:
+        sys_obj = dualize(obj) if isinstance(obj, spsys2d.GradedAlgebra) else obj
     label, iso = classify_system(sys_obj, eps)
     residuals = iso_residuals(sys_obj, canonical_system(label, sys_obj.horizon), iso)
-    plane = classify_plane(triple_of_system(sys_obj, eps).E2, eps)
+    plane = _read_plane(triple_of_system(sys_obj, eps).E2.basis.T.tolist(), eps)
     report = {
-        "label": label.label,
-        "theta": {str(t): serialize.matrix_to_json(m) for t, m in iso.theta.items()},
+        "label": "C" + label.label[1:] if triple else label.label,
+        "theta": serialize.matrix_to_json(iso.theta[1]) if triple
+        else {str(t): serialize.matrix_to_json(m) for t, m in iso.theta.items()},
         "residuals": {f"{s},{t}": r for (s, t), r in residuals.items()},
         "max_residual": max(residuals.values()),
         "rank": plane.rank,
@@ -112,19 +114,24 @@ class TestResult:
         assert result.residuals == iso_residuals(
             s, canonical_system(result.label, 8), result.iso)
         assert set(result.residuals) == set(s.beta)
-        plane = classify_plane(triple_of_system(s).E2)
+        plane = _read_plane(triple_of_system(s).E2.basis.T.tolist(), spsys2d.DEFAULT_EPS)
         assert (result.rank, result.rank_margin) == (plane.rank, plane.rank_margin)
         assert result.rank == 1
 
     @pytest.mark.parametrize("label, lam, rank", [
         ("C1", None, 2), ("C2", None, 2), ("C3", 1 - 1j, 1), ("C4", None, 0), ("C5", None, 0),
     ])
-    def test_triple_result_has_rank_and_no_residuals(self, label, lam, rank):
+    def test_triple_result_carries_the_certificate_and_rank(self, label, lam, rank):
+        """The certificate of the triple's horizon-3 system, one residual per
+        pair, and the rank and margin of the plane read of Im beta[1, 1], whose
+        basis `span_basis2` gives."""
         t = canonical_triple(TripleClass(label, lam))
         result = classify_triple(t)
-        assert result.residuals == {}
+        assert set(result.residuals) == {(1, 1), (1, 2), (2, 1)}
+        assert max(result.residuals.values()) <= 1e-15
         assert result.rank == rank
-        g = plane._plane_form(t.E2.basis.T.tolist())[2]
+        e2 = span_basis2(t.E2.basis.T.tolist(), spsys2d.DEFAULT_EPS)[1]
+        g = plane._plane_form(e2)[2]
         assert plane._form_rank(g, spsys2d.DEFAULT_EPS) == (result.rank, result.rank_margin)
 
     def test_result_is_frozen(self):
@@ -146,7 +153,6 @@ class TestComputedOnce:
         (systems, "triple_of_system"),
         (classify, "classify_triple"),
         (classify.Triple, "validate"),
-        (classify, "_verify_iso"),
         (classify, "canonical_triple"),
     )
 

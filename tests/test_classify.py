@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refs import random_gl2
+from refs import GRID, random_gl2
 from spsys2d import classify
 from spsys2d.classify import (
     Triple,
@@ -17,6 +17,7 @@ from spsys2d.plane import (
     _plane_form,
     rank_of_plane,
 )
+from spsys2d.systems import random_system, triple_of_system
 from spsys2d.tensorlinalg import DEFAULT_EPS, E1, E2, Subspace, kron
 
 
@@ -58,7 +59,7 @@ class TestPlaneRank:
                 (_span(kron(E1, E1), kron(E2, E1) + kron(E1, E2)), 1),
                 (_span(kron(E1, E1), kron(E1, E2)), 0),
             ]:
-                assert rank_of_plane(plane.map_by(big)) == want
+                assert rank_of_plane(Subspace.from_spanning(big @ plane.basis)) == want
 
 
 class TestPlaneNormalForm:
@@ -174,7 +175,7 @@ class TestProductInIntersectionByResidual:
         for _ in range(100):
             g = np.kron(*([random_gl2(rng)] * 2))
             for L12, L23 in ((LEFT, RIGHT), (RIGHT, LEFT), (LEFT, LEFT), (RIGHT, RIGHT)):
-                L12, L23 = L12.map_by(g), L23.map_by(g)
+                L12, L23 = (Subspace.from_spanning(g @ L.basis) for L in (L12, L23))
                 got = product_in_intersection(L12, L23)
                 assert got is not None
                 assert _witness_residual(L12, L23, got) <= 1e-7
@@ -256,14 +257,18 @@ class TestClassifyConjugated:
             g = random_gl2(rng)
             g2 = np.kron(g, g)
             g3 = np.kron(g2, g)
-            t = Triple(E2=base.E2.map_by(g2), E3=base.E3.map_by(g3))
+            t = Triple(E2=Subspace.from_spanning(g2 @ base.E2.basis),
+                       E3=Subspace.from_spanning(g3 @ base.E3.basis))
             cls, iso = classify_triple(t)
             assert cls.label == label
             if lam is not None:
                 assert abs(cls.lam - lam) <= 1e-8 * abs(lam)
-            # the returned map really carries the input onto the canonical form
-            assert same_span(iso.apply2(t.E2), base.E2, 1e-7)
-            assert same_span(iso.apply3(t.E3), base.E3, 1e-7)
+            # the returned map really carries the input onto the canonical
+            # form: theta (x) theta on E2, theta (x) theta (x) theta on E3
+            th2 = np.kron(iso.theta, iso.theta)
+            th3 = np.kron(th2, iso.theta)
+            assert same_span(Subspace.from_spanning(th2 @ t.E2.basis), base.E2, 1e-7)
+            assert same_span(Subspace.from_spanning(th3 @ t.E3.basis), base.E3, 1e-7)
 
     def test_distinctness_of_families(self):
         # Classifying each canonical triple never yields another label
@@ -290,3 +295,27 @@ class TestClassifyConjugated:
         with pytest.raises(NotSubproductTripleError):
             Triple(E2=base.E2, E3=bad).validate()
 
+
+class TestGridTriples:
+    """The triple of each scrambled system of the benchmark grid classifies
+    to its cell through the certificate of its horizon-3 system."""
+
+    @pytest.mark.parametrize("cell", GRID, ids=lambda c: f"{c.label}{c.lam or ''}")
+    def test_grid_triples_classify_to_their_cell(self, cell):
+        for seed in range(5):
+            t = triple_of_system(random_system(cell, 1000 * seed + 7, 6))
+            result = classify_triple(t)
+            assert result.label.label == "C" + cell.label[1:]
+            if cell.lam is not None:
+                assert abs(result.label.lam - cell.lam) <= 1e-9 * abs(cell.lam)
+            assert set(result.residuals) == {(1, 1), (1, 2), (2, 1)}
+            assert max(result.residuals.values()) <= 1e-11
+
+    @pytest.mark.parametrize("cell", GRID, ids=lambda c: f"{c.label}{c.lam or ''}")
+    def test_a_moved_e3_entry_is_refused(self, cell):
+        for seed in range(5):
+            t = triple_of_system(random_system(cell, 1000 * seed + 7, 6))
+            e3 = t.E3.basis.copy()
+            e3[seed % 8, seed % 2] += 1e-3
+            with pytest.raises(NotSubproductTripleError):
+                classify_triple(Triple(E2=t.E2, E3=Subspace.from_spanning(e3)))

@@ -19,8 +19,8 @@ from spsys2d.plane import (
     TripleIso,
     _normal_form,
     _plane_form,
+    _read_plane,
     canonical_beta,
-    classify_plane,
     rank_of_plane,
 )
 from spsys2d.stacks import degree_index
@@ -265,7 +265,7 @@ class TestRankOneRead:
     def test_matches_the_frame_solve_read(self):
         verdicts = set()
         for lam, eps, band, plane in e3_planes():
-            got = _outcome(classify_plane, plane, eps)
+            got = _outcome(lambda p, e: _read_plane(p.basis.T.tolist(), e), plane, eps)
             want = _outcome(ref_frame_solve_read, plane, eps)
             if isinstance(want, str):
                 assert got == want, (lam, eps, band)
@@ -290,7 +290,8 @@ class TestRankOneRead:
 
     @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
     def test_canonical_plane_reads_its_lambda(self, lam):
-        got = classify_plane(canonical_triple(TripleClass("C3", lam)).E2)
+        e2 = canonical_triple(TripleClass("C3", lam)).E2
+        got = _read_plane(e2.basis.T.tolist(), DEFAULT_EPS)
         assert got.label.label == "C3"
         assert abs(got.label.lam - lam) <= 1e-12 * abs(lam)
 
@@ -327,7 +328,8 @@ def assert_same_read(plane, eps, lam_tol, theta_tol):
     message, or the same rank and label, lambda within lam_tol relative, and
     theta_1 a diagonal unitary times the reference's, within theta_tol times
     cond(theta_1).  Returns the verdict."""
-    got, want = _outcome(classify_plane, plane, eps), _outcome(ref_classify_plane, plane, eps)
+    got = _outcome(lambda p, e: _read_plane(p.basis.T.tolist(), e), plane, eps)
+    want = _outcome(ref_classify_plane, plane, eps)
     if isinstance(want, str):
         assert got == want
         return want
@@ -437,7 +439,7 @@ class TestClosedFormRead:
             monkeypatch.setattr(np.linalg, name, counted)
         ranks = []
         for plane in planes:
-            ranks.append(classify_plane(plane).rank)
+            ranks.append(_read_plane(plane.basis.T.tolist(), DEFAULT_EPS).rank)
             u, v, g = _plane_form(plane.basis.T.tolist())
             _normal_form(u, v, g, rank_of_plane(plane), DEFAULT_EPS)
         assert sorted(set(ranks)) == [0, 1, 2]
@@ -455,13 +457,13 @@ class TestClosedFormRead:
             for _ in range(5):
                 g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 plane = Subspace.from_spanning(kron(g, g) @ canonical_beta(cls, 1))
-                ref = classify_plane(plane)
+                ref = _read_plane(plane.basis.T.tolist(), DEFAULT_EPS)
                 frame = np.linalg.inv(ref.iso.theta)
                 peaks = frame[np.abs(frame).argmax(axis=0), [0, 1]]
                 assert np.all(np.abs(peaks.imag) <= 1e-12 * peaks.real)  # inv rounds
                 for _ in range(3):
                     phases = np.exp(2j * np.pi * rng.random(2))
-                    got = classify_plane(Subspace(4, plane.basis * phases))
+                    got = _read_plane((plane.basis * phases).T.tolist(), DEFAULT_EPS)
                     tol = 1e-12 * np.linalg.cond(ref.iso.theta)
                     if label in ("C1", "C2"):
                         want = unit_rows(ref.iso.theta)
@@ -515,7 +517,7 @@ class TestDeterminantForm:
         with pytest.raises(ValueError, match="4-dim ambient"):
             rank_of_plane(Subspace.from_spanning(np.eye(8)[:, :2]))
         with pytest.raises(ValueError, match="4-dim ambient"):
-            classify_plane(Subspace.from_spanning(np.eye(4)[:, :1]))
+            _read_plane(Subspace.from_spanning(np.eye(4)[:, :1]).basis.T.tolist(), DEFAULT_EPS)
 
 
 _SYSTEM = canonical_system(SystemLabel("E3", 2.0), 4)
